@@ -7,7 +7,9 @@
 //	                  internal/vmm, domain hypercalls go through the typed
 //	                  DomainConn handle, never the raw VMM.HC* forwarders
 //	errnodiscipline — no raw errno literals, no discarded error/Errno results
-//	cyclecharge     — exported memory-touching VMM/guestos functions charge
+//	iagoflow        — every kernel-returned value in the shim passes its
+//	                  validator before any other use
+//	cyclecharge    — exported memory-touching VMM/guestos functions charge
 //	                  the sim cost model
 //	plaintextflow   — interprocedural taint: cloaked plaintext (sealing keys,
 //	                  decrypted pages) never reaches raw disk writes, trace
@@ -15,14 +17,12 @@
 //	                  struct fields
 //	hotpathalloc    — no heap allocations or map ranges on the forward
 //	                  closure of the dispatch/charge/trace/fault fast paths
-//	smpready        — SMP locking discipline in mach/sim/vmm: shared state
-//	                  reachable from multiple vCPU entry points is mutexed,
-//	                  and every entry-group writer actually takes the lock
-//	worldcharge     — outside internal/sim, no deprecated World.Charge*
-//	                  forwarders: charges go through an explicit sim.VCPU
+//	smpready        — no package-level var in mach/sim/vmm is written at
+//	                  runtime: machine state lives on the World, where the
+//	                  scheduler baton serializes it
 //
-// The last three are built on a whole-module interprocedural dataflow engine
-// (call graph + per-function summaries); see DESIGN.md.
+// plaintextflow and hotpathalloc are built on a whole-module interprocedural
+// dataflow engine (call graph + per-function summaries); see DESIGN.md.
 //
 // Usage:
 //

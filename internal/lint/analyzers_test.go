@@ -77,8 +77,8 @@ func TestHotPathAllocProfilerRoots(t *testing.T) {
 		"overshadow/internal/obs", "testdata/src/profhot")
 }
 
-// TestSMPReadyAnalyzer loads a vmm-shaped package with entry-group roots by
-// name; the mutex-bearing struct and the single-group struct must pass.
+// TestSMPReadyAnalyzer loads a vmm-shaped package: written package-level vars
+// are findings, and a mutex-less struct written from two entry paths passes.
 func TestSMPReadyAnalyzer(t *testing.T) {
 	runWantTest(t, SMPReadyAnalyzer,
 		"overshadow/internal/vmm", "testdata/src/smpready")
@@ -87,14 +87,6 @@ func TestSMPReadyAnalyzer(t *testing.T) {
 func TestCycleChargeAnalyzer(t *testing.T) {
 	runWantTest(t, CycleChargeAnalyzer,
 		"overshadow/internal/vmm", "testdata/src/cyclecharge")
-}
-
-// TestWorldChargeAnalyzer loads a vmm-shaped package calling both the
-// deprecated World.Charge* forwarders (findings) and the per-vCPU
-// replacements (silent).
-func TestWorldChargeAnalyzer(t *testing.T) {
-	runWantTest(t, WorldChargeAnalyzer,
-		"overshadow/internal/vmm", "testdata/src/worldcharge")
 }
 
 // TestAnalyzerGatesOtherPackages checks the package-path gates: the same

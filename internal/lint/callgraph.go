@@ -9,8 +9,9 @@ import (
 // whole-module static call graph with a function index, built once per
 // loaded package set and memoized. cyclecharge introduced the technique
 // (closures attributed to their enclosing declaration, static resolution
-// through types.Info.Uses); plaintextflow, hotpathalloc, and smpready all
-// build on the same graph, so it lives here and is computed once.
+// through types.Info.Uses); plaintextflow and hotpathalloc build on the same
+// graph, and smpready walks its function index, so it lives here and is
+// computed once.
 //
 // The graph is an under-approximation on dynamic calls: a call through a
 // function value, interface method, or field-stored callback resolves to no

@@ -154,17 +154,12 @@ func isMemoryPrimitive(obj types.Object) bool {
 		objIs(obj, "overshadow/internal/mach", "Memory", "Zero")
 }
 
-// isChargePrimitive reports whether obj advances the simulated clock. The
-// per-vCPU methods are the real primitives; the World methods are the
-// one-release deprecation forwarders onto the boot vCPU and still count.
+// isChargePrimitive reports whether obj advances the simulated clock: the
+// per-vCPU charge methods are the only way to do so.
 func isChargePrimitive(obj types.Object) bool {
 	return objIs(obj, "overshadow/internal/sim", "VCPU", "Charge") ||
 		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeCount") ||
-		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeAdd") ||
-		objIs(obj, "overshadow/internal/sim", "World", "Charge") ||
-		objIs(obj, "overshadow/internal/sim", "World", "ChargeCount") ||
-		objIs(obj, "overshadow/internal/sim", "World", "ChargeAdd") ||
-		objIs(obj, "overshadow/internal/sim", "Clock", "Advance")
+		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeAdd")
 }
 
 // observerMethods are the sim.World/sim.VCPU (and SpanHandle) methods that

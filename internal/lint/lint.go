@@ -89,7 +89,6 @@ func Analyzers() []*Analyzer {
 		PlaintextFlowAnalyzer,
 		HotPathAllocAnalyzer,
 		SMPReadyAnalyzer,
-		WorldChargeAnalyzer,
 	}
 }
 

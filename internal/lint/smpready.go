@@ -3,45 +3,20 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
-	"strings"
 )
 
-// SMPReadyAnalyzer pre-clears ROADMAP item 1 (multi-vCPU support) by keeping
-// an inventory of the state that would race the moment a second vCPU runs.
-// Two rules, both scoped to the machine-model packages (internal/mach,
-// internal/sim, internal/vmm):
-//
-// Rule A: a package-level variable that any module function writes is shared
-// mutable state with no owner; sentinel errors and other never-written vars
-// are fine.
-//
-// Rule B: a struct type whose fields are written by functions reachable from
-// two or more distinct future-vCPU entry groups — translate, trap, hypercall,
-// charge, dispatch, physio — and which carries no sync.Mutex/RWMutex field
-// is flagged once, at the type declaration, listing the written fields and
-// the groups that can reach them. Adding a mutex field (even before any
-// locking discipline exists) or an //overlint:allow with the serialization
-// argument clears the finding.
-//
-// Rule C closes rule B's escape hatch: once a struct written from two or
-// more entry groups does carry a mutex field, the mutex has to be more than
-// decoration — every function that writes the struct's fields from inside an
-// entry group must take one of the struct's mutexes (x.mu.Lock()/RLock(), or
-// the promoted Lock of an embedded mutex) in its own body. Writers outside
-// every entry group (constructors, test rigs) are exempt, as is locking any
-// one of several mutex fields — the analyzer checks that the declared
-// serialization intent is exercised, not which shard of it applies.
-// Lock-taking through a helper (s.Lock() where Lock is a hand-written method
-// that locks s.mu) is credited only when the helper itself is the writer.
-//
-// The groups model the paper's world-switch structure: each names a distinct
-// activation source that SMP would run concurrently. Reachability is the
-// static call-graph closure, so dynamic dispatch under-approximates — a
-// struct can be dirtier than reported, never cleaner.
+// SMPReadyAnalyzer keeps the machine-model packages (internal/mach,
+// internal/sim, internal/vmm) free of state that the scheduler baton does not
+// serialize. Exactly one vCPU of a world executes at a time, so everything
+// hanging off a World — clock, counters, VMM, memory — is touched only by the
+// baton holder and needs no lock. A package-level variable that any module
+// function writes escapes that discipline: it is shared by every world the
+// harness pool runs on parallel host goroutines, and by every vCPU of each.
+// Such a variable is a finding, reported at its declaration; sentinel errors
+// and other never-written vars are fine.
 var SMPReadyAnalyzer = &Analyzer{
 	Name: "smpready",
-	Doc:  "shared mutable state in mach/sim/vmm reachable from multiple future-vCPU entry points",
+	Doc:  "package-level vars in mach/sim/vmm written at runtime (state outside the baton's reach)",
 	Run:  runSMPReady,
 }
 
@@ -52,235 +27,55 @@ var smpPkgs = map[string]bool{
 	vmmPath:                   true,
 }
 
-// smpEntryGroups name the future-vCPU activation sources and their root
-// functions.
-var smpEntryGroups = []struct {
-	name  string
-	roots []hotRoot
-}{
-	{"translate", []hotRoot{{vmmPath, "VMM", "Translate"}}},
-	{"trap", []hotRoot{{vmmPath, "Thread", "EnterKernel"}, {vmmPath, "Thread", "ExitKernel"}}},
-	{"hypercall", []hotRoot{
-		{vmmPath, "VMM", "HCCreateDomain"},
-		{vmmPath, "VMM", "HCFileResource"},
-		{vmmPath, "VMM", "HCDropFileResource"},
-	}},
-	{"charge", []hotRoot{
-		{"overshadow/internal/sim", "VCPU", "Charge"},
-		{"overshadow/internal/sim", "VCPU", "ChargeCount"},
-		{"overshadow/internal/sim", "VCPU", "ChargeAdd"},
-		{"overshadow/internal/sim", "World", "Charge"},
-		{"overshadow/internal/sim", "World", "ChargeCount"},
-		{"overshadow/internal/sim", "World", "ChargeAdd"},
-	}},
-	{"dispatch", []hotRoot{{"overshadow/internal/guestos", "Kernel", "switchTo"}}},
-	{"physio", []hotRoot{
-		{vmmPath, "VMM", "PhysRead"},
-		{vmmPath, "VMM", "PhysWrite"},
-		{vmmPath, "VMM", "PhysZero"},
-	}},
-}
-
-// smpFacts is the module-wide write inventory, memoized per graph.
-type smpFacts struct {
-	// varWritten marks gated package-level vars with at least one write.
-	varWritten map[*types.Var]bool
-	// fieldGroups maps a written struct field to the entry groups that reach
-	// a writer.
-	fieldGroups map[*types.Var]map[string]bool
-	// fieldWriters maps a written struct field to the functions that write it
-	// while reachable from at least one entry group (rule C's audit set).
-	fieldWriters map[*types.Var]map[types.Object]bool
-	// funcLocks maps a function to the mutex fields whose Lock/RLock it calls
-	// in its own body.
-	funcLocks map[types.Object]map[*types.Var]bool
-}
-
 var (
-	cachedSMP      *smpFacts
-	cachedSMPGraph *ModuleGraph
+	cachedSMPWritten map[*types.Var]bool
+	cachedSMPGraph   *ModuleGraph
 )
 
-func smpFactsOf(g *ModuleGraph) *smpFacts {
+// smpWrittenVars returns the gated package-level vars with at least one write
+// anywhere in the module, memoized per graph.
+func smpWrittenVars(g *ModuleGraph) map[*types.Var]bool {
 	if cachedSMPGraph == g {
-		return cachedSMP
+		return cachedSMPWritten
 	}
-	f := &smpFacts{
-		varWritten:   make(map[*types.Var]bool),
-		fieldGroups:  make(map[*types.Var]map[string]bool),
-		fieldWriters: make(map[*types.Var]map[types.Object]bool),
-		funcLocks:    make(map[types.Object]map[*types.Var]bool),
-	}
-	// Per-group reachability. The hypercall group additionally seeds every
-	// exported DomainConn method: each is a guest-initiated activation.
-	groupReach := make(map[string]map[types.Object]bool, len(smpEntryGroups))
-	for _, grp := range smpEntryGroups {
-		var roots []types.Object
-		for _, fi := range g.Order {
-			for _, r := range grp.roots {
-				if fi.Pkg.Path == r.pkg && fi.Decl.Name.Name == r.name && receiverTypeName(fi.Decl) == r.recv {
-					roots = append(roots, fi.Obj)
-				}
-			}
-			if grp.name == "hypercall" && fi.Pkg.Path == vmmPath &&
-				receiverTypeName(fi.Decl) == "DomainConn" && fi.Decl.Name.IsExported() {
-				roots = append(roots, fi.Obj)
-			}
-		}
-		groupReach[grp.name] = g.reachableFrom(roots, false)
-	}
+	written := make(map[*types.Var]bool)
 	for _, fi := range g.Order {
-		var groups []string
-		for _, grp := range smpEntryGroups {
-			if groupReach[grp.name][fi.Obj] {
-				groups = append(groups, grp.name)
-			}
-		}
-		scanWrites(fi, groups, f)
-		scanLocks(fi, f)
+		scanVarWrites(fi, written)
 	}
-	cachedSMP, cachedSMPGraph = f, g
-	return f
+	cachedSMPWritten, cachedSMPGraph = written, g
+	return written
 }
 
-// scanWrites records every package-var and struct-field write in one
-// function, tagging field writes with the entry groups that reach the
-// function.
-func scanWrites(fi *FuncInfo, groups []string, f *smpFacts) {
+// scanVarWrites records every gated package-level var one function writes:
+// directly (v = x, v++), through a field (v.f = x), or through an index
+// (v[k] = x — mutating a map or slice held in the var mutates it just the
+// same). Writes through pointers and slices of unknown origin are skipped.
+func scanVarWrites(fi *FuncInfo, written map[*types.Var]bool) {
 	info := fi.Pkg.Info
-	recordLHS := func(lv ast.Expr) {
-		switch lv := ast.Unparen(lv).(type) {
-		case *ast.Ident:
-			if v, ok := info.Uses[lv].(*types.Var); ok && smpPackageVar(v) {
-				f.varWritten[v] = true
-			}
+	record := func(lhs ast.Expr) {
+		switch lv := ast.Unparen(lhs).(type) {
 		case *ast.SelectorExpr:
-			// x.f = ... — a write through a package-level var counts for
-			// rule A; a struct-field write counts for rule B.
-			if id, ok := ast.Unparen(lv.X).(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok && smpPackageVar(v) {
-					f.varWritten[v] = true
-				}
-			}
-			if v, ok := info.Uses[lv.Sel].(*types.Var); ok && v.IsField() && v.Pkg() != nil && smpPkgs[v.Pkg().Path()] {
-				gs := f.fieldGroups[v]
-				if gs == nil {
-					gs = make(map[string]bool)
-					f.fieldGroups[v] = gs
-				}
-				for _, grp := range groups {
-					gs[grp] = true
-				}
-				if len(groups) > 0 {
-					ws := f.fieldWriters[v]
-					if ws == nil {
-						ws = make(map[types.Object]bool)
-						f.fieldWriters[v] = ws
-					}
-					ws[fi.Obj] = true
-				}
-			}
+			lhs = lv.X
 		case *ast.IndexExpr:
-			recordLHSBase(lv.X, info, f)
-		case *ast.StarExpr, *ast.SliceExpr:
-			// Writes through pointers/slices: the pointee is unknown; skip.
+			lhs = lv.X
+		}
+		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && smpPackageVar(v) {
+				written[v] = true
+			}
 		}
 	}
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				recordLHS(lhs)
+				record(lhs)
 			}
 		case *ast.IncDecStmt:
-			recordLHS(n.X)
+			record(n.X)
 		}
 		return true
 	})
-}
-
-// scanLocks records every mutex-field Lock/RLock call in one function: the
-// x.mu.Lock() form where mu is a sync.Mutex/RWMutex field, and the promoted
-// s.Lock() form where the mutex is embedded in s's struct type.
-func scanLocks(fi *FuncInfo, f *smpFacts) {
-	info := fi.Pkg.Info
-	record := func(v *types.Var) {
-		ls := f.funcLocks[fi.Obj]
-		if ls == nil {
-			ls = make(map[*types.Var]bool)
-			f.funcLocks[fi.Obj] = ls
-		}
-		ls[v] = true
-	}
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
-			return true
-		}
-		// Only the sync package's own Lock/RLock counts; a hand-written
-		// method of the same name is not evidence of taking the mutex.
-		m, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || m.Pkg() == nil || m.Pkg().Path() != "sync" {
-			return true
-		}
-		// x.mu.Lock(): the receiver expression names the mutex field.
-		if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
-			if v, ok := info.Uses[inner.Sel].(*types.Var); ok && v.IsField() && isMutexType(v.Type()) {
-				record(v)
-				return true
-			}
-		}
-		// s.Lock(): promoted method of an embedded mutex — credit the
-		// embedded field itself.
-		if tv, ok := info.Types[sel.X]; ok {
-			if st := structUnder(tv.Type); st != nil {
-				for i := 0; i < st.NumFields(); i++ {
-					if fv := st.Field(i); fv.Embedded() && isMutexType(fv.Type()) {
-						record(fv)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isMutexType(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// structUnder unwraps pointers and named types down to a struct, or nil.
-func structUnder(t types.Type) *types.Struct {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, _ := t.Underlying().(*types.Struct)
-	return st
-}
-
-// recordLHSBase handles indexed writes (m[k] = v): mutating a map or slice
-// held in a package-level var mutates shared state just the same.
-func recordLHSBase(x ast.Expr, info *types.Info, f *smpFacts) {
-	if id, ok := ast.Unparen(x).(*ast.Ident); ok {
-		if v, ok := info.Uses[id].(*types.Var); ok && smpPackageVar(v) {
-			f.varWritten[v] = true
-		}
-	}
 }
 
 // smpPackageVar reports whether v is a package-level variable of a gated
@@ -296,127 +91,11 @@ func runSMPReady(pass *Pass) {
 	if !smpPkgs[pass.Pkg.Path] {
 		return
 	}
-	facts := smpFactsOf(moduleGraphOf(pass.All))
-
-	// Rule A: written package-level vars, reported at the declaration.
+	written := smpWrittenVars(moduleGraphOf(pass.All))
 	scope := pass.Pkg.Types.Scope()
 	for _, name := range scope.Names() {
-		v, ok := scope.Lookup(name).(*types.Var)
-		if !ok || !facts.varWritten[v] {
-			continue
-		}
-		pass.Report(v.Pos(), "package-level var %s is written at runtime; SMP needs per-vCPU or synchronized state", v.Name())
-	}
-
-	// Rule B: one finding per mutex-less struct whose fields are written from
-	// two or more entry groups. Rule C: for a mutexed struct in the same
-	// position, every grouped writer must take one of the struct's mutexes.
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		fields := make(map[string]bool)
-		groups := make(map[string]bool)
-		for i := 0; i < st.NumFields(); i++ {
-			fv := st.Field(i)
-			for grp := range facts.fieldGroups[fv] {
-				fields[fv.Name()] = true
-				groups[grp] = true
-			}
-		}
-		if len(groups) < 2 {
-			continue
-		}
-		if !hasMutexField(st) {
-			pass.Report(tn.Pos(), "struct %s: fields %s written from vCPU entry groups %s without a mutex field",
-				tn.Name(), joinSorted(fields), joinSorted(groups))
-			continue
-		}
-		reportUnlockedWriters(pass, tn, st, facts)
-	}
-}
-
-// reportUnlockedWriters implements rule C for one mutexed struct: each
-// grouped writer of its fields must call Lock/RLock on one of the struct's
-// mutex fields in its own body.
-func reportUnlockedWriters(pass *Pass, tn *types.TypeName, st *types.Struct, facts *smpFacts) {
-	var mutexes []*types.Var
-	for i := 0; i < st.NumFields(); i++ {
-		if fv := st.Field(i); isMutexType(fv.Type()) {
-			mutexes = append(mutexes, fv)
+		if v, ok := scope.Lookup(name).(*types.Var); ok && written[v] {
+			pass.Report(v.Pos(), "package-level var %s is written at runtime; machine state belongs on the World, where the scheduler baton serializes it", v.Name())
 		}
 	}
-	// Collect the offending writers first (map iteration is unordered), then
-	// report in source order so findings are stable run to run.
-	type offender struct {
-		writer types.Object
-		field  string
-	}
-	seen := make(map[types.Object]bool)
-	var bad []offender
-	for i := 0; i < st.NumFields(); i++ {
-		fv := st.Field(i)
-		if isMutexType(fv.Type()) {
-			continue
-		}
-		for w := range facts.fieldWriters[fv] {
-			if seen[w] {
-				continue
-			}
-			locked := false
-			for _, m := range mutexes {
-				if facts.funcLocks[w][m] {
-					locked = true
-					break
-				}
-			}
-			if !locked {
-				seen[w] = true
-				bad = append(bad, offender{w, fv.Name()})
-			}
-		}
-	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i].writer.Pos() < bad[j].writer.Pos() })
-	for _, o := range bad {
-		pass.Report(o.writer.Pos(), "%s writes %s.%s from a vCPU entry group without locking %s.%s",
-			o.writer.Name(), tn.Name(), o.field, tn.Name(), mutexes[0].Name())
-	}
-}
-
-// hasMutexField reports whether st declares (or embeds) a sync.Mutex or
-// sync.RWMutex field — taken as the declared intent to serialize.
-func hasMutexField(st *types.Struct) bool {
-	for i := 0; i < st.NumFields(); i++ {
-		t := st.Field(i).Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			obj := named.Obj()
-			if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-				(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// joinSorted renders a string set as a stable comma list.
-func joinSorted(set map[string]bool) string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }

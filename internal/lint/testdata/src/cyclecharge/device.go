@@ -50,9 +50,8 @@ func (d *Device) BadClosure(mpns []mach.MPN) int { // want `BadClosure reaches g
 // must guarantee the charge.
 func (d *Device) raw(mpn mach.MPN) byte { return d.mem.Page(mpn)[0] }
 
-// The deprecated World forwarder onto the boot vCPU still counts as a
-// charge primitive for the duration of the migration window.
-func (d *Device) charge() { d.world.Charge(1) }
+// charge is the helper GoodIndirect charges through.
+func (d *Device) charge() { d.world.Boot().Charge(1) }
 
 // Exported but never reaches memory: not flagged.
 func (d *Device) Frames() int { return 0 }
@@ -64,7 +63,7 @@ func (d *Device) AllowedRead(mpn mach.MPN) byte {
 
 // ChargeAdd is a charge primitive even when the event count is zero.
 func (d *Device) GoodChargeAdd(mpn mach.MPN) byte {
-	d.world.ChargeAdd(d.world.Cost.MemAccess, sim.CtrMemAccess, 0)
+	d.world.Boot().ChargeAdd(d.world.Cost.MemAccess, sim.CtrMemAccess, 0)
 	return d.mem.Page(mpn)[0]
 }
 

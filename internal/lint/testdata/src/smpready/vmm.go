@@ -1,13 +1,15 @@
 // Package vmm is smpready-analyzer testdata loaded under the production
 // import path overshadow/internal/vmm (one of the gated machine-model
-// packages). It declares entry-group roots by name — Translate, EnterKernel,
-// PhysWrite, HCCreateDomain, exported DomainConn methods — and shared state
-// written from various subsets of them.
+// packages). Package-level vars written at runtime are findings; struct
+// state, however many entry paths write it, is serialized by the scheduler
+// baton and stays silent.
 package vmm
 
-import "sync"
+var epoch uint64 // want `package-level var epoch is written at runtime`
 
-var epoch uint64 // want `package-level var epoch is written at runtime; SMP needs per-vCPU or synchronized state`
+var table = map[int]int{} // want `package-level var table is written at runtime`
+
+var config struct{ n int } // want `package-level var config is written at runtime`
 
 // Never written: sentinel values carry no race.
 var Sentinel = errString("boom")
@@ -19,105 +21,25 @@ func (e errString) Error() string { return string(e) }
 //overlint:allow smpready -- testdata: deliberate exception
 var allowedVar int
 
-// Shadow is written from the translate and trap groups with no mutex.
-type Shadow struct { // want `struct Shadow: fields hits written from vCPU entry groups translate, trap without a mutex field`
+// Shadow has no mutex and is written from two entry paths (Translate and
+// EnterKernel): only the baton holder runs either, so no finding.
+type Shadow struct {
 	hits uint64
 }
 
-// Buf is written from translate and from a guest-initiated DomainConn
-// hypercall (the dynamically seeded hypercall group).
-type Buf struct { // want `struct Buf: fields data written from vCPU entry groups hypercall, translate without a mutex field`
-	data []byte
-}
-
-// Locked is written from two groups too, but the mutex field declares the
-// serialization intent — and rule C checks each grouped writer takes it.
-type Locked struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// Embedded carries its mutex by embedding; the promoted e.Lock() form must
-// be credited just like e.mu.Lock().
-type Embedded struct {
-	sync.Mutex
-	gen uint64
-}
-
-// OneSide is written from a single group only: no finding, and rule C does
-// not audit its writers either.
-type OneSide struct {
-	count uint64
-}
-
-type VMM struct {
-	sh  *Shadow
-	buf *Buf
-	lk  *Locked
-	emb *Embedded
-	one *OneSide
-}
+type VMM struct{ sh *Shadow }
 
 type Thread struct{ v *VMM }
 
-type DomainConn struct{ v *VMM }
-
-// Translate roots the translate group.
 func (v *VMM) Translate(addr uint64) uint64 {
 	epoch++
+	table[1] = 2
+	config.n = 3
 	allowedVar = 1
 	v.sh.hits++
-	v.buf.data = nil
 	return addr
 }
 
-// EnterKernel roots the trap group.
 func (t *Thread) EnterKernel() {
 	t.v.sh.hits++
-}
-
-// PhysWrite roots the physio group; it takes the mutex around the write, so
-// rule C is satisfied.
-func (v *VMM) PhysWrite(x uint64) {
-	v.lk.mu.Lock()
-	v.lk.n = x
-	v.lk.mu.Unlock()
-	v.one.count++
-	v.emb.Lock()
-	v.emb.gen++
-	v.emb.Unlock()
-}
-
-// HCCreateDomain roots the hypercall group. It writes Locked.n without
-// taking Locked.mu: the mutex is decoration here, which is exactly what
-// rule C flags.
-func (v *VMM) HCCreateDomain() { // want `HCCreateDomain writes Locked\.n from a vCPU entry group without locking Locked\.mu`
-	v.lk.n++
-	v.emb.touch()
-}
-
-// touch is reached from the hypercall group through HCCreateDomain and
-// writes Embedded.gen holding the promoted embedded mutex: no finding.
-func (e *Embedded) touch() {
-	e.Lock()
-	e.gen++
-	e.Unlock()
-}
-
-// bump is reached from the physio group via PhysRead and writes without the
-// lock — helpers inside an entry group's closure are audited like roots.
-func (e *Embedded) bump() { // want `bump writes Embedded\.gen from a vCPU entry group without locking Embedded\.Mutex`
-	e.gen++
-}
-
-// PhysRead roots the physio group.
-func (v *VMM) PhysRead() uint64 {
-	v.emb.bump()
-	return v.one.count
-}
-
-// Push is an exported DomainConn method: a guest-initiated hypercall
-// activation, seeded into the hypercall group dynamically.
-func (c *DomainConn) Push(b []byte) {
-	c.v.buf.data = b
 }

@@ -2,22 +2,20 @@
 // whole machine: a virtual cycle clock, the cycle cost model, event counters,
 // and a seeded PRNG.
 //
-// The simulated machine executes exactly one vCPU context at a time (the
-// guest scheduler hands off a baton), and with VCPUs > 1 the interleaving of
-// those contexts is drawn from a seeded schedule, so simulated time is a
-// single totally-ordered cycle stream for any vCPU count. The shared types in
-// this package are nonetheless mutex-guarded: the baton already serializes
-// execution, and the locks make that serialization visible to the race
-// detector and to the smpready analyzer. All performance results reported by
-// the benchmark harness are expressed in simulated cycles drawn from this
-// clock, which makes experiment shapes reproducible run-to-run and
-// independent of host hardware.
+// The simulated machine executes exactly one vCPU context at a time: guest
+// tasks run only while they hold the scheduler's channel baton, and with
+// VCPUs > 1 the interleaving of contexts is drawn from a seeded schedule. So
+// simulated time is a single totally-ordered cycle stream for any vCPU count,
+// and the types in this package carry no locks — the baton handoff is the
+// serializer, and it is also the happens-before edge the race detector
+// checks. Host parallelism comes only from sharding whole worlds across the
+// harness pool; nothing here is shared between worlds. All performance
+// results reported by the benchmark harness are expressed in simulated cycles
+// drawn from this clock, which makes experiment shapes reproducible
+// run-to-run and independent of host hardware.
 package sim
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Cycles is a quantity of simulated CPU cycles.
 type Cycles uint64
@@ -36,12 +34,12 @@ func (c Cycles) String() string {
 	return fmt.Sprintf("%.3f Gcyc", float64(c)/1e9)
 }
 
-// Clock is the global simulated-time source. Components charge costs to the
-// clock as they perform work; the guest OS uses it for preemption and timers.
-// A clock may carry a crash deadline: the first charge that reaches it stops
-// the whole machine at exactly that cycle (see SetCrashAt).
+// Clock is the global simulated-time source. Components charge costs to it
+// through their vCPU (VCPU.Charge and friends, which also credit the vCPU's
+// own counter); the guest OS reads it for preemption and timers. A clock may
+// carry a crash deadline: the first charge that reaches it stops the whole
+// machine at exactly that cycle (see SetCrashAt).
 type Clock struct {
-	mu      sync.Mutex
 	now     Cycles
 	crashAt Cycles
 	armed   bool
@@ -52,49 +50,12 @@ type Clock struct {
 func NewClock() *Clock { return &Clock{} }
 
 // Now reports the current simulated time.
-func (c *Clock) Now() Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// advance is the locked core of Advance: it moves time forward by n cycles,
-// clamping at an armed crash deadline, and returns the cycles actually
-// applied plus the deadline state. It never panics itself — callers raise the
-// Crash outside the lock, after crediting the applied cycles to the charging
-// vCPU, so per-vCPU cycle counters keep summing exactly to the clock even
-// across a crash.
-func (c *Clock) advance(n Cycles) (applied, at Cycles, crashed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.armed && c.now+n >= c.crashAt {
-		applied = c.crashAt - c.now
-		c.now = c.crashAt
-		c.armed = false
-		c.crashed = true
-		return applied, c.crashAt, true
-	}
-	c.now += n
-	return n, 0, false
-}
-
-// Advance moves simulated time forward by n cycles. If an armed crash
-// deadline falls inside the advance, time is clamped to the deadline and a
-// Crash panic unwinds the running context — the whole-machine power cut.
-// Charges always execute on the baton-holding goroutine, so the guest
-// kernel's scheduler recover is the single catch point.
-func (c *Clock) Advance(n Cycles) {
-	if _, at, crashed := c.advance(n); crashed {
-		panic(Crash{At: at})
-	}
-}
+func (c *Clock) Now() Cycles { return c.now }
 
 // SetCrashAt arms a whole-machine crash at simulated cycle at. A deadline
 // already in the past fires on the next charge (time still clamps forward,
 // never backward). Passing 0 disarms.
 func (c *Clock) SetCrashAt(at Cycles) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if at == 0 {
 		c.armed = false
 		return
@@ -107,11 +68,7 @@ func (c *Clock) SetCrashAt(at Cycles) {
 }
 
 // Crashed reports whether an armed deadline fired.
-func (c *Clock) Crashed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.crashed
-}
+func (c *Clock) Crashed() bool { return c.crashed }
 
 // Crash is the panic value carrying a fired crash deadline. It exists so
 // the kernel scheduler can distinguish a deliberate whole-machine stop from
@@ -129,8 +86,6 @@ func IsCrash(r any) bool {
 
 // Since reports the cycles elapsed since an earlier reading.
 func (c *Clock) Since(t Cycles) Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.now < t {
 		return 0
 	}

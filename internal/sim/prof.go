@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"overshadow/internal/obs"
-)
+import "overshadow/internal/obs"
 
 // Sim-time profiling: when enabled, the World maintains a stack of open
 // spans per guest task and leaf-attributes every cycle charge to the current
@@ -16,11 +12,8 @@ import (
 // costs one nil check per charge / span / dispatch when disabled.
 
 // profState is the World's profiling state, split out so the disabled path
-// carries a single pointer. The mutex serializes stack mutation across vCPU
-// contexts (only the baton holder mutates, but the lock keeps that checkable
-// by the race detector).
+// carries a single pointer. Only the baton holder mutates it.
 type profState struct {
-	mu   sync.Mutex
 	prof *obs.Profile
 	// root is the tree root for the current phase; the base frame of every
 	// task's stack.
@@ -64,9 +57,7 @@ func (w *World) Profile() *obs.Profile {
 // name. Called only when w.prof != nil.
 func (w *World) profLeaf(name string, cycles uint64) {
 	p := w.prof
-	p.mu.Lock()
 	p.stack[len(p.stack)-1].AddLeaf(name, cycles)
-	p.mu.Unlock()
 }
 
 // profObserve feeds the (kind, domain) duration histogram. Called only when
@@ -79,8 +70,6 @@ func (w *World) profObserve(kind obs.Kind, domain uint32, dur uint64) {
 // the stack depth to restore on End. Called only when w.prof != nil.
 func (w *World) profPush(kind obs.Kind, name string) (tid, depth int) {
 	p := w.prof
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	depth = len(p.stack)
 	p.stack = append(p.stack, p.stack[depth-1].Child(kind, name))
 	return p.tid, depth
@@ -92,8 +81,6 @@ func (w *World) profPush(kind obs.Kind, name string) (tid, depth int) {
 // that exited mid-trap) are discarded with it.
 func (w *World) profPop(tid, depth int) {
 	p := w.prof
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if tid == p.tid {
 		if depth >= 1 && depth <= len(p.stack) {
 			p.stack = p.stack[:depth]
@@ -110,8 +97,6 @@ func (w *World) profPop(tid, depth int) {
 // stack at the phase root. Called only when w.prof != nil.
 func (w *World) profDispatch(tid int) {
 	p := w.prof
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if tid == p.tid {
 		return
 	}
@@ -132,8 +117,6 @@ func (w *World) profDispatch(tid int) {
 // never mid-trap).
 func (w *World) profSetPhase(phase string) {
 	p := w.prof
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.root = p.prof.Root(phase)
 	if len(p.stack) == 1 {
 		p.stack[0] = p.root

@@ -1,7 +1,5 @@
 package sim
 
-import "sync"
-
 // RNG is a small deterministic PRNG (xorshift64*) used everywhere the
 // simulation needs randomness: TLB eviction choice, workload access patterns,
 // adversary scheduling. Using our own generator rather than math/rand keeps
@@ -9,11 +7,9 @@ import "sync"
 // byte-for-byte reproducible.
 //
 // Every vCPU carries its own stream (the boot vCPU's stream IS the world
-// stream, so single-vCPU machines draw the historical sequence), and the
-// state advance itself is mutex-guarded so a stream handed to a shared
-// component stays race-free.
+// stream, so single-vCPU machines draw the historical sequence). A stream
+// handed to a shared component is drawn only by the baton holder.
 type RNG struct {
-	mu    sync.Mutex
 	state uint64
 }
 
@@ -28,13 +24,11 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	r.mu.Lock()
 	x := r.state
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
 	r.state = x
-	r.mu.Unlock()
 	return x * 0x2545F4914F6CDD1D
 }
 

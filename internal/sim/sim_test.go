@@ -6,14 +6,18 @@ import (
 )
 
 func TestClockAdvance(t *testing.T) {
-	c := NewClock()
+	w := NewWorld(DefaultCostModel(), 1)
+	c := w.Clock
 	if c.Now() != 0 {
 		t.Fatalf("new clock at %d, want 0", c.Now())
 	}
-	c.Advance(10)
-	c.Advance(5)
+	w.Boot().Charge(10)
+	w.Boot().Charge(5)
 	if got := c.Now(); got != 15 {
 		t.Fatalf("Now() = %d, want 15", got)
+	}
+	if got := w.Boot().Cycles(); got != 15 {
+		t.Fatalf("boot vCPU credited %d, want 15", got)
 	}
 	if got := c.Since(10); got != 5 {
 		t.Fatalf("Since(10) = %d, want 5", got)
@@ -53,13 +57,8 @@ func TestStatsBasics(t *testing.T) {
 	}
 	snap := s.Snapshot()
 	s.Inc(CtrSyscall)
-	d := s.DeltaSince(snap)
-	if d[CtrSyscall] != 1 || len(d) != 1 {
-		t.Fatalf("delta = %v, want {os.syscall:1}", d)
-	}
-	s.Reset()
-	if got := s.Get(CtrSyscall); got != 0 {
-		t.Fatalf("after reset counter = %d, want 0", got)
+	if snap[CtrSyscall] != 2 || len(snap) != 2 {
+		t.Fatalf("snapshot = %v, want a copy with {os.syscall:2, mem.access:7}", snap)
 	}
 }
 
@@ -173,12 +172,50 @@ func TestRNGBytesFills(t *testing.T) {
 
 func TestWorldChargeCount(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
-	w.ChargeCount(100, CtrHypercall)
+	w.Boot().ChargeCount(100, CtrHypercall)
 	if w.Now() != 100 {
 		t.Fatalf("clock = %d, want 100", w.Now())
 	}
 	if w.Stats.Get(CtrHypercall) != 1 {
 		t.Fatal("counter not incremented")
+	}
+}
+
+// TestCrashClampCreditsChargingVCPU pins the crash path of the charge: a
+// charge on vCPU 1 that crosses an armed deadline stops the clock exactly at
+// the deadline, credits vCPU 1 with only the cycles applied, keeps the
+// per-vCPU counters summing to the clock, and unwinds before any counter
+// attribution.
+func TestCrashClampCreditsChargingVCPU(t *testing.T) {
+	w := NewWorldN(DefaultCostModel(), 1, 2)
+	boot, cpu1 := w.VCPUs()[0], w.VCPUs()[1]
+	boot.Charge(100)
+	cpu1.Charge(50)
+	const deadline = Cycles(400)
+	w.Clock.SetCrashAt(deadline)
+
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		cpu1.ChargeCount(1000, CtrSyscall)
+	}()
+	if got != (Crash{At: deadline}) {
+		t.Fatalf("recovered %v, want Crash{At: %d}", got, deadline)
+	}
+	if now := w.Now(); now != deadline {
+		t.Fatalf("clock = %d, want clamped to %d", now, deadline)
+	}
+	if c := cpu1.Cycles(); c != 50+250 {
+		t.Fatalf("vCPU 1 credited %d, want 300 (50 + the 250 applied)", c)
+	}
+	if sum := boot.Cycles() + cpu1.Cycles(); sum != w.Now() {
+		t.Fatalf("per-vCPU cycles sum to %d, clock at %d", sum, w.Now())
+	}
+	if !w.Clock.Crashed() {
+		t.Fatal("Crashed() false after the deadline fired")
+	}
+	if n := w.Stats.Get(CtrSyscall); n != 0 {
+		t.Fatalf("crashed charge still counted %d syscalls", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Counter names every event class the machine records. Keeping these as
@@ -98,11 +97,9 @@ const (
 	CtrOther    Counter = "cycles.other"
 )
 
-// Stats is a bag of monotonically increasing event counters. The mutex
-// serializes counter updates across vCPU contexts (one executes at a time,
-// but the lock keeps the invariant checkable by the race detector).
+// Stats is a bag of monotonically increasing event counters, shared by every
+// vCPU of a machine (the baton orders their updates).
 type Stats struct {
-	mu     sync.Mutex
 	counts map[Counter]uint64
 }
 
@@ -110,30 +107,16 @@ type Stats struct {
 func NewStats() *Stats { return &Stats{counts: make(map[Counter]uint64)} }
 
 // Inc adds one to counter c.
-func (s *Stats) Inc(c Counter) {
-	s.mu.Lock()
-	s.counts[c]++
-	s.mu.Unlock()
-}
+func (s *Stats) Inc(c Counter) { s.counts[c]++ }
 
 // Add adds n to counter c.
-func (s *Stats) Add(c Counter, n uint64) {
-	s.mu.Lock()
-	s.counts[c] += n
-	s.mu.Unlock()
-}
+func (s *Stats) Add(c Counter, n uint64) { s.counts[c] += n }
 
 // Get reports the current value of counter c.
-func (s *Stats) Get(c Counter) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[c]
-}
+func (s *Stats) Get(c Counter) uint64 { return s.counts[c] }
 
 // Snapshot returns a copy of all counters, for before/after deltas.
 func (s *Stats) Snapshot() map[Counter]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[Counter]uint64, len(s.counts))
 	for k, v := range s.counts {
 		out[k] = v
@@ -141,30 +124,8 @@ func (s *Stats) Snapshot() map[Counter]uint64 {
 	return out
 }
 
-// DeltaSince subtracts an earlier snapshot from the current counters.
-func (s *Stats) DeltaSince(prev map[Counter]uint64) map[Counter]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Counter]uint64)
-	for k, v := range s.counts {
-		if d := v - prev[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	return out
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	s.mu.Lock()
-	s.counts = make(map[Counter]uint64)
-	s.mu.Unlock()
-}
-
 // String renders the non-zero counters sorted by name.
 func (s *Stats) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.counts))
 	for k := range s.counts {
 		keys = append(keys, string(k))

@@ -1,19 +1,13 @@
 package sim
 
-import (
-	"sync"
-
-	"overshadow/internal/obs"
-)
+import "overshadow/internal/obs"
 
 // Tracer is a fixed-capacity ring buffer of structured spans (obs.Span). It
 // is disabled by default: emission costs one branch until EnableTrace is
 // called, so production runs pay nothing for the instrumentation points
-// sprinkled through the VMM and guest kernel. The mutex serializes ring
-// writes across vCPU contexts; spans land in the global ring in execution
-// order, which the baton already makes total.
+// sprinkled through the VMM and guest kernel. Every vCPU of a machine writes
+// the one ring; spans land in execution order, which the baton makes total.
 type Tracer struct {
-	mu      sync.Mutex
 	enabled bool
 	cap     int
 	buf     []obs.Span
@@ -27,27 +21,12 @@ func (t *Tracer) Wrapped() bool {
 	if t == nil {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.wrappedLocked()
-}
-
-func (t *Tracer) wrappedLocked() bool {
 	return len(t.buf) == t.cap && t.total > uint64(t.cap)
 }
 
 // Dropped reports how many spans were overwritten after the ring wrapped.
 func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.droppedLocked()
-}
-
-func (t *Tracer) droppedLocked() uint64 {
-	if !t.wrappedLocked() {
+	if !t.Wrapped() {
 		return 0
 	}
 	return t.total - uint64(t.cap)
@@ -55,7 +34,6 @@ func (t *Tracer) droppedLocked() uint64 {
 
 // record appends a span, overwriting the oldest entry once full.
 func (t *Tracer) record(s obs.Span) {
-	t.mu.Lock()
 	if len(t.buf) < t.cap {
 		t.buf = append(t.buf, s)
 	} else {
@@ -63,7 +41,6 @@ func (t *Tracer) record(s obs.Span) {
 		t.next = (t.next + 1) % t.cap
 	}
 	t.total++
-	t.mu.Unlock()
 }
 
 // EnableTrace turns on tracing with a ring of the given capacity.
@@ -158,7 +135,7 @@ func (c *VCPU) Emit(kind obs.Kind, name string, arg uint64) {
 
 // EmitSpan records a completed span that ended now and covered the last dur
 // cycles — the natural shape for block charges (world switch, disk op)
-// where the cost is paid in one Advance.
+// where the cost is paid in one charge.
 func (c *VCPU) EmitSpan(kind obs.Kind, name string, arg uint64, dur Cycles) {
 	w := c.w
 	if w.prof != nil {
@@ -182,8 +159,6 @@ func (w *World) TraceSpans() ([]obs.Span, obs.RingStats) {
 	if t == nil {
 		return nil, obs.RingStats{}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]obs.Span, 0, len(t.buf))
 	if len(t.buf) == t.cap {
 		out = append(out, t.buf[t.next:]...)
@@ -191,5 +166,5 @@ func (w *World) TraceSpans() ([]obs.Span, obs.RingStats) {
 	} else {
 		out = append(out, t.buf...)
 	}
-	return out, obs.RingStats{Total: t.total, Dropped: t.droppedLocked(), Wrapped: t.wrappedLocked()}
+	return out, obs.RingStats{Total: t.total, Dropped: t.Dropped(), Wrapped: t.Wrapped()}
 }

@@ -25,7 +25,7 @@ func TestTraceRecordsInOrder(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
 	for i := 0; i < 5; i++ {
-		w.Charge(10)
+		w.Boot().Charge(10)
 		w.Boot().Emit(obs.KindProc, fmt.Sprintf("event %d", i), uint64(i))
 	}
 	spans, ring := w.TraceSpans()
@@ -85,9 +85,9 @@ func TestTracerExactlyFullIsNotWrapped(t *testing.T) {
 func TestBeginEndSpanCoversCharges(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
-	w.Charge(100)
+	w.Boot().Charge(100)
 	h := w.Boot().Begin(obs.KindSyscall, "write", 42)
-	w.Charge(250)
+	w.Boot().Charge(250)
 	h.End()
 	spans, _ := w.TraceSpans()
 	if len(spans) != 1 {
@@ -105,7 +105,7 @@ func TestBeginEndSpanCoversCharges(t *testing.T) {
 func TestEmitSpanIsBackdated(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
-	w.Charge(1000)
+	w.Boot().Charge(1000)
 	w.Boot().EmitSpan(obs.KindWorldSwitch, "enter", 0, 800)
 	spans, _ := w.TraceSpans()
 	if len(spans) != 1 || spans[0].Start != 200 || spans[0].Dur != 800 {
@@ -146,11 +146,11 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	m := w.EnableMetrics(nil)
 	w.Boot().SetTask(1, 1, "a", 0, false)
-	w.ChargeCount(100, CtrSyscall)
+	w.Boot().ChargeCount(100, CtrSyscall)
 	w.Boot().SetTask(2, 2, "b", 0, false)
-	w.ChargeCount(300, CtrSyscall)
-	w.ChargeAdd(50, CtrMemAccess, 10)
-	w.Charge(7) // catch-all
+	w.Boot().ChargeCount(300, CtrSyscall)
+	w.Boot().ChargeAdd(50, CtrMemAccess, 10)
+	w.Boot().Charge(7) // catch-all
 
 	if got := m.TotalCycles(); got != 457 {
 		t.Fatalf("TotalCycles = %d", got)
@@ -181,7 +181,7 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 
 func TestChargeAddZeroEventsKeepsStatsClean(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
-	w.ChargeAdd(500, CtrIdle, 0)
+	w.Boot().ChargeAdd(500, CtrIdle, 0)
 	if w.Stats.Get(CtrIdle) != 0 {
 		t.Fatal("zero-event ChargeAdd created a flat count")
 	}
@@ -197,9 +197,9 @@ func TestMetricsSharedAcrossWorlds(t *testing.T) {
 	w1.EnableMetrics(m)
 	w2.EnableMetrics(m)
 	w1.SetPhase("native")
-	w1.Charge(10)
+	w1.Boot().Charge(10)
 	w2.SetPhase("cloaked")
-	w2.Charge(20)
+	w2.Boot().Charge(20)
 	if m.TotalCycles() != 30 {
 		t.Fatalf("shared metrics total = %d", m.TotalCycles())
 	}

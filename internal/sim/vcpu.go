@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"overshadow/internal/fault"
 	"overshadow/internal/obs"
 )
@@ -16,8 +14,7 @@ import (
 // Exactly one vCPU executes at any simulated instant (the guest scheduler's
 // baton enforces it), so the global clock only ever advances on behalf of the
 // running vCPU and the per-vCPU cycle counters sum exactly to the clock. The
-// mutex guards the mutable fields for the race detector's benefit; it is
-// never contended.
+// baton also orders every access to the mutable fields; there is no lock.
 type VCPU struct {
 	id int
 	w  *World
@@ -27,7 +24,6 @@ type VCPU struct {
 	// vCPU i > 0 draws a stream derived from the world seed and i.
 	RNG *RNG
 
-	mu sync.Mutex
 	// attr identifies the guest task this vCPU is running; charges and spans
 	// are attributed to it. The guest scheduler and the shim keep it current
 	// (see SetTask).
@@ -47,26 +43,28 @@ func (c *VCPU) Now() Cycles { return c.w.Clock.Now() }
 
 // Cycles reports the simulated time this vCPU has charged so far. Summed
 // over all vCPUs it equals the clock exactly, including across a crash.
-func (c *VCPU) Cycles() Cycles {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cycles
-}
+func (c *VCPU) Cycles() Cycles { return c.cycles }
 
 // chargeClock advances the global clock by n on this vCPU's behalf, crediting
-// the applied cycles to the per-vCPU counter. When an armed crash deadline
-// fires the credit still lands (time was clamped to the deadline) before the
-// Crash panic unwinds — so the sum-to-clock invariant holds in crashed worlds
-// too, exactly like the historical single-CPU charge path, which also stopped
-// before any counter or metrics attribution.
+// the cycles to the per-vCPU counter. If an armed crash deadline falls inside
+// the charge, time is clamped to the deadline, the clamped cycles are
+// credited, and a Crash panic unwinds the running context — the
+// whole-machine power cut. The credit lands before the panic, so the
+// sum-to-clock invariant holds in crashed worlds too, and the panic stops the
+// charge before any counter or metrics attribution. Charges always execute on
+// the baton holder, so the guest kernel's scheduler recover is the single
+// catch point.
 func (c *VCPU) chargeClock(n Cycles) {
-	applied, at, crashed := c.w.Clock.advance(n)
-	c.mu.Lock()
-	c.cycles += applied
-	c.mu.Unlock()
-	if crashed {
-		panic(Crash{At: at})
+	clk := c.w.Clock
+	if clk.armed && clk.now+n >= clk.crashAt {
+		c.cycles += clk.crashAt - clk.now
+		clk.now = clk.crashAt
+		clk.armed = false
+		clk.crashed = true
+		panic(Crash{At: clk.crashAt})
 	}
+	clk.now += n
+	c.cycles += n
 }
 
 // Charge advances the clock by n cycles. Sites with a meaningful counter
@@ -144,38 +142,20 @@ func (c *VCPU) SetTask(pid, tid int, name string, domain uint32, cloaked bool) {
 	if w.prof != nil {
 		w.profDispatch(tid)
 	}
-	c.mu.Lock()
 	c.attr = obs.Attr{
 		PID: pid, TID: tid, Task: name,
 		Domain: domain, Cloaked: cloaked,
 		Phase: c.attr.Phase,
 	}
-	c.mu.Unlock()
 }
 
 // SetTaskDomain updates the cloaking domain of the current task (the shim
 // learns the domain only after its first hypercall, mid-run).
-func (c *VCPU) SetTaskDomain(domain uint32) {
-	c.mu.Lock()
-	a := c.attr
-	a.Domain = domain
-	c.attr = a
-	c.mu.Unlock()
-}
+func (c *VCPU) SetTaskDomain(domain uint32) { c.attr.Domain = domain }
 
 // setPhase relabels this vCPU's attribution phase; the World applies it to
 // every vCPU (see World.SetPhase).
-func (c *VCPU) setPhase(phase string) {
-	c.mu.Lock()
-	a := c.attr
-	a.Phase = phase
-	c.attr = a
-	c.mu.Unlock()
-}
+func (c *VCPU) setPhase(phase string) { c.attr.Phase = phase }
 
 // Attr returns this vCPU's current attribution context.
-func (c *VCPU) Attr() obs.Attr {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.attr
-}
+func (c *VCPU) Attr() obs.Attr { return c.attr }

@@ -124,26 +124,6 @@ func (w *World) EnableMetrics(shared *obs.Metrics) *obs.Metrics {
 	return shared
 }
 
-// Charge advances the clock by n cycles on the boot vCPU.
-//
-// Deprecated: charges belong to an execution context. Use the *VCPU handle
-// from World.CPU (or the one threaded to the call site) — this one-release
-// forwarder exists only to stage the migration and is flagged by the
-// worldcharge overlint analyzer outside internal/sim.
-func (w *World) Charge(n Cycles) { w.Boot().Charge(n) }
-
-// ChargeCount advances the clock and increments the matching counter on the
-// boot vCPU.
-//
-// Deprecated: use the *VCPU handle (see Charge).
-func (w *World) ChargeCount(n Cycles, c Counter) { w.Boot().ChargeCount(n, c) }
-
-// ChargeAdd advances the clock by n cycles attributed to counter c on the
-// boot vCPU, adding events to the flat counter.
-//
-// Deprecated: use the *VCPU handle (see Charge).
-func (w *World) ChargeAdd(n Cycles, c Counter, events uint64) { w.Boot().ChargeAdd(n, c, events) }
-
 // Now is shorthand for w.Clock.Now().
 func (w *World) Now() Cycles { return w.Clock.Now() }
 

@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"fmt"
-	"sync"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
@@ -54,11 +53,11 @@ func (k TrapKind) String() string {
 // and tamper attempts are detected by comparing against the exposure
 // snapshot taken at trap entry.
 //
-// A Thread is owned by exactly one vCPU at a time; mu serializes the CTC
-// handoff itself — save on one CPU, restore possibly on another after the
-// guest scheduler migrates the thread. A cross-CPU resume is a typed,
-// audited outcome (EventCTCMigrate), never a panic: verification runs
-// identically wherever the thread lands.
+// A Thread runs on exactly one vCPU at a time, but the CTC handoff may span
+// two: save on one CPU, restore on another after the guest scheduler
+// migrates the thread. A cross-CPU resume is a typed, audited outcome
+// (EventCTCMigrate), never a panic: verification runs identically wherever
+// the thread lands.
 type Thread struct {
 	ID     ThreadID
 	Domain cloak.DomainID // 0 = uncloaked thread
@@ -66,7 +65,6 @@ type Thread struct {
 
 	vmm *VMM
 
-	mu      sync.Mutex
 	ctc     Regs // saved full context while the kernel runs
 	exposed Regs // post-scrub snapshot of what the kernel was shown
 	inTrap  bool
@@ -80,50 +78,30 @@ type Thread struct {
 // CreateThread allocates a thread context. domain 0 creates an ordinary
 // (uncloaked) thread.
 func (v *VMM) CreateThread(domain cloak.DomainID) *Thread {
-	v.mu.Lock()
 	v.nextThread++
 	t := &Thread{ID: v.nextThread, Domain: domain, vmm: v}
 	v.threads[t.ID] = t
-	v.mu.Unlock()
 	return t
 }
 
 // DestroyThread forgets a thread context.
-func (v *VMM) DestroyThread(t *Thread) {
-	v.mu.Lock()
-	delete(v.threads, t.ID)
-	v.mu.Unlock()
-}
+func (v *VMM) DestroyThread(t *Thread) { delete(v.threads, t.ID) }
 
 // Cloaked reports whether the thread belongs to a protection domain.
 func (t *Thread) Cloaked() bool { return t.Domain != 0 }
 
 // InTrap reports whether the thread is currently between EnterKernel and
 // ExitKernel.
-func (t *Thread) InTrap() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.inTrap
-}
-
-// hasPendingCTC reports whether the thread currently holds a valid saved
-// context (used by the quarantine residue audit).
-func (t *Thread) hasPendingCTC() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.pending
-}
+func (t *Thread) InTrap() bool { return t.inTrap }
 
 // revoke clears the thread's saved context and scrubs its registers —
 // quarantine containment. Returns nothing the caller could misuse: the CTC
 // is gone.
 func (t *Thread) revoke() {
-	t.mu.Lock()
 	t.ctc = Regs{}
 	t.exposed = Regs{}
 	t.Regs = Regs{}
 	t.pending = false
-	t.mu.Unlock()
 }
 
 // EnterKernel performs the guest-user to guest-kernel crossing. For cloaked
@@ -134,8 +112,6 @@ func (t *Thread) revoke() {
 func (t *Thread) EnterKernel(kind TrapKind) *Regs {
 	v := t.vmm
 	c := v.cpu()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.inTrap = true
 	t.trap = kind
 	c.ChargeAdd(v.world.Cost.SyscallTrap, sim.CtrTrap, 0)
@@ -178,8 +154,6 @@ func (t *Thread) EnterKernel(kind TrapKind) *Regs {
 func (t *Thread) ExitKernel() error {
 	v := t.vmm
 	c := v.cpu()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.inTrap {
 		return fmt.Errorf("vmm: ExitKernel on thread %d not in a trap", t.ID)
 	}

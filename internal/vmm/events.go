@@ -91,7 +91,7 @@ func (k EventKind) String() string {
 
 // Event is one entry in the VMM's security audit log. Events are immutable
 // once stamped: logEvent builds the stored copy in a single composite
-// literal and appends it under the VMM lock.
+// literal and appends it to the log.
 type Event struct {
 	Time   sim.Cycles
 	Kind   EventKind

@@ -58,21 +58,17 @@ func (v *VMM) HCCreateDomain(as *AddressSpace) (*DomainConn, error) {
 		return nil, &ResourceFault{Op: "create_domain",
 			Detail: "domain quota exhausted"}
 	}
-	v.mu.Lock()
 	d := v.nextDomain
 	v.nextDomain++
 	as.domain = d
 	v.domainSpaces[d] = append(v.domainSpaces[d], as)
-	v.mu.Unlock()
 	return &DomainConn{v: v, as: as, domain: d}, nil
 }
 
 // allocResource hands out a fresh resource identifier.
 func (v *VMM) allocResource() cloak.ResourceID {
-	v.mu.Lock()
 	r := v.nextResource
 	v.nextResource++
-	v.mu.Unlock()
 	return r
 }
 
@@ -132,7 +128,7 @@ func (v *VMM) releaseResource(d cloak.DomainID, res cloak.ResourceID, pages uint
 // destroyDomain tears down a domain; see DomainConn.Destroy.
 func (v *VMM) destroyDomain(d cloak.DomainID) {
 	for gppn, cp := range v.byDomain[d] {
-		if cp.getState() == statePlain {
+		if cp.state == statePlain {
 			zeroFrame(v.frame(gppn))
 			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
 		}
@@ -158,13 +154,11 @@ func (v *VMM) HCFileResource(uid uint64) (cloak.DomainID, cloak.ResourceID) {
 	if b, ok := v.fileVaults[uid]; ok {
 		return b.domain, b.resource
 	}
-	v.mu.Lock()
 	d := v.nextDomain
 	v.nextDomain++
 	r := v.nextResource
 	v.nextResource++
 	v.fileVaults[uid] = fileVault{domain: d, resource: r}
-	v.mu.Unlock()
 	return d, r
 }
 
@@ -286,13 +280,13 @@ func (v *VMM) unwindClone(child *AddressSpace, resourceMap map[cloak.ResourceID]
 	}
 	var victims []mach.GPPN
 	for gppn, cp := range v.byDomain[d] {
-		if childRes[cp.identity().Resource] {
+		if childRes[cp.id.Resource] {
 			victims = append(victims, gppn)
 		}
 	}
 	for _, gppn := range victims {
 		cp := v.pages[gppn]
-		id := cp.identity()
+		id := cp.id
 		v.metas.Delete(id)
 		v.jDelete(id)
 		v.unregisterPage(gppn, cp)

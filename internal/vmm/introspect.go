@@ -138,9 +138,7 @@ func (v *VMM) AttachIntrospector(src IntrospectSource, every int) *Introspector 
 		seen:   make(map[string]bool),
 		doms:   make(map[cloak.DomainID]bool),
 	}
-	v.mu.Lock()
 	v.introspector = in
-	v.mu.Unlock()
 	return in
 }
 

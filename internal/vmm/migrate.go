@@ -38,14 +38,12 @@ func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 		if t.Domain != d {
 			continue
 		}
-		t.mu.Lock()
 		st := ThreadState{ID: t.ID, InTrap: t.inTrap, Trap: t.trap, SavedCPU: t.savedCPU}
 		if t.pending {
 			st.Regs = t.ctc
 		} else {
 			st.Regs = t.Regs
 		}
-		t.mu.Unlock()
 		out = append(out, st)
 	}
 	//overlint:allow hotpathalloc -- migration snapshot sort; once per capture
@@ -75,18 +73,18 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 	regs := make([]resident, 0, len(v.byDomain[d]))
 	//overlint:allow determinism,hotpathalloc -- registrations are collected then sorted before use
 	for gppn, cp := range v.byDomain[d] {
-		if cp.getState() == stateEncrypted {
+		if cp.state == stateEncrypted {
 			regs = append(regs, resident{gppn, cp})
 		}
 	}
 	//overlint:allow hotpathalloc -- migration snapshot sort; once per capture
 	sort.Slice(regs, func(i, j int) bool {
-		return pageIDLess(regs[i].cp.identity(), regs[j].cp.identity())
+		return pageIDLess(regs[i].cp.id, regs[j].cp.id)
 	})
 	//overlint:allow hotpathalloc -- migration capture output, once per checkpoint
 	out := make([]ResidentPage, 0, len(regs))
 	for _, r := range regs {
-		id := r.cp.identity()
+		id := r.cp.id
 		meta, ok := v.metas.Get(id)
 		if !ok {
 			// A registered encrypted page with no metadata record cannot be
@@ -147,19 +145,16 @@ func (v *VMM) AdoptMigratedDomain(d cloak.DomainID, identity [32]byte, pages []A
 	if len(v.byDomain[d]) != 0 {
 		return fmt.Errorf("vmm: adopt of domain %d refused: domain has live pages", d)
 	}
-	v.mu.Lock()
 	if d < v.nextDomain {
 		// The ID was already handed out on this machine — to a local
 		// workload, a file vault, or an earlier adoption. Even a currently
 		// page-less holder shares the slot's key derivation and version
 		// lineage, so landing a migrated tenant on it would alias two
 		// domains' anti-rollback ordering. Refused, typed.
-		v.mu.Unlock()
 		return fmt.Errorf("vmm: adopt of domain %d refused: ID already allocated on this machine", d)
 	}
 	v.nextDomain = d + 1
 	v.identities[d] = identity
-	v.mu.Unlock()
 	for _, p := range pages {
 		v.metas.Put(p.ID, p.Meta)
 	}

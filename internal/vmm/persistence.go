@@ -16,11 +16,7 @@ import (
 
 // AttachJournal mirrors all future metadata mutations into j. Must be
 // called before the machine runs.
-func (v *VMM) AttachJournal(j *persist.Journal) {
-	v.mu.Lock()
-	v.journal = j
-	v.mu.Unlock()
-}
+func (v *VMM) AttachJournal(j *persist.Journal) { v.journal = j }
 
 // Journal returns the attached metadata journal (nil if none).
 func (v *VMM) Journal() *persist.Journal { return v.journal }
@@ -67,10 +63,10 @@ func (v *VMM) NoteSwapSlot(gppn mach.GPPN, blk uint64) {
 		return
 	}
 	cp, ok := v.pages[gppn]
-	if !ok || cp.getState() != stateEncrypted {
+	if !ok || cp.state != stateEncrypted {
 		return
 	}
-	id := cp.identity()
+	id := cp.id
 	was := v.journal.DomainWedged(id.Domain)
 	v.journal.Locate(id, persist.DevSwap, blk, v.metas.Version(id))
 	if !was && v.journal.DomainWedged(id.Domain) {

@@ -37,7 +37,7 @@ func (v *VMM) QuarantineResidue(d cloak.DomainID) (pages, metaRecords, liveCTCs 
 	pages = len(v.byDomain[d])
 	metaRecords = v.metas.DomainRecords(d)
 	for _, t := range v.threads {
-		if t.Domain == d && t.hasPendingCTC() {
+		if t.Domain == d && t.pending {
 			liveCTCs++
 		}
 	}
@@ -50,13 +50,11 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	if d == 0 || v.quarantined[d] {
 		return
 	}
-	v.mu.Lock()
 	if v.quarantined == nil {
 		//overlint:allow hotpathalloc -- quarantine is the containment path after a violation; exceptional by construction
 		v.quarantined = make(map[cloak.DomainID]bool)
 	}
 	v.quarantined[d] = true
-	v.mu.Unlock()
 	sp := v.cpu().Begin(obs.KindQuarantine, "quarantine", uint64(d))
 	defer sp.End()
 
@@ -73,7 +71,7 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
 	for _, gppn := range gppns {
 		cp := pages[gppn]
-		if cp.getState() == statePlain {
+		if cp.state == statePlain {
 			zeroFrame(v.frame(gppn))
 			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
 		}

@@ -76,9 +76,9 @@ func (r Region) Contains(vpn uint64) bool {
 //
 // Shadows are replicated per vCPU rather than shared: each CPU demand-fills
 // its own shadow from the guest page table, exactly like hardware per-CPU
-// paging structures, so translation never takes a cross-CPU lock. The price
-// is that invalidations must sweep every CPU's replica (see the VMM's
-// dropShadows* helpers and the TLB-shootdown cost model).
+// paging structures. The price is that invalidations must sweep every CPU's
+// replica (see the VMM's dropShadows* helpers and the TLB-shootdown cost
+// model).
 type AddressSpace struct {
 	id      ASID
 	guestPT *mmu.PageTable

@@ -52,7 +52,7 @@ func (v *VMM) EncryptAllPlaintext(d cloak.DomainID, why string) int {
 	gppns := make([]mach.GPPN, 0, len(pages))
 	//overlint:allow hotpathalloc -- stop-the-world sweep; collected pages are sorted before encryption
 	for gppn, cp := range pages {
-		if cp.getState() == statePlain {
+		if cp.state == statePlain {
 			gppns = append(gppns, gppn)
 		}
 	}
@@ -142,12 +142,12 @@ func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access
 		if err := v.resolveCloaked(as, view, vpn, gppn, id); err != nil {
 			return 0, err
 		}
-	} else if cp, ok := v.pages[gppn]; ok && cp.getState() == statePlain {
+	} else if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
 		// The OS mapped a frame holding cloaked *plaintext* somewhere
 		// outside the owning domain's app view (another process, or an
 		// unregistered range). Multi-shadowing demands this context see
 		// only ciphertext: encrypt before mapping.
-		if view != ViewApp || as.domain != cp.identity().Domain {
+		if view != ViewApp || as.domain != cp.id.Domain {
 			v.encryptPage(gppn, cp, "foreign mapping of plaintext frame")
 		}
 	}
@@ -179,8 +179,8 @@ func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access
 // Cross-CPU races on the same cloaked page — two vCPUs faulting the same
 // frame, or an app-view fault landing on a CPU other than the one that last
 // transitioned the page — are a typed, audited outcome (EventCrossCPUFault),
-// never a panic: the per-page lock serializes the state words, the faulting
-// CPU simply re-drives the state machine, and the audit log records that the
+// never a panic: the baton serializes the state words, the faulting CPU
+// simply re-drives the state machine, and the audit log records that the
 // page moved across CPUs.
 func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.GPPN, id cloak.PageID) error {
 	cp, registered := v.pages[gppn]
@@ -213,14 +213,14 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 			//overlint:allow hotpathalloc -- cloak-page record allocated once per page state transition, not per access
 			v.registerPage(gppn, &cloakPage{state: statePlain, id: id, faultCPU: c.ID()})
 			v.dropAllShadowsOfGPPN(gppn) // stale system-view mappings
-		case cp.getState() == statePlain:
-			if got := cp.identity(); got != id {
+		case cp.state == statePlain:
+			if cp.id != id {
 				// Plaintext frame presented at the wrong virtual location:
 				// the OS is trying to alias cloaked data.
 				ev := Event{Kind: EventIdentityMismatch, Domain: id.Domain,
 					Page: id, GPPN: gppn,
 					//overlint:allow hotpathalloc -- aliasing-violation audit detail, exceptional path
-					Detail: "plaintext frame belongs to " + got.String()}
+					Detail: "plaintext frame belongs to " + cp.id.String()}
 				v.logEvent(ev)
 				v.quarantine(id.Domain, ev)
 				return &SecViolation{Event: ev}
@@ -229,11 +229,11 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 			if err := v.decryptPage(gppn, id); err != nil {
 				return err
 			}
-			cp.set(statePlain, id)
+			cp.state, cp.id = statePlain, id
 			v.dropAllShadowsOfGPPN(gppn)
 		}
 	case ViewSystem:
-		if registered && cp.getState() == statePlain {
+		if registered && cp.state == statePlain {
 			v.encryptPage(gppn, cp, "kernel access to cloaked page")
 		}
 		// Encrypted or unregistered frames map freely in the system view.
@@ -306,7 +306,7 @@ func (v *VMM) PhysRead(gppn mach.GPPN, off int, buf []byte) error {
 	if err := v.physCheck(gppn, off, len(buf)); err != nil {
 		return err
 	}
-	if cp, ok := v.pages[gppn]; ok && cp.getState() == statePlain {
+	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
 		v.encryptPage(gppn, cp, "kernel physical read")
 	}
 	copy(buf, v.frame(gppn)[off:off+len(buf)])
@@ -322,7 +322,7 @@ func (v *VMM) PhysWrite(gppn mach.GPPN, off int, buf []byte) error {
 	if err := v.physCheck(gppn, off, len(buf)); err != nil {
 		return err
 	}
-	if cp, ok := v.pages[gppn]; ok && cp.getState() == statePlain {
+	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
 		v.encryptPage(gppn, cp, "kernel physical write")
 	}
 	copy(v.frame(gppn)[off:off+len(buf)], buf)
@@ -347,7 +347,7 @@ func (v *VMM) PhysZero(gppn mach.GPPN) error {
 	if err := v.physCheck(gppn, 0, 0); err != nil {
 		return err
 	}
-	if cp, ok := v.pages[gppn]; ok && cp.getState() == statePlain {
+	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
 		v.encryptPage(gppn, cp, "kernel zeroing cloaked page")
 	}
 	zeroFrame(v.frame(gppn))

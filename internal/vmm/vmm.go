@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"fmt"
-	"sync"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
@@ -26,12 +25,8 @@ const (
 )
 
 // cloakPage is the VMM's registration for a guest-physical page that
-// currently holds cloaked material. The per-page mutex serializes state
-// transitions across vCPU contexts (the per-page spinlock promised by the
-// pre-SMP inventory); all mutation goes through set/noteFaultCPU so every
-// writer holds it.
+// currently holds cloaked material.
 type cloakPage struct {
-	mu    sync.Mutex
 	state pageState
 	id    cloak.PageID
 	// faultCPU is the vCPU that last drove a cloaking transition or app-view
@@ -40,37 +35,12 @@ type cloakPage struct {
 	faultCPU int
 }
 
-// set transitions the page's cloaking state (and identity) under the
-// per-page lock.
-func (cp *cloakPage) set(state pageState, id cloak.PageID) {
-	cp.mu.Lock()
-	cp.state = state
-	cp.id = id
-	cp.mu.Unlock()
-}
-
 // noteFaultCPU records which vCPU is driving the current transition and
 // reports whether the page last moved on a different vCPU.
 func (cp *cloakPage) noteFaultCPU(cpu int) (prev int, crossed bool) {
-	cp.mu.Lock()
 	prev = cp.faultCPU
 	cp.faultCPU = cpu
-	cp.mu.Unlock()
 	return prev, prev != cpu
-}
-
-// getState reads the page's cloaking state under the per-page lock.
-func (cp *cloakPage) getState() pageState {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.state
-}
-
-// identity reads the page's cloaked identity under the per-page lock.
-func (cp *cloakPage) identity() cloak.PageID {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.id
 }
 
 // fileVault is the stable (domain, resource) identity of a cloaked file.
@@ -113,16 +83,14 @@ type Quota struct {
 
 // VMM is the hypervisor. One VMM instance runs one guest.
 //
-// mu serializes the VMM-global mutable state (identifier allocation, the
-// audit log, quarantine marking, journal attachment). Critical sections are
-// deliberately tiny and never nest: the baton already serializes execution,
-// so the lock documents — and lets the race detector check — which fields
-// are shared across vCPU entry paths. Per-vCPU state (TLBs, shadow page
-// tables, active shadow context) is replicated instead of locked.
+// The VMM runs on whichever vCPU trapped into it, and the scheduler baton
+// lets exactly one vCPU execute at a time, so the VMM-global state
+// (identifier allocation, the audit log, quarantine marking) needs no lock.
+// Per-vCPU state (TLBs, shadow page tables, active shadow context) is
+// replicated per vCPU because each CPU has its own, not for serialization.
 type VMM struct {
 	world *sim.World
 	opts  Options
-	mu    sync.Mutex
 
 	mem   *mach.Memory
 	alloc *mach.FrameAllocator
@@ -259,8 +227,6 @@ func (v *VMM) GuestPages() int { return len(v.pmap) }
 
 // Events returns a copy of the security audit log.
 func (v *VMM) Events() []Event {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	out := make([]Event, len(v.events))
 	copy(out, v.events)
 	return out
@@ -290,9 +256,7 @@ func (v *VMM) logEvent(e Event) {
 		Time: v.world.Now(), Kind: e.Kind, Domain: e.Domain,
 		Page: e.Page, GPPN: e.GPPN, Detail: e.Detail,
 	}
-	v.mu.Lock()
 	v.events = append(v.events, stamped)
-	v.mu.Unlock()
 	if e.Kind != EventCloakOnKernelAccess {
 		v.cpu().Emit(obs.KindSecurity, e.Kind.String(), uint64(e.GPPN))
 	}
@@ -344,7 +308,6 @@ func (v *VMM) CreateAddressSpace(guestPT *mmu.PageTable) *AddressSpace {
 		}
 	}
 	var ctxIDs [numViews]uint32
-	v.mu.Lock()
 	v.nextASID++
 	id := v.nextASID
 	for i := range ctxIDs {
@@ -353,7 +316,6 @@ func (v *VMM) CreateAddressSpace(guestPT *mmu.PageTable) *AddressSpace {
 	}
 	as := &AddressSpace{id: id, guestPT: guestPT, shadows: shadows, ctxIDs: ctxIDs}
 	v.spaces[as.id] = as
-	v.mu.Unlock()
 	return as
 }
 
@@ -508,7 +470,7 @@ func (v *VMM) InvalidateGuestMapping(as *AddressSpace, vpn uint64) {
 // detected when the application next faults on that data.
 func (v *VMM) NotifyFrameRecycled(gppn mach.GPPN) {
 	if cp, ok := v.pages[gppn]; ok {
-		if cp.getState() == statePlain {
+		if cp.state == statePlain {
 			// Never let cloaked plaintext linger in a recycled frame.
 			zeroFrame(v.frame(gppn))
 			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
@@ -540,11 +502,11 @@ func (v *VMM) unregisterPage(gppn mach.GPPN, cp *cloakPage) {
 func (v *VMM) encryptPage(gppn mach.GPPN, cp *cloakPage, why string) {
 	sp := v.cpu().Begin(obs.KindCloak, "encrypt", uint64(gppn))
 	frame := v.frame(gppn)
-	id := cp.identity()
+	id := cp.id
 	meta := v.engine.EncryptPage(id, v.metas.Version(id), frame)
 	v.metas.Put(id, meta)
 	v.jPut(id, meta)
-	cp.set(stateEncrypted, id)
+	cp.state = stateEncrypted
 	v.dropAllShadowsOfGPPN(gppn)
 	sp.End()
 	v.logEvent(Event{

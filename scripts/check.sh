@@ -6,15 +6,16 @@
 #   go vet     compiler-adjacent checks
 #   overlint   domain invariants (determinism, cloakboundary,
 #              errnodiscipline, iagoflow, cyclecharge, plaintextflow,
-#              hotpathalloc, smpready, worldcharge) — see DESIGN.md; also
-#              emits a JSON
-#              findings artifact and pins the smpready shared-state
-#              inventory
+#              hotpathalloc, smpready) — see DESIGN.md; also emits a JSON
+#              findings artifact and pins the smpready allow count at zero
 #   build      everything compiles
 #   tests      full suite
-#   race       race detector over the concurrent packages (guest kernel
-#              goroutines + end-to-end scenarios), including the SMP
-#              interleaving tests at 4 vCPUs
+#   race       race detector over the packages whose goroutines hand off
+#              the scheduler baton, including the SMP interleaving tests at
+#              4 vCPUs — the only check that the baton orders every access
+#              to machine state (sim and vmm hold no locks)
+#   determinism  serial vs 4-way sharded runs byte-identical, the VCPUs=1
+#              goldens, and the VCPUs=4 two-run check
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,16 +43,15 @@ artifact="${OVERLINT_JSON:-overlint-findings.json}"
 go run ./cmd/overlint -json ./... > "$artifact"
 echo "overlint findings artifact: $artifact"
 
-# smpready inventory pin: every piece of shared mutable state the analyzer
-# flags carries an //overlint:allow with its SMP serialization argument.
-# The SMP refactor landed locks or per-vCPU replication for every one of the
-# original 9 sites, so the inventory is pinned at zero: any new allow means
-# new shared state, which takes a deliberate, reviewed bump of this pin.
+# smpready pin: the analyzer flags package-level vars in mach/sim/vmm that
+# are written at runtime — state outside any World, which the scheduler
+# baton does not serialize. No such var exists, so the allow count is pinned
+# at zero: a new allow takes a deliberate, reviewed bump of this pin.
 smp_allows=$(grep -rn "overlint:allow smpready" --include="*.go" internal | grep -cv testdata || true)
 max_smp_allows=0
 if [ "$smp_allows" -gt "$max_smp_allows" ]; then
     echo "smpready inventory grew: $smp_allows allow directives (pinned at $max_smp_allows)" >&2
-    echo "new shared mutable state in mach/sim/vmm needs a serialization story before SMP" >&2
+    echo "runtime-written package-level state in mach/sim/vmm belongs on the World" >&2
     exit 1
 fi
 echo "smpready inventory: $smp_allows/$max_smp_allows allow directives"
@@ -63,6 +63,9 @@ echo "== tests"
 go test ./...
 
 echo "== race pass"
+# The channel handoff of the scheduler baton is the happens-before edge that
+# orders every access to sim and vmm state; a goroutine touching machine
+# state without holding the baton is a race the detector reports.
 # internal/core includes the SMP suite (TestSMP* boots 2- and 4-vCPU
 # machines), and internal/vmm the cross-CPU fault/CTC/shootdown tests, so
 # this is also the required race pass over the VCPUs=4 interleaving. The
@@ -70,25 +73,56 @@ echo "== race pass"
 # storms, exhaustion floods) and E16 the migration sweep (capture under
 # load, faulted transfer, cross-vCPU restore), both at 1 and 4 vCPUs
 # under the detector; internal/migrate adds the codec fuzz and
-# end-to-end migration suites.
-go test -race ./internal/guestos/... ./internal/core/... ./internal/vmm/ ./internal/migrate/
+# end-to-end migration suites, and shim, workload, sim and persist cover
+# the remaining code that runs on the baton holder.
+go test -race ./internal/guestos/... ./internal/core/... ./internal/vmm/ ./internal/migrate/ \
+    ./internal/shim/ ./internal/workload/ ./internal/sim/ ./internal/persist/
 go test -race ./internal/harness/ -run 'TestE17|TestE16'
 
-echo "== shard determinism"
-# Sharding may change wall time only: the quick suite's JSON must be
-# byte-identical between a serial and a 4-way sharded run, on two seeds.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/overbench" ./cmd/overbench
-for s in 1 42; do
-    "$tmpdir/overbench" -seed "$s" -shards 1 -json > "$tmpdir/serial-$s.json"
-    "$tmpdir/overbench" -seed "$s" -shards 4 -json > "$tmpdir/sharded-$s.json"
-    if ! cmp -s "$tmpdir/serial-$s.json" "$tmpdir/sharded-$s.json"; then
-        echo "shard determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/serial-$s.json" "$tmpdir/sharded-$s.json" | head -20 >&2
-        exit 1
+
+# shard_cmp LABEL SEEDS [-profile] OVERBENCH-ARGS...
+# Sharding may change wall time only: for each seed, the JSON of a serial run
+# must be byte-identical to a 4-way sharded run (and with -profile, so must
+# the profile artifact). The serial output stays at
+# $tmpdir/LABEL-serial-SEED.json for the gates that follow.
+shard_cmp() {
+    label=$1 seeds=$2
+    shift 2
+    profile=
+    if [ "${1:-}" = -profile ]; then
+        profile=1
+        shift
     fi
-done
+    for s in $seeds; do
+        for mode in serial sharded; do
+            shards=1
+            [ "$mode" = serial ] || shards=4
+            out="$tmpdir/$label-$mode-$s"
+            if [ -n "$profile" ]; then
+                "$tmpdir/overbench" "$@" -seed "$s" -shards "$shards" -json \
+                    -profile "$out.profile.json" > "$out.json" 2>/dev/null
+            else
+                "$tmpdir/overbench" "$@" -seed "$s" -shards "$shards" -json > "$out.json"
+            fi
+        done
+        for ext in json profile.json; do
+            a="$tmpdir/$label-serial-$s.$ext" b="$tmpdir/$label-sharded-$s.$ext"
+            [ -e "$a" ] || continue
+            if ! cmp -s "$a" "$b"; then
+                echo "$label determinism broken: seed $s $ext differs between -shards 1 and -shards 4" >&2
+                diff "$a" "$b" | head -20 >&2
+                exit 1
+            fi
+        done
+    done
+}
+
+echo "== shard determinism"
+# The quick suite (E1-E14, E16, E17 at quick scale) on two seeds.
+shard_cmp quick "1 42"
 
 echo "== vcpus determinism"
 # The N=1 compatibility contract: -vcpus 1 (the default) is the serialized
@@ -96,114 +130,55 @@ echo "== vcpus determinism"
 # goldens in scripts/goldens/ (see its README for the regeneration log), on
 # two seeds. The serial runs above are exactly that machine — compare them.
 for s in 1 42; do
-    if ! cmp -s "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/serial-$s.json"; then
+    if ! cmp -s "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/quick-serial-$s.json"; then
         echo "VCPUs=1 golden broken: seed $s output differs from scripts/goldens/vcpus1-seed$s.json" >&2
-        diff "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/serial-$s.json" | head -20 >&2
+        diff "scripts/goldens/vcpus1-seed$s.json" "$tmpdir/quick-serial-$s.json" | head -20 >&2
         exit 1
     fi
 done
-# A 4-vCPU machine must be deterministic per seed (two-run cmp: the seeded
-# interleaving is the only schedule source) and, like every machine,
-# shard-independent.
+# A 4-vCPU machine must be shard-independent like every machine and
+# deterministic per seed (two-run cmp: the seeded interleaving is the only
+# schedule source).
+shard_cmp v4 "1 42" -vcpus 4
 for s in 1 42; do
-    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 1 -json > "$tmpdir/v4-a-$s.json"
-    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 1 -json > "$tmpdir/v4-b-$s.json"
-    if ! cmp -s "$tmpdir/v4-a-$s.json" "$tmpdir/v4-b-$s.json"; then
+    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 1 -json > "$tmpdir/v4-again-$s.json"
+    if ! cmp -s "$tmpdir/v4-serial-$s.json" "$tmpdir/v4-again-$s.json"; then
         echo "VCPUs=4 determinism broken: seed $s output differs between two identical runs" >&2
-        diff "$tmpdir/v4-a-$s.json" "$tmpdir/v4-b-$s.json" | head -20 >&2
-        exit 1
-    fi
-    "$tmpdir/overbench" -vcpus 4 -seed "$s" -shards 4 -json > "$tmpdir/v4-sharded-$s.json"
-    if ! cmp -s "$tmpdir/v4-a-$s.json" "$tmpdir/v4-sharded-$s.json"; then
-        echo "VCPUs=4 shard determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/v4-a-$s.json" "$tmpdir/v4-sharded-$s.json" | head -20 >&2
+        diff "$tmpdir/v4-serial-$s.json" "$tmpdir/v4-again-$s.json" | head -20 >&2
         exit 1
     fi
 done
 echo "vcpus goldens: VCPUs=1 byte-identical to the pinned goldens, VCPUs=4 deterministic and shard-independent (seeds 1, 42)"
 
+# The sweeps below are also in the quick suite at seeds 1 and 42; these
+# gates add seeds of their own.
+
 echo "== fault-sweep smoke"
-# E13 drives the fault-injection layer end to end. The injected fault
-# schedule is part of the deterministic machine: the sweep's JSON must be
-# byte-identical between a serial and a 4-way sharded run, on two seeds.
-for s in 3 11; do
-    "$tmpdir/overbench" -e E13 -seed "$s" -shards 1 -json > "$tmpdir/fault-serial-$s.json"
-    "$tmpdir/overbench" -e E13 -seed "$s" -shards 4 -json > "$tmpdir/fault-sharded-$s.json"
-    if ! cmp -s "$tmpdir/fault-serial-$s.json" "$tmpdir/fault-sharded-$s.json"; then
-        echo "fault sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/fault-serial-$s.json" "$tmpdir/fault-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
+# E13 drives the fault-injection layer end to end: the injected fault
+# schedule is part of the deterministic machine.
+shard_cmp fault "3 11" -e E13
 
 echo "== profile determinism"
 # The profiler leaf-attributes every charged cycle and histograms every span
 # duration. Merging per-world profiles is additive and every export sorts, so
-# the profile artifact and the profiled table JSON must be byte-identical
-# between a serial and a 4-way sharded run, on two seeds.
+# the profile artifact and the profiled table JSON are shard-independent.
+shard_cmp profile "3 11" -profile -e E2
 for s in 3 11; do
-    "$tmpdir/overbench" -e E2 -seed "$s" -shards 1 -json \
-        -profile "$tmpdir/profile-serial-$s.json" > "$tmpdir/ptab-serial-$s.json" 2>/dev/null
-    "$tmpdir/overbench" -e E2 -seed "$s" -shards 4 -json \
-        -profile "$tmpdir/profile-sharded-$s.json" > "$tmpdir/ptab-sharded-$s.json" 2>/dev/null
-    for pair in profile ptab; do
-        if ! cmp -s "$tmpdir/$pair-serial-$s.json" "$tmpdir/$pair-sharded-$s.json"; then
-            echo "profile determinism broken: seed $s $pair differs between -shards 1 and -shards 4" >&2
-            diff "$tmpdir/$pair-serial-$s.json" "$tmpdir/$pair-sharded-$s.json" | head -20 >&2
-            exit 1
-        fi
-    done
     # The artifact must parse and render through the summarizer.
-    go run ./cmd/overprof "$tmpdir/profile-serial-$s.json" > /dev/null
+    go run ./cmd/overprof "$tmpdir/profile-serial-$s.profile.json" > /dev/null
 done
-echo "profile artifact: $tmpdir/profile-serial-3.json (and seed 11) verified shard-independent"
+echo "profile artifact: verified shard-independent (seeds 3, 11)"
 
 echo "== crash-sweep smoke"
 # E14 crashes whole machines at derived cycle deadlines and reboots each one
-# through journal replay and page recovery. A (seed, crash point) pair names
-# one exact crashed world, so the sweep's JSON must be byte-identical between
-# a serial and a 4-way sharded run, on two seeds.
-for s in 5 9; do
-    "$tmpdir/overbench" -e E14 -seed "$s" -shards 1 -json > "$tmpdir/crash-serial-$s.json"
-    "$tmpdir/overbench" -e E14 -seed "$s" -shards 4 -json > "$tmpdir/crash-sharded-$s.json"
-    if ! cmp -s "$tmpdir/crash-serial-$s.json" "$tmpdir/crash-sharded-$s.json"; then
-        echo "crash sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/crash-serial-$s.json" "$tmpdir/crash-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
+# through journal replay and page recovery; a (seed, crash point) pair names
+# one exact crashed world.
+shard_cmp crash "5 9" -e E14
 
 echo "== adversary-sweep smoke"
 # E17 runs the pluggable malicious kernel: Iago forgeries, scheduler races,
 # rootkit hiding, and exhaustion floods. Attack schedules derive from
-# (seed, plan name), so the sweep's JSON must be byte-identical between a
-# serial and a 4-way sharded run, on two seeds. The goldens gate above
-# already pins E1–E14 output byte-identical with every adversary feature
-# off by default; this gate pins the adversary rows themselves.
-for s in 1 23; do
-    "$tmpdir/overbench" -e E17 -seed "$s" -shards 1 -json > "$tmpdir/adv-serial-$s.json"
-    "$tmpdir/overbench" -e E17 -seed "$s" -shards 4 -json > "$tmpdir/adv-sharded-$s.json"
-    if ! cmp -s "$tmpdir/adv-serial-$s.json" "$tmpdir/adv-sharded-$s.json"; then
-        echo "adversary sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/adv-serial-$s.json" "$tmpdir/adv-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
-
-echo "== migration-sweep smoke"
-# E16 quiesces live domains, seals checkpoints, ships them across a faulted
-# transfer channel, and restores onto machines with different vCPU counts.
-# Capture points and transfer-fault schedules derive from (seed, probe), so
-# the sweep's JSON must be byte-identical between a serial and a 4-way
-# sharded run, on two seeds.
-for s in 1 42; do
-    "$tmpdir/overbench" -e E16 -seed "$s" -shards 1 -json > "$tmpdir/mig-serial-$s.json"
-    "$tmpdir/overbench" -e E16 -seed "$s" -shards 4 -json > "$tmpdir/mig-sharded-$s.json"
-    if ! cmp -s "$tmpdir/mig-serial-$s.json" "$tmpdir/mig-sharded-$s.json"; then
-        echo "migration sweep determinism broken: seed $s output differs between -shards 1 and -shards 4" >&2
-        diff "$tmpdir/mig-serial-$s.json" "$tmpdir/mig-sharded-$s.json" | head -20 >&2
-        exit 1
-    fi
-done
+# (seed, plan name).
+shard_cmp adversary "23" -e E17
 
 echo "ALL CHECKS PASSED"
