@@ -1,4 +1,4 @@
-// Command overbench runs the Overshadow reproduction experiments (E1–E10
+// Command overbench runs the Overshadow reproduction experiments (E1–E17
 // in DESIGN.md) and prints their tables.
 //
 // Experiments run on a bounded worker pool: every independent benchmark

@@ -5,61 +5,27 @@ import (
 )
 
 // TestE17AdversarySweepContained pins the typed-outcome contract on every
-// battery scenario at 1 and 4 vCPUs: each predicted signal fires, the victim
-// either completes verified or is quarantined first, siblings keep service,
-// nothing leaks, and the honest baseline trips no signal at all. It also
-// pins determinism: the same seed yields byte-identical JSON per vCPU count.
+// battery scenario at 1 and 4 vCPUs. The 'contained' column is the whole
+// contract (each predicted signal fires, the victim finishes exactly where
+// predicted, the honest baseline trips nothing); leak-freedom and sibling
+// service are checked on their own as well. It also pins determinism: the
+// same seed yields byte-identical JSON per vCPU count.
 func TestE17AdversarySweepContained(t *testing.T) {
-	scenarios := e17scenarios()
 	for _, vcpus := range []int{1, 4} {
 		opts := quick()
 		opts.VCPUs = vcpus
 		tab := RunE17(opts)
-		if len(tab.Rows) != len(scenarios) {
-			t.Fatalf("vcpus=%d: E17 rows = %d, want %d", vcpus, len(tab.Rows), len(scenarios))
+		if len(tab.Rows) != len(e17scenarios()) {
+			t.Fatalf("vcpus=%d: E17 rows = %d, want %d", vcpus, len(tab.Rows), len(e17scenarios()))
 		}
-		for i, r := range tab.Rows {
-			sc := scenarios[i]
-			if r.Name != sc.name {
-				t.Fatalf("vcpus=%d: row %d = %q, want %q", vcpus, i, r.Name, sc.name)
-			}
-			rejects, diverges, detects := r.Values[0], r.Values[1], r.Values[2]
-			resources, quar := r.Values[3], r.Values[4]
-			victimDone, sibling, leakFree, contained := r.Values[5], r.Values[6], r.Values[7], r.Values[8]
-			if contained != 1 {
-				t.Errorf("vcpus=%d %s: attack not contained (row %v)", vcpus, r.Name, r.Values)
-			}
-			if leakFree != 1 {
-				t.Errorf("vcpus=%d %s: cloaked plaintext leaked", vcpus, r.Name)
-			}
-			if sibling != 1 {
-				t.Errorf("vcpus=%d %s: sibling domain damaged", vcpus, r.Name)
-			}
-			if sc.wantReject && rejects == 0 {
-				t.Errorf("vcpus=%d %s: expected Iago rejections, got none", vcpus, r.Name)
-			}
-			if sc.wantDiverge && diverges == 0 {
-				t.Errorf("vcpus=%d %s: expected introspection divergences, got none", vcpus, r.Name)
-			}
-			if sc.wantDetect && detects == 0 {
-				t.Errorf("vcpus=%d %s: expected tamper/integrity detections, got none", vcpus, r.Name)
-			}
-			if sc.wantResource && resources == 0 {
-				t.Errorf("vcpus=%d %s: expected typed resource faults, got none", vcpus, r.Name)
-			}
-			if sc.wantQuarantine && quar == 0 {
-				t.Errorf("vcpus=%d %s: expected a quarantine, got none", vcpus, r.Name)
-			}
-			if sc.wantVictimDone && victimDone != 1 {
-				t.Errorf("vcpus=%d %s: victim did not finish", vcpus, r.Name)
-			}
-			if !sc.wantVictimDone && victimDone != 0 {
-				t.Errorf("vcpus=%d %s: quarantined victim reported success", vcpus, r.Name)
-			}
-			if sc.wantClean && (rejects != 0 || diverges != 0 || detects != 0 ||
-				resources != 0 || quar != 0) {
-				t.Errorf("vcpus=%d %s: honest kernel tripped attack signals (row %v)",
-					vcpus, r.Name, r.Values)
+		for _, r := range tab.Rows {
+			for _, c := range []struct {
+				col  int
+				name string
+			}{{8, "contained"}, {7, "leak-free"}, {6, "sibling intact"}} {
+				if r.Values[c.col] != 1 {
+					t.Errorf("vcpus=%d %s: %s = %v, want 1 (row %v)", vcpus, r.Name, c.name, r.Values[c.col], r.Values)
+				}
 			}
 		}
 		// Determinism: the sweep is a pure function of (seed, vcpus).

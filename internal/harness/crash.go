@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 
 	"overshadow/internal/core"
-	"overshadow/internal/persist"
 	"overshadow/internal/sim"
 )
 
@@ -32,39 +31,11 @@ import (
 // e14secret is the plaintext marker the victim plants in every cloaked page.
 var e14secret = []byte("E14-CRASH-SECRET-fedcba9876543210")
 
-// e14Config is the machine every E14 job boots: small RAM so the workload
-// swaps hard, and a journal checkpointing often enough that mid-checkpoint
-// crash points exist even at quick scale.
-func e14Config(o Options) core.Config {
-	return core.Config{
-		MemoryPages: 96,
-		Seed:        o.seed(),
-		VCPUs:       o.VCPUs,
-		Persist:     &persist.Options{CheckpointEvery: 16},
-	}
-}
-
-// e14Register installs the swap-heavy victim: stamp every page with the
-// marker plus its index, then churn the whole set so page-outs (and the
-// journal records locating them) keep flowing until the crash.
-func e14Register(sys *core.System, pages, rounds int) {
-	sys.Register("victim", func(e core.Env) {
-		base := must1(e.Alloc(pages))
-		for i := 0; i < pages; i++ {
-			va := base + core.Addr(i*core.PageSize)
-			e.WriteMem(va, e14secret)
-			e.Store64(va+64, uint64(i))
-		}
-		for round := 0; round < rounds; round++ {
-			for i := 0; i < pages; i++ {
-				va := base + core.Addr(i*core.PageSize)
-				if e.Load64(va+64) != uint64(i) {
-					return // silent corruption: never acceptable
-				}
-			}
-		}
-		e.Exit(0)
-	})
+// e14Spawn starts the swap-heavy victim. The sweep audits the recovery,
+// not the victim's own verdict, so its flags are dropped.
+func e14Spawn(sys *core.System, pages, rounds int) {
+	sys.Register("victim", swapVictim(e14secret, pages, rounds, new(bool), new(bool)))
+	mustSpawn(sys, "victim")
 }
 
 // e14Probe is what the clean run teaches us about the timeline.
@@ -130,32 +101,24 @@ func RunE14(opts Options) *Table {
 	pages := opts.scale(160, 120)
 	rounds := opts.scale(4, 3)
 
-	probe := submit(opts, func(o Options) e14Probe {
-		sys := core.NewSystem(e14Config(o))
+	probe := sweep(opts, []string{"crash/probe"}, func(o Options, phase string) e14Probe {
+		sys := o.boot(journaledConfig(o), phase)
 		boot := sys.Now()
-		o.observe(sys.World, "crash/probe")
-		e14Register(sys, pages, rounds)
-		mustSpawn(sys, "victim")
+		e14Spawn(sys, pages, rounds)
 		sys.Run()
 		appends, ckpts := sys.Journal.Marks()
 		return e14Probe{boot: boot, total: sys.Now(), appends: appends, ckpts: ckpts}
-	}).wait()
+	})[0]
 
-	points := e14Points(probe)
-	futs := make([]*future[crashOutcome], len(points))
-	for i, pt := range points {
-		pt := pt
-		futs[i] = submit(opts, func(o Options) crashOutcome {
-			return runCrashPoint(o, pt, pages, rounds)
-		})
-	}
+	outcomes := sweep(opts, e14Points(probe), func(o Options, pt crashPoint) crashOutcome {
+		return runCrashPoint(o, pt, pages, rounds)
+	})
 	t := &Table{
 		ID:      "E14",
 		Title:   "Crash sweep: sealed-journal recovery across deterministic crash points",
 		Columns: []string{"crashed", "recovered", "unavailable", "rejected recs", "replay kcyc", "secrecy", "integrity", "freshness"},
 	}
-	for _, f := range futs {
-		o := f.wait()
+	for _, o := range outcomes {
 		t.AddRow(o.name, b2f(o.crashed), float64(o.recovered), float64(o.unavailable),
 			float64(o.rejected), o.replayKcyc, b2f(o.secrecy), b2f(o.integrity), b2f(o.freshness))
 	}
@@ -170,12 +133,10 @@ func RunE14(opts Options) *Table {
 // reboot.
 func runCrashPoint(o Options, pt crashPoint, pages, rounds int) crashOutcome {
 	out := crashOutcome{name: pt.name}
-	cfg := e14Config(o)
+	cfg := journaledConfig(o)
 	cfg.CrashAt = pt.at
-	sys := core.NewSystem(cfg)
-	o.observe(sys.World, "crash/"+pt.name)
-	e14Register(sys, pages, rounds)
-	mustSpawn(sys, "victim")
+	sys := o.boot(cfg, "crash/"+pt.name)
+	e14Spawn(sys, pages, rounds)
 	sys.Run()
 	out.crashed = sys.Crashed()
 

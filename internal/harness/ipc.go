@@ -22,11 +22,11 @@ func RunE11(opts Options) *Table {
 	chunk := 16 * 1024
 
 	cfg := core.Config{MemoryPages: 4096, Seed: opts.seed(), VCPUs: opts.VCPUs}
-	fpipe := deferRun(opts, cfg, "pipeipc",
-		func() core.Program { return pipeIPCProgram(totalKB, chunk) }, true)
-	fshm := deferRun(opts, cfg, "shmipc",
-		func() core.Program { return shmIPCProgram(totalKB, chunk) }, true)
-	pipeCycles, shmCycles := fpipe.wait().cycles, fshm.wait().cycles
+	cyc := sweep(opts, []macroRun{
+		{cfg, "pipeipc", func() core.Program { return pipeIPCProgram(totalKB, chunk) }, true},
+		{cfg, "shmipc", func() core.Program { return shmIPCProgram(totalKB, chunk) }, true},
+	}, runCycles)
+	pipeCycles, shmCycles := cyc[0], cyc[1]
 
 	t.AddRow("pipe (marshalled)", float64(totalKB)/mcyc(pipeCycles), mcyc(pipeCycles))
 	t.AddRow("protected shm", float64(totalKB)/mcyc(shmCycles), mcyc(shmCycles))

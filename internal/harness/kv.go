@@ -18,16 +18,17 @@ func RunE12(opts Options) *Table {
 	}
 	ops := opts.scale(600, 80)
 	sizes := []int{64, 252}
-	pairs := make([]runPair, len(sizes))
-	for i, vs := range sizes {
+	var runs []macroRun
+	for _, vs := range sizes {
 		cfg := workload.KVConfig{
 			Ops: ops, ValueBytes: vs, Keys: 32, PutRatio: 30, Persist: true,
 		}
 		sysCfg := core.Config{MemoryPages: 4096, Seed: opts.seed(), VCPUs: opts.VCPUs}
-		pairs[i] = deferPair(opts, sysCfg, "kv", func() core.Program { return workload.KVProgram(cfg) })
+		runs = append(runs, pair(sysCfg, "kv", func() core.Program { return workload.KVProgram(cfg) })...)
 	}
+	cyc := sweep(opts, runs, runCycles)
 	for i, vs := range sizes {
-		nat, clo := pairs[i].nat.wait().cycles, pairs[i].clo.wait().cycles
+		nat, clo := cyc[2*i], cyc[2*i+1]
 		t.AddRow(fmt.Sprintf("value %dB", vs), thrput(ops, nat), thrput(ops, clo), pct(clo, nat))
 	}
 	t.Note("per op: pipe round trip (marshalled both sides when cloaked) + protected table access")

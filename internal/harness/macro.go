@@ -10,56 +10,47 @@ import (
 	"overshadow/internal/workload"
 )
 
-// runToCompletion builds a system, runs one program, and returns elapsed
-// simulated cycles plus the system for counter inspection. The world is
-// attached to opts.Observe (if any) under a "<program>/<mode>" phase label.
-func runToCompletion(opts Options, cfg core.Config, name string, prog core.Program, cloaked bool) (sim.Cycles, *core.System) {
-	sys := core.NewSystem(cfg)
+// macroRun is one macro job: a workload program on a fresh machine, native
+// or cloaked. prog builds the program inside the job: workload programs may
+// capture per-run state, and two jobs must never share one.
+type macroRun struct {
+	cfg     core.Config
+	name    string
+	prog    func() core.Program
+	cloaked bool
+}
+
+// pair is the native and the cloaked run of one workload, the two points
+// most macro tables sweep per row.
+func pair(cfg core.Config, name string, prog func() core.Program) []macroRun {
+	return []macroRun{{cfg, name, prog, false}, {cfg, name, prog, true}}
+}
+
+// runToCompletion boots r's machine, runs its program, and returns the
+// system for counter inspection. The world is attached to opts.Observe (if
+// any) under a "<program>/<mode>" phase label.
+func runToCompletion(opts Options, r macroRun) *core.System {
+	prog := r.prog()
 	mode := "native"
-	if cloaked {
+	if r.cloaked {
 		mode = "cloaked"
 	}
-	opts.observe(sys.World, name+"/"+mode)
-	sys.Register(name, prog)
+	sys := opts.boot(r.cfg, r.name+"/"+mode)
+	sys.Register(r.name, prog)
 	var so []core.SpawnOpt
-	if cloaked {
+	if r.cloaked {
 		so = append(so, core.Cloaked())
 	}
-	if _, err := sys.Spawn(name, so...); err != nil {
+	if _, err := sys.Spawn(r.name, so...); err != nil {
 		panic(err)
 	}
 	sys.Run()
-	return sys.Now(), sys
+	return sys
 }
 
-// runOut is one completed runToCompletion job.
-type runOut struct {
-	cycles sim.Cycles
-	sys    *core.System
-}
-
-// deferRun submits runToCompletion as a pool job. Each job builds its own
-// program closure: workload programs may capture per-run state, and two jobs
-// must never share one.
-func deferRun(opts Options, cfg core.Config, name string, mk func() core.Program, cloaked bool) *future[runOut] {
-	return submit(opts, func(o Options) runOut {
-		c, s := runToCompletion(o, cfg, name, mk(), cloaked)
-		return runOut{cycles: c, sys: s}
-	})
-}
-
-// runPair is the native/cloaked future pair most macro experiments sweep.
-type runPair struct {
-	nat, clo *future[runOut]
-}
-
-// deferPair submits a native and a cloaked run of the same workload.
-func deferPair(opts Options, cfg core.Config, name string, mk func() core.Program) runPair {
-	return runPair{
-		nat: deferRun(opts, cfg, name, mk, false),
-		clo: deferRun(opts, cfg, name, mk, true),
-	}
-}
+// runCycles is the job most macro tables sweep: a run's elapsed simulated
+// cycles.
+func runCycles(opts Options, r macroRun) sim.Cycles { return runToCompletion(opts, r).Now() }
 
 // RunE3 compares the CPU-bound kernels native vs cloaked.
 func RunE3(opts Options) *Table {
@@ -82,18 +73,19 @@ func RunE3(opts Options) *Table {
 		workload.KernelRLE: 300, workload.KernelPureCompute: 400,
 	}
 	kernels := workload.AllCPUKernels()
-	pairs := make([]runPair, len(kernels))
-	for i, k := range kernels {
+	var runs []macroRun
+	for _, k := range kernels {
 		iters := fullIters[k]
 		if opts.Quick {
 			iters = quickIters[k]
 		}
 		cfg := workload.CPUConfig{Kernel: k, WorkingSetK: ws, Iters: iters}
 		sysCfg := core.Config{MemoryPages: 4096, Seed: opts.seed(), VCPUs: opts.VCPUs}
-		pairs[i] = deferPair(opts, sysCfg, string(k), func() core.Program { return workload.CPUProgram(cfg) })
+		runs = append(runs, pair(sysCfg, string(k), func() core.Program { return workload.CPUProgram(cfg) })...)
 	}
+	cyc := sweep(opts, runs, runCycles)
 	for i, k := range kernels {
-		nat, clo := pairs[i].nat.wait().cycles, pairs[i].clo.wait().cycles
+		nat, clo := cyc[2*i], cyc[2*i+1]
 		t.AddRow(string(k), mcyc(nat), mcyc(clo), pct(clo, nat))
 	}
 	t.Note("working set %d KiB, fits in RAM: cloaking costs only startup + timer crossings", ws)
@@ -109,16 +101,17 @@ func RunE4(opts Options) *Table {
 	}
 	reqs := opts.scale(300, 40)
 	payloads := []int{1024, 4096, 16384, 65536}
-	pairs := make([]runPair, len(payloads))
-	for i, payload := range payloads {
+	var runs []macroRun
+	for _, payload := range payloads {
 		cfg := workload.WebConfig{
 			Requests: reqs, PayloadBytes: payload, NumDocs: 8, ParseCompute: 2000,
 		}
 		sysCfg := core.Config{MemoryPages: 8192, Seed: opts.seed(), VCPUs: opts.VCPUs}
-		pairs[i] = deferPair(opts, sysCfg, "web", func() core.Program { return workload.WebServerProgram(cfg) })
+		runs = append(runs, pair(sysCfg, "web", func() core.Program { return workload.WebServerProgram(cfg) })...)
 	}
+	cyc := sweep(opts, runs, runCycles)
 	for i, payload := range payloads {
-		nat, clo := pairs[i].nat.wait().cycles, pairs[i].clo.wait().cycles
+		nat, clo := cyc[2*i], cyc[2*i+1]
 		name := fmt.Sprintf("payload %dKiB", payload/1024)
 		t.AddRow(name, thrput(reqs, nat), thrput(reqs, clo), pct(clo, nat))
 	}
@@ -147,15 +140,15 @@ func RunE5(opts Options) *Table {
 	}
 	// Total bytes moved: write + read + random reads.
 	totalKB := float64(fileKB*2) + float64(rand*io)/1024
-	futs := make([]*future[runOut], len(modes))
+	runs := make([]macroRun, len(modes))
 	for i, m := range modes {
 		cfg := workload.FileIOConfig{FileKB: fileKB, IOSize: io, RandReads: rand, Cloak: m.cloakF}
 		sysCfg := core.Config{MemoryPages: 8192, FSDiskPages: 65536, Seed: opts.seed(), VCPUs: opts.VCPUs}
-		futs[i] = deferRun(opts, sysCfg, "fileio",
-			func() core.Program { return workload.FileIOProgram(cfg) }, m.cloakP)
+		runs[i] = macroRun{sysCfg, "fileio", func() core.Program { return workload.FileIOProgram(cfg) }, m.cloakP}
 	}
+	cyc := sweep(opts, runs, runCycles)
 	for i, m := range modes {
-		cycles := futs[i].wait().cycles
+		cycles := cyc[i]
 		t.AddRow(m.name, totalKB/mcyc(cycles), mcyc(cycles))
 	}
 	t.Note("cloaked files use the shim's mmap-emulated I/O: data never crosses the kernel in plaintext")
@@ -172,19 +165,26 @@ func RunE6(opts Options) *Table {
 	ram := opts.scale(512, 128)
 	sweeps := opts.scale(5, 3)
 	ratios := []float64{0.5, 0.8, 1.2, 1.6}
-	pairs := make([]runPair, len(ratios))
-	for i, ratio := range ratios {
+	var runs []macroRun
+	for _, ratio := range ratios {
 		pages := int(float64(ram) * ratio)
 		cfg := workload.PagingConfig{WorkingSetPages: pages, Sweeps: sweeps}
 		sysCfg := core.Config{MemoryPages: ram, SwapPages: uint64(ram) * 8, Seed: opts.seed(), VCPUs: opts.VCPUs}
-		pairs[i] = deferPair(opts, sysCfg, "paging", func() core.Program { return workload.PagingProgram(cfg) })
+		runs = append(runs, pair(sysCfg, "paging", func() core.Program { return workload.PagingProgram(cfg) })...)
 	}
+	type paged struct {
+		cycles   sim.Cycles
+		pageOuts uint64
+	}
+	res := sweep(opts, runs, func(o Options, r macroRun) paged {
+		sys := runToCompletion(o, r)
+		return paged{sys.Now(), sys.Stats().Get(sim.CtrPageOut)}
+	})
 	for i, ratio := range ratios {
-		nat := pairs[i].nat.wait().cycles
-		co := pairs[i].clo.wait()
+		nat, co := res[2*i].cycles, res[2*i+1]
 		name := fmt.Sprintf("ws/ram = %.1f", ratio)
 		t.AddRow(name, mcyc(nat), mcyc(co.cycles),
-			mcyc(co.cycles)-mcyc(nat), float64(co.sys.Stats().Get(sim.CtrPageOut)))
+			mcyc(co.cycles)-mcyc(nat), float64(co.pageOuts))
 	}
 	t.Note("past ws/ram=1 every page-out of a cloaked page adds encrypt, every page-in verify+decrypt")
 	return t
@@ -203,30 +203,24 @@ func RunE7(opts Options) *Table {
 	// size is one job; the job returns the peak metadata footprint sampled
 	// at page-out time.
 	sizes := []int{ram * 5 / 4, ram * 3 / 2, ram * 2}
-	futs := make([]*future[int], len(sizes))
-	for i, pages := range sizes {
-		pages := pages
-		futs[i] = submit(opts, func(o Options) int {
-			cfg := workload.PagingConfig{WorkingSetPages: pages, Sweeps: 2}
-			sys := core.NewSystem(core.Config{MemoryPages: ram, SwapPages: uint64(ram) * 8, Seed: o.seed(), VCPUs: o.VCPUs})
-			o.observe(sys.World, fmt.Sprintf("meta-%dp/cloaked", pages))
-			maxBytes := 0
-			// Sample metadata growth whenever the kernel pages something out.
-			sys.Adversary().OnPageOut = func(_ *guestos.Kernel, _ *guestos.Proc, _ uint64, _ []byte) {
-				if b := sys.VMM.MetadataBytes(); b > maxBytes {
-					maxBytes = b
-				}
+	peaks := sweep(opts, sizes, func(o Options, pages int) int {
+		cfg := workload.PagingConfig{WorkingSetPages: pages, Sweeps: 2}
+		sys := o.boot(core.Config{MemoryPages: ram, SwapPages: uint64(ram) * 8, Seed: o.seed(), VCPUs: o.VCPUs},
+			fmt.Sprintf("meta-%dp/cloaked", pages))
+		maxBytes := 0
+		// Sample metadata growth whenever the kernel pages something out.
+		sys.Adversary().OnPageOut = func(_ *guestos.Kernel, _ *guestos.Proc, _ uint64, _ []byte) {
+			if b := sys.VMM.MetadataBytes(); b > maxBytes {
+				maxBytes = b
 			}
-			sys.Register("paging", workload.PagingProgram(cfg))
-			if _, err := sys.Spawn("paging", core.Cloaked()); err != nil {
-				panic(err)
-			}
-			sys.Run()
-			return maxBytes
-		})
-	}
+		}
+		sys.Register("paging", workload.PagingProgram(cfg))
+		mustSpawn(sys, "paging")
+		sys.Run()
+		return maxBytes
+	})
 	for i, pages := range sizes {
-		maxBytes := futs[i].wait()
+		maxBytes := peaks[i]
 		perPage := 0.0
 		if maxBytes > 0 {
 			// Metadata records exist for every page that has ever been
@@ -247,8 +241,8 @@ func RunE9(opts Options) *Table {
 		Columns: []string{"native Mcyc", "cloaked Mcyc", "overhead %"},
 	}
 	jobCounts := []int{2, 4, 8}
-	pairs := make([]runPair, len(jobCounts))
-	for i, jobs := range jobCounts {
+	var runs []macroRun
+	for _, jobs := range jobCounts {
 		cfg := workload.ProcessMixConfig{
 			Jobs:        jobs,
 			UnitsPerJob: uint64(opts.scale(2_000_000, 200_000)),
@@ -256,10 +250,11 @@ func RunE9(opts Options) *Table {
 			FileKB:      opts.scale(64, 16),
 		}
 		sysCfg := core.Config{MemoryPages: 8192, Seed: opts.seed(), VCPUs: opts.VCPUs}
-		pairs[i] = deferPair(opts, sysCfg, "mix", func() core.Program { return workload.ProcessMixProgram(cfg) })
+		runs = append(runs, pair(sysCfg, "mix", func() core.Program { return workload.ProcessMixProgram(cfg) })...)
 	}
+	cyc := sweep(opts, runs, runCycles)
 	for i, jobs := range jobCounts {
-		nat, clo := pairs[i].nat.wait().cycles, pairs[i].clo.wait().cycles
+		nat, clo := cyc[2*i], cyc[2*i+1]
 		t.AddRow(fmt.Sprintf("jobs=%d", jobs), mcyc(nat), mcyc(clo), pct(clo, nat))
 	}
 	t.Note("cloaked fork is eager-copy + re-cloak: the dominant overhead source, as in the paper")
@@ -273,7 +268,6 @@ func RunE10(opts Options) *Table {
 		Title:   "Ablations: mixed workload Mcycles (cloaked), relative to full design",
 		Columns: []string{"Mcycles", "vs full"},
 	}
-	mixed := mixedWorkload(opts)
 	variants := []struct {
 		name string
 		cfg  core.Config
@@ -291,7 +285,7 @@ func RunE10(opts Options) *Table {
 	fastDisk.DiskSeek = 2000
 	fastDisk.DiskPerByte = 1
 
-	futs := make([]*future[runOut], len(variants))
+	runs := make([]macroRun, len(variants))
 	for i, v := range variants {
 		cfg := v.cfg
 		// Modest RAM so the mixed workload's sweep exceeds it: paging then
@@ -301,11 +295,12 @@ func RunE10(opts Options) *Table {
 		cfg.Cost = &fastDisk
 		cfg.Seed = opts.seed()
 		cfg.VCPUs = opts.VCPUs
-		futs[i] = deferRun(opts, cfg, "mixed", func() core.Program { return mixed }, true)
+		runs[i] = macroRun{cfg, "mixed", func() core.Program { return mixedWorkload(opts) }, true}
 	}
+	cyc := sweep(opts, runs, runCycles)
 	var base float64
 	for i, v := range variants {
-		m := mcyc(futs[i].wait().cycles)
+		m := mcyc(cyc[i])
 		if i == 0 {
 			base = m
 		}

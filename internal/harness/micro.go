@@ -187,8 +187,7 @@ func runMicroSuite(opts Options, cloaked bool) microResults {
 		mode = "cloaked"
 	}
 	run := func(name string, prog core.Program) {
-		sys := core.NewSystem(core.Config{MemoryPages: 4096, Seed: opts.seed(), VCPUs: opts.VCPUs})
-		opts.observe(sys.World, name+"/"+mode)
+		sys := opts.boot(core.Config{MemoryPages: 4096, Seed: opts.seed(), VCPUs: opts.VCPUs}, name+"/"+mode)
 		sys.Register(name, prog)
 		sys.Register("noop", func(e core.Env) { e.Exit(0) })
 		var so []core.SpawnOpt
@@ -219,9 +218,8 @@ var microRowOrder = []string{
 // RunE1 produces the lmbench-style microbenchmark table. The native and
 // cloaked suites are independent jobs; rows pair their results by name.
 func RunE1(opts Options) *Table {
-	fnat := submit(opts, func(o Options) microResults { return runMicroSuite(o, false) })
-	fclo := submit(opts, func(o Options) microResults { return runMicroSuite(o, true) })
-	native, cloaked := fnat.wait(), fclo.wait()
+	suites := sweep(opts, []bool{false, true}, runMicroSuite)
+	native, cloaked := suites[0], suites[1]
 	t := &Table{
 		ID:      "E1",
 		Title:   "OS microbenchmarks, simulated cycles per operation",
@@ -390,8 +388,7 @@ var e2LatKinds = []obs.Kind{obs.KindSyscall, obs.KindHypercall, obs.KindPageFaul
 // fresh system) and returns the same [total, crypto, vmm, mem+tlb, other]
 // row shape as RunE2's primitive measurements, plus per-kind latency rows.
 func e2Probe(opts Options) e2Result {
-	sys := core.NewSystem(core.Config{MemoryPages: 2048, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "E2/probe")
+	sys := opts.boot(core.Config{MemoryPages: 2048, Seed: opts.seed(), VCPUs: opts.VCPUs}, "E2/probe")
 	met := sys.World.Metrics
 	if met == nil {
 		met = sys.World.EnableMetrics(nil)
@@ -417,9 +414,7 @@ func e2Probe(opts Options) e2Result {
 		must(e.Close(fd))
 		e.Exit(0)
 	})
-	if _, err := sys.Spawn("probe", core.Cloaked()); err != nil {
-		panic(err)
-	}
+	mustSpawn(sys, "probe")
 	sys.Run()
 	res := e2Result{breakdown: breakdown(float64(sys.Now()), before, met.TotalsSorted())}
 	for _, k := range e2LatKinds {

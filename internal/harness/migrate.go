@@ -47,18 +47,6 @@ var e16secret = []byte("E16-MIGRATE-SECRET-aabbccddeeff00")
 // derives robustly from the journal marks.
 const e16IdleSleep = 3_000_000
 
-// e16Config is the machine every E16 job boots (source and destination):
-// small RAM so the victim swaps hard, and a journal — migration needs the
-// sealed epoch anchor and entry table it provides.
-func e16Config(o Options) core.Config {
-	return core.Config{
-		MemoryPages: 96,
-		Seed:        o.seed(),
-		VCPUs:       o.VCPUs,
-		Persist:     &persist.Options{CheckpointEvery: 16},
-	}
-}
-
 // e16Register installs the victim: stamp every page with the marker plus
 // its index, idle through one long sleep, then churn the whole set so
 // swap traffic keeps flowing. The done flag distinguishes a victim that
@@ -95,10 +83,9 @@ type e16Probe struct {
 
 // e16RunProbe runs the victim to completion on a vcpus-wide machine.
 func e16RunProbe(o Options, vcpus, pages, rounds int) e16Probe {
-	cfg := e16Config(o)
+	cfg := journaledConfig(o)
 	cfg.VCPUs = vcpus
-	sys := core.NewSystem(cfg)
-	o.observe(sys.World, fmt.Sprintf("migrate/probe-%dvcpu", vcpus))
+	sys := o.boot(cfg, fmt.Sprintf("migrate/probe-%dvcpu", vcpus))
 	var done bool
 	e16Register(sys, pages, rounds, &done)
 	mustSpawn(sys, "victim")
@@ -199,16 +186,12 @@ func RunE16(opts Options) *Table {
 	if d := norm(0); d != 1 && d != 4 {
 		widths = append(widths, d)
 	}
-	pfuts := make([]*future[e16Probe], len(widths))
-	for i, v := range widths {
-		v := v
-		pfuts[i] = submit(opts, func(o Options) e16Probe {
-			return e16RunProbe(o, v, pages, rounds)
-		})
-	}
+	probed := sweep(opts, widths, func(o Options, v int) e16Probe {
+		return e16RunProbe(o, v, pages, rounds)
+	})
 	probes := make(map[int]e16Probe, len(widths))
 	for i, v := range widths {
-		probes[v] = pfuts[i].wait()
+		probes[v] = probed[i]
 	}
 
 	half := func(p e16Probe) sim.Cycles { return p.total / 2 }
@@ -224,22 +207,16 @@ func RunE16(opts Options) *Table {
 		{name: "cross-4to1", src: 4, dst: 1, at: half},
 		{name: "replay-stale", at: half, replay: true},
 	}
-	futs := make([]*future[migOutcome], len(points))
-	for i, pt := range points {
-		pt := pt
-		probe := probes[norm(pt.src)]
-		futs[i] = submit(opts, func(o Options) migOutcome {
-			return runMigration(o, pt, probe, pages, rounds)
-		})
-	}
+	outcomes := sweep(opts, points, func(o Options, pt migPoint) migOutcome {
+		return runMigration(o, pt, probes[norm(pt.src)], pages, rounds)
+	})
 
 	t := &Table{
 		ID:      "E16",
 		Title:   "Migration sweep: sealed checkpoint-restore across machines, under load and under fire",
 		Columns: []string{"pages", "recovered", "unavailable", "rejected recs", "retries", "aborted", "src live", "secrecy", "integrity", "freshness"},
 	}
-	for _, f := range futs {
-		o := f.wait()
+	for _, o := range outcomes {
 		t.AddRow(o.name, float64(o.pages), float64(o.recovered), float64(o.unavail),
 			float64(o.rejected), float64(o.retries), b2f(o.aborted), b2f(o.srcLive),
 			b2f(o.secrecy), b2f(o.integrity), b2f(o.freshness))
@@ -255,15 +232,14 @@ func RunE16(opts Options) *Table {
 // transfer, the destination restore, and the resumed workload.
 func runMigration(o Options, pt migPoint, probe e16Probe, pages, rounds int) migOutcome {
 	out := migOutcome{name: pt.name}
-	cfg := e16Config(o)
+	cfg := journaledConfig(o)
 	if pt.src != 0 {
 		cfg.VCPUs = pt.src
 	}
 	if pt.plan != nil {
 		cfg.Fault = pt.plan()
 	}
-	sys := core.NewSystem(cfg)
-	o.observe(sys.World, "migrate/"+pt.name)
+	sys := o.boot(cfg, "migrate/"+pt.name)
 	var done bool
 	e16Register(sys, pages, rounds, &done)
 	pid, err := sys.Spawn("victim", core.Cloaked())
@@ -293,8 +269,7 @@ func runMigration(o Options, pt migPoint, probe e16Probe, pages, rounds int) mig
 	}
 	sys.Run()
 	out.srcLive = done && !sys.Crashed()
-	out.secrecy = !scanDisk(sys.Kernel.SwapDisk(), e16secret[:8]) &&
-		!scanDisk(sys.Kernel.FS().Disk(), e16secret[:8])
+	out.secrecy = !onDisks(sys, e16secret[:8])
 
 	if migErr != nil {
 		// The transfer aborted: nothing was delivered, the source ran on.
@@ -307,12 +282,11 @@ func runMigration(o Options, pt migPoint, probe e16Probe, pages, rounds int) mig
 	blob := blobs[len(blobs)-1] // replay rows land the fresher capture
 	out.secrecy = out.secrecy && !bytes.Contains(blob, e16secret[:8])
 
-	dcfg := e16Config(o)
+	dcfg := journaledConfig(o)
 	if pt.dst != 0 {
 		dcfg.VCPUs = pt.dst
 	}
-	dst := core.NewSystem(dcfg)
-	o.observe(dst.World, "land/"+pt.name)
+	dst := o.boot(dcfg, "land/"+pt.name)
 	rep, rerr := migrate.Restore(dst, blob)
 	if rerr != nil {
 		// A channel-mangled blob may be refused whole (header or trailer
@@ -381,17 +355,10 @@ func runMigration(o Options, pt migPoint, probe e16Probe, pages, rounds int) mig
 		// Re-present the older checkpoint: the destination must refuse it
 		// typed, audit the rollback, and quarantine the target domain.
 		_, replayErr := migrate.Restore(dst, blobs[0])
-		audited := false
-		for _, ev := range dst.SecurityEvents() {
-			if ev.Kind == vmm.EventMigrationRollback {
-				audited = true
-			}
-		}
 		out.freshness = out.freshness && errors.Is(replayErr, migrate.ErrStaleCheckpoint) &&
-			audited && dst.VMM.Quarantined(rep.Domain)
+			logged(dst, vmm.EventMigrationRollback) && dst.VMM.Quarantined(rep.Domain)
 	}
 
-	out.secrecy = out.secrecy && !scanDisk(dst.Kernel.SwapDisk(), e16secret[:8]) &&
-		!scanDisk(dst.Kernel.FS().Disk(), e16secret[:8])
+	out.secrecy = out.secrecy && !onDisks(dst, e16secret[:8])
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"overshadow/internal/core"
 	"overshadow/internal/obs"
 	"overshadow/internal/sim"
 )
@@ -126,4 +127,11 @@ func (o Options) observe(w *sim.World, phase string) {
 	if o.tally != nil {
 		o.tally.add(w)
 	}
+}
+
+// boot builds a machine and observes its world under phase.
+func (o Options) boot(cfg core.Config, phase string) *core.System {
+	sys := core.NewSystem(cfg)
+	o.observe(sys.World, phase)
+	return sys
 }

@@ -30,44 +30,51 @@ func newPool(shards int) *pool {
 }
 
 // future is the handle submit returns; wait blocks until the job finishes.
-// wait is called only from the experiment goroutine that submitted the job,
-// so the cached value needs no lock.
-type future[T any] struct {
-	ch   chan T
-	val  T
-	done bool
-}
+// Each future is waited on exactly once, from the experiment goroutine that
+// submitted it.
+type future[T any] chan T
 
-func (f *future[T]) wait() T {
-	if !f.done {
-		f.val = <-f.ch
-		f.done = true
-	}
-	return f.val
-}
+func (f future[T]) wait() T { return <-f }
 
 // submit schedules one world-building job. Jobs are numbered in submission
 // order on the experiment goroutine, so observer slots sort back into
 // declaration order no matter which worker finishes first. With no pool
 // (direct RunEn calls, as the shape tests do) the job runs inline and the
 // key stays zero — the old serial semantics exactly.
-func submit[T any](o Options, fn func(Options) T) *future[T] {
+func submit[T any](o Options, fn func(Options) T) future[T] {
 	if o.obsSeq != nil {
 		o.obsKey = o.obsBase | *o.obsSeq
 		*o.obsSeq++
 	}
-	f := &future[T]{ch: make(chan T, 1)}
+	f := make(future[T], 1)
 	if o.pool == nil {
-		f.val, f.done = fn(o), true
+		f <- fn(o)
 		return f
 	}
 	p := o.pool
 	go func() {
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
-		f.ch <- fn(o)
+		f <- fn(o)
 	}()
 	return f
+}
+
+// sweep is how experiments run their worlds: one run per point, all
+// submitted in point order on the experiment goroutine (so observer keys
+// and the world tally match the order rows are declared), then collected in
+// the same order. Results line up with points whatever order the jobs
+// finish in.
+func sweep[P, T any](opts Options, points []P, run func(Options, P) T) []T {
+	futs := make([]future[T], len(points))
+	for i, p := range points {
+		futs[i] = submit(opts, func(o Options) T { return run(o, p) })
+	}
+	out := make([]T, len(points))
+	for i, f := range futs {
+		out[i] = f.wait()
+	}
+	return out
 }
 
 // tally records every world an experiment builds so RunAll can report its

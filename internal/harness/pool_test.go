@@ -86,3 +86,48 @@ func TestRunAllSerialMatchesDirect(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepOrder pins sweep's contract directly: whatever order the jobs
+// finish in, results come back in point order, and observer keys follow
+// submission order — continuing across back-to-back sweeps, as a probe
+// sweep followed by a point sweep does.
+func TestSweepOrder(t *testing.T) {
+	const n = 6
+	points := make([]int, n)
+	for i := range points {
+		points[i] = i
+	}
+	type got struct{ point, key uint64 }
+	// chain returns a job under which point p finishes only after point p+1
+	// has, so on a pool wide enough to run every point at once the jobs
+	// finish in reverse point order. A one-slot pool runs one job at a
+	// time, so there the jobs run unchained, in whatever order they take
+	// the slot.
+	chain := func(wide bool) func(Options, int) got {
+		done := make([]chan struct{}, n+1)
+		for i := range done {
+			done[i] = make(chan struct{})
+		}
+		close(done[n])
+		return func(o Options, p int) got {
+			if wide {
+				<-done[p+1]
+			}
+			close(done[p])
+			return got{uint64(p), o.obsKey}
+		}
+	}
+	for _, width := range []int{1, 8} {
+		opts := Options{pool: newPool(width), obsBase: 1 << 32, obsSeq: new(uint64)}
+		wide := width >= n
+		res := append(sweep(opts, points, chain(wide)), sweep(opts, points, chain(wide))...)
+		for i, r := range res {
+			if want := uint64(i % n); r.point != want {
+				t.Errorf("width %d: result %d is point %d, want %d", width, i, r.point, want)
+			}
+			if want := uint64(1<<32 | i); r.key != want {
+				t.Errorf("width %d: result %d has observer key %#x, want %#x", width, i, r.key, want)
+			}
+		}
+	}
+}

@@ -31,14 +31,9 @@ func RunE8(opts Options) *Table {
 		attackRegisterTamper,
 		attackCrossProcessMap,
 	}
-	futs := make([]*future[attackOutcome], len(attacks))
-	for i, atk := range attacks {
-		futs[i] = submit(opts, atk)
-	}
-	outcomes := make([]attackOutcome, len(attacks))
-	for i, f := range futs {
-		outcomes[i] = f.wait()
-	}
+	outcomes := sweep(opts, attacks, func(o Options, atk func(Options) attackOutcome) attackOutcome {
+		return atk(o)
+	})
 	t := &Table{
 		ID:      "E8",
 		Title:   "Malicious-OS attack suite (1 = yes, 0 = no)",
@@ -64,8 +59,7 @@ var e8secret = []byte("E8-SECRET-PAYLOAD-0123456789-ABCDEF")
 // view at every syscall.
 func attackSyscallSnoop(opts Options) attackOutcome {
 	o := attackOutcome{name: "syscall-time memory snoop"}
-	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	sys.Adversary().OnSyscall = func(k *guestos.Kernel, p *guestos.Proc, _ guestos.Sysno, _ *vmm.Regs) {
 		if !p.Cloaked() {
 			return
@@ -101,8 +95,7 @@ func attackSyscallSnoop(opts Options) attackOutcome {
 // attackMemoryTamper: the kernel overwrites victim heap bytes.
 func attackMemoryTamper(opts Options) attackOutcome {
 	o := attackOutcome{name: "memory tamper via system view"}
-	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	sys.Adversary().OnSyscall = func(k *guestos.Kernel, p *guestos.Proc, _ guestos.Sysno, _ *vmm.Regs) {
 		if o.attempted || !p.Cloaked() {
 			return
@@ -112,14 +105,12 @@ func attackMemoryTamper(opts Options) attackOutcome {
 			o.attempted = true
 		}
 	}
-	survived := false
 	sys.Register("victim", func(e core.Env) {
 		base := must1(e.Sbrk(1))
 		e.WriteMem(base, e8secret)
 		e.Null() // tamper point
 		got := make([]byte, len(e8secret))
 		e.ReadMem(base, got) // must kill the victim, not return garbage
-		survived = true
 		if !bytes.Equal(got, e8secret) {
 			o.corrupted = true
 		}
@@ -127,31 +118,20 @@ func attackMemoryTamper(opts Options) attackOutcome {
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventIntegrityViolation {
-			o.detected = true
-		}
-	}
-	if survived && o.detected {
-		// Victim continued *and* a violation fired — contained only if the
-		// data it read was intact (tamper hit an already-encrypted page and
-		// the page never verified). survived+equal data = fine.
-	}
+	o.detected = logged(sys, vmm.EventIntegrityViolation)
 	return o
 }
 
 // attackSwapTamper: flip bits in pages coming back from swap.
 func attackSwapTamper(opts Options) attackOutcome {
 	o := attackOutcome{name: "swap page-in tamper"}
-	sys := core.NewSystem(core.Config{MemoryPages: 128, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 128, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	sys.Adversary().OnPageIn = func(_ *guestos.Kernel, p *guestos.Proc, _ uint64, frame []byte) {
 		if p.Cloaked() && !o.attempted {
 			frame[100] ^= 0x01
 			o.attempted = true
 		}
 	}
-	completed := false
 	sys.Register("victim", func(e core.Env) {
 		const pages = 200
 		base := must1(e.Alloc(pages))
@@ -163,20 +143,11 @@ func attackSwapTamper(opts Options) attackOutcome {
 				o.corrupted = true
 			}
 		}
-		completed = true
 		e.Exit(0)
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	if o.attempted && completed && !o.corrupted {
-		// Tampered page was never consumed (e.g. tamper hit a page that
-		// verified anyway?) — treat as not detected so it surfaces.
-	}
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventIntegrityViolation {
-			o.detected = true
-		}
-	}
+	o.detected = logged(sys, vmm.EventIntegrityViolation)
 	return o
 }
 
@@ -184,8 +155,7 @@ func attackSwapTamper(opts Options) attackOutcome {
 // stale copy of an earlier version instead.
 func attackSwapReplayDrop(opts Options) attackOutcome {
 	o := attackOutcome{name: "swap replay (stale page)"}
-	sys := core.NewSystem(core.Config{MemoryPages: 128, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 128, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	var stash []byte
 	var stashVPN uint64
 	sys.Adversary().OnPageOut = func(_ *guestos.Kernel, p *guestos.Proc, vpn uint64, frame []byte) {
@@ -206,7 +176,6 @@ func attackSwapReplayDrop(opts Options) attackOutcome {
 			}
 		}
 	}
-	completed := false
 	sys.Register("victim", func(e core.Env) {
 		const pages = 200
 		base := must1(e.Alloc(pages))
@@ -221,17 +190,11 @@ func attackSwapReplayDrop(opts Options) attackOutcome {
 				o.corrupted = true
 			}
 		}
-		completed = true
 		e.Exit(0)
 	})
 	mustSpawn(sys, "victim")
 	sys.Run()
-	_ = completed
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventIntegrityViolation {
-			o.detected = true
-		}
-	}
+	o.detected = logged(sys, vmm.EventIntegrityViolation)
 	return o
 }
 
@@ -239,8 +202,7 @@ func attackSwapReplayDrop(opts Options) attackOutcome {
 func attackRegisterGrab(opts Options) attackOutcome {
 	o := attackOutcome{name: "register harvest at traps"}
 	const marker = 0x5EC4E7C0DE
-	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	sys.Adversary().OnSyscall = func(_ *guestos.Kernel, p *guestos.Proc, _ guestos.Sysno, kregs *vmm.Regs) {
 		if !p.Cloaked() {
 			return
@@ -250,21 +212,14 @@ func attackRegisterGrab(opts Options) attackOutcome {
 			o.leaked = true
 		}
 	}
+	// The victim never plants the marker, so this row cannot observe a leak
+	// (see EXPERIMENTS.md, E8): it only counts the traps the kernel saw.
 	sys.Register("victim", func(e core.Env) {
-		if th, ok := e.(interface{ Thread() *vmm.Thread }); ok {
-			_ = th
-		}
-		// Plant the marker in protected registers via the kernel ctx if
-		// reachable; the shim hides Thread, so use a helper program shape:
-		// registers PC/SP are always scrubbed regardless of content.
 		for i := 0; i < 10; i++ {
 			e.Null()
 		}
 		e.Exit(0)
 	})
-	// Plant markers from the host side just before running: create the
-	// thread then set registers via a wrapper program is cleaner — instead
-	// run an uncloaked-style check through guestos directly below.
 	mustSpawn(sys, "victim")
 	sys.Run()
 	o.detected = true // scrubbing is unconditional
@@ -277,8 +232,7 @@ func attackRegisterGrab(opts Options) attackOutcome {
 // context and log the attempt.
 func attackRegisterTamper(opts Options) attackOutcome {
 	o := attackOutcome{name: "register tamper during trap"}
-	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	sys.Adversary().OnSyscall = func(_ *guestos.Kernel, p *guestos.Proc, _ guestos.Sysno, kregs *vmm.Regs) {
 		if !p.Cloaked() || o.attempted {
 			return
@@ -304,11 +258,7 @@ func attackRegisterTamper(opts Options) attackOutcome {
 	mustSpawn(sys, "victim")
 	sys.Run()
 	o.corrupted = sawWrongValue
-	for _, ev := range sys.SecurityEvents() {
-		if ev.Kind == vmm.EventCTCTamper {
-			o.detected = true
-		}
-	}
+	o.detected = logged(sys, vmm.EventCTCTamper)
 	return o
 }
 
@@ -316,8 +266,7 @@ func attackRegisterTamper(opts Options) attackOutcome {
 // colluding process.
 func attackCrossProcessMap(opts Options) attackOutcome {
 	o := attackOutcome{name: "cross-process frame remap"}
-	sys := core.NewSystem(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs})
-	opts.observe(sys.World, "attack/"+o.name)
+	sys := opts.boot(core.Config{MemoryPages: 512, Seed: opts.seed(), VCPUs: opts.VCPUs}, "attack/"+o.name)
 	var spySaw []byte
 	sys.Adversary().OnSyscall = func(k *guestos.Kernel, p *guestos.Proc, _ guestos.Sysno, _ *vmm.Regs) {
 		if o.attempted || !p.Cloaked() {
@@ -358,4 +307,14 @@ func mustSpawn(sys *core.System, name string) {
 	if _, err := sys.Spawn(name, core.Cloaked()); err != nil {
 		panic(err)
 	}
+}
+
+// logged reports whether the VMM audited at least one event of kind.
+func logged(sys *core.System, kind vmm.EventKind) bool {
+	for _, ev := range sys.SecurityEvents() {
+		if ev.Kind == kind {
+			return true
+		}
+	}
+	return false
 }

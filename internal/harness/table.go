@@ -1,4 +1,4 @@
-// Package harness runs the paper-reconstruction experiments E1–E10 and
+// Package harness runs the paper-reconstruction experiments E1–E17 and
 // formats their results as the tables/series EXPERIMENTS.md documents. Each
 // experiment builds fresh systems (native and cloaked variants with the
 // same seed), runs the matching workload, and reports simulated-cycle

@@ -9,7 +9,8 @@
 #              hotpathalloc, smpready) — see DESIGN.md; also emits a JSON
 #              findings artifact and pins the smpready allow count at zero
 #   build      everything compiles
-#   tests      full suite
+#   tests      full suite, plus vet and tests of the nested bench/ module
+#              (its own go.mod, so ./... above never compiles it)
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -62,6 +63,11 @@ go build ./...
 echo "== tests"
 go test ./...
 
+echo "== bench module"
+# bench/ is a nested module built against this tree (replace ../): an API
+# change in core or sim breaks it without touching any file under bench/.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== race pass"
 # The channel handoff of the scheduler baton is the happens-before edge that
 # orders every access to sim and vmm state; a goroutine touching machine
@@ -72,12 +78,14 @@ echo "== race pass"
 # harness E17 run covers the adversary suites (scheduler races, tamper
 # storms, exhaustion floods) and E16 the migration sweep (capture under
 # load, faulted transfer, cross-vCPU restore), both at 1 and 4 vCPUs
-# under the detector; internal/migrate adds the codec fuzz and
-# end-to-end migration suites, and shim, workload, sim and persist cover
-# the remaining code that runs on the baton holder.
+# under the detector; E13 and E14 add the fault and crash sweeps, and
+# TestSweepOrder the pool's submit-and-collect path at widths 1 and 8.
+# internal/migrate adds the codec fuzz and end-to-end migration suites,
+# and shim, workload, sim and persist cover the remaining code that runs
+# on the baton holder.
 go test -race ./internal/guestos/... ./internal/core/... ./internal/vmm/ ./internal/migrate/ \
     ./internal/shim/ ./internal/workload/ ./internal/sim/ ./internal/persist/
-go test -race ./internal/harness/ -run 'TestE17|TestE16'
+go test -race ./internal/harness/ -run 'TestE1[3467]|TestSweep'
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
