@@ -48,7 +48,6 @@ type PageID struct {
 
 // String implements fmt.Stringer.
 func (p PageID) String() string {
-	//overlint:allow hotpathalloc -- Stringer output; hot paths format identities only on trace/error branches
 	return fmt.Sprintf("d%d/r%d/p%d", p.Domain, p.Resource, p.Index)
 }
 
@@ -131,7 +130,6 @@ func (e *Engine) stream(d DomainID, iv [IVSize]byte) cipher.Stream {
 	if !ok {
 		key := e.keys.DomainKey(d)
 		var err error
-		//overlint:allow hotpathalloc -- key-schedule expansion runs once per domain, then served from the cache
 		block, err = aes.NewCipher(key[:])
 		if err != nil {
 			// Key size is fixed; failure is impossible and therefore fatal.
@@ -139,7 +137,6 @@ func (e *Engine) stream(d DomainID, iv [IVSize]byte) cipher.Stream {
 		}
 		e.blocks[d] = block
 	}
-	//overlint:allow hotpathalloc -- a CTR stream is inherently per-IV; the key schedule above is the cached part
 	return cipher.NewCTR(block, iv[:])
 }
 

@@ -169,13 +169,11 @@ func (s *MetaStore) Delete(id PageID) {
 // DeleteDomain forgets every record belonging to a domain (domain
 // teardown); the cloaked data becomes permanently unrecoverable.
 func (s *MetaStore) DeleteDomain(d DomainID) {
-	//overlint:allow hotpathalloc -- domain teardown sweep, not per-page work; deletes are order-independent
 	for id := range s.cache {
 		if id.Domain == d {
 			delete(s.cache, id)
 		}
 	}
-	//overlint:allow hotpathalloc -- domain teardown sweep, not per-page work; deletes are order-independent
 	for id := range s.backing {
 		if id.Domain == d {
 			delete(s.backing, id)

@@ -62,7 +62,6 @@ func (s Site) String() string {
 	if int(s) < len(siteNames) {
 		return siteNames[s]
 	}
-	//overlint:allow hotpathalloc -- Stringer fallback for unknown sites; known sites return a constant
 	return fmt.Sprintf("site(%d)", uint8(s))
 }
 
@@ -89,7 +88,6 @@ func (k Kind) String() string {
 	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
-	//overlint:allow hotpathalloc -- Stringer fallback for unknown kinds; known kinds return a constant
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 

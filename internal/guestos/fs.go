@@ -289,7 +289,6 @@ func (fs *FS) cacheInsert(blk uint64, data []byte) {
 		fs.cacheKeys = append(fs.cacheKeys, blk)
 	}
 	if b == nil {
-		//overlint:allow hotpathalloc -- cold cache fill, bounded by cacheCap
 		b = make([]byte, mach.PageSize)
 	}
 	copy(b, data)

@@ -405,7 +405,6 @@ func (k *Kernel) pickNext() *Proc {
 			}
 		}
 		s := k.sleepers[earliest]
-		//overlint:allow hotpathalloc -- removal by append into the same backing array; never grows
 		k.sleepers = append(k.sleepers[:earliest], k.sleepers[earliest+1:]...)
 		if s.wake > k.world.Now() {
 			// Idle: no task holds a CPU while the clock advances; the idle

@@ -328,7 +328,6 @@ func (k *Kernel) finishProcessExit(sh *procShared) {
 	sh.done = true
 
 	// Orphan our children onto pid 0.
-	//overlint:allow hotpathalloc -- process-exit teardown; order-independent signal delivery
 	for _, c := range sh.children {
 		c.ppid = 0
 	}
@@ -357,11 +356,9 @@ func (k *Kernel) releaseAddressSpace(p *Proc) {
 		return true
 	})
 	sh.gpt.Clear()
-	//overlint:allow hotpathalloc -- address-space teardown sweep, once per process exit
 	for _, blk := range sh.swapped {
 		k.swap.freeSlot(blk)
 	}
-	//overlint:allow hotpathalloc -- snapshot of swap slots at exit; bounded by the process footprint
 	sh.swapped = make(map[uint64]uint64)
 	k.vmm.DestroyAddressSpace(sh.as)
 	sh.vmas = nil

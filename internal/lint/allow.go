@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
 	"strings"
 )
@@ -9,11 +10,12 @@ import (
 //
 //	//overlint:allow <analyzer>[,<analyzer>...] -- <reason>
 //
-// The directive suppresses findings from the named analyzers (or every
-// analyzer, for the name "*") on the directive's own line or on the line
-// immediately below it, so it can sit either at the end of the offending
-// line or on its own line just above. The "-- reason" part is mandatory:
-// an exception without a recorded justification is itself a finding.
+// The directive suppresses findings from the named analyzers on the
+// directive's own line or on the line immediately below it, so it can sit
+// either at the end of the offending line or on its own line just above. The
+// "-- reason" part is mandatory: an exception without a recorded
+// justification is itself a finding. So is a name outside Analyzers(): a
+// directive for a deleted or misspelled analyzer would suppress nothing.
 
 const allowPrefix = "//overlint:allow"
 
@@ -21,7 +23,7 @@ const allowPrefix = "//overlint:allow"
 type allowDirective struct {
 	File      string
 	Line      int
-	Analyzers []string // "*" means all
+	Analyzers []string
 	Reason    string
 }
 
@@ -31,8 +33,13 @@ type allowSet struct {
 }
 
 // parseAllows scans every comment in the loaded packages, returning the
-// directive set plus findings for malformed directives (missing reason).
+// directive set plus findings for malformed directives (missing reason or
+// unknown analyzer).
 func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
 	set := &allowSet{byLine: make(map[string]map[int][]allowDirective)}
 	var bad []Finding
 	for _, pkg := range pkgs {
@@ -43,12 +50,12 @@ func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
 						continue
 					}
 					pos := fset.Position(c.Pos())
-					d, ok := parseAllowText(c.Text)
-					if !ok {
+					d, problem := parseAllow(c.Text, known)
+					if problem != "" {
 						bad = append(bad, Finding{
 							File: pos.Filename, Line: pos.Line, Col: pos.Column,
 							Analyzer: "overlint",
-							Message:  `malformed directive: want "//overlint:allow <analyzer>[,...] -- <reason>"`,
+							Message:  "malformed directive: " + problem,
 						})
 						continue
 					}
@@ -64,6 +71,21 @@ func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
 		}
 	}
 	return set, bad
+}
+
+// parseAllow parses one allow comment and checks its analyzer names against
+// known, returning the directive or what is wrong with it.
+func parseAllow(text string, known map[string]bool) (allowDirective, string) {
+	d, ok := parseAllowText(text)
+	if !ok {
+		return d, `want "//overlint:allow <analyzer>[,...] -- <reason>"`
+	}
+	for _, name := range d.Analyzers {
+		if !known[name] {
+			return d, fmt.Sprintf("no analyzer named %q", name)
+		}
+	}
+	return d, ""
 }
 
 // parseAllowText parses the text of one allow comment.
@@ -100,7 +122,7 @@ func (s *allowSet) allows(analyzer, file string, line int) bool {
 	for _, l := range [2]int{line, line - 1} {
 		for _, d := range m[l] {
 			for _, name := range d.Analyzers {
-				if name == analyzer || name == "*" {
+				if name == analyzer {
 					return true
 				}
 			}

@@ -55,28 +55,6 @@ func TestErrnoDisciplineAnalyzer(t *testing.T) {
 		"overshadow/internal/guestos", "testdata/src/errnodiscipline")
 }
 
-func TestPlaintextFlowAnalyzer(t *testing.T) {
-	runWantTest(t, PlaintextFlowAnalyzer,
-		"overshadow/internal/guestos", "testdata/src/plaintextflow")
-}
-
-// TestHotPathAllocAnalyzer declares Kernel.switchTo (a hot root by name) in
-// a guestos-shaped package: everything it reaches is hot, structurally
-// identical unreachable code must stay silent.
-func TestHotPathAllocAnalyzer(t *testing.T) {
-	runWantTest(t, HotPathAllocAnalyzer,
-		"overshadow/internal/guestos", "testdata/src/hotpathalloc")
-}
-
-// TestHotPathAllocProfilerRoots loads a profiler-shaped package under the
-// internal/obs import path: ProfNode.Child and AddLeaf are hot roots (they
-// run on every span and charge when profiling is on), so per-call allocation
-// inside them is a finding and the disabled path stays allocation-free.
-func TestHotPathAllocProfilerRoots(t *testing.T) {
-	runWantTest(t, HotPathAllocAnalyzer,
-		"overshadow/internal/obs", "testdata/src/profhot")
-}
-
 // TestSMPReadyAnalyzer loads a vmm-shaped package: written package-level vars
 // are findings, and a mutex-less struct written from two entry paths passes.
 func TestSMPReadyAnalyzer(t *testing.T) {

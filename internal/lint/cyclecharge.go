@@ -37,7 +37,7 @@ func runCycleCharge(pass *Pass) {
 	if !chargedPkgs[pass.Pkg.Path] {
 		return
 	}
-	graph := newChargeFacts(moduleGraphOf(pass.All))
+	graph := newChargeFacts(pass.Graph)
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

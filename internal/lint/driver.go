@@ -1,38 +1,20 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Options configures a driver run.
-type Options struct {
-	// Patterns selects which loaded packages are analyzed. Each pattern is a
-	// package path ("overshadow/internal/vmm"), a relative form ("./..." or
-	// "./internal/vmm"), or a "/..." wildcard. Empty means everything.
-	Patterns []string
-	// JSON switches output from file:line text to a JSON array.
-	JSON bool
-	// Analyzers overrides the production analyzer set (tests).
-	Analyzers []*Analyzer
-	// Baseline, when non-empty, names a JSON findings file (as written by
-	// -json); current findings matching a baseline entry by analyzer, file,
-	// and message are suppressed. Line and column are deliberately ignored so
-	// unrelated edits that shift code do not churn the baseline. The file is
-	// how a new analyzer lands before its backlog is fully triaged:
-	// scripts/lint-baseline.sh regenerates it, review shrinks it.
-	Baseline string
-}
-
-// Run loads the module rooted at or above dir, runs the analyzers over the
-// selected packages, and writes findings to w. It returns the surviving
-// findings; a non-nil error means the load itself failed.
-func Run(w io.Writer, dir string, opts Options) ([]Finding, error) {
+// Run loads the module rooted at or above dir, runs the production analyzers
+// over the packages selected by patterns, and writes findings to w. Each
+// pattern is a package path ("overshadow/internal/vmm"), a relative form
+// ("./..." or "./internal/vmm"), or a "/..." wildcard; none means everything.
+// It returns the surviving findings; a non-nil error means the load itself
+// failed.
+func Run(w io.Writer, dir string, patterns []string) ([]Finding, error) {
 	loader, err := NewLoader(dir)
 	if err != nil {
 		return nil, err
@@ -44,7 +26,7 @@ func Run(w io.Writer, dir string, opts Options) ([]Finding, error) {
 	// A pattern that selects nothing is almost always a typo; failing loudly
 	// (like the go tool) keeps a misspelled CI invocation from silently
 	// passing the gate.
-	for _, p := range opts.Patterns {
+	for _, p := range patterns {
 		matched := false
 		for _, pkg := range pkgs {
 			if matchPattern(p, loader.ModulePath, pkg.Path) {
@@ -56,56 +38,24 @@ func Run(w io.Writer, dir string, opts Options) ([]Finding, error) {
 			return nil, fmt.Errorf("pattern %q matched no packages", p)
 		}
 	}
-	findings := Analyze(loader, pkgs, opts.Analyzers, opts.Patterns)
+	findings := Analyze(loader, pkgs, nil, patterns)
 	relativize(findings, dir)
-	if opts.Baseline != "" {
-		findings, err = applyBaseline(findings, opts.Baseline)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := Render(w, findings, opts.JSON); err != nil {
+	if err := Render(w, findings); err != nil {
 		return nil, err
 	}
 	return findings, nil
 }
 
-// applyBaseline drops findings recorded in the baseline file, matching on
-// (analyzer, file, message) and ignoring position.
-func applyBaseline(findings []Finding, path string) ([]Finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var base []Finding
-	if err := json.Unmarshal(data, &base); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	known := make(map[string]bool, len(base))
-	for _, f := range base {
-		known[baselineKey(f)] = true
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		if !known[baselineKey(f)] {
-			kept = append(kept, f)
-		}
-	}
-	return kept, nil
-}
-
-func baselineKey(f Finding) string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
-}
-
 // Analyze runs the analyzers (production set if nil) over every package
 // matching patterns and returns allow-filtered, sorted findings. Malformed
-// allow directives are themselves reported.
+// allow directives are themselves reported. The module call graph is built
+// once here and shared by every analyzer.
 func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []string) []Finding {
 	if analyzers == nil {
 		analyzers = Analyzers()
 	}
 	allows, findings := parseAllows(loader.Fset, pkgs)
+	graph := buildModuleGraph(pkgs)
 	for _, pkg := range pkgs {
 		if !matchAny(patterns, loader.ModulePath, pkg.Path) {
 			continue
@@ -115,7 +65,7 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []
 				Analyzer: a,
 				Fset:     loader.Fset,
 				Pkg:      pkg,
-				All:      pkgs,
+				Graph:    graph,
 				findings: &findings,
 			}
 			a.Run(pass)
@@ -143,16 +93,8 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []
 	return kept
 }
 
-// Render writes findings as text lines or JSON.
-func Render(w io.Writer, findings []Finding, asJSON bool) error {
-	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []Finding{}
-		}
-		return enc.Encode(findings)
-	}
+// Render writes findings as file:line text lines.
+func Render(w io.Writer, findings []Finding) error {
 	for _, f := range findings {
 		if _, err := fmt.Fprintln(w, f); err != nil {
 			return err

@@ -1,17 +1,21 @@
 // Package lint is a self-contained static-analysis framework for this
-// module. It exists because the repository's core guarantees — bit-exact
+// module. It exists because six of the repository's design rules — bit-exact
 // determinism of the simulated machine, the cloaking trust boundary between
-// the untrusted guest kernel and the VMM, the guest errno discipline, and
-// honest cycle accounting — are invariants the Go compiler cannot check and
-// runtime tests only sample. The framework loads every package of the module
+// the untrusted guest kernel and the VMM, the guest errno discipline, Iago
+// validation of kernel-returned values in the shim, honest cycle accounting,
+// and machine state kept where the scheduler baton serializes it — are
+// invariants the Go compiler cannot check and runtime tests only sample. The framework loads every package of the module
 // with full type information using nothing but the standard library
 // (go/parser, go/ast, go/types, go/importer), so the module's go.mod stays
 // dependency-free and the linter runs offline.
 //
 // The architecture mirrors golang.org/x/tools/go/analysis in miniature: an
 // Analyzer inspects one type-checked package through a Pass and reports
-// Findings; the Driver loads packages, runs every analyzer, suppresses
-// findings annotated with //overlint:allow comments, and renders the rest.
+// Findings; the Driver loads packages, builds one module call graph, runs
+// every analyzer, suppresses findings annotated with //overlint:allow
+// comments, and renders the rest. Properties the analyzers cannot state
+// precisely (plaintext never reaching disk or exports, allocation-free
+// disabled observability) are pinned by runtime tests instead.
 package lint
 
 import (
@@ -36,9 +40,9 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// All holds every loaded module package in dependency order; analyzers
-	// that need a whole-module view (call graphs) use it.
-	All []*Package
+	// Graph is the whole-module call graph over every loaded package, built
+	// once per run and shared by every analyzer and package.
+	Graph *ModuleGraph
 
 	findings *[]Finding
 }
@@ -57,11 +61,11 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // Finding is one reported invariant violation.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the canonical file:line: analyzer: message form.
@@ -86,8 +90,6 @@ func Analyzers() []*Analyzer {
 		ErrnoDisciplineAnalyzer,
 		IagoFlowAnalyzer,
 		CycleChargeAnalyzer,
-		PlaintextFlowAnalyzer,
-		HotPathAllocAnalyzer,
 		SMPReadyAnalyzer,
 	}
 }

@@ -27,25 +27,6 @@ var smpPkgs = map[string]bool{
 	vmmPath:                   true,
 }
 
-var (
-	cachedSMPWritten map[*types.Var]bool
-	cachedSMPGraph   *ModuleGraph
-)
-
-// smpWrittenVars returns the gated package-level vars with at least one write
-// anywhere in the module, memoized per graph.
-func smpWrittenVars(g *ModuleGraph) map[*types.Var]bool {
-	if cachedSMPGraph == g {
-		return cachedSMPWritten
-	}
-	written := make(map[*types.Var]bool)
-	for _, fi := range g.Order {
-		scanVarWrites(fi, written)
-	}
-	cachedSMPWritten, cachedSMPGraph = written, g
-	return written
-}
-
 // scanVarWrites records every gated package-level var one function writes:
 // directly (v = x, v++), through a field (v.f = x), or through an index
 // (v[k] = x — mutating a map or slice held in the var mutates it just the
@@ -91,7 +72,10 @@ func runSMPReady(pass *Pass) {
 	if !smpPkgs[pass.Pkg.Path] {
 		return
 	}
-	written := smpWrittenVars(moduleGraphOf(pass.All))
+	written := make(map[*types.Var]bool)
+	for _, fi := range pass.Graph.Order {
+		scanVarWrites(fi, written)
+	}
 	scope := pass.Pkg.Types.Scope()
 	for _, name := range scope.Names() {
 		if v, ok := scope.Lookup(name).(*types.Var); ok && written[v] {

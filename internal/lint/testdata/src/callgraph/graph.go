@@ -9,8 +9,7 @@ func a() { b() }
 // b closes the mutual-recursion cycle a <-> b.
 func b() { a() }
 
-// viaValue references helperMV as a value, never calling it: a Refs edge,
-// not a Calls edge.
+// viaValue references helperMV as a value, never calling it: no call edge.
 func viaValue() {
 	f := helperMV
 	_ = f
@@ -31,7 +30,7 @@ type T struct{}
 
 func (t T) M() {}
 
-// methodValue takes t.M as a bound method value: a Refs edge to T.M.
+// methodValue takes t.M as a bound method value: no call edge to T.M.
 func methodValue(t T) {
 	m := t.M
 	_ = m

@@ -82,7 +82,6 @@ func (d *Disk) Write(blk uint64, src []byte) error {
 	}
 	b, ok := d.blocks[blk]
 	if !ok {
-		//overlint:allow hotpathalloc -- sparse block materialized once on first write, then reused
 		b = make([]byte, BlockSize)
 		d.blocks[blk] = b
 	}

@@ -50,7 +50,6 @@ func (t *PageTable) Map(vpn uint64, pte PTE) {
 	di, ti := splitVPN(vpn)
 	d := t.dirs[di]
 	if d == nil {
-		//overlint:allow hotpathalloc -- page-directory node allocated once per 512-page region, not per access
 		d = new([tableSize]PTE)
 		t.dirs[di] = d
 	}

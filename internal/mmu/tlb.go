@@ -87,7 +87,6 @@ func (t *TLB) evictOne() {
 // (cloak transitions must be visible immediately in all contexts).
 func (t *TLB) InvalidatePage(on *sim.VCPU, vpn uint64) int {
 	dropped := 0
-	//overlint:allow hotpathalloc -- invalidation sweep bounded by TLB capacity; per-entry charges are order-independent
 	for key, e := range t.entries {
 		if e.vpn == vpn {
 			delete(t.entries, key)
@@ -118,7 +117,6 @@ func (t *TLB) InvalidateRange(on *sim.VCPU, base, pages uint64) int {
 // teardown), charging the initiating vCPU, and reports the drop count.
 func (t *TLB) InvalidateContext(on *sim.VCPU, ctx uint32) int {
 	dropped := 0
-	//overlint:allow hotpathalloc -- invalidation sweep bounded by TLB capacity; per-entry charges are order-independent
 	for key, e := range t.entries {
 		if e.ctx == ctx {
 			delete(t.entries, key)
@@ -133,7 +131,6 @@ func (t *TLB) InvalidateContext(on *sim.VCPU, ctx uint32) int {
 // ever flushes its own TLB — on shadow-context switch under the flush
 // ablation, never remotely).
 func (t *TLB) Flush() {
-	//overlint:allow hotpathalloc -- full flush rebuilds the map; runs on context teardown, not per translation
 	t.entries = make(map[uint64]tlbEntry, t.cap)
 	t.order = t.order[:0]
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBFlush, sim.CtrTLBFlush)

@@ -26,7 +26,6 @@ func (m *Metrics) Charge(a Attr, name string, cycles, events uint64) {
 	if b == nil {
 		// Amortized: one allocation per distinct attribution key, not per
 		// charge; the key space (task × domain × phase) is small and fixed.
-		//overlint:allow hotpathalloc -- lazy bucket creation, once per attribution key
 		b = &bucket{cycles: make(map[string]uint64), counts: make(map[string]uint64)}
 		m.buckets[a] = b
 	}

@@ -36,10 +36,8 @@ func (n *ProfNode) Child(kind Kind, name string) *ProfNode {
 	if c == nil {
 		// Amortized: one allocation per distinct (stack, frame) pair — the
 		// span vocabulary is a small fixed set, not per-event.
-		//overlint:allow hotpathalloc -- lazy node creation, once per distinct stack frame
 		c = &ProfNode{}
 		if n.children == nil {
-			//overlint:allow hotpathalloc -- lazy map creation, once per node
 			n.children = make(map[frameKey]*ProfNode)
 		}
 		n.children[k] = c
@@ -50,7 +48,6 @@ func (n *ProfNode) Child(kind Kind, name string) *ProfNode {
 // AddLeaf charges cycles at this node under the counter name.
 func (n *ProfNode) AddLeaf(name string, cycles uint64) {
 	if n.leaves == nil {
-		//overlint:allow hotpathalloc -- lazy map creation, once per node
 		n.leaves = make(map[string]uint64)
 	}
 	n.leaves[name] += cycles
@@ -111,7 +108,6 @@ func (p *Profile) Observe(kind Kind, domain uint32, dur uint64) {
 	h := p.hists[k]
 	if h == nil {
 		// Amortized: one allocation per distinct (kind, domain) pair.
-		//overlint:allow hotpathalloc -- lazy histogram creation, once per (kind, domain)
 		h = &Histogram{}
 		p.hists[k] = h
 	}

@@ -204,7 +204,7 @@ func (j *Journal) wedgeDomain(d cloak.DomainID) {
 	found := false
 	// Deletion is commutative; only the single KindDomainGone record below
 	// is serialized, so iteration order cannot reach any byte on disk.
-	//overlint:allow determinism,hotpathalloc -- domain-wide deletion is commutative; quota containment sweep
+	//overlint:allow determinism -- domain-wide deletion is commutative; quota containment sweep
 	for id := range j.table {
 		if id.Domain == d {
 			delete(j.table, id)
@@ -241,13 +241,11 @@ type TableEntry struct {
 
 // Entries returns a copy of the live table in deterministic PageID order.
 func (j *Journal) Entries() []TableEntry {
-	//overlint:allow hotpathalloc -- migration-capture snapshot, not per-append work
 	out := make([]TableEntry, 0, len(j.table))
-	//overlint:allow determinism,hotpathalloc -- entries are collected then sorted before use
+	//overlint:allow determinism -- entries are collected then sorted before use
 	for id, e := range j.table {
 		out = append(out, TableEntry{ID: id, Entry: e})
 	}
-	//overlint:allow hotpathalloc -- snapshot sort; once per capture
 	sort.Slice(out, func(a, b int) bool { return pageIDLess(out[a].ID, out[b].ID) })
 	return out
 }
@@ -300,7 +298,7 @@ func (j *Journal) DropDomain(d cloak.DomainID) {
 	// Deletion is commutative, so map iteration order cannot influence the
 	// resulting table or any bytes written (the single record below encodes
 	// only the domain ID).
-	//overlint:allow determinism,hotpathalloc -- domain-wide deletion is commutative; teardown sweep, no serialized bytes depend on this order
+	//overlint:allow determinism -- domain-wide deletion is commutative; teardown sweep, no serialized bytes depend on this order
 	for id := range j.table {
 		if id.Domain == d {
 			delete(j.table, id)
@@ -379,18 +377,16 @@ func (j *Journal) checkpoint() {
 		return
 	}
 	j.ckptMarks = append(j.ckptMarks, j.world.Now())
-	//overlint:allow hotpathalloc -- checkpoint is periodic and amortized over many appends
 	ids := make([]cloak.PageID, 0, len(j.table))
 	// Keys are sorted before any byte is serialized; the encoded checkpoint
 	// is a pure function of the table contents. Location-only entries (a
 	// Locate that never saw a Put) carry no sealed metadata and are dropped.
-	//overlint:allow determinism,hotpathalloc -- checkpoint sweep; keys are collected then sorted before serialization
+	//overlint:allow determinism -- checkpoint sweep; keys are collected then sorted before serialization
 	for id, e := range j.table {
 		if e.HasMeta {
 			ids = append(ids, id)
 		}
 	}
-	//overlint:allow hotpathalloc -- checkpoint sort; the boxing and closure are amortized over many appends
 	sort.Slice(ids, func(a, b int) bool { return pageIDLess(ids[a], ids[b]) })
 	n := uint64(len(ids))
 	if n > j.ckptBlocks*RecordsPerBlock {

@@ -140,7 +140,6 @@ const (
 
 // seal computes the truncated record MAC over the first offMAC bytes.
 func seal(key *[32]byte, body []byte) [MACSize]byte {
-	//overlint:allow hotpathalloc -- keyed-MAC state is per-seal by construction; sealing rides the journal append, not the dispatch loop
 	m := hmac.New(sha256.New, key[:])
 	m.Write(body)
 	var out [MACSize]byte

@@ -104,7 +104,6 @@ func (w *World) profDispatch(tid int) {
 	s, ok := p.stacks[tid]
 	if !ok {
 		// Amortized: one allocation per distinct guest task, not per dispatch.
-		//overlint:allow hotpathalloc -- fresh stack, once per task lifetime
 		s = append(make([]*obs.ProfNode, 0, 8), p.root)
 	}
 	p.stack = s

@@ -180,7 +180,6 @@ func (t *Thread) ExitKernel() error {
 		return &SecViolation{Event: ev}
 	}
 	if t.savedCPU != c.ID() && v.world.NumVCPUs() > 1 {
-		//overlint:allow hotpathalloc -- cross-CPU audit detail, emitted only on migrated resumes
 		detail := fmt.Sprintf("thread %d: CTC saved on cpu%d, restored on cpu%d", t.ID, t.savedCPU, c.ID())
 		v.logEvent(Event{Kind: EventCTCMigrate, Domain: t.Domain, Detail: detail})
 	}

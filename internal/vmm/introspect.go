@@ -167,19 +167,16 @@ func (in *Introspector) Scan() {
 	// Ground truth: live (unquarantined) domains, sorted for determinism.
 	// The scan runs every Nth context switch, not per-switch: its transient
 	// allocations are amortized far below the shadow-translation hot path.
-	//overlint:allow hotpathalloc -- periodic monitor pass, amortized over `every` context switches
 	domains := make([]cloak.DomainID, 0, len(v.domainSpaces))
 	// Keys are sorted before use; iteration order cannot escape.
-	//overlint:allow determinism,hotpathalloc -- keys collected then sorted
+	//overlint:allow determinism -- keys collected then sorted
 	for d := range v.domainSpaces {
 		if !v.quarantined[d] {
 			domains = append(domains, d)
 		}
 	}
-	//overlint:allow hotpathalloc -- periodic monitor pass
 	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
 
-	//overlint:allow hotpathalloc -- periodic monitor pass
 	claimedDomains := make(map[cloak.DomainID]int)
 	for _, t := range claims.Tasks {
 		if t.Domain != 0 {
@@ -190,7 +187,6 @@ func (in *Introspector) Scan() {
 	// 1. Hidden task: a live domain the kernel claims no task for.
 	for _, d := range domains {
 		if claimedDomains[d] == 0 {
-			//overlint:allow hotpathalloc -- divergence is the exceptional (attack) path
 			detail := fmt.Sprintf("domain %d live in VMM, no task claimed by kernel", d)
 			in.diverge(DivergeHiddenTask, d, detail)
 		}
@@ -202,11 +198,9 @@ func (in *Introspector) Scan() {
 			continue
 		}
 		if v.quarantined[t.Domain] {
-			//overlint:allow hotpathalloc -- divergence is the exceptional (attack) path
 			detail := fmt.Sprintf("kernel claims pid %d in quarantined domain %d", t.Pid, t.Domain)
 			in.diverge(DivergePhantomTask, t.Domain, detail)
 		} else if _, ok := v.domainSpaces[t.Domain]; !ok {
-			//overlint:allow hotpathalloc -- divergence is the exceptional (attack) path
 			detail := fmt.Sprintf("kernel claims pid %d in destroyed domain %d", t.Pid, t.Domain)
 			in.diverge(DivergePhantomTask, t.Domain, detail)
 		}
@@ -240,7 +234,6 @@ func (in *Introspector) Scan() {
 					}
 				}
 				if !covered {
-					//overlint:allow hotpathalloc -- divergence is the exceptional (attack) path
 					detail := fmt.Sprintf("cloaked region vpn=%d+%d of as %d unclaimed by kernel", r.BaseVPN, r.Pages, as.id)
 					in.diverge(DivergeUnclaimedRegion, d, detail)
 				}
@@ -258,13 +251,11 @@ func (in *Introspector) diverge(class string, d cloak.DomainID, detail string) {
 	in.counts[class]++
 	in.doms[d] = true
 	v.cpu().ChargeAdd(0, sim.CtrIntrospectDiverge, 1)
-	//overlint:allow hotpathalloc -- divergence is the exceptional (attack) path, not the scan steady state
 	key := fmt.Sprintf("%s|%d", class, d)
 	if in.seen[key] {
 		return
 	}
 	in.seen[key] = true
-	//overlint:allow hotpathalloc -- first occurrence per (class, domain) only; audit record construction
 	msg := class + ": " + detail
 	v.logEvent(Event{Kind: EventIntrospectDiverge, Domain: d, Detail: msg})
 }

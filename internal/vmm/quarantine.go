@@ -51,7 +51,6 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 		return
 	}
 	if v.quarantined == nil {
-		//overlint:allow hotpathalloc -- quarantine is the containment path after a violation; exceptional by construction
 		v.quarantined = make(map[cloak.DomainID]bool)
 	}
 	v.quarantined[d] = true
@@ -61,13 +60,10 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	// Scrub the domain's frames in ascending GPPN order (map iteration order
 	// would leak host nondeterminism into the span stream and charges).
 	pages := v.byDomain[d]
-	//overlint:allow hotpathalloc -- quarantine containment path, exceptional by construction
 	gppns := make([]mach.GPPN, 0, len(pages))
-	//overlint:allow hotpathalloc -- quarantine sweep; collected pages are sorted before use
 	for gppn := range pages {
 		gppns = append(gppns, gppn)
 	}
-	//overlint:allow hotpathalloc -- quarantine sort; exceptional path
 	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
 	for _, gppn := range gppns {
 		cp := pages[gppn]
@@ -83,15 +79,12 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	// Revoke saved thread contexts: a quarantined thread must never resume
 	// with its genuine registers. Sorted by thread ID for the same
 	// determinism reason as the frame sweep.
-	//overlint:allow hotpathalloc -- quarantine containment path, exceptional by construction
 	tids := make([]ThreadID, 0, len(v.threads))
-	//overlint:allow hotpathalloc -- quarantine sweep; collected threads are sorted before use
 	for id, t := range v.threads {
 		if t.Domain == d {
 			tids = append(tids, id)
 		}
 	}
-	//overlint:allow hotpathalloc -- quarantine sort; exceptional path
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	for _, id := range tids {
 		v.threads[id].revoke()
@@ -106,6 +99,5 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 
 	v.cpu().ChargeAdd(0, sim.CtrQuarantine, 1)
 	v.logEvent(Event{Kind: EventQuarantine, Domain: d, Page: cause.Page,
-		//overlint:allow hotpathalloc -- quarantine audit detail, exceptional path
 		GPPN: cause.GPPN, Detail: "contained after " + cause.Kind.String()})
 }

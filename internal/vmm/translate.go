@@ -48,15 +48,12 @@ func (v *VMM) SwitchContext(as *AddressSpace, view View) {
 // into span args and IV assignment.
 func (v *VMM) EncryptAllPlaintext(d cloak.DomainID, why string) int {
 	pages := v.byDomain[d]
-	//overlint:allow hotpathalloc -- stop-the-world sweep at shutdown/crash, not per-translation work
 	gppns := make([]mach.GPPN, 0, len(pages))
-	//overlint:allow hotpathalloc -- stop-the-world sweep; collected pages are sorted before encryption
 	for gppn, cp := range pages {
 		if cp.state == statePlain {
 			gppns = append(gppns, gppn)
 		}
 	}
-	//overlint:allow hotpathalloc -- shutdown-path sort; boxing and closure are once per sweep
 	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
 	for _, gppn := range gppns {
 		v.encryptPage(gppn, pages[gppn], why)
@@ -193,7 +190,6 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 			if prev, crossed := cp.noteFaultCPU(c.ID()); crossed && v.world.NumVCPUs() > 1 {
 				v.logEvent(Event{Kind: EventCrossCPUFault, Domain: id.Domain,
 					Page: id, GPPN: gppn,
-					//overlint:allow hotpathalloc -- cross-CPU audit detail, only on migration faults
 					Detail: fmt.Sprintf("app-view fault on cpu%d, last transition on cpu%d", c.ID(), prev)})
 			}
 		}
@@ -210,7 +206,6 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 				zeroFrame(v.frame(gppn))
 				c.ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
 			}
-			//overlint:allow hotpathalloc -- cloak-page record allocated once per page state transition, not per access
 			v.registerPage(gppn, &cloakPage{state: statePlain, id: id, faultCPU: c.ID()})
 			v.dropAllShadowsOfGPPN(gppn) // stale system-view mappings
 		case cp.state == statePlain:
@@ -219,7 +214,6 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 				// the OS is trying to alias cloaked data.
 				ev := Event{Kind: EventIdentityMismatch, Domain: id.Domain,
 					Page: id, GPPN: gppn,
-					//overlint:allow hotpathalloc -- aliasing-violation audit detail, exceptional path
 					Detail: "plaintext frame belongs to " + cp.id.String()}
 				v.logEvent(ev)
 				v.quarantine(id.Domain, ev)

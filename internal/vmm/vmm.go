@@ -277,7 +277,6 @@ func (v *VMM) machineOf(gppn mach.GPPN) (mach.MPN, bool) {
 // it to the audit trail.
 func (v *VMM) badGPPN(op string, gppn mach.GPPN) error {
 	v.logEvent(Event{Kind: EventResourceFault, GPPN: gppn,
-		//overlint:allow hotpathalloc -- resource-fault audit detail, exceptional path
 		Detail: fmt.Sprintf("%s: GPPN %d beyond guest memory (%d pages)", op, gppn, len(v.pmap))})
 	return &ResourceFault{Op: op,
 		Detail: fmt.Sprintf("GPPN %d beyond guest memory (%d pages)", gppn, len(v.pmap))}
@@ -335,7 +334,6 @@ func (v *VMM) DestroyAddressSpace(as *AddressSpace) {
 		list := v.domainSpaces[as.domain]
 		for i, q := range list {
 			if q == as {
-				//overlint:allow hotpathalloc -- address-space teardown, once per destroy
 				v.domainSpaces[as.domain] = append(list[:i], list[i+1:]...)
 				break
 			}
@@ -434,7 +432,6 @@ func (v *VMM) dropAllShadowsOfGPPN(gppn mach.GPPN) {
 		return
 	}
 	mpn := uint64(m)
-	//overlint:allow hotpathalloc -- shadow invalidation sweep; deletes are order-independent
 	for _, as := range v.spaces {
 		for view := View(0); view < numViews; view++ {
 			for cpu := range as.shadows {
@@ -484,7 +481,6 @@ func (v *VMM) registerPage(gppn mach.GPPN, cp *cloakPage) {
 	v.pages[gppn] = cp
 	m := v.byDomain[cp.id.Domain]
 	if m == nil {
-		//overlint:allow hotpathalloc -- per-domain index map created once per domain
 		m = make(map[mach.GPPN]*cloakPage)
 		v.byDomain[cp.id.Domain] = m
 	}
