@@ -8,8 +8,8 @@ import "overshadow/internal/sim"
 // multi-shadowing cheap (ablation E10d removes this and flushes instead).
 type tlbEntry struct {
 	vpn   uint64
-	ctx   uint32
 	pn    uint64
+	ctx   uint32
 	flags Flags
 }
 
@@ -20,11 +20,17 @@ type tlbEntry struct {
 // cross-CPU shootdown), so they take the initiating execution context
 // explicitly and report how many entries were dropped — the VMM charges the
 // initiator the IPI cost when a remote TLB actually held stale entries.
+//
+// The live entries sit in a dense slot array, so an invalidation is one scan
+// of at most capacity slots with swap-remove; the index finds a key's slot
+// for lookups and fills. Slot positions are host bookkeeping only: which
+// entry replacement evicts is decided by order and the owner's random stream.
 type TLB struct {
-	cpu     *sim.VCPU
-	cap     int
-	entries map[uint64]tlbEntry // key: vpn | ctx<<40
-	order   []uint64            // insertion keys for eviction choice
+	cpu   *sim.VCPU
+	cap   int
+	slots []tlbEntry       // live entries, in no particular order
+	index map[uint64]int32 // key (vpn | ctx<<40) -> position in slots
+	order []uint64         // insertion keys for eviction choice
 }
 
 // NewTLB builds a TLB with the given entry capacity, owned by cpu.
@@ -33,9 +39,10 @@ func NewTLB(cpu *sim.VCPU, capacity int) *TLB {
 		panic("mmu: TLB capacity must be positive")
 	}
 	return &TLB{
-		cpu:     cpu,
-		cap:     capacity,
-		entries: make(map[uint64]tlbEntry, capacity),
+		cpu:   cpu,
+		cap:   capacity,
+		slots: make([]tlbEntry, 0, capacity),
+		index: make(map[uint64]int32, capacity),
 	}
 }
 
@@ -45,12 +52,13 @@ func tlbKey(ctx uint32, vpn uint64) uint64 { return vpn | uint64(ctx)<<40 }
 // the hit cost to the owning vCPU; the miss path cost is charged by the
 // walker, not here.
 func (t *TLB) Lookup(ctx uint32, vpn uint64) (PTE, bool) {
-	e, ok := t.entries[tlbKey(ctx, vpn)]
+	i, ok := t.index[tlbKey(ctx, vpn)]
 	if !ok {
 		t.cpu.ChargeAdd(0, sim.CtrTLBMiss, 1)
 		return PTE{}, false
 	}
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBHit, sim.CtrTLBHit)
+	e := &t.slots[i]
 	return PTE{PN: e.pn, Flags: e.flags}, true
 }
 
@@ -58,13 +66,17 @@ func (t *TLB) Lookup(ctx uint32, vpn uint64) (PTE, bool) {
 // eviction choice draws from the owning vCPU's random stream.
 func (t *TLB) Insert(ctx uint32, vpn uint64, pte PTE) {
 	key := tlbKey(ctx, vpn)
-	if _, exists := t.entries[key]; !exists && len(t.entries) >= t.cap {
+	e := tlbEntry{vpn: vpn, pn: pte.PN, ctx: ctx, flags: pte.Flags}
+	if i, ok := t.index[key]; ok {
+		t.slots[i] = e
+		return
+	}
+	if len(t.slots) >= t.cap {
 		t.evictOne()
 	}
-	if _, exists := t.entries[key]; !exists {
-		t.order = append(t.order, key)
-	}
-	t.entries[key] = tlbEntry{vpn: vpn, ctx: ctx, pn: pte.PN, flags: pte.Flags}
+	t.index[key] = int32(len(t.slots))
+	t.slots = append(t.slots, e)
+	t.order = append(t.order, key)
 }
 
 func (t *TLB) evictOne() {
@@ -73,12 +85,24 @@ func (t *TLB) evictOne() {
 		key := t.order[i]
 		t.order[i] = t.order[len(t.order)-1]
 		t.order = t.order[:len(t.order)-1]
-		if _, ok := t.entries[key]; ok {
-			delete(t.entries, key)
+		if s, ok := t.index[key]; ok {
+			t.remove(int(s))
 			return
 		}
 		// Stale order slot (entry was invalidated); retry.
 	}
+}
+
+// remove drops the entry in slot i, moving the last slot into its place.
+func (t *TLB) remove(i int) {
+	e := &t.slots[i]
+	delete(t.index, tlbKey(e.ctx, e.vpn))
+	last := len(t.slots) - 1
+	if i != last {
+		*e = t.slots[last]
+		t.index[tlbKey(e.ctx, e.vpn)] = int32(i)
+	}
+	t.slots = t.slots[:last]
 }
 
 // InvalidatePage drops the translation of vpn in every shadow context,
@@ -87,9 +111,10 @@ func (t *TLB) evictOne() {
 // (cloak transitions must be visible immediately in all contexts).
 func (t *TLB) InvalidatePage(on *sim.VCPU, vpn uint64) int {
 	dropped := 0
-	for key, e := range t.entries {
-		if e.vpn == vpn {
-			delete(t.entries, key)
+	// Scan downward: swap-remove moves an already-scanned slot into i.
+	for i := len(t.slots) - 1; i >= 0; i-- {
+		if t.slots[i].vpn == vpn {
+			t.remove(i)
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -103,9 +128,9 @@ func (t *TLB) InvalidatePage(on *sim.VCPU, vpn uint64) int {
 // charge — without paying one full-table scan per page.
 func (t *TLB) InvalidateRange(on *sim.VCPU, base, pages uint64) int {
 	dropped := 0
-	for key, e := range t.entries {
-		if e.vpn >= base && e.vpn < base+pages {
-			delete(t.entries, key)
+	for i := len(t.slots) - 1; i >= 0; i-- {
+		if e := &t.slots[i]; e.vpn >= base && e.vpn < base+pages {
+			t.remove(i)
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -117,9 +142,9 @@ func (t *TLB) InvalidateRange(on *sim.VCPU, base, pages uint64) int {
 // teardown), charging the initiating vCPU, and reports the drop count.
 func (t *TLB) InvalidateContext(on *sim.VCPU, ctx uint32) int {
 	dropped := 0
-	for key, e := range t.entries {
-		if e.ctx == ctx {
-			delete(t.entries, key)
+	for i := len(t.slots) - 1; i >= 0; i-- {
+		if t.slots[i].ctx == ctx {
+			t.remove(i)
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -131,10 +156,11 @@ func (t *TLB) InvalidateContext(on *sim.VCPU, ctx uint32) int {
 // ever flushes its own TLB — on shadow-context switch under the flush
 // ablation, never remotely).
 func (t *TLB) Flush() {
-	t.entries = make(map[uint64]tlbEntry, t.cap)
+	t.slots = t.slots[:0]
+	clear(t.index)
 	t.order = t.order[:0]
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBFlush, sim.CtrTLBFlush)
 }
 
 // Len reports the number of cached translations (for tests and stats).
-func (t *TLB) Len() int { return len(t.entries) }
+func (t *TLB) Len() int { return len(t.slots) }

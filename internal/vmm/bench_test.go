@@ -63,6 +63,38 @@ func BenchmarkCloakTransitionRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkDropFrameMappings measures one cloaked frame's encrypt→decrypt
+// transition while 64 other resident pages are mapped in both views. Each
+// transition drops every shadow mapping of the frame, so beside the page
+// crypto this times how the VMM finds those mappings among the others.
+func BenchmarkDropFrameMappings(b *testing.B) {
+	r := newSizedRig(&testing.T{}, 128, Options{})
+	v := r.v
+	r.cloakSetup(20, 1)
+	r.mapGuest(r.as, 20, 7)
+	if err := r.appWrite(20, []byte("bench")); err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		r.mapGuest(r.as, 100+i, mach.GPPN(32+i))
+		for view := View(0); view < numViews; view++ {
+			if _, err := v.Translate(r.as, view, 100+i, mmu.AccessRead, view == ViewApp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	buf := make([]byte, 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.ReadVirt(r.as, ViewSystem, 20*mach.PageSize, buf, false); err != nil {
+			b.Fatal(err)
+		}
+		if err := v.ReadVirt(r.as, ViewApp, 20*mach.PageSize, buf, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSecureControlTransfer(b *testing.B) {
 	r := benchRig(b)
 	c, _ := r.v.HCCreateDomain(r.as)

@@ -127,15 +127,7 @@ func (v *VMM) releaseResource(d cloak.DomainID, res cloak.ResourceID, pages uint
 
 // destroyDomain tears down a domain; see DomainConn.Destroy.
 func (v *VMM) destroyDomain(d cloak.DomainID) {
-	for gppn, cp := range v.byDomain[d] {
-		if cp.state == statePlain {
-			zeroFrame(v.frame(gppn))
-			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
-		}
-		v.dropAllShadowsOfGPPN(gppn)
-		delete(v.pages, gppn)
-	}
-	delete(v.byDomain, d)
+	v.scrubDomain(d)
 	delete(v.identities, d)
 	v.metas.DeleteDomain(d)
 	v.jDropDomain(d)
@@ -270,20 +262,16 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 // pages already re-cloaked under the child's fresh resources are unregistered
 // and their metadata dropped, and the child address space is detached from
 // the domain. The child's frames themselves belong to the guest kernel,
-// which tears the aborted fork down. No charges or spans: the cleanup is
-// pure map surgery, so iteration order cannot leak into observable state.
+// which tears the aborted fork down. The unwind charges nothing, but on a
+// journaled machine each metadata delete appends a sealed record, so the
+// pages are unwound in ascending GPPN order.
 func (v *VMM) unwindClone(child *AddressSpace, resourceMap map[cloak.ResourceID]cloak.ResourceID) {
 	d := child.domain
 	childRes := make(map[cloak.ResourceID]bool, len(resourceMap))
 	for _, cr := range resourceMap {
 		childRes[cr] = true
 	}
-	var victims []mach.GPPN
-	for gppn, cp := range v.byDomain[d] {
-		if childRes[cp.id.Resource] {
-			victims = append(victims, gppn)
-		}
-	}
+	victims := v.domainPages(d, func(cp *cloakPage) bool { return childRes[cp.id.Resource] })
 	for _, gppn := range victims {
 		cp := v.pages[gppn]
 		id := cp.id

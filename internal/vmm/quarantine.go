@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"overshadow/internal/cloak"
-	"overshadow/internal/mach"
 	"overshadow/internal/obs"
 	"overshadow/internal/sim"
 )
@@ -57,24 +56,7 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	sp := v.cpu().Begin(obs.KindQuarantine, "quarantine", uint64(d))
 	defer sp.End()
 
-	// Scrub the domain's frames in ascending GPPN order (map iteration order
-	// would leak host nondeterminism into the span stream and charges).
-	pages := v.byDomain[d]
-	gppns := make([]mach.GPPN, 0, len(pages))
-	for gppn := range pages {
-		gppns = append(gppns, gppn)
-	}
-	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
-	for _, gppn := range gppns {
-		cp := pages[gppn]
-		if cp.state == statePlain {
-			zeroFrame(v.frame(gppn))
-			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
-		}
-		v.dropAllShadowsOfGPPN(gppn)
-		delete(v.pages, gppn)
-	}
-	delete(v.byDomain, d)
+	v.scrubDomain(d)
 
 	// Revoke saved thread contexts: a quarantined thread must never resume
 	// with its genuine registers. Sorted by thread ID for the same

@@ -84,7 +84,7 @@ type AddressSpace struct {
 	guestPT *mmu.PageTable
 	domain  cloak.DomainID // 0 while no cloaked app is attached
 	// shadows[cpu][view] is that vCPU's shadow page table for the view.
-	shadows [][numViews]*mmu.PageTable
+	shadows [][numViews]*shadowTable
 	// ctxIDs[view] tags TLB entries filled from that view's shadow. The IDs
 	// are shared across vCPUs: TLBs are per-vCPU, so the same context tag can
 	// never collide between CPUs.
@@ -93,8 +93,90 @@ type AddressSpace struct {
 }
 
 // shadow returns the shadow page table for (cpu, view).
-func (as *AddressSpace) shadow(cpu int, view View) *mmu.PageTable {
+func (as *AddressSpace) shadow(cpu int, view View) *shadowTable {
 	return as.shadows[cpu][view]
+}
+
+// shadowTable is one shadow page table plus a backmap from machine page
+// number to the VPNs that map it. Map, Unmap and Clear are the table's only
+// mutators and keep the backmap current, so finding every mapping of a frame
+// (a cloak transition must drop them all) is one lookup per table instead of
+// a walk of the whole table. The backmap moves host time only: a frame's
+// VPNs are kept ascending, the order a walk of the table visits them.
+type shadowTable struct {
+	pt   mmu.PageTable
+	back map[uint64][]uint64 // PN -> VPNs mapping it, ascending; never empty
+}
+
+func newShadowTable() *shadowTable {
+	return &shadowTable{back: make(map[uint64][]uint64)}
+}
+
+// Lookup returns the PTE for vpn.
+func (s *shadowTable) Lookup(vpn uint64) mmu.PTE { return s.pt.Lookup(vpn) }
+
+// Map installs (or replaces) the entry for vpn.
+func (s *shadowTable) Map(vpn uint64, pte mmu.PTE) {
+	old := s.pt.Lookup(vpn)
+	s.pt.Map(vpn, pte)
+	if old.Present() && pte.Present() && old.PN == pte.PN {
+		return // a change of flags only
+	}
+	if old.Present() {
+		s.unlink(old.PN, vpn)
+	}
+	if pte.Present() {
+		s.link(pte.PN, vpn)
+	}
+}
+
+// Unmap clears the entry for vpn; it is a no-op if nothing was mapped.
+func (s *shadowTable) Unmap(vpn uint64) {
+	if old := s.pt.Lookup(vpn); old.Present() {
+		s.unlink(old.PN, vpn)
+	}
+	s.pt.Unmap(vpn)
+}
+
+// Clear removes every entry.
+func (s *shadowTable) Clear() {
+	s.pt.Clear()
+	clear(s.back)
+}
+
+// firstMapper returns the lowest VPN that maps pn.
+func (s *shadowTable) firstMapper(pn uint64) (uint64, bool) {
+	if vpns := s.back[pn]; len(vpns) > 0 {
+		return vpns[0], true
+	}
+	return 0, false
+}
+
+func (s *shadowTable) link(pn, vpn uint64) {
+	vpns := s.back[pn]
+	i := len(vpns)
+	for i > 0 && vpns[i-1] > vpn {
+		i--
+	}
+	vpns = append(vpns, 0)
+	copy(vpns[i+1:], vpns[i:])
+	vpns[i] = vpn
+	s.back[pn] = vpns
+}
+
+func (s *shadowTable) unlink(pn, vpn uint64) {
+	vpns := s.back[pn]
+	for i, x := range vpns {
+		if x == vpn {
+			vpns = append(vpns[:i], vpns[i+1:]...)
+			break
+		}
+	}
+	if len(vpns) == 0 {
+		delete(s.back, pn)
+	} else {
+		s.back[pn] = vpns
+	}
 }
 
 // ID returns the address-space identifier.

@@ -2,7 +2,6 @@ package vmm
 
 import (
 	"fmt"
-	"sort"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -43,18 +42,10 @@ func (v *VMM) SwitchContext(as *AddressSpace, view View) {
 
 // EncryptAllPlaintext forces every plaintext page of a domain into the
 // encrypted state. Used by the E10a ablation and by domain checkpointing.
-// The sweep runs in ascending GPPN order: map iteration order is randomized
-// per process, and letting it pick the order would leak host nondeterminism
-// into span args and IV assignment.
+// The sweep runs in ascending GPPN order (see domainPages).
 func (v *VMM) EncryptAllPlaintext(d cloak.DomainID, why string) int {
 	pages := v.byDomain[d]
-	gppns := make([]mach.GPPN, 0, len(pages))
-	for gppn, cp := range pages {
-		if cp.state == statePlain {
-			gppns = append(gppns, gppn)
-		}
-	}
-	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
+	gppns := v.domainPages(d, func(cp *cloakPage) bool { return cp.state == statePlain })
 	for _, gppn := range gppns {
 		v.encryptPage(gppn, pages[gppn], why)
 	}

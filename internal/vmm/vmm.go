@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"sort"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
@@ -104,7 +105,9 @@ type VMM struct {
 	// kernel addresses memory exclusively by GPPN.
 	pmap []mach.MPN
 
-	spaces    map[ASID]*AddressSpace
+	// spaces lists the live address spaces in ascending ASID order, the
+	// order every walk over all spaces visits them.
+	spaces    []*AddressSpace
 	nextASID  ASID
 	nextCtxID uint32
 
@@ -195,7 +198,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer(secret)),
 		metas:        cloak.NewMetaStore(world, metaCap),
 		pmap:         make([]mach.MPN, cfg.GuestPages),
-		spaces:       make(map[ASID]*AddressSpace),
 		pages:        make(map[mach.GPPN]*cloakPage),
 		byDomain:     make(map[cloak.DomainID]map[mach.GPPN]*cloakPage),
 		domainSpaces: make(map[cloak.DomainID][]*AddressSpace),
@@ -300,10 +302,10 @@ func (v *VMM) frame(gppn mach.GPPN) []byte {
 // the handle used for all translations in that space.
 func (v *VMM) CreateAddressSpace(guestPT *mmu.PageTable) *AddressSpace {
 	ncpu := v.world.NumVCPUs()
-	shadows := make([][numViews]*mmu.PageTable, ncpu)
+	shadows := make([][numViews]*shadowTable, ncpu)
 	for cpu := 0; cpu < ncpu; cpu++ {
 		for view := range shadows[cpu] {
-			shadows[cpu][view] = mmu.NewPageTable()
+			shadows[cpu][view] = newShadowTable()
 		}
 	}
 	var ctxIDs [numViews]uint32
@@ -314,7 +316,7 @@ func (v *VMM) CreateAddressSpace(guestPT *mmu.PageTable) *AddressSpace {
 		ctxIDs[i] = v.nextCtxID
 	}
 	as := &AddressSpace{id: id, guestPT: guestPT, shadows: shadows, ctxIDs: ctxIDs}
-	v.spaces[as.id] = as
+	v.spaces = append(v.spaces, as) // ASIDs only grow: the list stays sorted
 	return as
 }
 
@@ -344,7 +346,12 @@ func (v *VMM) DestroyAddressSpace(as *AddressSpace) {
 			delete(v.domainSpaces, as.domain)
 		}
 	}
-	delete(v.spaces, as.id)
+	for i, q := range v.spaces {
+		if q == as {
+			v.spaces = append(v.spaces[:i], v.spaces[i+1:]...)
+			break
+		}
+	}
 }
 
 // --- Shadow maintenance -------------------------------------------------
@@ -425,7 +432,10 @@ func (v *VMM) dropShadowsRange(as *AddressSpace, base, pages uint64) {
 
 // dropAllShadowsOfGPPN removes every shadow mapping (any space, any vCPU,
 // any view) that points at gppn. Needed when a page changes cloak state:
-// stale mappings in other views/spaces would bypass the state machine.
+// stale mappings in other views/spaces would bypass the state machine. Each
+// table's backmap names the VPNs to drop; the walk visits spaces in ASID
+// order and each table's VPNs in ascending order, so a crash deadline landing
+// inside it leaves the same counters on every host.
 func (v *VMM) dropAllShadowsOfGPPN(gppn mach.GPPN) {
 	m, ok := v.machineOf(gppn)
 	if !ok {
@@ -436,14 +446,7 @@ func (v *VMM) dropAllShadowsOfGPPN(gppn mach.GPPN) {
 		for view := View(0); view < numViews; view++ {
 			for cpu := range as.shadows {
 				sh := as.shadows[cpu][view]
-				var victims []uint64
-				sh.Range(func(vpn uint64, pte mmu.PTE) bool {
-					if pte.PN == mpn {
-						victims = append(victims, vpn)
-					}
-					return true
-				})
-				for _, vpn := range victims {
+				for vpn, ok := sh.firstMapper(mpn); ok; vpn, ok = sh.firstMapper(mpn) {
 					sh.Unmap(vpn)
 					v.cpu().ChargeCount(v.world.Cost.ShadowDrop, sim.CtrShadowDrop)
 					v.tlbInvalidatePage(vpn)
@@ -492,6 +495,39 @@ func (v *VMM) unregisterPage(gppn mach.GPPN, cp *cloakPage) {
 	if m := v.byDomain[cp.id.Domain]; m != nil {
 		delete(m, gppn)
 	}
+}
+
+// domainPages returns the GPPNs registered to domain d whose page satisfies
+// keep (nil keeps all), in ascending order. Every walk over a domain's pages
+// that charges, traces or journals runs in this order: map iteration order
+// would leak host nondeterminism into spans, IV assignment, the journal, and
+// the counters a crash deadline leaves behind.
+func (v *VMM) domainPages(d cloak.DomainID, keep func(*cloakPage) bool) []mach.GPPN {
+	pages := v.byDomain[d]
+	gppns := make([]mach.GPPN, 0, len(pages))
+	for gppn, cp := range pages {
+		if keep == nil || keep(cp) {
+			gppns = append(gppns, gppn)
+		}
+	}
+	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
+	return gppns
+}
+
+// scrubDomain zeroes every frame holding domain d's plaintext, drops all
+// shadow mappings of its registered pages and unregisters them (domain
+// teardown and quarantine).
+func (v *VMM) scrubDomain(d cloak.DomainID) {
+	pages := v.byDomain[d]
+	for _, gppn := range v.domainPages(d, nil) {
+		if pages[gppn].state == statePlain {
+			zeroFrame(v.frame(gppn))
+			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
+		}
+		v.dropAllShadowsOfGPPN(gppn)
+		delete(v.pages, gppn)
+	}
+	delete(v.byDomain, d)
 }
 
 // encryptPage transitions a plaintext cloaked page to the encrypted state.

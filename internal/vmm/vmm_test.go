@@ -23,8 +23,14 @@ type testRig struct {
 
 func newRig(t *testing.T, opts Options) *testRig {
 	t.Helper()
+	return newSizedRig(t, 64, opts)
+}
+
+// newSizedRig is newRig over a guest of the given number of pages.
+func newSizedRig(t *testing.T, pages int, opts Options) *testRig {
+	t.Helper()
 	w := sim.NewWorld(sim.DefaultCostModel(), 7)
-	v, err := New(w, Config{GuestPages: 64, Options: opts})
+	v, err := New(w, Config{GuestPages: pages, Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@
 #   build      everything compiles
 #   tests      full suite, plus vet and tests of the nested bench/ module
 #              (its own go.mod, so ./... above never compiles it)
+#   benchmarks every package benchmark once, so one that breaks at set-up
+#              fails the gate
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -52,6 +54,9 @@ go build ./...
 
 echo "== tests"
 go test ./...
+
+echo "== package benchmarks"
+go test -run '^$' -bench . -benchtime 1x ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos
 
 echo "== bench module"
 # bench/ is a nested module built against this tree (replace ../): an API
