@@ -43,10 +43,7 @@ type mruSlot struct {
 	ok   bool
 }
 
-// NewMetaStore builds a store whose cache holds cacheCap records. The
-// backing spill area is pre-sized to the cache capacity: workloads that
-// overflow the cache at all usually overflow it by a lot, and growing the
-// map incrementally is a measurable host-side cost in the page-out sweeps.
+// NewMetaStore builds a store whose cache holds cacheCap records.
 func NewMetaStore(world *sim.World, cacheCap int) *MetaStore {
 	if cacheCap <= 0 {
 		cacheCap = 1
@@ -54,8 +51,8 @@ func NewMetaStore(world *sim.World, cacheCap int) *MetaStore {
 	return &MetaStore{
 		world:   world,
 		cap:     cacheCap,
-		cache:   make(map[PageID]Meta, cacheCap),
-		backing: make(map[PageID]Meta, cacheCap),
+		cache:   make(map[PageID]Meta),
+		backing: make(map[PageID]Meta),
 		mru:     make([]mruSlot, world.NumVCPUs()),
 	}
 }

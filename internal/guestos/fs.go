@@ -45,7 +45,7 @@ type FS struct {
 	disk      *mach.Disk
 	inodes    map[Ino]*inode
 	nextIno   Ino
-	freeBlk   []uint64
+	freeBlk   freeList
 	cache     map[uint64][]byte
 	cacheCap  int
 	cacheKeys []uint64
@@ -64,12 +64,10 @@ func NewFS(world *sim.World, diskPages uint64) *FS {
 		disk:     mach.NewDisk(world, diskPages),
 		inodes:   make(map[Ino]*inode),
 		nextIno:  1,
+		freeBlk:  freeList{hi: diskPages},
 		cache:    make(map[uint64][]byte),
 		cacheCap: 128,
 		scratch:  make([]byte, mach.PageSize),
-	}
-	for i := int64(diskPages) - 1; i >= 0; i-- {
-		fs.freeBlk = append(fs.freeBlk, uint64(i))
 	}
 	root := &inode{ino: 1, typ: TypeDir, children: make(map[string]Ino), nlink: 1}
 	fs.inodes[1] = root
@@ -82,17 +80,27 @@ func NewFS(world *sim.World, diskPages uint64) *FS {
 func (fs *FS) Disk() *mach.Disk { return fs.disk }
 
 func (fs *FS) allocBlock() (uint64, Errno) {
-	if len(fs.freeBlk) == 0 {
+	b, ok := fs.freeBlk.alloc()
+	if !ok {
 		return 0, ENOSPC
 	}
-	b := fs.freeBlk[len(fs.freeBlk)-1]
-	fs.freeBlk = fs.freeBlk[:len(fs.freeBlk)-1]
 	return b, OK
 }
 
+// freeBlock returns b to the free list and drops it from the block cache,
+// FIFO position included: a stale key would let the cache outgrow cacheCap
+// and evict a re-allocated block at its old position.
 func (fs *FS) freeBlock(b uint64) {
-	delete(fs.cache, b)
-	fs.freeBlk = append(fs.freeBlk, b)
+	if _, ok := fs.cache[b]; ok {
+		delete(fs.cache, b)
+		for i, k := range fs.cacheKeys {
+			if k == b {
+				fs.cacheKeys = append(fs.cacheKeys[:i], fs.cacheKeys[i+1:]...)
+				break
+			}
+		}
+	}
+	fs.freeBlk.free(b)
 }
 
 // --- Path resolution --------------------------------------------------------

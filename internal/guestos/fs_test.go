@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"overshadow/internal/mach"
 	"overshadow/internal/sim"
 )
 
@@ -80,19 +81,53 @@ func TestFSReadWriteSparse(t *testing.T) {
 
 func TestFSUnlinkFreesBlocks(t *testing.T) {
 	fs := newTestFS()
-	before := len(fs.freeBlk)
+	before := fs.freeBlk.len()
 	ino, _ := fs.Create("/big", false)
 	if _, err := fs.WriteAt(ino, 0, make([]byte, 64*1024)); err != OK {
 		t.Fatal(err)
 	}
-	if len(fs.freeBlk) >= before {
+	if fs.freeBlk.len() >= before {
 		t.Fatal("no blocks consumed")
 	}
 	if err := fs.Unlink("/big"); err != OK {
 		t.Fatal(err)
 	}
-	if len(fs.freeBlk) != before {
-		t.Fatalf("blocks leaked: %d -> %d", before, len(fs.freeBlk))
+	if fs.freeBlk.len() != before {
+		t.Fatalf("blocks leaked: %d -> %d", before, fs.freeBlk.len())
+	}
+}
+
+// TestFSCacheBoundAfterUnlink frees a fully cached file and then writes
+// fresh blocks: the block cache must stay within cacheCap, and its FIFO key
+// list must name exactly the cached blocks, each once.
+func TestFSCacheBoundAfterUnlink(t *testing.T) {
+	fs := newTestFS()
+	ino, _ := fs.Create("/old", false)
+	if _, err := fs.WriteAt(ino, 0, make([]byte, fs.cacheCap*mach.PageSize)); err != OK {
+		t.Fatal(err)
+	}
+	if err := fs.Unlink("/old"); err != OK {
+		t.Fatal(err)
+	}
+	ino, _ = fs.Create("/new", false)
+	if _, err := fs.WriteAt(ino, 0, make([]byte, 300*mach.PageSize)); err != OK {
+		t.Fatal(err)
+	}
+	if len(fs.cache) > fs.cacheCap {
+		t.Errorf("cache holds %d blocks, capacity %d", len(fs.cache), fs.cacheCap)
+	}
+	listed := map[uint64]bool{}
+	for _, b := range fs.cacheKeys {
+		if listed[b] {
+			t.Errorf("block %d listed twice in cacheKeys", b)
+		}
+		listed[b] = true
+		if _, ok := fs.cache[b]; !ok {
+			t.Errorf("cacheKeys lists uncached block %d", b)
+		}
+	}
+	if len(fs.cacheKeys) != len(fs.cache) {
+		t.Errorf("cacheKeys has %d entries for %d cached blocks", len(fs.cacheKeys), len(fs.cache))
 	}
 }
 

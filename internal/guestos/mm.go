@@ -69,28 +69,54 @@ func (p *Proc) vmaAt(vpn uint64) *VMA {
 
 // --- Guest-physical page accounting ---------------------------------------
 
+// freeList hands out the numbers in [next, hi): recycled numbers first, most
+// recently freed first, then never-used numbers in ascending order. That is
+// the order a stack pre-filled with hi-1 ... next gives, without the fill.
+type freeList struct {
+	freed []uint64 // recycled numbers; the last one is handed out first
+	next  uint64   // lowest never-used number
+	hi    uint64
+}
+
+func (f *freeList) alloc() (uint64, bool) {
+	if n := len(f.freed); n > 0 {
+		x := f.freed[n-1]
+		f.freed = f.freed[:n-1]
+		return x, true
+	}
+	if f.next == f.hi {
+		return 0, false
+	}
+	f.next++
+	return f.next - 1, true
+}
+
+func (f *freeList) free(x uint64) { f.freed = append(f.freed, x) }
+
+// len reports how many numbers remain to be handed out.
+func (f *freeList) len() int { return len(f.freed) + int(f.hi-f.next) }
+
 // gppnAllocator manages guest-physical pages with sharing counts (COW).
 type gppnAllocator struct {
-	freeList []mach.GPPN
-	refs     map[mach.GPPN]int
+	pages freeList
+	refs  map[mach.GPPN]int
 }
 
 func newGPPNAllocator(pages int) *gppnAllocator {
 	// GPPN 0 is reserved so a zero page number can mean "no page"
 	// (shared-memory objects and other tables rely on this).
-	a := &gppnAllocator{refs: make(map[mach.GPPN]int)}
-	for i := pages - 1; i >= 1; i-- {
-		a.freeList = append(a.freeList, mach.GPPN(i))
+	return &gppnAllocator{
+		pages: freeList{next: 1, hi: uint64(pages)},
+		refs:  make(map[mach.GPPN]int),
 	}
-	return a
 }
 
 func (a *gppnAllocator) alloc() (mach.GPPN, bool) {
-	if len(a.freeList) == 0 {
+	x, ok := a.pages.alloc()
+	if !ok {
 		return 0, false
 	}
-	g := a.freeList[len(a.freeList)-1]
-	a.freeList = a.freeList[:len(a.freeList)-1]
+	g := mach.GPPN(x)
 	a.refs[g] = 1
 	return g, true
 }
@@ -107,12 +133,12 @@ func (a *gppnAllocator) release(g mach.GPPN) bool {
 // free returns a frame to the pool; call only after release returned true.
 func (a *gppnAllocator) free(g mach.GPPN) {
 	delete(a.refs, g)
-	a.freeList = append(a.freeList, g)
+	a.pages.free(uint64(g))
 }
 
 func (a *gppnAllocator) refCount(g mach.GPPN) int { return a.refs[g] }
 
-func (a *gppnAllocator) freePages() int { return len(a.freeList) }
+func (a *gppnAllocator) freePages() int { return a.pages.len() }
 
 // --- Swap ------------------------------------------------------------------
 
@@ -122,8 +148,8 @@ const swapReadAttempts = 3
 
 // swapSpace is the swap device plus its slot allocator.
 type swapSpace struct {
-	disk     *mach.Disk
-	freeList []uint64
+	disk *mach.Disk
+	freeList
 	// contents of duplicated slots are shared copy-on-nothing: dup copies.
 }
 
@@ -135,24 +161,8 @@ func newSwapSpace(world *sim.World, pages uint64, disk *mach.Disk) *swapSpace {
 	if disk == nil {
 		disk = mach.NewDisk(world, pages)
 	}
-	s := &swapSpace{disk: disk}
-	for i := int64(pages) - 1; i >= 0; i-- {
-		s.freeList = append(s.freeList, uint64(i))
-	}
-	return s
+	return &swapSpace{disk: disk, freeList: freeList{hi: pages}}
 }
-
-func (s *swapSpace) alloc() (uint64, bool) {
-	if len(s.freeList) == 0 {
-		return 0, false
-	}
-	b := s.freeList[len(s.freeList)-1]
-	s.freeList = s.freeList[:len(s.freeList)-1]
-	return b, true
-}
-
-// freeSlot releases a slot.
-func (s *swapSpace) freeSlot(b uint64) { s.freeList = append(s.freeList, b) }
 
 // dup copies a slot's contents into a fresh slot (fork of swapped pages).
 func (s *swapSpace) dup(b uint64) (uint64, bool) {
@@ -162,11 +172,11 @@ func (s *swapSpace) dup(b uint64) (uint64, bool) {
 	}
 	buf := make([]byte, mach.BlockSize)
 	if err := s.disk.Read(b, buf); err != nil {
-		s.freeSlot(nb)
+		s.free(nb)
 		return 0, false
 	}
 	if err := s.disk.Write(nb, buf); err != nil {
-		s.freeSlot(nb)
+		s.free(nb)
 		return 0, false
 	}
 	return nb, true
@@ -298,13 +308,13 @@ func (k *Kernel) pageOut(p *Proc, vpn uint64, pte mmu.PTE) bool {
 		buf := k.scratchPage()
 		// Forces encryption of cloaked plaintext before the kernel sees it.
 		if err := k.vmm.PhysRead(g, 0, buf); err != nil {
-			k.swap.freeSlot(blk)
+			k.swap.free(blk)
 			return false
 		}
 		if kind, _ := k.world.CPU().InjectAt(fault.SiteSwapOut); kind != fault.None {
 			if kind == fault.Fail {
 				// Page-out aborted mid-flight: the page simply stays resident.
-				k.swap.freeSlot(blk)
+				k.swap.free(blk)
 				return false
 			}
 			// Kernel-side corruption of the outbound page. For a cloaked page
@@ -315,7 +325,7 @@ func (k *Kernel) pageOut(p *Proc, vpn uint64, pte mmu.PTE) bool {
 			k.Adversary.OnPageOut(k, p, vpn, buf)
 		}
 		if err := k.swap.disk.Write(blk, buf); err != nil {
-			k.swap.freeSlot(blk)
+			k.swap.free(blk)
 			return false
 		}
 		// Tell the VMM where this page's ciphertext now lives. A no-op
@@ -323,7 +333,7 @@ func (k *Kernel) pageOut(p *Proc, vpn uint64, pte mmu.PTE) bool {
 		// location as an untrusted hint for crash recovery.
 		k.vmm.NoteSwapSlot(g, blk)
 		if old, had := p.swapped[vpn]; had {
-			k.swap.freeSlot(old)
+			k.swap.free(old)
 		}
 		p.swapped[vpn] = blk
 		k.world.CPU().ChargeAdd(0, sim.CtrPageOut, 1)
@@ -428,7 +438,7 @@ func (k *Kernel) pageInSwap(p *Proc, vpn uint64, v *VMA, blk uint64) Errno {
 	}
 	p.mapUserPage(vpn, g, v.Writable)
 	delete(p.swapped, vpn)
-	k.swap.freeSlot(blk)
+	k.swap.free(blk)
 	k.world.CPU().ChargeAdd(0, sim.CtrPageIn, 1)
 	k.world.CPU().Emit(obs.KindSwap, "in", vpn)
 	return OK
@@ -611,7 +621,7 @@ func (k *Kernel) dropPage(p *Proc, vpn uint64) {
 		}
 	}
 	if blk, ok := p.swapped[vpn]; ok {
-		k.swap.freeSlot(blk)
+		k.swap.free(blk)
 		delete(p.swapped, vpn)
 	}
 }

@@ -61,16 +61,16 @@ func TestMunmapReleasesSwapSlots(t *testing.T) {
 		if swappedBefore == 0 {
 			t.Error("nothing swapped; test ineffective")
 		}
-		freeBefore := len(uc.k.swap.freeList)
+		freeBefore := uc.k.swap.freeList.len()
 		if err := e.Free(base); err != nil {
 			t.Errorf("munmap: %v", err)
 		}
 		if len(uc.p.swapped) != 0 {
 			t.Errorf("%d swap entries leaked", len(uc.p.swapped))
 		}
-		if len(uc.k.swap.freeList) != freeBefore+swappedBefore {
+		if uc.k.swap.freeList.len() != freeBefore+swappedBefore {
 			t.Errorf("swap slots not returned: %d -> %d (expected +%d)",
-				freeBefore, len(uc.k.swap.freeList), swappedBefore)
+				freeBefore, uc.k.swap.freeList.len(), swappedBefore)
 		}
 		e.Exit(0)
 	})
@@ -174,4 +174,56 @@ func TestAllocFreeReuseAddressSpace(t *testing.T) {
 	})
 	k.Spawn("parent", SpawnOpts{})
 	k.Run()
+}
+
+// TestFreeListMatchesPrefilledStack drives a seeded mix of alloc and free
+// against a reference stack: a slice pre-filled with hi-1 ... lo, popped and
+// pushed at its end. Phases that favour alloc run the list dry; phases that
+// favour free refill it.
+func TestFreeListMatchesPrefilledStack(t *testing.T) {
+	const hi = 64
+	for lo := uint64(0); lo <= 1; lo++ {
+		f := freeList{next: lo, hi: hi}
+		var ref, held []uint64
+		for x := uint64(hi); x > lo; x-- {
+			ref = append(ref, x-1)
+		}
+		rng := sim.NewRNG(40 + lo)
+		dry := 0
+		for step := 0; step < 10000; step++ {
+			allocOdds := 3 // out of 4
+			if step/500%2 == 1 {
+				allocOdds = 1
+			}
+			if rng.Intn(4) < allocOdds {
+				got, ok := f.alloc()
+				var want uint64
+				wantOK := len(ref) > 0
+				if wantOK {
+					want, ref = ref[len(ref)-1], ref[:len(ref)-1]
+				}
+				if ok != wantOK || got != want {
+					t.Fatalf("lo=%d step %d: alloc = (%d, %v), want (%d, %v)", lo, step, got, ok, want, wantOK)
+				}
+				if ok {
+					held = append(held, got)
+				} else {
+					dry++
+				}
+			} else if len(held) > 0 {
+				i := rng.Intn(len(held))
+				x := held[i]
+				held[i] = held[len(held)-1]
+				held = held[:len(held)-1]
+				f.free(x)
+				ref = append(ref, x)
+			}
+			if f.len() != len(ref) {
+				t.Fatalf("lo=%d step %d: len = %d, want %d", lo, step, f.len(), len(ref))
+			}
+		}
+		if dry == 0 {
+			t.Fatalf("lo=%d: the list never ran dry; test ineffective", lo)
+		}
+	}
 }

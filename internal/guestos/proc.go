@@ -357,7 +357,7 @@ func (k *Kernel) releaseAddressSpace(p *Proc) {
 	})
 	sh.gpt.Clear()
 	for _, blk := range sh.swapped {
-		k.swap.freeSlot(blk)
+		k.swap.free(blk)
 	}
 	sh.swapped = make(map[uint64]uint64)
 	k.vmm.DestroyAddressSpace(sh.as)

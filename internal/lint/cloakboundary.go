@@ -10,11 +10,11 @@ import (
 // machine-memory handles or the cloaking secrets that would let it read
 // plaintext of cloaked pages. Concretely, inside internal/guestos:
 //
-//   - the mach physical-memory layer is off limits — mach.Memory,
-//     mach.FrameAllocator, and mach.MPN (machine page numbers) belong to
-//     the VMM; the kernel sees only guest-physical pages (mach.GPPN) and
-//     reaches memory through VMM-mediated paths (Translate, PhysRead,
-//     PhysWrite, hypercalls), which run the cloaking state machine;
+//   - the mach physical-memory layer is off limits — mach.Memory and
+//     mach.MPN (machine page numbers) belong to the VMM; the kernel sees
+//     only guest-physical pages (mach.GPPN) and reaches memory through
+//     VMM-mediated paths (Translate, PhysRead, PhysWrite, hypercalls),
+//     which run the cloaking state machine;
 //   - the cloak package's key and plaintext machinery (Engine, Keyer,
 //     MasterKeyer, MetaStore, Meta, ...) is off limits entirely; only the
 //     opaque identifier types (DomainID, ResourceID, PageID) may pass
@@ -50,7 +50,6 @@ const (
 // guest-physical) memory.
 var forbiddenMachNames = map[string]bool{
 	"Memory": true, "NewMemory": true,
-	"FrameAllocator": true, "NewFrameAllocator": true,
 	"MPN": true,
 }
 
@@ -149,9 +148,8 @@ func recvNamed(obj types.Object) string {
 	return ""
 }
 
-// forbiddenMachReceiver reports whether obj is a method on one of the
-// forbidden mach types (covers values smuggled in via other packages).
+// forbiddenMachReceiver reports whether obj is a method on the forbidden
+// mach.Memory type (covers values smuggled in via other packages).
 func forbiddenMachReceiver(obj types.Object) bool {
-	r := recvNamed(obj)
-	return r == "Memory" || r == "FrameAllocator"
+	return recvNamed(obj) == "Memory"
 }

@@ -18,10 +18,6 @@ func badMPN(x uint64) mach.MPN { // want `references mach\.MPN`
 	return mach.MPN(x) // want `references mach\.MPN`
 }
 
-func badAllocator(a *mach.FrameAllocator) { // want `references mach\.FrameAllocator`
-	a.Free(3) // want `calls mach\.FrameAllocator\.Free`
-}
-
 func badKeys(secret []byte) [cloak.KeySize]byte { // want `references cloak\.KeySize`
 	keys := cloak.NewMasterKeyer(secret) // want `references cloak\.NewMasterKeyer`
 	return keys.DomainKey(1)             // want `references cloak\.DomainKey`

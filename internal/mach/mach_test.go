@@ -48,69 +48,56 @@ func TestMemoryPageIsolation(t *testing.T) {
 }
 
 func TestMemoryBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Page did not panic")
-		}
-	}()
-	NewMemory(2).Page(5)
-}
-
-func TestFrameAllocatorExhaustion(t *testing.T) {
-	m := NewMemory(4) // frames 1..3 allocatable
-	a := NewFrameAllocator(m)
-	if a.FreeFrames() != 3 {
-		t.Fatalf("FreeFrames = %d, want 3", a.FreeFrames())
-	}
-	seen := map[MPN]bool{}
-	for i := 0; i < 3; i++ {
-		mpn, ok := a.Alloc()
-		if !ok {
-			t.Fatalf("alloc %d failed", i)
-		}
-		if mpn == 0 || seen[mpn] {
-			t.Fatalf("bad frame %d", mpn)
-		}
-		seen[mpn] = true
-	}
-	if _, ok := a.Alloc(); ok {
-		t.Fatal("alloc succeeded past exhaustion")
-	}
-	for mpn := range seen {
-		a.Free(mpn)
-	}
-	if a.FreeFrames() != 3 {
-		t.Fatalf("after free, FreeFrames = %d, want 3", a.FreeFrames())
+	m := NewMemory(2)
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Page", func() { m.Page(5) }},
+		{"Zero", func() { m.Zero(2) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("out-of-range %s did not panic", tc.name)
+				}
+			}()
+			tc.op()
+		}()
 	}
 }
 
-func TestFrameAllocatorZeroesFrames(t *testing.T) {
+func TestMemoryUntouchedFrameReadsZero(t *testing.T) {
+	p := NewMemory(3).Page(2)
+	if len(p) != PageSize {
+		t.Fatalf("frame is %d bytes, want %d", len(p), PageSize)
+	}
+	if !bytes.Equal(p, make([]byte, PageSize)) {
+		t.Fatal("never-touched frame does not read as zeros")
+	}
+}
+
+func TestMemoryZeroLeavesUntouchedFrameUnbacked(t *testing.T) {
 	m := NewMemory(3)
-	a := NewFrameAllocator(m)
-	mpn, _ := a.Alloc()
-	m.Page(mpn)[7] = 0xFF
-	a.Free(mpn)
-	// All frames dirty now; realloc must return zeroed memory.
-	for {
-		got, ok := a.Alloc()
-		if !ok {
-			break
-		}
-		for i, b := range m.Page(got) {
-			if b != 0 {
-				t.Fatalf("frame %d byte %d = %#x after alloc, want 0", got, i, b)
-			}
-		}
+	if allocs := testing.AllocsPerRun(100, func() { m.Zero(1) }); allocs != 0 {
+		t.Fatalf("Zero of a never-touched frame allocated %v times per run", allocs)
+	}
+	if m.frames[1] != nil {
+		t.Fatal("Zero backed a never-touched frame")
 	}
 }
 
-func TestFreeReservedFramePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Free(0) did not panic")
-		}
-	}()
-	NewFrameAllocator(NewMemory(2)).Free(0)
+func TestMemoryWritesSurviveUntilZero(t *testing.T) {
+	m := NewMemory(3)
+	p := m.Page(1)
+	p[0], p[PageSize-1] = 0xAA, 0x55
+	if q := m.Page(1); q[0] != 0xAA || q[PageSize-1] != 0x55 {
+		t.Fatalf("bytes lost between Page calls: %#x %#x", q[0], q[PageSize-1])
+	}
+	m.Zero(1)
+	if !bytes.Equal(m.Page(1), make([]byte, PageSize)) {
+		t.Fatal("Zero did not clear the written frame")
+	}
 }
 
 func TestDiskRoundTrip(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package mach models the physical machine that everything else runs on:
-// byte-addressable machine memory divided into 4 KiB frames, a frame
-// allocator owned by the VMM, and a block-device disk used for the guest
-// filesystem image and swap.
+// byte-addressable machine memory divided into 4 KiB frames backed on first
+// touch, and a block-device disk used for the guest filesystem image and
+// swap.
 //
 // Addresses come in three flavours throughout the system, following the
 // paper's terminology:
@@ -43,79 +43,44 @@ func PageOffset(a Addr) uint64 { return uint64(a) & PageMask }
 // PageBase returns the first address of the page containing a.
 func PageBase(a Addr) Addr { return a &^ Addr(PageMask) }
 
-// Memory is the machine's physical RAM, addressed by MPN.
+// Memory is the machine's physical RAM, addressed by MPN. A frame is backed
+// by host memory on its first Page call; until then it reads as zeros, so a
+// machine costs the host only the frames its guest touches.
 type Memory struct {
-	frames [][]byte
+	frames []*[PageSize]byte
 }
 
-// NewMemory builds RAM with the given number of frames.
+// NewMemory builds RAM with the given number of frames, none of them backed.
 func NewMemory(frames int) *Memory {
 	if frames <= 0 {
 		panic("mach: memory must have at least one frame")
 	}
-	m := &Memory{frames: make([][]byte, frames)}
-	for i := range m.frames {
-		m.frames[i] = make([]byte, PageSize)
-	}
-	return m
+	return &Memory{frames: make([]*[PageSize]byte, frames)}
 }
 
-// NumFrames reports the total number of machine frames.
-func (m *Memory) NumFrames() int { return len(m.frames) }
-
-// Page returns the backing bytes of frame mpn. The returned slice aliases
-// machine memory; writes through it are real writes. Only trusted components
-// (the VMM and the simulated hardware) hold Memory directly.
+// Page returns the backing bytes of frame mpn, backing it first if it was
+// never touched. The returned slice aliases machine memory; writes through it
+// are real writes. Only trusted components (the VMM and the simulated
+// hardware) hold Memory directly.
 func (m *Memory) Page(mpn MPN) []byte {
+	m.check(mpn)
+	if m.frames[mpn] == nil {
+		m.frames[mpn] = new([PageSize]byte)
+	}
+	return m.frames[mpn][:]
+}
+
+// Zero clears frame mpn. A frame that was never backed already reads as
+// zeros and stays unbacked.
+func (m *Memory) Zero(mpn MPN) {
+	m.check(mpn)
+	if f := m.frames[mpn]; f != nil {
+		*f = [PageSize]byte{}
+	}
+}
+
+func (m *Memory) check(mpn MPN) {
 	if int(mpn) >= len(m.frames) {
 		panic(fmt.Sprintf("mach: MPN %d out of range (%d frames)", mpn, len(m.frames)))
 	}
-	return m.frames[mpn]
 }
-
-// Zero clears frame mpn.
-func (m *Memory) Zero(mpn MPN) {
-	p := m.Page(mpn)
-	for i := range p {
-		p[i] = 0
-	}
-}
-
-// FrameAllocator hands out machine frames. It is owned by the VMM; the guest
-// kernel never sees MPNs.
-type FrameAllocator struct {
-	mem  *Memory
-	free []MPN
-}
-
-// NewFrameAllocator builds an allocator over all frames of mem except frame
-// 0, which is kept unmapped so that a zero MPN can act as "no frame".
-func NewFrameAllocator(mem *Memory) *FrameAllocator {
-	a := &FrameAllocator{mem: mem}
-	for i := mem.NumFrames() - 1; i >= 1; i-- {
-		a.free = append(a.free, MPN(i))
-	}
-	return a
-}
-
-// Alloc returns a zeroed frame, or false if machine memory is exhausted.
-func (a *FrameAllocator) Alloc() (MPN, bool) {
-	if len(a.free) == 0 {
-		return 0, false
-	}
-	mpn := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	a.mem.Zero(mpn)
-	return mpn, true
-}
-
-// Free returns a frame to the pool.
-func (a *FrameAllocator) Free(mpn MPN) {
-	if mpn == 0 {
-		panic("mach: freeing reserved frame 0")
-	}
-	a.free = append(a.free, mpn)
-}
-
-// FreeFrames reports how many frames remain allocatable.
-func (a *FrameAllocator) FreeFrames() int { return len(a.free) }

@@ -194,8 +194,7 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 					return err
 				}
 			} else {
-				zeroFrame(v.frame(gppn))
-				c.ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
+				v.zeroPage(gppn)
 			}
 			v.registerPage(gppn, &cloakPage{state: statePlain, id: id, faultCPU: c.ID()})
 			v.dropAllShadowsOfGPPN(gppn) // stale system-view mappings
@@ -224,12 +223,6 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 		// Encrypted or unregistered frames map freely in the system view.
 	}
 	return nil
-}
-
-func zeroFrame(p []byte) {
-	for i := range p {
-		p[i] = 0
-	}
 }
 
 // --- Bulk virtual-memory access ------------------------------------------
@@ -335,7 +328,6 @@ func (v *VMM) PhysZero(gppn mach.GPPN) error {
 	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
 		v.encryptPage(gppn, cp, "kernel zeroing cloaked page")
 	}
-	zeroFrame(v.frame(gppn))
-	v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
+	v.zeroPage(gppn)
 	return nil
 }

@@ -93,8 +93,7 @@ type VMM struct {
 	world *sim.World
 	opts  Options
 
-	mem   *mach.Memory
-	alloc *mach.FrameAllocator
+	mem *mach.Memory
 	// tlbs is one TLB per vCPU, indexed by vCPU ID.
 	tlbs []*mmu.TLB
 
@@ -156,13 +155,10 @@ type Config struct {
 	MasterSecret []byte
 }
 
-// New boots a VMM over freshly allocated machine memory. Machine memory is
-// sized to back all guest-physical pages plus one reserved frame. A
-// misconfigured machine (non-positive size, or machine memory that cannot
-// back the requested guest) is a *ResourceFault, not a panic: the embedding
-// host decides whether boot failure is fatal.
-//
-//overlint:allow cyclecharge -- boot-time construction: frames are touched once before any measured run starts
+// New boots a VMM over fresh machine memory, sized to back all
+// guest-physical pages plus one reserved frame. A misconfigured machine
+// (non-positive size) is a *ResourceFault, not a panic: the embedding host
+// decides whether boot failure is fatal.
 func New(world *sim.World, cfg Config) (*VMM, error) {
 	if cfg.GuestPages <= 0 {
 		return nil, &ResourceFault{Op: "boot",
@@ -180,8 +176,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 	if tlbCap == 0 {
 		tlbCap = 256
 	}
-	mem := mach.NewMemory(cfg.GuestPages + 1)
-	alloc := mach.NewFrameAllocator(mem)
 	// One TLB per vCPU, each owned by (and drawing its eviction stream from)
 	// its execution context.
 	tlbs := make([]*mmu.TLB, world.NumVCPUs())
@@ -191,8 +185,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 	v := &VMM{
 		world:        world,
 		opts:         cfg.Options,
-		mem:          mem,
-		alloc:        alloc,
+		mem:          mach.NewMemory(cfg.GuestPages + 1),
 		tlbs:         tlbs,
 		activeCtxs:   make([]uint32, world.NumVCPUs()),
 		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer(secret)),
@@ -207,15 +200,11 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		nextDomain:   1,
 		nextResource: 1,
 	}
-	// Populate the pmap eagerly: the guest owns all of "its" memory from
-	// boot, exactly like a fixed-size VM.
-	for g := 0; g < cfg.GuestPages; g++ {
-		mpn, ok := alloc.Alloc()
-		if !ok {
-			return nil, &ResourceFault{Op: "boot",
-				Detail: "machine memory exhausted populating the pmap"}
-		}
-		v.pmap[g] = mpn
+	// The guest owns all of "its" memory from boot, exactly like a
+	// fixed-size VM: guest page g lives in frame g+1, and frame 0 stays
+	// unmapped so that a zero MPN can act as "no frame".
+	for g := range v.pmap {
+		v.pmap[g] = mach.MPN(g + 1)
 	}
 	return v, nil
 }
@@ -286,14 +275,24 @@ func (v *VMM) badGPPN(op string, gppn mach.GPPN) error {
 
 // frame returns the machine bytes backing a guest-physical page. Callers
 // must have bounds-checked gppn (registration and translation both do); a
-// stale registration past the pmap returns nil, which downstream copies and
-// zeroing treat as a no-op.
+// stale registration past the pmap returns nil, which downstream copies treat
+// as a no-op.
 func (v *VMM) frame(gppn mach.GPPN) []byte {
 	mpn, ok := v.machineOf(gppn)
 	if !ok {
 		return nil
 	}
 	return v.mem.Page(mpn)
+}
+
+// zeroPage clears the machine frame behind gppn and charges the executing
+// vCPU for it. A frame the guest never touched stays unbacked, and a stale
+// registration past the pmap clears nothing.
+func (v *VMM) zeroPage(gppn mach.GPPN) {
+	if mpn, ok := v.machineOf(gppn); ok {
+		v.mem.Zero(mpn)
+	}
+	v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
 }
 
 // --- Address-space lifecycle -------------------------------------------
@@ -472,8 +471,7 @@ func (v *VMM) NotifyFrameRecycled(gppn mach.GPPN) {
 	if cp, ok := v.pages[gppn]; ok {
 		if cp.state == statePlain {
 			// Never let cloaked plaintext linger in a recycled frame.
-			zeroFrame(v.frame(gppn))
-			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
+			v.zeroPage(gppn)
 		}
 		v.unregisterPage(gppn, cp)
 		v.dropAllShadowsOfGPPN(gppn)
@@ -521,8 +519,7 @@ func (v *VMM) scrubDomain(d cloak.DomainID) {
 	pages := v.byDomain[d]
 	for _, gppn := range v.domainPages(d, nil) {
 		if pages[gppn].state == statePlain {
-			zeroFrame(v.frame(gppn))
-			v.cpu().ChargeAdd(v.world.Cost.PageZero, sim.CtrPageZero, 1)
+			v.zeroPage(gppn)
 		}
 		v.dropAllShadowsOfGPPN(gppn)
 		delete(v.pages, gppn)
