@@ -6,6 +6,31 @@ import (
 	"overshadow/internal/sim"
 )
 
+// lookupSink keeps BenchmarkTLBLookupHit's results live.
+var lookupSink PTE
+
+// BenchmarkTLBLookupHit measures one hit on a full TLB: 256 entries over 4
+// contexts, looked up in turn.
+func BenchmarkTLBLookupHit(b *testing.B) {
+	const ctxs, pages = 4, 64
+	cpu := sim.NewWorld(sim.DefaultCostModel(), 1).Boot()
+	tlb := NewTLB(cpu, ctxs*pages)
+	for vpn := uint64(0); vpn < pages; vpn++ {
+		for ctx := uint32(0); ctx < ctxs; ctx++ {
+			tlb.Insert(ctx, vpn, PTE{PN: vpn, Flags: FlagPresent})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pte, hit := tlb.Lookup(uint32(i%ctxs), uint64(i/ctxs%pages))
+		if !hit {
+			b.Fatal("lookup missed on a full TLB")
+		}
+		lookupSink = pte
+	}
+}
+
 // BenchmarkTLBInvalidatePage measures one page shootdown on a full TLB: 256
 // entries over 4 contexts, with one page (its entry in every context)
 // invalidated and refilled per op.

@@ -1,6 +1,10 @@
 package mmu
 
-import "overshadow/internal/sim"
+import (
+	"math/bits"
+
+	"overshadow/internal/sim"
+)
 
 // tlbEntry caches one translation together with the shadow context it was
 // filled from. Tagging entries with the context ID models a tagged TLB: a
@@ -12,6 +16,8 @@ type tlbEntry struct {
 	ctx   uint32
 	flags Flags
 }
+
+func (e *tlbEntry) key() uint64 { return tlbKey(e.ctx, e.vpn) }
 
 // TLB is a software model of a set-capacity translation cache with random
 // replacement, owned by exactly one vCPU: lookups, fills, and the eviction
@@ -28,9 +34,14 @@ type tlbEntry struct {
 type TLB struct {
 	cpu   *sim.VCPU
 	cap   int
-	slots []tlbEntry       // live entries, in no particular order
-	index map[uint64]int32 // key (vpn | ctx<<40) -> position in slots
-	order []uint64         // insertion keys for eviction choice
+	slots []tlbEntry // live entries, in no particular order
+	// index is an open-addressed table with linear probing over the keys
+	// (vpn | ctx<<40) of slots: a cell holds a slot position + 1, and 0 marks
+	// it empty. Its size is the smallest power of two at least twice the
+	// capacity, so it is never more than half full and every probe run ends.
+	index []int32
+	shift uint     // 64 - log2(len(index)), for Fibonacci hashing
+	order []uint64 // insertion keys for eviction choice
 }
 
 // NewTLB builds a TLB with the given entry capacity, owned by cpu.
@@ -38,27 +49,45 @@ func NewTLB(cpu *sim.VCPU, capacity int) *TLB {
 	if capacity <= 0 {
 		panic("mmu: TLB capacity must be positive")
 	}
+	log2 := bits.Len(uint(2*capacity - 1))
 	return &TLB{
 		cpu:   cpu,
 		cap:   capacity,
 		slots: make([]tlbEntry, 0, capacity),
-		index: make(map[uint64]int32, capacity),
+		index: make([]int32, 1<<log2),
+		shift: uint(64 - log2),
 	}
 }
 
 func tlbKey(ctx uint32, vpn uint64) uint64 { return vpn | uint64(ctx)<<40 }
 
+// home returns the index cell where a probe for key starts: Fibonacci
+// hashing keeps the top bits of the key times 2^64/phi.
+func (t *TLB) home(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> t.shift) }
+
+// find returns the index cell for key and its content: the cell naming key's
+// slot (s = slot+1) when key is cached, else the empty cell (s = 0) that ends
+// its probe run.
+func (t *TLB) find(key uint64) (c int, s int32) {
+	mask := len(t.index) - 1
+	for c = t.home(key); ; c = (c + 1) & mask {
+		if s = t.index[c]; s == 0 || t.slots[s-1].key() == key {
+			return c, s
+		}
+	}
+}
+
 // Lookup returns the cached translation for (ctx, vpn) if present, charging
 // the hit cost to the owning vCPU; the miss path cost is charged by the
 // walker, not here.
 func (t *TLB) Lookup(ctx uint32, vpn uint64) (PTE, bool) {
-	i, ok := t.index[tlbKey(ctx, vpn)]
-	if !ok {
+	_, s := t.find(tlbKey(ctx, vpn))
+	if s == 0 {
 		t.cpu.ChargeAdd(0, sim.CtrTLBMiss, 1)
 		return PTE{}, false
 	}
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBHit, sim.CtrTLBHit)
-	e := &t.slots[i]
+	e := &t.slots[s-1]
 	return PTE{PN: e.pn, Flags: e.flags}, true
 }
 
@@ -67,14 +96,17 @@ func (t *TLB) Lookup(ctx uint32, vpn uint64) (PTE, bool) {
 func (t *TLB) Insert(ctx uint32, vpn uint64, pte PTE) {
 	key := tlbKey(ctx, vpn)
 	e := tlbEntry{vpn: vpn, pn: pte.PN, ctx: ctx, flags: pte.Flags}
-	if i, ok := t.index[key]; ok {
-		t.slots[i] = e
+	c, s := t.find(key)
+	if s != 0 {
+		t.slots[s-1] = e
 		return
 	}
 	if len(t.slots) >= t.cap {
 		t.evictOne()
+		// The eviction may have shifted cells back into key's probe run.
+		c, _ = t.find(key)
 	}
-	t.index[key] = int32(len(t.slots))
+	t.index[c] = int32(len(t.slots)) + 1
 	t.slots = append(t.slots, e)
 	t.order = append(t.order, key)
 }
@@ -85,24 +117,43 @@ func (t *TLB) evictOne() {
 		key := t.order[i]
 		t.order[i] = t.order[len(t.order)-1]
 		t.order = t.order[:len(t.order)-1]
-		if s, ok := t.index[key]; ok {
-			t.remove(int(s))
+		if _, s := t.find(key); s != 0 {
+			t.remove(int(s - 1))
 			return
 		}
 		// Stale order slot (entry was invalidated); retry.
 	}
 }
 
-// remove drops the entry in slot i, moving the last slot into its place.
+// remove drops the entry in slot i, moving the last slot into its place and
+// re-pointing the moved entry's index cell.
 func (t *TLB) remove(i int) {
-	e := &t.slots[i]
-	delete(t.index, tlbKey(e.ctx, e.vpn))
+	c, _ := t.find(t.slots[i].key())
+	t.unindex(c)
 	last := len(t.slots) - 1
 	if i != last {
-		*e = t.slots[last]
-		t.index[tlbKey(e.ctx, e.vpn)] = int32(i)
+		t.slots[i] = t.slots[last]
+		c, _ = t.find(t.slots[i].key())
+		t.index[c] = int32(i) + 1
 	}
 	t.slots = t.slots[:last]
+}
+
+// unindex empties cell c by backward-shift deletion: each later cell of the
+// probe run moves back into the gap when that keeps it reachable from its
+// home cell, so there are no tombstones and churn never lengthens a probe.
+func (t *TLB) unindex(c int) {
+	mask := len(t.index) - 1
+	for j := (c + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		s := t.index[j]
+		// The entry at j may fill the gap unless its home lies cyclically
+		// in (c, j].
+		if (j-t.home(t.slots[s-1].key()))&mask >= (j-c)&mask {
+			t.index[c] = s
+			c = j
+		}
+	}
+	t.index[c] = 0
 }
 
 // InvalidatePage drops the translation of vpn in every shadow context,

@@ -12,56 +12,86 @@ import (
 // the TLB and a trivially correct reference (a map with no capacity
 // limit), checking the TLB's soundness invariant: every hit must return
 // exactly what the reference holds (misses are always allowed — capacity
-// eviction — but wrong translations never are).
+// eviction — but wrong translations never are). Each step draws an
+// operation from [0, ops): the top value invalidates a context, the next a
+// page, and the rest split evenly between inserts and lookups. The second
+// configuration draws from 4096 keys and rarely invalidates, so a 256-entry
+// TLB stays full, eviction runs on nearly every insert, and probe runs wrap
+// past the end of the key index. After every step the index must find each
+// live slot from its key and hold exactly Len() occupied cells.
 func TestTLBAgainstReferenceModel(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		w := sim.NewWorld(sim.DefaultCostModel(), seed)
-		tlb := NewTLB(w.Boot(), 32)
-		rng := sim.NewRNG(seed * 7777)
-		type key struct {
-			ctx uint32
-			vpn uint64
+	for _, cfg := range []struct{ capacity, ctxs, vpns, ops int }{
+		{32, 4, 64, 10},
+		{256, 16, 256, 200},
+	} {
+		for seed := uint64(1); seed <= 6; seed++ {
+			runTLBModel(t, seed, cfg.capacity, cfg.ctxs, cfg.vpns, cfg.ops)
 		}
-		ref := map[key]PTE{}
+	}
+}
 
-		for step := 0; step < 5000; step++ {
-			ctx := uint32(rng.Intn(4))
-			vpn := uint64(rng.Intn(64))
-			k := key{ctx, vpn}
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3: // insert
-				pte := PTE{PN: rng.Uint64() % 1024, Flags: FlagPresent | Flags(rng.Intn(4))<<1}
-				tlb.Insert(ctx, vpn, pte)
-				ref[k] = pte
-			case 4, 5, 6, 7: // lookup
-				got, hit := tlb.Lookup(ctx, vpn)
-				if !hit {
-					continue // miss is always sound
-				}
-				want, ok := ref[k]
-				if !ok {
-					t.Fatalf("seed %d step %d: hit on never-inserted (ctx %d vpn %d)", seed, step, ctx, vpn)
-				}
-				if got != want {
-					t.Fatalf("seed %d step %d: stale translation %v, want %v", seed, step, got, want)
-				}
-			case 8: // invalidate page everywhere
-				tlb.InvalidatePage(w.Boot(), vpn)
-				for kk := range ref {
-					if kk.vpn == vpn {
-						delete(ref, kk)
-					}
-				}
-			case 9: // invalidate a whole context
-				tlb.InvalidateContext(w.Boot(), ctx)
-				for kk := range ref {
-					if kk.ctx == ctx {
-						delete(ref, kk)
-					}
+func runTLBModel(t *testing.T, seed uint64, capacity, ctxs, vpns, ops int) {
+	t.Helper()
+	w := sim.NewWorld(sim.DefaultCostModel(), seed)
+	tlb := NewTLB(w.Boot(), capacity)
+	rng := sim.NewRNG(seed * 7777)
+	type key struct {
+		ctx uint32
+		vpn uint64
+	}
+	ref := map[key]PTE{}
+
+	for step := 0; step < 5000; step++ {
+		ctx := uint32(rng.Intn(ctxs))
+		vpn := uint64(rng.Intn(vpns))
+		k := key{ctx, vpn}
+		switch op := rng.Intn(ops); {
+		case op < (ops-2)/2: // insert
+			pte := PTE{PN: rng.Uint64() % 1024, Flags: FlagPresent | Flags(rng.Intn(4))<<1}
+			tlb.Insert(ctx, vpn, pte)
+			ref[k] = pte
+		case op < ops-2: // lookup
+			got, hit := tlb.Lookup(ctx, vpn)
+			if !hit {
+				continue // miss is always sound
+			}
+			want, ok := ref[k]
+			if !ok {
+				t.Fatalf("cap %d seed %d step %d: hit on never-inserted (ctx %d vpn %d)", capacity, seed, step, ctx, vpn)
+			}
+			if got != want {
+				t.Fatalf("cap %d seed %d step %d: stale translation %v, want %v", capacity, seed, step, got, want)
+			}
+		case op == ops-2: // invalidate page everywhere
+			tlb.InvalidatePage(w.Boot(), vpn)
+			for kk := range ref {
+				if kk.vpn == vpn {
+					delete(ref, kk)
 				}
 			}
-			if tlb.Len() > 32 {
-				t.Fatalf("seed %d step %d: TLB over capacity: %d", seed, step, tlb.Len())
+		default: // invalidate a whole context
+			tlb.InvalidateContext(w.Boot(), ctx)
+			for kk := range ref {
+				if kk.ctx == ctx {
+					delete(ref, kk)
+				}
+			}
+		}
+		if tlb.Len() > capacity {
+			t.Fatalf("cap %d seed %d step %d: TLB over capacity: %d", capacity, seed, step, tlb.Len())
+		}
+		occupied := 0
+		for _, s := range tlb.index {
+			if s != 0 {
+				occupied++
+			}
+		}
+		if occupied != tlb.Len() {
+			t.Fatalf("cap %d seed %d step %d: %d occupied index cells, %d live slots", capacity, seed, step, occupied, tlb.Len())
+		}
+		for i := range tlb.slots {
+			if _, s := tlb.find(tlb.slots[i].key()); int(s) != i+1 {
+				t.Fatalf("cap %d seed %d step %d: slot %d's key finds cell content %d", capacity, seed, step, i, s)
 			}
 		}
 	}

@@ -10,16 +10,13 @@ import (
 // TestObservabilityOffAllocatesNothing pins the cost contract of switched-off
 // observability: with trace, metrics, and profile all disabled (the default
 // world), the per-event charge, span, attribution, and fault-site entry
-// points allocate nothing. Every counter key is charged once before measuring
-// so first-use map growth in Stats is not counted.
+// points allocate nothing.
 func TestObservabilityOffAllocatesNothing(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	c := w.Boot()
 	if w.TraceEnabled() || w.Metrics != nil || w.Profile() != nil || w.Fault != nil {
 		t.Fatal("default world has observability or fault injection switched on")
 	}
-	c.ChargeCount(1, CtrHypercall)
-	c.ChargeAdd(1, CtrPageEncrypt, 1)
 
 	for _, op := range []struct {
 		name string

@@ -1,6 +1,12 @@
 package sim
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -73,6 +79,65 @@ func TestStatsStringSorted(t *testing.T) {
 	// tlb.miss sorts before vmm.fault.cloak
 	if idx1, idx2 := indexOf(out, "tlb.miss"), indexOf(out, "vmm.fault.cloak"); idx1 > idx2 {
 		t.Fatalf("stats not sorted: %q", out)
+	}
+}
+
+// TestCounterTable pins the dense counter layout: every Counter constant
+// declared in the package's non-test files appears in counterNames exactly
+// once, each name's slot is its index there, and the table is sorted by name
+// (String and Snapshot export in slot order).
+func TestCounterTable(t *testing.T) {
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var consts []string
+	listed := map[string]int{}
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			g, ok := d.(*ast.GenDecl)
+			if !ok || (g.Tok != token.CONST && g.Tok != token.VAR) {
+				continue
+			}
+			for _, spec := range g.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if typ, ok := vs.Type.(*ast.Ident); g.Tok == token.CONST && ok && typ.Name == "Counter" {
+					for _, n := range vs.Names {
+						consts = append(consts, n.Name)
+					}
+				}
+				if g.Tok == token.VAR && vs.Names[0].Name == "counterNames" {
+					for _, elt := range vs.Values[0].(*ast.CompositeLit).Elts {
+						listed[elt.(*ast.Ident).Name]++
+					}
+				}
+			}
+		}
+	}
+	if len(consts) != len(counterNames) {
+		t.Errorf("%d Counter constants, %d counterNames entries", len(consts), len(counterNames))
+	}
+	for _, c := range consts {
+		if listed[c] != 1 {
+			t.Errorf("%s appears %d times in counterNames, want 1", c, listed[c])
+		}
+	}
+	for i, c := range counterNames {
+		if got := c.slot(); got != i {
+			t.Errorf("%q.slot() = %d, want %d", c, got, i)
+		}
+	}
+	if !slices.IsSorted(counterNames[:]) {
+		t.Error("counterNames is not sorted by name")
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -97,43 +96,202 @@ const (
 	CtrOther    Counter = "cycles.other"
 )
 
+// counterNames gives each counter slot its name at export. It is sorted by
+// name, so walking the slots in order walks the names in order.
+var counterNames = [...]Counter{
+	CtrAttackDetected, CtrAttackSnoop, CtrAttackTamper,
+	CtrPageDecrypt, CtrPageEncrypt, CtrHashCompute, CtrMetaCacheHit,
+	CtrMetaCacheMiss, CtrHashVerifyFail, CtrHashVerifyOK,
+	CtrCompute, CtrIdle, CtrTrap, CtrOther,
+	CtrDiskRead, CtrDiskWrite, CtrFaultInjected, CtrMemAccess,
+	CtrMigrateCkptPage, CtrMigrateRetry, CtrMigrateXfer, CtrPageCopy, CtrPageZero,
+	CtrContextSwitch, CtrExec, CtrPageFaultCOW, CtrPageFaultDemand, CtrFork,
+	CtrMigration, CtrSignalDeliver, CtrPageIn, CtrPageOut, CtrSyscall,
+	CtrJournalAppend, CtrJournalCheckpoint, CtrRecoverPage, CtrReplayAccepted,
+	CtrReplayRejected, CtrJournalWedged, CtrJournalDomainWedged, CtrJournalWriteErr,
+	CtrIagoRejected, CtrShimMarshalBytes, CtrShimRetry, CtrShimSyscall,
+	CtrTLBEvict, CtrTLBFlush, CtrTLBHit, CtrTLBMiss, CtrTLBShootdown,
+	CtrIntrospectDiverge, CtrIntrospectScan,
+	CtrCTCRestore, CtrCTCSave, CtrCloakFault, CtrGuestFault, CtrHiddenFault,
+	CtrHypercall, CtrQuarantine, CtrQuotaDenied,
+	CtrShadowDrop, CtrShadowFill, CtrShadowSwitch, CtrWorldSwitch,
+}
+
+// slot returns c's index in counterNames. The compiler lowers a switch over
+// string constants to length and byte comparisons, so finding a counter's
+// slot hashes nothing. Every Counter is one of the constants above; any
+// other name is a bug at the call site.
+func (c Counter) slot() int {
+	switch c {
+	case CtrAttackDetected:
+		return 0
+	case CtrAttackSnoop:
+		return 1
+	case CtrAttackTamper:
+		return 2
+	case CtrPageDecrypt:
+		return 3
+	case CtrPageEncrypt:
+		return 4
+	case CtrHashCompute:
+		return 5
+	case CtrMetaCacheHit:
+		return 6
+	case CtrMetaCacheMiss:
+		return 7
+	case CtrHashVerifyFail:
+		return 8
+	case CtrHashVerifyOK:
+		return 9
+	case CtrCompute:
+		return 10
+	case CtrIdle:
+		return 11
+	case CtrTrap:
+		return 12
+	case CtrOther:
+		return 13
+	case CtrDiskRead:
+		return 14
+	case CtrDiskWrite:
+		return 15
+	case CtrFaultInjected:
+		return 16
+	case CtrMemAccess:
+		return 17
+	case CtrMigrateCkptPage:
+		return 18
+	case CtrMigrateRetry:
+		return 19
+	case CtrMigrateXfer:
+		return 20
+	case CtrPageCopy:
+		return 21
+	case CtrPageZero:
+		return 22
+	case CtrContextSwitch:
+		return 23
+	case CtrExec:
+		return 24
+	case CtrPageFaultCOW:
+		return 25
+	case CtrPageFaultDemand:
+		return 26
+	case CtrFork:
+		return 27
+	case CtrMigration:
+		return 28
+	case CtrSignalDeliver:
+		return 29
+	case CtrPageIn:
+		return 30
+	case CtrPageOut:
+		return 31
+	case CtrSyscall:
+		return 32
+	case CtrJournalAppend:
+		return 33
+	case CtrJournalCheckpoint:
+		return 34
+	case CtrRecoverPage:
+		return 35
+	case CtrReplayAccepted:
+		return 36
+	case CtrReplayRejected:
+		return 37
+	case CtrJournalWedged:
+		return 38
+	case CtrJournalDomainWedged:
+		return 39
+	case CtrJournalWriteErr:
+		return 40
+	case CtrIagoRejected:
+		return 41
+	case CtrShimMarshalBytes:
+		return 42
+	case CtrShimRetry:
+		return 43
+	case CtrShimSyscall:
+		return 44
+	case CtrTLBEvict:
+		return 45
+	case CtrTLBFlush:
+		return 46
+	case CtrTLBHit:
+		return 47
+	case CtrTLBMiss:
+		return 48
+	case CtrTLBShootdown:
+		return 49
+	case CtrIntrospectDiverge:
+		return 50
+	case CtrIntrospectScan:
+		return 51
+	case CtrCTCRestore:
+		return 52
+	case CtrCTCSave:
+		return 53
+	case CtrCloakFault:
+		return 54
+	case CtrGuestFault:
+		return 55
+	case CtrHiddenFault:
+		return 56
+	case CtrHypercall:
+		return 57
+	case CtrQuarantine:
+		return 58
+	case CtrQuotaDenied:
+		return 59
+	case CtrShadowDrop:
+		return 60
+	case CtrShadowFill:
+		return 61
+	case CtrShadowSwitch:
+		return 62
+	case CtrWorldSwitch:
+		return 63
+	}
+	panic(fmt.Sprintf("sim: unknown counter %q", c))
+}
+
 // Stats is a bag of monotonically increasing event counters, shared by every
-// vCPU of a machine (the baton orders their updates).
+// vCPU of a machine (the baton orders their updates). Each counter owns one
+// slot of a fixed array.
 type Stats struct {
-	counts map[Counter]uint64
+	counts [len(counterNames)]uint64
 }
 
 // NewStats returns an empty counter set.
-func NewStats() *Stats { return &Stats{counts: make(map[Counter]uint64)} }
+func NewStats() *Stats { return &Stats{} }
 
 // Inc adds one to counter c.
-func (s *Stats) Inc(c Counter) { s.counts[c]++ }
+func (s *Stats) Inc(c Counter) { s.counts[c.slot()]++ }
 
 // Add adds n to counter c.
-func (s *Stats) Add(c Counter, n uint64) { s.counts[c] += n }
+func (s *Stats) Add(c Counter, n uint64) { s.counts[c.slot()] += n }
 
 // Get reports the current value of counter c.
-func (s *Stats) Get(c Counter) uint64 { return s.counts[c] }
+func (s *Stats) Get(c Counter) uint64 { return s.counts[c.slot()] }
 
-// Snapshot returns a copy of all counters, for before/after deltas.
+// Snapshot returns a copy of the non-zero counters, for before/after deltas.
 func (s *Stats) Snapshot() map[Counter]uint64 {
-	out := make(map[Counter]uint64, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
+	out := make(map[Counter]uint64)
+	for i, v := range s.counts {
+		if v != 0 {
+			out[counterNames[i]] = v
+		}
 	}
 	return out
 }
 
 // String renders the non-zero counters sorted by name.
 func (s *Stats) String() string {
-	keys := make([]string, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
 	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-24s %12d\n", k, s.counts[Counter(k)])
+	for i, v := range s.counts {
+		if v != 0 {
+			fmt.Fprintf(&b, "%-24s %12d\n", counterNames[i], v)
+		}
 	}
 	return b.String()
 }

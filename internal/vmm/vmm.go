@@ -100,9 +100,11 @@ type VMM struct {
 	engine *cloak.Engine
 	metas  *cloak.MetaStore
 
-	// pmap: guest-physical -> machine. Established at boot; the guest
-	// kernel addresses memory exclusively by GPPN.
-	pmap []mach.MPN
+	// guestPages is the guest-physical memory size. The guest owns all of
+	// it from boot, exactly like a fixed-size VM, and addresses it
+	// exclusively by GPPN: guest page g lives in machine frame g+1, and
+	// frame 0 stays unmapped so that a zero MPN can act as "no frame".
+	guestPages int
 
 	// spaces lists the live address spaces in ascending ASID order, the
 	// order every walk over all spaces visits them.
@@ -190,7 +192,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		activeCtxs:   make([]uint32, world.NumVCPUs()),
 		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer(secret)),
 		metas:        cloak.NewMetaStore(world, metaCap),
-		pmap:         make([]mach.MPN, cfg.GuestPages),
+		guestPages:   cfg.GuestPages,
 		pages:        make(map[mach.GPPN]*cloakPage),
 		byDomain:     make(map[cloak.DomainID]map[mach.GPPN]*cloakPage),
 		domainSpaces: make(map[cloak.DomainID][]*AddressSpace),
@@ -200,12 +202,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		nextDomain:   1,
 		nextResource: 1,
 	}
-	// The guest owns all of "its" memory from boot, exactly like a
-	// fixed-size VM: guest page g lives in frame g+1, and frame 0 stays
-	// unmapped so that a zero MPN can act as "no frame".
-	for g := range v.pmap {
-		v.pmap[g] = mach.MPN(g + 1)
-	}
 	return v, nil
 }
 
@@ -214,7 +210,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 func (v *VMM) World() *sim.World { return v.world }
 
 // GuestPages reports the guest-physical memory size in pages.
-func (v *VMM) GuestPages() int { return len(v.pmap) }
+func (v *VMM) GuestPages() int { return v.guestPages }
 
 // Events returns a copy of the security audit log.
 func (v *VMM) Events() []Event {
@@ -258,25 +254,25 @@ func (v *VMM) logEvent(e Event) {
 // corrupt PTE or physical address, which is a reportable fault, not a
 // simulator bug.
 func (v *VMM) machineOf(gppn mach.GPPN) (mach.MPN, bool) {
-	if int(gppn) >= len(v.pmap) {
+	if gppn >= mach.GPPN(v.guestPages) {
 		return 0, false
 	}
-	return v.pmap[gppn], true
+	return mach.MPN(gppn + 1), true
 }
 
 // badGPPN builds the fault for an out-of-range guest-physical page and logs
 // it to the audit trail.
 func (v *VMM) badGPPN(op string, gppn mach.GPPN) error {
 	v.logEvent(Event{Kind: EventResourceFault, GPPN: gppn,
-		Detail: fmt.Sprintf("%s: GPPN %d beyond guest memory (%d pages)", op, gppn, len(v.pmap))})
+		Detail: fmt.Sprintf("%s: GPPN %d beyond guest memory (%d pages)", op, gppn, v.guestPages)})
 	return &ResourceFault{Op: op,
-		Detail: fmt.Sprintf("GPPN %d beyond guest memory (%d pages)", gppn, len(v.pmap))}
+		Detail: fmt.Sprintf("GPPN %d beyond guest memory (%d pages)", gppn, v.guestPages)}
 }
 
 // frame returns the machine bytes backing a guest-physical page. Callers
 // must have bounds-checked gppn (registration and translation both do); a
-// stale registration past the pmap returns nil, which downstream copies treat
-// as a no-op.
+// stale registration past guest memory returns nil, which downstream copies
+// treat as a no-op.
 func (v *VMM) frame(gppn mach.GPPN) []byte {
 	mpn, ok := v.machineOf(gppn)
 	if !ok {
@@ -287,7 +283,7 @@ func (v *VMM) frame(gppn mach.GPPN) []byte {
 
 // zeroPage clears the machine frame behind gppn and charges the executing
 // vCPU for it. A frame the guest never touched stays unbacked, and a stale
-// registration past the pmap clears nothing.
+// registration past guest memory clears nothing.
 func (v *VMM) zeroPage(gppn mach.GPPN) {
 	if mpn, ok := v.machineOf(gppn); ok {
 		v.mem.Zero(mpn)

@@ -56,7 +56,7 @@ echo "== tests"
 go test ./...
 
 echo "== package benchmarks"
-go test -run '^$' -bench . -benchtime 1x ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core
 
 echo "== bench module"
 # bench/ is a nested module built against this tree (replace ../): an API
