@@ -51,6 +51,18 @@ func (p PageID) String() string {
 	return fmt.Sprintf("d%d/r%d/p%d", p.Domain, p.Resource, p.Index)
 }
 
+// Less orders PageIDs by (domain, resource, index): the one page order of
+// journal serialization, migration capture and recovery reports.
+func (p PageID) Less(q PageID) bool {
+	if p.Domain != q.Domain {
+		return p.Domain < q.Domain
+	}
+	if p.Resource != q.Resource {
+		return p.Resource < q.Resource
+	}
+	return p.Index < q.Index
+}
+
 // Meta is the (IV, H, version) record the VMM keeps for every encrypted
 // cloaked page. Freshness is enforced by the version: each encryption bumps
 // it, and the hash covers it, so replaying an older ciphertext+metadata pair

@@ -73,8 +73,6 @@ type Config struct {
 	SwapPages uint64
 	// FSDiskPages is the filesystem device capacity (default 32768).
 	FSDiskPages uint64
-	// Quantum is the scheduler slice (default 400k cycles).
-	Quantum sim.Cycles
 	// VCPUs is the number of virtual CPUs (default 1). A single-vCPU
 	// machine is bit-for-bit identical to builds before SMP existed; more
 	// vCPUs interleave deterministically per Seed (see DESIGN.md).
@@ -87,12 +85,6 @@ type Config struct {
 	VMM vmm.Options
 	// Shim configures cloaked-file policy and window size.
 	Shim shim.Options
-	// Retry bounds transient-failure retries machine-wide: the shim's
-	// secure-I/O and domain-setup hypercalls and the live-migration
-	// transfer channel all back off on this one schedule. The zero value
-	// resolves to the historical 3-retry 20k/40k/80k-cycle schedule, so
-	// existing configurations stay byte-identical.
-	Retry sim.RetryPolicy
 	// Fault activates deterministic fault injection (nil = no faults). The
 	// injector is seeded from Seed, so a (Seed, Plan) pair names one exact
 	// fault schedule; see internal/fault and experiment E13.
@@ -150,11 +142,6 @@ func (cfg Config) resolve() Config {
 		}
 		cfg.Persist = &p
 	}
-	// One machine-wide retry policy: the shim inherits Config.Retry unless
-	// the caller set a shim-specific override explicitly.
-	if cfg.Shim.Retry == (sim.RetryPolicy{}) {
-		cfg.Shim.Retry = cfg.Retry
-	}
 	return cfg
 }
 
@@ -197,11 +184,17 @@ func NewSystem(cfg Config) *System {
 		hv.AttachJournal(j)
 		journal = j
 	}
+	return boot(cfg, world, hv, swapDisk, journal)
+}
+
+// boot builds the guest kernel over hv and assembles the System around it:
+// the step NewSystem and Reboot share once each has its VMM, swap device and
+// journal.
+func boot(cfg Config, world *sim.World, hv *vmm.VMM, swapDisk *mach.Disk, journal *persist.Journal) *System {
 	k := guestos.NewKernel(world, hv, guestos.Config{
 		MemoryPages: cfg.MemoryPages,
 		SwapPages:   cfg.SwapPages,
 		FSDiskPages: cfg.FSDiskPages,
-		Quantum:     cfg.Quantum,
 		SwapDisk:    swapDisk,
 	})
 	k.SetCloakRuntime(shim.Runtime(cfg.Shim))
@@ -336,10 +329,6 @@ func (s *System) ReadGuestFile(path string) ([]byte, error) {
 // checkpoint sealing key is derived from the seed, so source and
 // destination must agree on it for a transfer to verify.
 func (s *System) Seed() uint64 { return s.cfg.Seed }
-
-// RetryPolicy reports the machine's resolved transient-retry schedule,
-// shared by the shim and the migration transfer channel.
-func (s *System) RetryPolicy() sim.RetryPolicy { return s.cfg.Retry.Resolve() }
 
 // PersistOptions returns a copy of the resolved journal options (nil when
 // persistence is off). Migration restore re-seals the adopted table under

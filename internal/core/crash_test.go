@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
 	"overshadow/internal/persist"
 	"overshadow/internal/sim"
@@ -265,5 +266,28 @@ func TestCleanExitErasesJournal(t *testing.T) {
 	}
 	if len(rep.Pages) != 0 {
 		t.Fatalf("%d pages recoverable after clean domain teardown, want 0", len(rep.Pages))
+	}
+}
+
+// TestLocate: only a current swap location yields a block to read; every
+// other journaled shape classifies as a typed unavailable state.
+func TestLocate(t *testing.T) {
+	meta := cloak.Meta{Version: 3}
+	for _, tc := range []struct {
+		name      string
+		e         persist.Entry
+		wantBlock uint64
+		want      RecoveryState
+	}{
+		{"no-metadata", persist.Entry{Dev: persist.DevSwap, Block: 42, LocVersion: 3, HasLoc: true}, 0, NoLocation},
+		{"no-location", persist.Entry{Meta: meta, HasMeta: true}, 0, NoLocation},
+		{"non-swap-device", persist.Entry{Meta: meta, HasMeta: true, Dev: persist.DevSwap + 1, Block: 42, LocVersion: 3, HasLoc: true}, 0, NoLocation},
+		{"one-version-behind", persist.Entry{Meta: meta, HasMeta: true, Dev: persist.DevSwap, Block: 42, LocVersion: 2, HasLoc: true}, 0, StaleLocation},
+		{"current-swap", persist.Entry{Meta: meta, HasMeta: true, Dev: persist.DevSwap, Block: 42, LocVersion: 3, HasLoc: true}, 42, 0},
+	} {
+		blk, st := Locate(tc.e)
+		if blk != tc.wantBlock || st != tc.want {
+			t.Errorf("%s: Locate = (%d, %v), want (%d, %v)", tc.name, blk, st, tc.wantBlock, tc.want)
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"overshadow/internal/cloak"
-	"overshadow/internal/guestos"
 	"overshadow/internal/mach"
 	"overshadow/internal/persist"
-	"overshadow/internal/shim"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
@@ -77,11 +75,8 @@ type RecoveryReport struct {
 	// Replay is the raw journal replay result, including every typed
 	// Rejection (bad MAC, stale epoch, sequence gap, rollback).
 	Replay *persist.Result
-	// Pages lists per-page outcomes in deterministic PageID order.
-	Pages []PageOutcome
-	// Recovered / Unavailable tally the page outcomes.
-	Recovered   int
-	Unavailable int
+	// PageTally holds the per-page outcomes in deterministic PageID order.
+	PageTally
 	// ReplayCycles is the simulated time the new machine spent replaying
 	// and verifying (its clock started at zero on power-on).
 	ReplayCycles sim.Cycles
@@ -94,9 +89,52 @@ func (r *RecoveryReport) RollbackRejections() int {
 	return r.Replay.RejectedBy(persist.RejectRollback)
 }
 
-// swapReadAttempts mirrors the guest pager's bounded-retry policy for
-// recovery-time ciphertext reads.
-const swapReadAttempts = 3
+// PageTally is the per-page account of a recovery: crash recovery and
+// migration restore both fill one.
+type PageTally struct {
+	// Pages lists per-page outcomes in the order they were verified.
+	Pages []PageOutcome
+	// Recovered / Unavailable tally the page outcomes.
+	Recovered   int
+	Unavailable int
+}
+
+// Verify records one page's fate. A page in state 0 has ciphertext: hv
+// decrypts and verifies it against the sealed meta, and the page becomes
+// Recovered or IntegrityMismatch. A page in any other state is recorded as
+// is, with err as its cause. Plaintext appears only in the Data of a
+// Recovered outcome.
+func (t *PageTally) Verify(hv *vmm.VMM, id cloak.PageID, meta cloak.Meta, ciphertext []byte, st RecoveryState, err error) {
+	out := PageOutcome{ID: id, State: st, Err: err}
+	if st == 0 {
+		if data, derr := hv.RecoverPage(id, meta, ciphertext); derr != nil {
+			out.State, out.Err = IntegrityMismatch, derr
+		} else {
+			out.State, out.Data = Recovered, data
+		}
+	}
+	if out.State == Recovered {
+		t.Recovered++
+	} else {
+		t.Unavailable++
+	}
+	t.Pages = append(t.Pages, out)
+}
+
+// Locate classifies a journaled page: it returns the swap block holding the
+// page's current ciphertext (state 0), or NoLocation when the journal knows
+// no usable location and StaleLocation when the located ciphertext is older
+// than the sealed metadata. Reboot and migration capture both classify
+// through it.
+func Locate(e persist.Entry) (block uint64, st RecoveryState) {
+	switch {
+	case !e.HasMeta || !e.HasLoc || e.Dev != persist.DevSwap:
+		return 0, NoLocation
+	case e.LocVersion != e.Meta.Version:
+		return 0, StaleLocation
+	}
+	return e.Block, 0
+}
 
 // Reboot powers on a fresh machine over the disk that survived prev's
 // crash. It replays the sealed metadata journal (refusing torn, corrupt,
@@ -147,39 +185,14 @@ func Reboot(prev *System) (*System, *RecoveryReport, error) {
 	buf := make([]byte, mach.BlockSize)
 	for _, id := range rep.PageIDs() {
 		e := rep.Table[id]
-		out := PageOutcome{ID: id}
-		switch {
-		case !e.HasMeta || !e.HasLoc || e.Dev != persist.DevSwap:
-			out.State = NoLocation
-		case e.LocVersion != e.Meta.Version:
-			out.State = StaleLocation
-		default:
-			var rerr error
-			for try := 0; try < swapReadAttempts; try++ {
-				if rerr = disk.Read(e.Block, buf); rerr == nil {
-					break
-				}
+		blk, st := Locate(e)
+		var rerr error
+		if st == 0 {
+			if rerr = disk.ReadRetry(blk, buf); rerr != nil {
+				st = ReadError
 			}
-			if rerr != nil {
-				out.State = ReadError
-				out.Err = rerr
-				break
-			}
-			data, derr := hv.RecoverPage(id, e.Meta, buf)
-			if derr != nil {
-				out.State = IntegrityMismatch
-				out.Err = derr
-				break
-			}
-			out.State = Recovered
-			out.Data = data
 		}
-		if out.State == Recovered {
-			report.Recovered++
-		} else {
-			report.Unavailable++
-		}
-		report.Pages = append(report.Pages, out)
+		report.Verify(hv, id, e.Meta, buf, st, rerr)
 	}
 	report.ReplayCycles = world.Now()
 
@@ -192,14 +205,7 @@ func Reboot(prev *System) (*System, *RecoveryReport, error) {
 	}
 	hv.AttachJournal(j)
 
-	k := guestos.NewKernel(world, hv, guestos.Config{
-		MemoryPages: cfg.MemoryPages,
-		SwapPages:   cfg.SwapPages,
-		FSDiskPages: cfg.FSDiskPages,
-		Quantum:     cfg.Quantum,
-		SwapDisk:    disk,
-	})
-	k.SetCloakRuntime(shim.Runtime(cfg.Shim))
-	sys := &System{World: world, VMM: hv, Kernel: k, Journal: j, Recovery: report, cfg: cfg}
+	sys := boot(cfg, world, hv, disk, j)
+	sys.Recovery = report
 	return sys, report, nil
 }

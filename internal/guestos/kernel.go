@@ -22,13 +22,15 @@ type Program func(Env)
 // directly (the shim builds on guestos), so the dependency is inverted.
 type CloakRuntime func(uc *UserCtx, body Program)
 
+// quantum is the scheduler time slice.
+const quantum sim.Cycles = 400_000
+
 // Config sizes and parameterizes the guest kernel.
 type Config struct {
-	MemoryPages int        // guest-physical memory size
-	SwapPages   uint64     // swap device capacity
-	FSDiskPages uint64     // filesystem device capacity
-	Quantum     sim.Cycles // scheduler time slice (0 = default 400k cycles)
-	MaxFDs      int        // per-process fd table size (0 = 64)
+	MemoryPages int    // guest-physical memory size
+	SwapPages   uint64 // swap device capacity
+	FSDiskPages uint64 // filesystem device capacity
+	MaxFDs      int    // per-process fd table size (0 = 64)
 	// SwapDisk, when non-nil, is a pre-built swap device (possibly larger
 	// than SwapPages; the pager uses only the first SwapPages blocks). The
 	// embedding host uses this to co-locate the VMM's metadata journal on
@@ -90,9 +92,6 @@ type Kernel struct {
 func NewKernel(world *sim.World, hv *vmm.VMM, cfg Config) *Kernel {
 	if cfg.MemoryPages <= 0 || cfg.MemoryPages > hv.GuestPages() {
 		panic("guestos: MemoryPages must fit in guest-physical memory")
-	}
-	if cfg.Quantum == 0 {
-		cfg.Quantum = 400_000
 	}
 	if cfg.MaxFDs == 0 {
 		cfg.MaxFDs = 64
@@ -507,7 +506,7 @@ func (k *Kernel) sleepUntil(p *Proc, wakeAt sim.Cycles) {
 // safe points (syscall exit, compute loops).
 func (k *Kernel) maybePreempt(p *Proc) {
 	k.fireMigrationHook()
-	if k.world.Now()-p.sliceStart < k.cfg.Quantum {
+	if k.world.Now()-p.sliceStart < quantum {
 		return
 	}
 	k.wakeDueSleepers()

@@ -54,7 +54,7 @@ func (c *UserCtx) Compute(units uint64) {
 	k := c.k
 	k.world.CPU().ChargeAdd(sim.Cycles(units)*k.world.Cost.ComputeUnit, sim.CtrCompute, 0)
 	k.reapKilledAtSafePoint(c.p)
-	if k.world.Now()-c.p.sliceStart >= k.cfg.Quantum {
+	if k.world.Now()-c.p.sliceStart >= quantum {
 		c.timerInterrupt()
 	}
 }

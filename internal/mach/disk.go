@@ -64,6 +64,22 @@ func (d *Disk) Read(blk uint64, dst []byte) error {
 	return nil
 }
 
+// ReadAttempts bounds how often ReadRetry tries a failing block read: one
+// bad read is survivable, a persistently failing device is not.
+const ReadAttempts = 3
+
+// ReadRetry is Read with up to ReadAttempts tries, returning the last error.
+// The guest pager, journal replay and reboot all read through it.
+func (d *Disk) ReadRetry(blk uint64, dst []byte) error {
+	var err error
+	for try := 0; try < ReadAttempts; try++ {
+		if err = d.Read(blk, dst); err == nil {
+			return nil
+		}
+	}
+	return err
+}
+
 // Write stores src (len >= BlockSize) into block blk and charges latency.
 func (d *Disk) Write(blk uint64, src []byte) error {
 	if blk >= d.nblk {

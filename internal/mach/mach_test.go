@@ -251,3 +251,34 @@ func TestTornWriteSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestDiskReadRetry: ReadRetry survives up to ReadAttempts-1 failed reads,
+// returns the error once all ReadAttempts fail, and reads once when nothing
+// fails.
+func TestDiskReadRetry(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		failMax   int // 0 = no fault plan
+		wantErr   bool
+		wantReads uint64
+	}{
+		{"two-failures", 2, false, 3},
+		{"three-failures", 3, true, 3},
+		{"no-plan", 0, false, 1},
+	} {
+		w := testWorld()
+		if tc.failMax > 0 {
+			var plan fault.Plan
+			plan.Rates[fault.SiteDiskRead] = fault.Rate{FailPerMille: 1000, Max: tc.failMax}
+			w.Fault = fault.NewInjector(1, plan)
+		}
+		d := NewDisk(w, 2)
+		err := d.ReadRetry(1, make([]byte, BlockSize))
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: ReadRetry err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if got := w.Stats.Get(sim.CtrDiskRead); got != tc.wantReads {
+			t.Fatalf("%s: %d disk reads, want %d", tc.name, got, tc.wantReads)
+		}
+	}
+}

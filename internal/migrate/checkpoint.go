@@ -6,7 +6,6 @@ import (
 	"overshadow/internal/cloak"
 	"overshadow/internal/core"
 	"overshadow/internal/mach"
-	"overshadow/internal/persist"
 	"overshadow/internal/sim"
 )
 
@@ -20,9 +19,9 @@ import (
 // (the sealed truth about the domain's pages) is the checkpoint's page
 // enumeration; ciphertext comes from guest memory for resident pages and
 // from the journaled swap location — read through the fault-injectable
-// disk with the machine's bounded retry policy — for swapped-out pages. A
-// page whose ciphertext is unreachable travels as a typed gap, exactly
-// crash recovery's unavailability classification.
+// disk on the machine's retry schedule — for swapped-out pages. A page
+// whose ciphertext is unreachable travels with its unavailable state,
+// classified by core.Locate exactly as crash recovery classifies it.
 //
 // Capture exports no plaintext and no keys: pages leave as ciphertext
 // under the domain key plus sealed (IV, hash, version) records, and
@@ -63,7 +62,6 @@ func Capture(sys *core.System, d cloak.DomainID) (*Checkpoint, error) {
 		resident[rp.ID] = rp.Data
 	}
 
-	pol := sys.RetryPolicy()
 	disk := sys.Kernel.SwapDisk()
 	cpu := sys.World.CPU()
 	buf := make([]byte, mach.BlockSize)
@@ -72,31 +70,25 @@ func Capture(sys *core.System, d cloak.DomainID) (*Checkpoint, error) {
 			continue
 		}
 		p := PageRecord{ID: te.ID, Meta: te.Entry.Meta}
+		blk, st := core.Locate(te.Entry)
 		switch {
 		case resident[te.ID] != nil:
 			p.Data = resident[te.ID]
-		case !te.Entry.HasLoc || te.Entry.Dev != persist.DevSwap:
-			p.Gap = GapNoLocation
-		case te.Entry.LocVersion != te.Entry.Meta.Version:
-			p.Gap = GapStaleLocation
+		case st != 0:
+			p.State = st
 		default:
 			// Swapped out: pull the ciphertext back through the (fault-
 			// injectable) swap device, retrying transient read failures on
 			// the machine's one retry schedule.
 			var rerr error
-			backoff := pol.BackoffBase
 			for attempt := 0; ; attempt++ {
-				if rerr = disk.Read(te.Entry.Block, buf); rerr == nil {
+				if rerr = disk.Read(blk, buf); rerr == nil || attempt == sim.RetryAttempts {
 					break
 				}
-				if attempt == pol.Attempts {
-					break
-				}
-				cpu.ChargeAdd(backoff, sim.CtrMigrateRetry, 1)
-				backoff *= sim.Cycles(pol.BackoffMult)
+				cpu.ChargeAdd(sim.RetryBackoff(attempt), sim.CtrMigrateRetry, 1)
 			}
 			if rerr != nil {
-				p.Gap = GapReadError
+				p.State = core.ReadError
 			} else {
 				p.Data = make([]byte, mach.PageSize)
 				copy(p.Data, buf)

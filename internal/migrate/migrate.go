@@ -22,8 +22,9 @@
 // Failure directions are typed, never a panic:
 //
 //   - lost or torn transfer frames retry with bounded sim-clock backoff
-//     (the machine-wide sim.RetryPolicy) and then abort with
-//     ErrTransferAborted — the source keeps running, unharmed;
+//     (the machine's one schedule, sim.RetryAttempts and sim.RetryBackoff)
+//     and then abort with ErrTransferAborted — the source keeps running,
+//     unharmed;
 //   - corrupted frames are delivered and refused at the destination: a
 //     damaged record fails its MAC (a persist.Rejection), a damaged
 //     ciphertext blob fails hash verification (typed unavailable page),
@@ -42,7 +43,7 @@ import (
 	"fmt"
 
 	"overshadow/internal/cloak"
-	"overshadow/internal/persist"
+	"overshadow/internal/core"
 	"overshadow/internal/vmm"
 )
 
@@ -68,47 +69,16 @@ var (
 	ErrStaleCheckpoint = fmt.Errorf("migrate: stale checkpoint refused (anti-rollback)")
 )
 
-// GapReason classifies why a captured page carries no ciphertext. The
-// values mirror crash recovery's unavailability states: migration and
-// reboot are the same classification problem over the same metadata.
-type GapReason uint8
-
-// Gap reasons (0 means no gap: the page has ciphertext).
-const (
-	// GapNone: the page's ciphertext travels in the checkpoint.
-	GapNone GapReason = iota
-	// GapNoLocation: valid sealed metadata but the current ciphertext is
-	// neither resident nor at a journaled stable location.
-	GapNoLocation
-	// GapStaleLocation: the journaled location holds an older version than
-	// the sealed metadata; shipping it would fail verification anyway.
-	GapStaleLocation
-	// GapReadError: the swap device refused to return the located sector
-	// after bounded retries.
-	GapReadError
-)
-
-var gapNames = [...]string{"", "no-location", "stale-location", "read-error"}
-
-// String implements fmt.Stringer.
-func (g GapReason) String() string {
-	if int(g) < len(gapNames) && g != 0 {
-		return gapNames[g]
-	}
-	if g == GapNone {
-		return "none"
-	}
-	return fmt.Sprintf("gap(%d)", uint8(g))
-}
-
 // PageRecord is one cloaked page in a checkpoint: sealed metadata plus the
-// ciphertext (nil when Gap explains its absence — the gap travels so the
-// destination can report the typed unavailability).
+// ciphertext. When Data is nil, State says why, in crash recovery's terms —
+// core.NoLocation, core.StaleLocation or core.ReadError — and travels so
+// the destination can report the typed unavailability; it is zero when
+// Data is set.
 type PageRecord struct {
-	ID   cloak.PageID
-	Meta cloak.Meta
-	Data []byte
-	Gap  GapReason
+	ID    cloak.PageID
+	Meta  cloak.Meta
+	Data  []byte
+	State core.RecoveryState
 }
 
 // Checkpoint is the in-memory form of a sealed domain checkpoint.
@@ -129,19 +99,4 @@ type Checkpoint struct {
 	// Threads are the domain's thread snapshots (saved CTCs for trapped
 	// threads), in thread-ID order.
 	Threads []vmm.ThreadState
-}
-
-// Rejection is one refused checkpoint record: where in the blob and why.
-// Reasons reuse the journal replay vocabulary — the two paths refuse the
-// same attacks.
-type Rejection struct {
-	// Frame is the record's index within the checkpoint's record section.
-	Frame int
-	// Reason classifies the refusal.
-	Reason persist.RejectReason
-}
-
-// Error implements error.
-func (r Rejection) Error() string {
-	return fmt.Sprintf("migrate: rejected checkpoint record %d: %s", r.Frame, r.Reason)
 }

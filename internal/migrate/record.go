@@ -1,12 +1,12 @@
 package migrate
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
 	"overshadow/internal/cloak"
+	"overshadow/internal/core"
 	"overshadow/internal/mach"
 	"overshadow/internal/persist"
 	"overshadow/internal/vmm"
@@ -21,23 +21,21 @@ import (
 //	record N+M+1             trailer (repeats the counts — anti-truncation)
 //	blobs                    D x PageSize ciphertext pages, D <= N
 //
-// Every record is RecordSize bytes, sealed with a truncated HMAC-SHA256
-// under the migration key, and carries the checkpoint epoch plus its global
-// sequence number — so a record from another checkpoint (stale epoch) or a
-// reordered record (sequence gap) is refused exactly like the journal
-// refuses spliced or relocated log records. Ciphertext blobs carry no
+// Every record is RecordSize bytes, sealed by persist.Seal (the journal's
+// one record seal) under the migration key, and carries the checkpoint
+// epoch plus its global sequence number — so a record from another
+// checkpoint (stale epoch) or a reordered record (sequence gap) is refused
+// exactly like the journal refuses spliced or relocated log records. Ciphertext blobs carry no
 // separate MAC: their integrity anchor is the sealed per-page hash, which
 // the destination VMM verifies before any plaintext exists.
 
-// RecordSize is the fixed size of every checkpoint record.
-const RecordSize = 128
-
-// macSize is the truncated HMAC-SHA256 length stored per record.
-const macSize = 24
+// RecordSize is the fixed size of every checkpoint record: the journal's.
+const RecordSize = persist.RecordSize
 
 // formatVersion identifies the checkpoint layout; a decoder refuses blobs
-// written by a different layout instead of misparsing them.
-const formatVersion = 1
+// written by a different layout instead of misparsing them. Version 2
+// carries a data-less page's core.RecoveryState in its record.
+const formatVersion = 2
 
 // Record kinds.
 const (
@@ -47,13 +45,12 @@ const (
 	kindTrailer
 )
 
-// Shared offsets (every record): kind at 0, epoch at 4, seq at 8, MAC at
-// 104. Kind-specific payloads live in [16, 104).
+// Shared offsets (every record): kind at 0, epoch at 4, seq at 8, and the
+// persist.Seal MAC at 104. Kind-specific payloads live in [16, 104).
 const (
 	offKind  = 0
 	offEpoch = 4
 	offSeq   = 8
-	offMAC   = 104
 )
 
 // SealKeyFor derives the migration sealing key from the journal sealing
@@ -70,23 +67,12 @@ func SealKeyFor(journalKey [32]byte) [32]byte {
 	return key
 }
 
-// seal computes the truncated record MAC over the first offMAC bytes.
-func seal(key *[32]byte, body []byte) [macSize]byte {
-	m := hmac.New(sha256.New, key[:])
-	m.Write(body)
-	var out [macSize]byte
-	sum := m.Sum(nil)
-	copy(out[:], sum[:macSize])
-	return out
-}
-
 // sealRecord stamps the common fields and MAC onto one encoded record.
 func sealRecord(dst []byte, kind byte, epoch uint32, seq uint64, key *[32]byte) {
 	dst[offKind] = kind
 	binary.LittleEndian.PutUint32(dst[offEpoch:], epoch)
 	binary.LittleEndian.PutUint64(dst[offSeq:], seq)
-	mac := seal(key, dst[:offMAC])
-	copy(dst[offMAC:], mac[:])
+	persist.Seal(dst, key)
 }
 
 // Encode serializes ckpt into a sealed blob under key. The output is a pure
@@ -125,7 +111,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 			copy(out[blobBase+blobIdx*mach.PageSize:], p.Data)
 			blobIdx++
 		} else {
-			rec[2] = byte(p.Gap)
+			rec[2] = byte(p.State)
 		}
 		binary.LittleEndian.PutUint32(rec[16:], uint32(p.ID.Domain))
 		binary.LittleEndian.PutUint64(rec[20:], uint64(p.ID.Resource))
@@ -164,29 +150,25 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	return out
 }
 
-// decodeRecord verifies one record's MAC; ok is false on any mismatch.
-func decodeRecord(src []byte, key *[32]byte) bool {
-	want := seal(key, src[:offMAC])
-	return hmac.Equal(want[:], src[offMAC:offMAC+macSize])
-}
-
 // Decode parses and verifies a checkpoint blob under key.
 //
 // Framing damage — truncation, a length that disagrees with the sealed
 // header, an unverifiable header or trailer, a wrong key — returns a nil
 // checkpoint and an error wrapping ErrCheckpointMalformed: no page from
 // such a blob is usable. Damage to individual page or thread records is
-// survivable: each refused record becomes a typed Rejection (bad MAC for
-// corruption, stale epoch for cross-checkpoint splices, sequence gap for
-// reordering) and the surviving records still decode. Ciphertext blobs are
-// copied out; their verification happens later against the sealed per-page
-// hash. Decode never panics on any input and never produces plaintext.
-func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
+// survivable: each refused record becomes a typed persist.Rejection in
+// phase "migrate" (bad MAC for corruption, stale epoch for cross-checkpoint
+// splices, sequence gap for reordering, bad kind for a record that verifies
+// but cannot belong here) and the surviving records still decode.
+// Ciphertext blobs are copied out; their verification happens later against
+// the sealed per-page hash. Decode never panics on any input and never
+// produces plaintext.
+func Decode(blob []byte, key [32]byte) (*Checkpoint, persist.Rejections, error) {
 	if len(blob) < 2*RecordSize {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than header+trailer", ErrCheckpointMalformed, len(blob))
 	}
 	hdr := blob[:RecordSize]
-	if !decodeRecord(hdr, &key) {
+	if !persist.Sealed(hdr, &key) {
 		return nil, nil, fmt.Errorf("%w: header seal did not verify (torn, corrupted, or sealed under a different key)", ErrCheckpointMalformed)
 	}
 	if hdr[offKind] != kindHeader || hdr[1] != formatVersion {
@@ -211,16 +193,16 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
 
 	ckpt := &Checkpoint{Domain: domain, Epoch: epoch, SrcVCPUs: srcVCPUs}
 	copy(ckpt.Identity[:], hdr[32:64])
-	var rejs []Rejection
+	var rejs persist.Rejections
 
 	reject := func(frame int, reason persist.RejectReason) {
-		rejs = append(rejs, Rejection{Frame: frame, Reason: reason})
+		rejs = append(rejs, persist.Rejection{Phase: "migrate", Slot: uint64(frame), Reason: reason})
 	}
 	// verifyCommon runs the checks shared by every non-header record; a
 	// false return means the record was rejected (and accounted).
 	verifyCommon := func(rec []byte, frame int, kind byte) bool {
 		switch {
-		case !decodeRecord(rec, &key):
+		case !persist.Sealed(rec, &key):
 			reject(frame, persist.RejectBadMAC)
 		case rec[offKind] != kind:
 			reject(frame, persist.RejectBadKind)
@@ -265,7 +247,13 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
 			p.Data = make([]byte, mach.PageSize)
 			copy(p.Data, blob[blobBase+int(bi)*mach.PageSize:])
 		} else {
-			p.Gap = GapReason(rec[2])
+			// A data-less page must say why, in one of the three
+			// unavailable states a capture can produce.
+			p.State = core.RecoveryState(rec[2])
+			if p.State != core.NoLocation && p.State != core.StaleLocation && p.State != core.ReadError {
+				reject(frame, persist.RejectBadKind)
+				continue
+			}
 		}
 		ckpt.Pages = append(ckpt.Pages, p)
 	}
@@ -294,7 +282,7 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, []Rejection, error) {
 	// counts must repeat the header's — the anti-truncation cross-check.
 	frame := 1 + n + m
 	trl := blob[frame*RecordSize : (frame+1)*RecordSize]
-	if !decodeRecord(trl, &key) || trl[offKind] != kindTrailer ||
+	if !persist.Sealed(trl, &key) || trl[offKind] != kindTrailer ||
 		binary.LittleEndian.Uint32(trl[offEpoch:]) != epoch ||
 		binary.LittleEndian.Uint64(trl[offSeq:]) != uint64(frame) ||
 		int(binary.LittleEndian.Uint32(trl[16:])) != n ||

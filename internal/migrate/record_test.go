@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"overshadow/internal/cloak"
+	"overshadow/internal/core"
 	"overshadow/internal/persist"
 	"overshadow/internal/vmm"
 )
@@ -28,8 +29,9 @@ func (x *xorshift) next() uint64 {
 	return v * 0x2545F4914F6CDD1D
 }
 
-// synthCheckpoint builds a checkpoint with a mix of data pages, gap pages,
-// and threads, all filled from the seeded stream.
+// synthCheckpoint builds a checkpoint with a mix of data pages, data-less
+// pages in the three unavailable states, and threads, all filled from the
+// seeded stream.
 func synthCheckpoint(seed uint64, npages, nthreads int) *Checkpoint {
 	rng := xorshift(seed | 1)
 	ckpt := &Checkpoint{
@@ -51,7 +53,7 @@ func synthCheckpoint(seed uint64, npages, nthreads int) *Checkpoint {
 		}
 		switch i % 4 {
 		case 3:
-			p.Gap = GapReason(1 + rng.next()%3)
+			p.State = core.NoLocation + core.RecoveryState(rng.next()%3)
 		default:
 			p.Data = make([]byte, 4096)
 			for j := range p.Data {
@@ -219,52 +221,75 @@ func TestRecordSplice(t *testing.T) {
 	}
 }
 
-// TestRecordFuzzBitFlips: seeded random single-byte corruption anywhere in
-// the blob never panics and never yields an untyped outcome — each trial
-// either fails typed-malformed (framing damage), rejects records typed, or
-// decodes clean (blob-section damage, caught later by the sealed page
-// hash). Decoded bytes always come verbatim from the blob: the decoder
-// cannot invent data.
-func TestRecordFuzzBitFlips(t *testing.T) {
-	base := synthCheckpoint(6, 10, 2)
-	pristine := Encode(base, testKey)
+// TestRecordBadPageState: a data-less page record must carry one of the
+// three unavailable states. One sealed with Recovered or with no state at
+// all is refused as bad-kind at its own frame; every other page decodes.
+func TestRecordBadPageState(t *testing.T) {
+	for _, st := range []core.RecoveryState{core.Recovered, 0} {
+		ckpt := synthCheckpoint(8, 8, 1)
+		ckpt.Pages[3].State = st // page 3 is data-less (i%4 == 3)
+		got, rejs, err := Decode(Encode(ckpt, testKey), testKey)
+		if err != nil {
+			t.Fatalf("state %v: decode: %v", st, err)
+		}
+		want := persist.Rejections{{Phase: "migrate", Slot: 4, Reason: persist.RejectBadKind}}
+		if !reflect.DeepEqual(rejs, want) {
+			t.Fatalf("state %v: rejections = %v, want %v", st, rejs, want)
+		}
+		intact := append(append([]PageRecord{}, ckpt.Pages[:3]...), ckpt.Pages[4:]...)
+		if !reflect.DeepEqual(got.Pages, intact) {
+			t.Fatalf("state %v: surviving pages differ from the other seven", st)
+		}
+	}
+}
+
+// FuzzDecode: whatever bytes arrive, Decode never panics (a panic fails the
+// target) and never yields an untyped outcome — it fails typed-malformed
+// (framing damage), rejects records with a reason, or decodes clean
+// (blob-section damage, caught later by the sealed page hash). Decoded
+// bytes always come verbatim from the blob: the decoder cannot invent data.
+// Every data-less page carries one of the three unavailable states. The
+// seed corpus is 400 seeded 1-3-byte corruptions of one checkpoint, so a
+// plain `go test` runs all of them.
+func FuzzDecode(f *testing.F) {
+	pristine := Encode(synthCheckpoint(6, 10, 2), testKey)
 	rng := xorshift(0xE16)
 	for trial := 0; trial < 400; trial++ {
-		blob := make([]byte, len(pristine))
-		copy(blob, pristine)
+		blob := append([]byte(nil), pristine...)
 		flips := 1 + int(rng.next()%3)
-		for f := 0; f < flips; f++ {
+		for i := 0; i < flips; i++ {
 			pos := int(rng.next() % uint64(len(blob)))
 			blob[pos] ^= byte(1 + rng.next()%255)
 		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("trial %d: decode panicked: %v", trial, r)
-				}
-			}()
-			ckpt, rejs, err := Decode(blob, testKey)
-			switch {
-			case err != nil:
-				if !errors.Is(err, ErrCheckpointMalformed) {
-					t.Fatalf("trial %d: untyped decode error %v", trial, err)
-				}
-			case ckpt == nil:
-				t.Fatalf("trial %d: nil checkpoint without error", trial)
-			default:
-				for _, r := range rejs {
-					if r.Reason == 0 {
-						t.Fatalf("trial %d: rejection without a reason", trial)
-					}
-				}
-				for _, p := range ckpt.Pages {
-					if p.Data != nil && !bytes.Contains(blob, p.Data[:64]) {
-						t.Fatalf("trial %d: decoded page bytes not from the blob", trial)
-					}
-				}
-			}
-		}()
+		f.Add(blob)
 	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		ckpt, rejs, err := Decode(blob, testKey)
+		switch {
+		case err != nil:
+			if !errors.Is(err, ErrCheckpointMalformed) {
+				t.Fatalf("untyped decode error %v", err)
+			}
+			return
+		case ckpt == nil:
+			t.Fatal("nil checkpoint without error")
+		}
+		for _, r := range rejs {
+			if r.Reason == 0 {
+				t.Fatal("rejection without a reason")
+			}
+		}
+		for _, p := range ckpt.Pages {
+			switch {
+			case p.Data != nil:
+				if !bytes.Contains(blob, p.Data[:64]) {
+					t.Fatal("decoded page bytes not from the blob")
+				}
+			case p.State != core.NoLocation && p.State != core.StaleLocation && p.State != core.ReadError:
+				t.Fatalf("data-less page %v in state %v", p.ID, p.State)
+			}
+		}
+	})
 }
 
 // TestRecordFuzzGarbage: seeded arbitrary byte strings (including sizes
@@ -288,10 +313,11 @@ func TestRecordFuzzGarbage(t *testing.T) {
 	}
 }
 
-// TestRejectionError: the typed rejection renders its position and reason.
+// TestRejectionError: a refused checkpoint record renders as a persist
+// rejection in phase "migrate", with its frame as the slot.
 func TestRejectionError(t *testing.T) {
-	r := Rejection{Frame: 4, Reason: persist.RejectBadMAC}
-	want := fmt.Sprintf("migrate: rejected checkpoint record 4: %s", persist.RejectBadMAC)
+	r := persist.Rejection{Phase: "migrate", Slot: 4, Reason: persist.RejectBadMAC}
+	want := fmt.Sprintf("persist: rejected migrate record (block 0, slot 4): %s", persist.RejectBadMAC)
 	if r.Error() != want {
 		t.Fatalf("Error() = %q, want %q", r.Error(), want)
 	}

@@ -25,42 +25,17 @@ type Report struct {
 	// SrcVCPUs echoes the source machine's vCPU count.
 	SrcVCPUs int
 	// Rejections lists every checkpoint record refused at decode.
-	Rejections []Rejection
-	// Pages lists per-page outcomes in checkpoint (PageID) order; exactly
-	// the crash-recovery classification, and plaintext appears only in
-	// Data of pages that decrypted and verified against the sealed hash.
-	Pages []core.PageOutcome
-	// Recovered / Unavailable tally the page outcomes.
-	Recovered   int
-	Unavailable int
+	persist.Rejections
+	// PageTally holds the per-page outcomes in checkpoint (PageID) order;
+	// exactly the crash-recovery classification, and plaintext appears
+	// only in Data of pages that decrypted and verified against the sealed
+	// hash.
+	core.PageTally
 	// Threads are the thread snapshots that survived decode.
 	Threads []vmm.ThreadState
 	// RestoreCycles is the simulated time the destination spent decoding,
 	// verifying, and re-sealing.
 	RestoreCycles sim.Cycles
-}
-
-// RejectedBy counts rejections with the given reason.
-func (r *Report) RejectedBy(reason persist.RejectReason) int {
-	n := 0
-	for _, rej := range r.Rejections {
-		if rej.Reason == reason {
-			n++
-		}
-	}
-	return n
-}
-
-// gapState maps a captured gap to the crash-recovery classification.
-func gapState(g GapReason) core.RecoveryState {
-	switch g {
-	case GapStaleLocation:
-		return core.StaleLocation
-	case GapReadError:
-		return core.ReadError
-	default:
-		return core.NoLocation
-	}
 }
 
 // Restore lands a transferred checkpoint on dst. The blob is decoded under
@@ -129,22 +104,7 @@ func Restore(dst *core.System, blob []byte) (*Report, error) {
 	// disks — the resumed workload re-creates its state through the
 	// ordinary cloaking path.
 	for _, p := range ckpt.Pages {
-		out := core.PageOutcome{ID: p.ID}
-		if p.Data == nil {
-			out.State = gapState(p.Gap)
-		} else if data, derr := dst.VMM.RecoverPage(p.ID, p.Meta, p.Data); derr != nil {
-			out.State = core.IntegrityMismatch
-			out.Err = derr
-		} else {
-			out.State = core.Recovered
-			out.Data = data
-		}
-		if out.State == core.Recovered {
-			rep.Recovered++
-		} else {
-			rep.Unavailable++
-		}
-		rep.Pages = append(rep.Pages, out)
+		rep.Verify(dst.VMM, p.ID, p.Meta, p.Data, p.State, nil)
 	}
 
 	// Re-seal: dst's journal adopts its own live entries plus the migrated

@@ -246,7 +246,7 @@ func (j *Journal) Entries() []TableEntry {
 	for id, e := range j.table {
 		out = append(out, TableEntry{ID: id, Entry: e})
 	}
-	sort.Slice(out, func(a, b int) bool { return pageIDLess(out[a].ID, out[b].ID) })
+	sort.Slice(out, func(a, b int) bool { return out[a].ID.Less(out[b].ID) })
 	return out
 }
 
@@ -387,7 +387,7 @@ func (j *Journal) checkpoint() {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return pageIDLess(ids[a], ids[b]) })
+	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
 	n := uint64(len(ids))
 	if n > j.ckptBlocks*RecordsPerBlock {
 		j.wedged = true
@@ -466,16 +466,4 @@ func snapshotDev(e Entry) uint8 {
 		return DevNone
 	}
 	return e.Dev
-}
-
-// pageIDLess orders PageIDs (domain, resource, index) for deterministic
-// serialization and reporting.
-func pageIDLess(a, b cloak.PageID) bool {
-	if a.Domain != b.Domain {
-		return a.Domain < b.Domain
-	}
-	if a.Resource != b.Resource {
-		return a.Resource < b.Resource
-	}
-	return a.Index < b.Index
 }

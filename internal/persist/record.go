@@ -138,14 +138,25 @@ const (
 	offMAC     = 104
 )
 
-// seal computes the truncated record MAC over the first offMAC bytes.
-func seal(key *[32]byte, body []byte) [MACSize]byte {
+// Seal stamps rec's MAC: HMAC-SHA256 under key over bytes [0, 104),
+// truncated to MACSize and stored at byte 104. It is the one record seal of
+// the journal and of the migration checkpoint; the two protocols seal under
+// different keys, so a record of one never verifies as the other.
+func Seal(rec []byte, key *[32]byte) {
+	copy(rec[offMAC:offMAC+MACSize], recordMAC(rec, key))
+}
+
+// Sealed reports whether rec's stored MAC verifies under key: false for a
+// torn, corrupted or forged record, or one sealed under another key.
+func Sealed(rec []byte, key *[32]byte) bool {
+	return hmac.Equal(recordMAC(rec, key), rec[offMAC:offMAC+MACSize])
+}
+
+// recordMAC computes the truncated MAC over rec's first offMAC bytes.
+func recordMAC(rec []byte, key *[32]byte) []byte {
 	m := hmac.New(sha256.New, key[:])
-	m.Write(body)
-	var out [MACSize]byte
-	sum := m.Sum(nil)
-	copy(out[:], sum[:MACSize])
-	return out
+	m.Write(rec[:offMAC])
+	return m.Sum(nil)[:MACSize]
 }
 
 // encode serializes r into dst (len >= RecordSize) and seals it. The layout
@@ -166,8 +177,7 @@ func encode(dst []byte, r Record, key *[32]byte) {
 	copy(dst[offIV:], r.IV[:])
 	copy(dst[offHash:], r.Hash[:])
 	binary.LittleEndian.PutUint64(dst[offBlock:], r.Block)
-	mac := seal(key, dst[:offMAC])
-	copy(dst[offMAC:], mac[:])
+	Seal(dst, key)
 }
 
 // isZero reports whether the slot has never been written (end of log).
@@ -183,8 +193,7 @@ func isZero(src []byte) bool {
 // decode parses and verifies one record slot. ok is false when the MAC does
 // not verify — a torn, corrupted, or forged record; the caller classifies.
 func decode(src []byte, key *[32]byte) (Record, bool) {
-	want := seal(key, src[:offMAC])
-	if !hmac.Equal(want[:], src[offMAC:offMAC+MACSize]) {
+	if !Sealed(src, key) {
 		return Record{}, false
 	}
 	var r Record

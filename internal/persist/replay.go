@@ -55,11 +55,14 @@ func (r RejectReason) String() string {
 // Rejection is one refused record: a typed error value carrying where and
 // why.
 type Rejection struct {
-	// Phase is "super", "checkpoint", or "log".
+	// Phase is "super", "checkpoint" or "log" for journal replay, and
+	// "migrate" for a migration checkpoint record refused at decode.
 	Phase string
-	// Block is the absolute device block holding the refused record.
+	// Block is the absolute device block holding the refused record (0
+	// for a checkpoint record, which lives in no block).
 	Block uint64
-	// Slot is the record slot within the phase (sequence position).
+	// Slot is the record slot within the phase (sequence position; a
+	// checkpoint record's frame).
 	Slot uint64
 	// Reason classifies the refusal.
 	Reason RejectReason
@@ -69,6 +72,20 @@ type Rejection struct {
 func (r Rejection) Error() string {
 	return fmt.Sprintf("persist: rejected %s record (block %d, slot %d): %s",
 		r.Phase, r.Block, r.Slot, r.Reason)
+}
+
+// Rejections lists refused records in the order they were refused.
+type Rejections []Rejection
+
+// RejectedBy counts rejections with the given reason.
+func (rs Rejections) RejectedBy(reason RejectReason) int {
+	n := 0
+	for _, rej := range rs {
+		if rej.Reason == reason {
+			n++
+		}
+	}
+	return n
 }
 
 // Result is the outcome of replaying a journal range: the reconstructed
@@ -83,24 +100,13 @@ type Result struct {
 	CheckpointRecords int
 	LogRecords        int
 	// Rejections lists every refused record in replay order.
-	Rejections []Rejection
+	Rejections
 	// Table is the reconstructed page state.
 	Table map[cloak.PageID]Entry
 }
 
 // Accepted reports the total number of accepted records.
 func (r *Result) Accepted() int { return r.CheckpointRecords + r.LogRecords }
-
-// RejectedBy counts rejections with the given reason.
-func (r *Result) RejectedBy(reason RejectReason) int {
-	n := 0
-	for _, rej := range r.Rejections {
-		if rej.Reason == reason {
-			n++
-		}
-	}
-	return n
-}
 
 // PageIDs returns the table's keys in deterministic (domain, resource,
 // index) order; all recovery iteration goes through this.
@@ -112,23 +118,8 @@ func (r *Result) PageIDs() []cloak.PageID {
 	for id := range r.Table {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return pageIDLess(ids[a], ids[b]) })
+	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
 	return ids
-}
-
-// replayReadAttempts bounds retries of a failing journal sector read,
-// mirroring the guest pager's policy for swap reads.
-const replayReadAttempts = 3
-
-// readBlock reads one journal block with bounded retries.
-func readBlock(disk *mach.Disk, blk uint64, dst []byte) error {
-	var err error
-	for try := 0; try < replayReadAttempts; try++ {
-		if err = disk.Read(blk, dst); err == nil {
-			return nil
-		}
-	}
-	return err
 }
 
 // Replay walks the reserved range [base, base+blocks) of disk and
@@ -158,7 +149,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 	var buf [mach.BlockSize]byte
 	var super Record
 	for slot := uint64(0); slot < superSlots; slot++ {
-		if err := readBlock(disk, base+slot, buf[:]); err != nil {
+		if err := disk.ReadRetry(base+slot, buf[:]); err != nil {
 			res.reject(world, Rejection{Phase: "super", Block: base + slot, Reason: RejectReadError})
 			continue
 		}
@@ -196,7 +187,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		blk := slotBase + i/RecordsPerBlock
 		off := (i % RecordsPerBlock) * RecordSize
 		if off == 0 {
-			if err := readBlock(disk, blk, buf[:]); err != nil {
+			if err := disk.ReadRetry(blk, buf[:]); err != nil {
 				res.reject(world, Rejection{Phase: "checkpoint", Block: blk, Slot: i, Reason: RejectReadError})
 				// Poison the buffer so stale data from the previous block
 				// cannot be mistaken for this block's records.
@@ -237,7 +228,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		blk := logStart + i/RecordsPerBlock
 		off := (i % RecordsPerBlock) * RecordSize
 		if off == 0 {
-			if err := readBlock(disk, blk, buf[:]); err != nil {
+			if err := disk.ReadRetry(blk, buf[:]); err != nil {
 				res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectReadError})
 				return res
 			}

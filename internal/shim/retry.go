@@ -17,11 +17,9 @@ import (
 // persistent failure degrades further: the process exits like a killed
 // task, leaving siblings and the machine untouched.
 
-// The schedule — how many retries, the first pause, the multiplier — comes
-// from Options.Retry (sim.RetryPolicy), whose zero value resolves to the
-// historical 3 retries at 20k/40k/80k cycles; core.Config.Retry feeds the
-// same policy to the migration transfer path, so "how hard does this machine
-// fight transient failure" is one knob, not two.
+// The schedule is the machine's one retry schedule (sim.RetryAttempts
+// retries, sim.RetryBackoff pauses), which the migration transfer path
+// shares.
 
 // transient reports whether err is worth retrying: a hypervisor resource
 // fault marked transient, or a guest I/O error (EIO), which the fault
@@ -34,18 +32,16 @@ func transient(err error) bool {
 	return errors.Is(err, guestos.EIO)
 }
 
-// retryTransient runs fn, retrying transient failures up to the policy's
-// attempt budget with exponential sim-clock backoff. The final error (nil
-// on success, the last failure otherwise) is returned; non-transient errors
+// retryTransient runs fn, retrying transient failures up to the attempt
+// budget with exponential sim-clock backoff. The final error (nil on
+// success, the last failure otherwise) is returned; non-transient errors
 // return immediately.
 func (s *Ctx) retryTransient(fn func() error) error {
 	w := s.world()
-	pol := s.opts.Retry.Resolve()
 	start := w.Now()
-	backoff := uint64(pol.BackoffBase)
 	for attempt := 0; ; attempt++ {
 		err := fn()
-		if err == nil || !transient(err) || attempt == pol.Attempts {
+		if err == nil || !transient(err) || attempt == sim.RetryAttempts {
 			// The retry span (first try through final outcome, backoff
 			// included) is emitted only when a retry actually happened, so
 			// fault-free traces and profiles carry no retry artifacts.
@@ -55,8 +51,7 @@ func (s *Ctx) retryTransient(fn func() error) error {
 			return err
 		}
 		w.CPU().ChargeAdd(0, sim.CtrShimRetry, 1)
-		s.uc.Sleep(backoff)
-		backoff *= uint64(pol.BackoffMult)
+		s.uc.Sleep(uint64(sim.RetryBackoff(attempt)))
 	}
 }
 

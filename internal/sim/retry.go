@@ -1,41 +1,13 @@
 package sim
 
-// RetryPolicy bounds how a component retries transient failures: the shim's
-// secure-I/O and domain-setup hypercalls, and the migration transfer channel,
-// both back off on the *simulated* clock, so the retry schedule is part of
-// the deterministic machine. The zero value resolves to the historical
-// hardcoded schedule (3 retries at 20k/40k/80k cycles), which keeps every
-// pre-existing export byte-identical when callers leave the policy unset.
-type RetryPolicy struct {
-	// Attempts is the number of retries after the first try (0 = default 3).
-	Attempts int
-	// BackoffBase is the simulated-cycle pause before the first retry
-	// (0 = default 20000 cycles).
-	BackoffBase Cycles
-	// BackoffMult multiplies the pause between consecutive retries
-	// (0 = default 2: exponential doubling).
-	BackoffMult int
-}
+// The one transient-failure retry schedule: the shim's secure-I/O and
+// domain-setup hypercalls, the migration transfer channel and capture's
+// swap reads all back off on the *simulated* clock, so the schedule is part
+// of the deterministic machine.
 
-// Default retry schedule, shared by the shim and the migration transfer.
-const (
-	defaultRetryAttempts    = 3
-	defaultRetryBackoffBase = Cycles(20_000)
-	defaultRetryBackoffMult = 2
-)
+// RetryAttempts is the number of retries after the first try.
+const RetryAttempts = 3
 
-// Resolve fills in the defaults for unset fields. Negative values are
-// clamped to their defaults too: a negative budget is a configuration
-// mistake, not a request for unbounded retries.
-func (p RetryPolicy) Resolve() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = defaultRetryAttempts
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = defaultRetryBackoffBase
-	}
-	if p.BackoffMult <= 0 {
-		p.BackoffMult = defaultRetryBackoffMult
-	}
-	return p
-}
+// RetryBackoff is the simulated-cycle pause before retry n (0-based):
+// 20k, 40k, 80k cycles.
+func RetryBackoff(n int) Cycles { return 20_000 << n }

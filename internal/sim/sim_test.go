@@ -308,3 +308,16 @@ func TestDefaultCostModelSanity(t *testing.T) {
 		t.Fatal("TLB miss should be cheaper than a hidden fault")
 	}
 }
+
+// TestRetrySchedule pins the machine's one retry schedule: 3 retries after
+// the first try, pausing 20k, 40k and 80k cycles.
+func TestRetrySchedule(t *testing.T) {
+	if RetryAttempts != 3 {
+		t.Fatalf("RetryAttempts = %d, want 3", RetryAttempts)
+	}
+	for n, want := range []Cycles{20_000, 40_000, 80_000} {
+		if got := RetryBackoff(n); got != want {
+			t.Fatalf("RetryBackoff(%d) = %d, want %d", n, got, want)
+		}
+	}
+}

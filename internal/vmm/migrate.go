@@ -75,7 +75,7 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		}
 	}
 	sort.Slice(regs, func(i, j int) bool {
-		return pageIDLess(regs[i].cp.id, regs[j].cp.id)
+		return regs[i].cp.id.Less(regs[j].cp.id)
 	})
 	out := make([]ResidentPage, 0, len(regs))
 	for _, r := range regs {
@@ -97,19 +97,6 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		out = append(out, ResidentPage{ID: id, Meta: meta, Data: data})
 	}
 	return out
-}
-
-// pageIDLess orders PageIDs (domain, resource, index); mirror of the persist
-// package's ordering so capture enumerates pages the same way the journal
-// serializes them.
-func pageIDLess(a, b cloak.PageID) bool {
-	if a.Domain != b.Domain {
-		return a.Domain < b.Domain
-	}
-	if a.Resource != b.Resource {
-		return a.Resource < b.Resource
-	}
-	return a.Index < b.Index
 }
 
 // AdoptedPage is one sealed metadata record a restore installs for a

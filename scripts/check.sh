@@ -12,6 +12,9 @@
 #              (its own go.mod, so ./... above never compiles it)
 #   benchmarks every package benchmark once, so one that breaks at set-up
 #              fails the gate
+#   fuzz       1000 executions of FuzzDecode, the migration checkpoint
+#              decoder's native fuzz target: its 400-input seed corpus,
+#              then mutated inputs
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -62,6 +65,14 @@ echo "== bench module"
 # bench/ is a nested module built against this tree (replace ../): an API
 # change in core or sim breaks it without touching any file under bench/.
 (cd bench && go vet ./... && go test ./...)
+
+echo "== fuzz"
+# The checkpoint decoder takes untrusted bytes off the migration channel. A
+# crasher is a decoder bug: go test saves it under
+# internal/migrate/testdata/fuzz/, where it becomes the fix's regression
+# seed. The execution count includes the seed-corpus baseline, so it must
+# stay well above the 400 seeds for any mutated input to run.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 1000x ./internal/migrate
 
 echo "== race pass"
 # The channel handoff of the scheduler baton is the happens-before edge that
