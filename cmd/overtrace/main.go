@@ -3,12 +3,14 @@
 // span counts and cycles per span kind, per-track activity, and the longest
 // individual spans. The raw file loads directly into Perfetto or
 // chrome://tracing; overtrace is the terminal-side view of the same data.
+// Latency percentiles come from the profile artifact (overbench -profile,
+// rendered by overprof), whose histograms cover every span, not just the
+// ones the ring retained.
 //
 // Usage:
 //
 //	overtrace trace.json
 //	overtrace -top 20 trace.json
-//	overtrace -hist trace.json   # per-kind/per-domain duration percentiles
 package main
 
 import (
@@ -22,10 +24,9 @@ import (
 
 func main() {
 	top := flag.Int("top", 10, "number of longest spans to list")
-	hist := flag.Bool("hist", false, "print per-kind/per-domain duration percentiles instead of the summary")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: overtrace [-top N] [-hist] trace.json")
+		fmt.Fprintln(os.Stderr, "usage: overtrace [-top N] trace.json")
 		os.Exit(2)
 	}
 	f, err := os.Open(flag.Arg(0))
@@ -39,63 +40,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		fatal(err)
 	}
-	if *hist {
-		histogram(trace)
-		return
-	}
 	summarize(trace, *top)
-}
-
-// histogram builds per-(kind, domain) duration histograms from the trace's
-// complete spans and prints the shared percentile table. The ring's dropped
-// count is printed with it: histograms built from a wrapped trace cover only
-// the retained spans.
-func histogram(trace *obs.ChromeTrace) {
-	type key struct {
-		kind   string
-		domain uint32
-	}
-	hists := map[key]*obs.Histogram{}
-	for _, ev := range trace.TraceEvents {
-		if ev.Ph != "X" {
-			continue // instants and metadata carry no duration
-		}
-		dur := uint64(0)
-		if ev.Dur != nil {
-			dur = *ev.Dur
-		}
-		k := key{kind: ev.Cat}
-		if ev.Args != nil {
-			k.domain = ev.Args.Domain
-		}
-		h := hists[k]
-		if h == nil {
-			h = &obs.Histogram{}
-			hists[k] = h
-		}
-		h.Record(dur)
-	}
-	keys := make([]key, 0, len(hists))
-	for k := range hists {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].kind != keys[j].kind {
-			return keys[i].kind < keys[j].kind
-		}
-		return keys[i].domain < keys[j].domain
-	})
-	rows := make([]obs.ProfHistJSON, 0, len(keys))
-	for _, k := range keys {
-		rows = append(rows, obs.ProfHistJSON{
-			Kind:          k.kind,
-			Domain:        k.domain,
-			HistogramJSON: obs.BuildHistogramJSON(hists[k]),
-		})
-	}
-	if err := obs.WriteHistTable(os.Stdout, rows, trace.OtherData.DroppedSpans); err != nil {
-		fatal(err)
-	}
 }
 
 // rollup accumulates span statistics under one label (a kind or a track).

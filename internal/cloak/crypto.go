@@ -73,12 +73,6 @@ type Meta struct {
 	Version uint64
 }
 
-// Keyer derives per-domain keys. The production implementation derives from
-// a VMM master secret; tests may supply fixed keys.
-type Keyer interface {
-	DomainKey(d DomainID) [KeySize]byte
-}
-
 // MasterKeyer derives domain keys from a master secret by hashing, standing
 // in for the paper's VMM-held key hierarchy.
 type MasterKeyer struct {
@@ -105,7 +99,7 @@ func (m *MasterKeyer) DomainKey(d DomainID) [KeySize]byte {
 // simulated cost. It is owned by the VMM; nothing in the guest can reach it.
 type Engine struct {
 	world *sim.World
-	keys  Keyer
+	keys  *MasterKeyer
 	ivSeq uint64 // distinct-IV source, mixed with the world RNG
 	// blocks caches the expanded AES key schedule per domain: domain keys
 	// are derived deterministically and never rotate within a run, so the
@@ -119,7 +113,7 @@ type Engine struct {
 }
 
 // NewEngine builds a crypto engine.
-func NewEngine(world *sim.World, keys Keyer) *Engine {
+func NewEngine(world *sim.World, keys *MasterKeyer) *Engine {
 	return &Engine{
 		world:  world,
 		keys:   keys,

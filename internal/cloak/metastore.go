@@ -7,40 +7,31 @@ import "overshadow/internal/sim"
 //
 // In the paper the working set of metadata lives in a VMM-private cache and
 // the overflow is protected by a hash tree so it can spill to (untrusted)
-// memory; here the backing map plays the role of the hash-tree-protected
-// spill area, and crossing between cache and backing store is what costs
-// cycles. Records themselves are always trustworthy — the point of the cache
-// is the E10c ablation (sensitivity to cache size), not security.
+// memory. Here every page has exactly one record; its cached bit says which
+// of the two places it sits in, and crossing between cache and spill area is
+// what costs cycles. Records themselves are always trustworthy — the point
+// of the cache is the E10c ablation (sensitivity to cache size), not
+// security.
 type MetaStore struct {
-	world   *sim.World
-	cap     int
-	cache   map[PageID]Meta
-	backing map[PageID]Meta
+	world  *sim.World
+	cap    int
+	recs   map[PageID]record
+	cached int // records with the cached bit set
 
 	// FIFO eviction order, consumed from head. Advancing head instead of
 	// re-slicing keeps the backing array reclaimable: a long page-out sweep
 	// used to pin every PageID ever enqueued (order = order[1:] retains the
 	// full array), so the queue is compacted once the dead prefix dominates.
+	// An entry whose record is gone or already spilled is stale and skipped.
 	order []PageID
 	head  int
-
-	// One-entry MRU cache per vCPU in front of the map: sequential touch
-	// patterns (streaming reads/writes, fork re-cloak, eager encryption
-	// sweeps) hit the same PageID several times in a row, and the map lookup
-	// + hash is the metastore's hot-path cost. The slot is per vCPU —
-	// indexed by the executing vCPU's ID — so two CPUs streaming different
-	// resources don't thrash one shared slot. Invariant: ok implies id is
-	// present in cache with value meta, so the fast path charges the same
-	// MetaCacheHit a map hit would; Delete/DeleteDomain/evictOne clear
-	// matching slots on every vCPU.
-	mru []mruSlot
 }
 
-// mruSlot is one vCPU's most-recently-used metadata record.
-type mruSlot struct {
-	id   PageID
-	meta Meta
-	ok   bool
+// record is one page's metadata and whether it sits in the cache (true) or
+// the hash-tree-protected spill area (false).
+type record struct {
+	meta   Meta
+	cached bool
 }
 
 // NewMetaStore builds a store whose cache holds cacheCap records.
@@ -48,49 +39,29 @@ func NewMetaStore(world *sim.World, cacheCap int) *MetaStore {
 	if cacheCap <= 0 {
 		cacheCap = 1
 	}
-	return &MetaStore{
-		world:   world,
-		cap:     cacheCap,
-		cache:   make(map[PageID]Meta),
-		backing: make(map[PageID]Meta),
-		mru:     make([]mruSlot, world.NumVCPUs()),
-	}
+	return &MetaStore{world: world, cap: cacheCap, recs: make(map[PageID]record)}
 }
 
-// slot returns the executing vCPU's MRU slot.
-func (s *MetaStore) slot() *mruSlot { return &s.mru[s.world.CPU().ID()] }
-
-// dropMRU invalidates id's MRU entry on every vCPU (deletion and eviction
-// must not leave any CPU a stale fast path).
-func (s *MetaStore) dropMRU(id PageID) {
-	for i := range s.mru {
-		if s.mru[i].ok && s.mru[i].id == id {
-			s.mru[i].ok = false
-		}
-	}
-}
-
-// Put records meta as the current record for id.
+// Put records meta as the current record for id, caching it.
 func (s *MetaStore) Put(id PageID, meta Meta) {
-	if _, ok := s.cache[id]; !ok {
-		if len(s.cache) >= s.cap {
+	if !s.recs[id].cached {
+		if s.cached >= s.cap {
 			s.evictOne()
 		}
 		s.order = append(s.order, id)
+		s.cached++
 	}
-	s.cache[id] = meta
-	*s.slot() = mruSlot{id: id, meta: meta, ok: true}
+	s.recs[id] = record{meta: meta, cached: true}
 }
 
 func (s *MetaStore) evictOne() {
 	for s.head < len(s.order) {
 		victim := s.order[s.head]
 		s.head++
-		if m, ok := s.cache[victim]; ok {
-			// Spill to the hash-tree-protected backing area.
-			s.backing[victim] = m
-			delete(s.cache, victim)
-			s.dropMRU(victim)
+		if r := s.recs[victim]; r.cached {
+			// Spill to the hash-tree-protected area.
+			s.recs[victim] = record{meta: r.meta}
+			s.cached--
 			s.world.CPU().ChargeAdd(s.world.Cost.MetaCacheMiss, sim.CtrMetaCacheMiss, 0)
 			s.compactOrder()
 			return
@@ -118,102 +89,61 @@ func (s *MetaStore) compactOrder() {
 }
 
 // Get returns the current record for id, charging the cache hit or miss
-// cost. ok is false if the page has never been encrypted.
+// cost; a spilled record is promoted back into the cache. ok is false if the
+// page has never been encrypted.
 func (s *MetaStore) Get(id PageID) (Meta, bool) {
-	c := s.world.CPU()
-	sl := s.slot()
-	if sl.ok && id == sl.id {
-		c.ChargeCount(s.world.Cost.MetaCacheHit, sim.CtrMetaCacheHit)
-		return sl.meta, true
+	r, ok := s.recs[id]
+	if !ok {
+		return Meta{}, false
 	}
-	if m, ok := s.cache[id]; ok {
-		c.ChargeCount(s.world.Cost.MetaCacheHit, sim.CtrMetaCacheHit)
-		*sl = mruSlot{id: id, meta: m, ok: true}
-		return m, true
+	if r.cached {
+		s.world.CPU().ChargeCount(s.world.Cost.MetaCacheHit, sim.CtrMetaCacheHit)
+		return r.meta, true
 	}
-	if m, ok := s.backing[id]; ok {
-		c.ChargeCount(s.world.Cost.MetaCacheMiss, sim.CtrMetaCacheMiss)
-		// Promote back into the cache.
-		s.Put(id, m)
-		return m, true
-	}
-	return Meta{}, false
+	s.world.CPU().ChargeCount(s.world.Cost.MetaCacheMiss, sim.CtrMetaCacheMiss)
+	s.Put(id, r.meta)
+	return r.meta, true
 }
 
 // Version returns the recorded version for id without promotion side
 // effects (0 if never encrypted). Used when encrypting to derive the next
 // version.
-func (s *MetaStore) Version(id PageID) uint64 {
-	if sl := s.slot(); sl.ok && id == sl.id {
-		return sl.meta.Version
-	}
-	if m, ok := s.cache[id]; ok {
-		return m.Version
-	}
-	if m, ok := s.backing[id]; ok {
-		return m.Version
-	}
-	return 0
-}
+func (s *MetaStore) Version(id PageID) uint64 { return s.recs[id].meta.Version }
 
-// Delete forgets the record for id (resource teardown).
+// Delete forgets the record for id (resource teardown). Its FIFO entry goes
+// stale and eviction skips it.
 func (s *MetaStore) Delete(id PageID) {
-	delete(s.cache, id)
-	delete(s.backing, id)
-	s.dropMRU(id)
+	if s.recs[id].cached {
+		s.cached--
+	}
+	delete(s.recs, id)
 }
 
 // DeleteDomain forgets every record belonging to a domain (domain
 // teardown); the cloaked data becomes permanently unrecoverable.
 func (s *MetaStore) DeleteDomain(d DomainID) {
-	for id := range s.cache {
+	for id := range s.recs {
 		if id.Domain == d {
-			delete(s.cache, id)
-		}
-	}
-	for id := range s.backing {
-		if id.Domain == d {
-			delete(s.backing, id)
-		}
-	}
-	for i := range s.mru {
-		if s.mru[i].ok && s.mru[i].id.Domain == d {
-			s.mru[i].ok = false
+			s.Delete(id)
 		}
 	}
 }
 
-// DomainRecords reports how many records belong to domain d (cache +
-// backing, deduplicated). The quarantine residue checks use it to assert a
-// contained domain leaks no metadata.
+// DomainRecords reports how many records belong to domain d, cached or
+// spilled. The quarantine residue checks use it to assert a contained domain
+// leaks no metadata.
 func (s *MetaStore) DomainRecords(d DomainID) int {
 	n := 0
-	for id := range s.backing {
+	for id := range s.recs {
 		if id.Domain == d {
-			n++
-		}
-	}
-	for id := range s.cache {
-		if id.Domain != d {
-			continue
-		}
-		if _, dup := s.backing[id]; !dup {
 			n++
 		}
 	}
 	return n
 }
 
-// Len reports the total number of records (cache + backing).
-func (s *MetaStore) Len() int {
-	n := len(s.backing)
-	for id := range s.cache {
-		if _, dup := s.backing[id]; !dup {
-			n++
-		}
-	}
-	return n
-}
+// Len reports the total number of records, cached or spilled.
+func (s *MetaStore) Len() int { return len(s.recs) }
 
 // BytesPerRecord is the metadata space cost per cloaked page used by the E7
 // space-overhead experiment: IV + hash + version + identity key.

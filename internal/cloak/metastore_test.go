@@ -23,18 +23,19 @@ func TestEvictOrderStableUnderCompaction(t *testing.T) {
 	for i := uint64(0); i < total; i++ {
 		s.Put(msID(i), Meta{Version: i + 1})
 		// Strict FIFO: after inserting i, the cache holds exactly the last
-		// `cacheCap` ids; everything older has spilled to backing.
+		// `cacheCap` ids; everything older has spilled.
 		if i >= cacheCap {
 			oldest := i - cacheCap // spilled on this insert
-			if _, inCache := s.cache[msID(oldest)]; inCache {
+			r, ok := s.recs[msID(oldest)]
+			if !ok {
+				t.Fatalf("id %d lost after eviction", oldest)
+			}
+			if r.cached {
 				t.Fatalf("id %d still cached after %d inserts (eviction order changed)", oldest, i+1)
 			}
-			if _, ok := s.backing[msID(oldest)]; !ok {
-				t.Fatalf("id %d missing from backing after eviction", oldest)
-			}
 		}
-		if len(s.cache) > cacheCap {
-			t.Fatalf("cache size %d exceeds cacheCap %d", len(s.cache), cacheCap)
+		if s.cached > cacheCap {
+			t.Fatalf("cache size %d exceeds cacheCap %d", s.cached, cacheCap)
 		}
 	}
 	// The memory-leak half: the FIFO must not retain the full insert
@@ -58,13 +59,13 @@ func TestEvictSkipsStaleOrderEntries(t *testing.T) {
 	s.Delete(msID(0)) // stale order entry for id 0
 	s.Put(msID(2), Meta{Version: 1})
 	s.Put(msID(3), Meta{Version: 1}) // forces eviction: must pick id 1, not id 0
-	if _, inCache := s.cache[msID(1)]; inCache {
-		t.Fatal("id 1 should have been evicted")
+	if r, ok := s.recs[msID(1)]; !ok || r.cached {
+		t.Fatalf("id 1 should have spilled (present %v, cached %v)", ok, r.cached)
 	}
-	if _, ok := s.backing[msID(1)]; !ok {
-		t.Fatal("id 1 should have spilled to backing")
+	if _, ok := s.recs[msID(0)]; ok {
+		t.Fatal("deleted id 0 must not reappear")
 	}
-	if _, ok := s.backing[msID(0)]; ok {
-		t.Fatal("deleted id 0 must not reappear in backing")
+	if s.cached != 2 {
+		t.Fatalf("cached records = %d, want 2", s.cached)
 	}
 }

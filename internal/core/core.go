@@ -118,7 +118,11 @@ type System struct {
 	cfg Config // resolved configuration, kept for Run and Reboot
 }
 
-// resolve fills in config defaults, including the journal geometry.
+// journalBlocks is the length of the journal's reserved tail range on the
+// swap device (256 blocks = 1 MiB).
+const journalBlocks = 256
+
+// resolve fills in config defaults.
 func (cfg Config) resolve() Config {
 	if cfg.MemoryPages == 0 {
 		cfg.MemoryPages = 16384
@@ -134,13 +138,6 @@ func (cfg Config) resolve() Config {
 	}
 	if cfg.VCPUs == 0 {
 		cfg.VCPUs = 1
-	}
-	if cfg.Persist != nil {
-		p := *cfg.Persist // private copy: callers may share an Options
-		if p.Blocks == 0 {
-			p.Blocks = 256
-		}
-		cfg.Persist = &p
 	}
 	return cfg
 }
@@ -175,9 +172,9 @@ func NewSystem(cfg Config) *System {
 		// [0, SwapPages) and the journal owns the reserved tail range. One
 		// surviving medium then carries both the sealed metadata and the
 		// ciphertext it locates.
-		swapDisk = mach.NewDisk(world, cfg.SwapPages+cfg.Persist.Blocks)
+		swapDisk = mach.NewDisk(world, cfg.SwapPages+journalBlocks)
 		j, jerr := persist.NewJournal(world, swapDisk, cfg.SwapPages,
-			cfg.Persist.Blocks, persist.SealKey(cfg.Seed), *cfg.Persist)
+			journalBlocks, persist.SealKey(cfg.Seed), *cfg.Persist)
 		if jerr != nil {
 			panic(jerr)
 		}

@@ -23,7 +23,7 @@ var updateObs = flag.Bool("update", false, "rewrite observability golden files")
 // observedRun executes a small cloaked workload with full instrumentation
 // and returns the world's spans, ring state, attributed metrics, and
 // stack-attributed profile. Profiling rides along on the same run the trace
-// and breakdown goldens pin, which doubles as proof that enabling it does
+// and metrics goldens pin, which doubles as proof that enabling it does
 // not perturb the simulation.
 func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Metrics, *obs.Profile) {
 	t.Helper()
@@ -31,7 +31,7 @@ func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Met
 	sys.World.EnableTrace(1 << 14)
 	m := sys.World.EnableMetrics(nil)
 	sys.World.SetPhase("golden")
-	p := sys.World.EnableProfile(nil)
+	p := sys.World.EnableProfile()
 	sys.Register("golden", func(e core.Env) {
 		buf, err := e.Alloc(2)
 		if err != nil {
@@ -116,15 +116,17 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestBreakdownGolden pins the attributed cycle-breakdown text per seed.
-func TestBreakdownGolden(t *testing.T) {
+// TestMetricsGolden pins the attributed-metrics JSON export per seed: the
+// per-task, per-phase and per-component cycle split that overbench -metrics
+// ships.
+func TestMetricsGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		_, _, m, _ := observedRun(t, seed)
 		var buf bytes.Buffer
-		if err := obs.WriteBreakdown(&buf, m); err != nil {
+		if err := obs.WriteMetricsJSON(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		checkObsGolden(t, goldenName("breakdown", seed), buf.Bytes())
+		checkObsGolden(t, goldenName("metrics", seed), buf.Bytes())
 	}
 }
 
@@ -136,7 +138,7 @@ func goldenName(kind string, seed uint64) string {
 }
 
 func ext(kind string) string {
-	if kind == "trace" || kind == "profile" {
+	if kind == "trace" || kind == "profile" || kind == "metrics" {
 		return "json"
 	}
 	return "txt"

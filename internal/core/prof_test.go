@@ -8,7 +8,7 @@ import (
 )
 
 // The profiler exports must be pure functions of the seed, exactly like the
-// trace and breakdown exports they ride alongside: folded stacks, the top-N
+// trace and metrics exports they ride alongside: folded stacks, the top-N
 // frame table, and the histogram-bearing profile artifact each get a golden
 // per seed. Regenerate with
 //

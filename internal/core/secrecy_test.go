@@ -26,7 +26,7 @@ func TestPlaintextNeverReachesSinks(t *testing.T) {
 	sys := core.NewSystem(core.Config{MemoryPages: memPages, Seed: 5})
 	sys.World.EnableTrace(1 << 14)
 	m := sys.World.EnableMetrics(nil)
-	p := sys.World.EnableProfile(nil)
+	p := sys.World.EnableProfile()
 	readBack := 0
 	sys.Register("secret", func(e core.Env) {
 		base, err := e.Alloc(pages)

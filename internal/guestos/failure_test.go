@@ -50,7 +50,7 @@ func TestOOMWhenRAMAndSwapExhausted(t *testing.T) {
 func TestFDTableExhaustion(t *testing.T) {
 	w := sim.NewWorld(sim.DefaultCostModel(), 4)
 	hv := mustVMM(t, w, vmm.Config{GuestPages: 256})
-	k := NewKernel(w, hv, Config{MemoryPages: 256, MaxFDs: 8})
+	k := NewKernel(w, hv, Config{MemoryPages: 256})
 	runOne(t, k, func(e Env) {
 		var fds []int
 		for {
@@ -62,13 +62,13 @@ func TestFDTableExhaustion(t *testing.T) {
 				break
 			}
 			fds = append(fds, fd)
-			if len(fds) > 16 {
+			if len(fds) > 2*maxFDs {
 				t.Error("opened more fds than the table holds")
 				break
 			}
 		}
-		if len(fds) != 8 {
-			t.Errorf("opened %d fds, want 8", len(fds))
+		if len(fds) != maxFDs {
+			t.Errorf("opened %d fds, want %d", len(fds), maxFDs)
 		}
 		// Closing one frees a slot.
 		e.Close(fds[0])

@@ -25,12 +25,14 @@ type CloakRuntime func(uc *UserCtx, body Program)
 // quantum is the scheduler time slice.
 const quantum sim.Cycles = 400_000
 
+// maxFDs is the per-process file-descriptor table size.
+const maxFDs = 64
+
 // Config sizes and parameterizes the guest kernel.
 type Config struct {
 	MemoryPages int    // guest-physical memory size
 	SwapPages   uint64 // swap device capacity
 	FSDiskPages uint64 // filesystem device capacity
-	MaxFDs      int    // per-process fd table size (0 = 64)
 	// SwapDisk, when non-nil, is a pre-built swap device (possibly larger
 	// than SwapPages; the pager uses only the first SwapPages blocks). The
 	// embedding host uses this to co-locate the VMM's metadata journal on
@@ -92,9 +94,6 @@ type Kernel struct {
 func NewKernel(world *sim.World, hv *vmm.VMM, cfg Config) *Kernel {
 	if cfg.MemoryPages <= 0 || cfg.MemoryPages > hv.GuestPages() {
 		panic("guestos: MemoryPages must fit in guest-physical memory")
-	}
-	if cfg.MaxFDs == 0 {
-		cfg.MaxFDs = 64
 	}
 	if cfg.SwapPages == 0 {
 		cfg.SwapPages = 4096

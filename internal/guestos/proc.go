@@ -141,7 +141,7 @@ func (k *Kernel) newProc(ppid Pid, cloaked bool, name string, args []string) *Pr
 		gpt:         gpt,
 		as:          k.vmm.CreateAddressSpace(gpt),
 		swapped:     make(map[uint64]uint64),
-		fds:         make([]*FileDesc, k.cfg.MaxFDs),
+		fds:         make([]*FileDesc, maxFDs),
 		children:    make(map[Pid]*Proc),
 		sigHandlers: make(map[Signal]SigHandler),
 		brk:         LayoutHeapBase,

@@ -160,7 +160,7 @@ func runFaultScenario(opts Options, sc faultScenario) faultOutcome {
 		"fault/"+sc.name)
 	prof := sys.World.Profile()
 	if prof == nil {
-		prof = sys.World.EnableProfile(nil) // the retry histogram needs spans even unobserved
+		prof = sys.World.EnableProfile() // the retry histogram needs spans even unobserved
 	}
 
 	victimPages := opts.scale(160, 120)

@@ -395,7 +395,7 @@ func e2Probe(opts Options) e2Result {
 	}
 	prof := sys.World.Profile()
 	if prof == nil {
-		prof = sys.World.EnableProfile(nil) // latency rows need spans even unobserved
+		prof = sys.World.EnableProfile() // latency rows need spans even unobserved
 	}
 	before := met.TotalsSorted()
 	sys.Register("probe", func(e core.Env) {

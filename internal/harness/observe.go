@@ -50,7 +50,7 @@ func (ob *Observer) attach(w *sim.World, phase string, key uint64) {
 	if ob.Profile {
 		// After SetPhase: the profiler roots each world's stacks at the
 		// phase label current at enable time.
-		w.EnableProfile(nil)
+		w.EnableProfile()
 	}
 	ob.mu.Lock()
 	ob.slots = append(ob.slots, obsSlot{key: key, world: w, store: store})

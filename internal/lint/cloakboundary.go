@@ -15,7 +15,7 @@ import (
 //     only guest-physical pages (mach.GPPN) and reaches memory through
 //     VMM-mediated paths (Translate, PhysRead, PhysWrite, hypercalls),
 //     which run the cloaking state machine;
-//   - the cloak package's key and plaintext machinery (Engine, Keyer,
+//   - the cloak package's key and plaintext machinery (Engine,
 //     MasterKeyer, MetaStore, Meta, ...) is off limits entirely; only the
 //     opaque identifier types (DomainID, ResourceID, PageID) may pass
 //     through untrusted code.

@@ -14,13 +14,13 @@ import (
 // The check builds a static call graph over the whole module and flags
 // exported functions declared in internal/vmm or internal/guestos that can
 // reach a raw memory primitive ((*mach.Memory).Page / Zero) without any
-// path-insensitive evidence of charging ((*sim.World).Charge/ChargeCount/
-// ChargeAdd or (*sim.Clock).Advance). Calls into the observability surface
-// (internal/obs; the sim span/attribution methods) are pruned from the
-// graph: they are charge-free observers, so tracing an operation is never
-// evidence of charging for it. The analysis is an under-approximation on
-// dynamic calls (function values, interface methods), which is the safe
-// direction: it may miss, it does not spuriously block.
+// path-insensitive evidence of charging ((*sim.VCPU).ChargeCount/ChargeAdd).
+// Calls into the observability surface (internal/obs; the sim
+// span/attribution methods) are pruned from the graph: they are charge-free
+// observers, so tracing an operation is never evidence of charging for it.
+// The analysis is an under-approximation on dynamic calls (function values,
+// interface methods), which is the safe direction: it may miss, it does not
+// spuriously block.
 var CycleChargeAnalyzer = &Analyzer{
 	Name: "cyclecharge",
 	Doc:  "exported VMM/guestos functions touching guest memory must charge the sim cost model",
@@ -157,8 +157,7 @@ func isMemoryPrimitive(obj types.Object) bool {
 // isChargePrimitive reports whether obj advances the simulated clock: the
 // per-vCPU charge methods are the only way to do so.
 func isChargePrimitive(obj types.Object) bool {
-	return objIs(obj, "overshadow/internal/sim", "VCPU", "Charge") ||
-		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeCount") ||
+	return objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeCount") ||
 		objIs(obj, "overshadow/internal/sim", "VCPU", "ChargeAdd")
 }
 

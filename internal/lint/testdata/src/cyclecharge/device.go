@@ -20,7 +20,7 @@ func (d *Device) BadRead(mpn mach.MPN) byte { // want `BadRead reaches guest mem
 }
 
 func (d *Device) GoodRead(mpn mach.MPN) byte {
-	d.world.CPU().Charge(d.world.Cost.MemAccess)
+	d.world.CPU().ChargeCount(d.world.Cost.MemAccess, sim.CtrMemAccess)
 	return d.mem.Page(mpn)[0]
 }
 
@@ -51,7 +51,7 @@ func (d *Device) BadClosure(mpns []mach.MPN) int { // want `BadClosure reaches g
 func (d *Device) raw(mpn mach.MPN) byte { return d.mem.Page(mpn)[0] }
 
 // charge is the helper GoodIndirect charges through.
-func (d *Device) charge() { d.world.Boot().Charge(1) }
+func (d *Device) charge() { d.world.Boot().ChargeCount(1, sim.CtrMemAccess) }
 
 // Exported but never reaches memory: not flagged.
 func (d *Device) Frames() int { return 0 }
@@ -91,7 +91,7 @@ func (d *Device) observe(mpn mach.MPN) {
 // meticulously stack-attributed by the profiler still never advanced the
 // simulated clock, so it is flagged like any other free touch.
 func (d *Device) BadProfiled(mpn mach.MPN) byte { // want `BadProfiled reaches guest memory without charging`
-	d.world.EnableProfile(nil)
+	d.world.EnableProfile()
 	sp := d.world.CPU().Begin(obs.KindDisk, "read", uint64(mpn))
 	defer sp.End()
 	return d.mem.Page(mpn)[0]
@@ -99,7 +99,7 @@ func (d *Device) BadProfiled(mpn mach.MPN) byte { // want `BadProfiled reaches g
 
 // Profiling alongside a real charge is fine — the charge is the evidence.
 func (d *Device) GoodProfiled(mpn mach.MPN) byte {
-	d.world.EnableProfile(nil)
-	d.world.CPU().Charge(d.world.Cost.MemAccess)
+	d.world.EnableProfile()
+	d.world.CPU().ChargeCount(d.world.Cost.MemAccess, sim.CtrMemAccess)
 	return d.mem.Page(mpn)[0]
 }

@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the simulated machine:
-// attribution keys, attributed cycle metrics, structured spans, and the
-// exporters that render them (Chrome trace_event JSON for Perfetto, a
-// flame-style text breakdown, and machine-readable metrics JSON).
+// attribution keys, attributed cycle metrics, structured spans, the
+// stack-attributed profile, and one exporter per artifact: Chrome
+// trace_event JSON for Perfetto (read back by cmd/overtrace), metrics JSON,
+// and the profile JSON (read back by cmd/overprof, the one source of
+// latency-percentile tables).
 //
 // The package sits below internal/sim — sim timestamps and attributes every
 // charge and span, obs only defines the data model and serialization — and
@@ -37,7 +39,7 @@ type Attr struct {
 	Cloaked bool `json:"cloaked,omitempty"`
 }
 
-// String renders the attribution key compactly for text exports.
+// String renders the attribution key compactly for human-readable dumps.
 func (a Attr) String() string {
 	if a == (Attr{}) {
 		return "machine"

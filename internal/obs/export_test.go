@@ -69,14 +69,6 @@ func TestChromeTraceGolden(t *testing.T) {
 	checkGolden(t, "chrome_fixture.json", buf.Bytes())
 }
 
-func TestBreakdownGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteBreakdown(&buf, fixtureMetrics()); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "breakdown_fixture.txt", buf.Bytes())
-}
-
 func TestMetricsJSONGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteMetricsJSON(&buf, fixtureMetrics()); err != nil {

@@ -137,6 +137,3 @@ func (m *Metrics) Merge(other *Metrics) {
 		}
 	}
 }
-
-// Reset drops all buckets.
-func (m *Metrics) Reset() { m.buckets = make(map[Attr]*bucket) }

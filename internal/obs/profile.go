@@ -114,12 +114,6 @@ func (p *Profile) Observe(kind Kind, domain uint32, dur uint64) {
 	h.Record(dur)
 }
 
-// Hist returns the histogram for (kind, domain), or nil if no span of that
-// shape completed.
-func (p *Profile) Hist(kind Kind, domain uint32) *Histogram {
-	return p.hists[HistKey{Kind: kind, Domain: domain}]
-}
-
 // HistEntry is one (key, histogram) pair of the key-sorted histogram view.
 type HistEntry struct {
 	Key  HistKey

@@ -16,9 +16,6 @@ type Options struct {
 	// records (default 64). Smaller values shrink the replay window at the
 	// price of more checkpoint I/O.
 	CheckpointEvery int
-	// Blocks sizes the reserved journal range when the embedding host
-	// builds the device (default 256 blocks = 1 MiB).
-	Blocks uint64
 	// PerDomainEntries caps live journal entries per domain (0 = unlimited).
 	// A domain that exceeds it — a hostile kernel flooding appends or
 	// growing the metastore without bound — is wedged *individually*: its

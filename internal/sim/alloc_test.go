@@ -22,7 +22,6 @@ func TestObservabilityOffAllocatesNothing(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"Charge", func() { c.Charge(3) }},
 		{"ChargeCount", func() { c.ChargeCount(3, CtrHypercall) }},
 		{"ChargeAdd", func() { c.ChargeAdd(3, CtrPageEncrypt, 2) }},
 		{"Begin.End", func() { c.Begin(obs.KindSyscall, "getpid", 7).End() }},

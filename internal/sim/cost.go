@@ -42,7 +42,7 @@ type CostModel struct {
 
 	// Metadata cache.
 	MetaCacheHit  Cycles
-	MetaCacheMiss Cycles // fetch/verify a metadata record from backing store
+	MetaCacheMiss Cycles // fetch/verify a metadata record from the spill area
 
 	// Shadow page-table maintenance.
 	ShadowFill   Cycles // install one shadow PTE

@@ -26,23 +26,20 @@ type profState struct {
 	tid int
 }
 
-// EnableProfile turns on stack-attributed profiling. Passing a non-nil
-// profile shares it between worlds (the harness merges per-world profiles
-// instead, so it passes nil); the harness must set the phase before enabling
-// — the root frame is the phase label at enable time. Returns the active
-// profile.
-func (w *World) EnableProfile(shared *obs.Profile) *obs.Profile {
-	if shared == nil {
-		shared = obs.NewProfile()
-	}
-	root := shared.Root(w.phase)
+// EnableProfile turns on stack-attributed profiling into a fresh profile of
+// this world's own (the harness merges per-world profiles); the harness must
+// set the phase before enabling — the root frame is the phase label at
+// enable time. Returns the active profile.
+func (w *World) EnableProfile() *obs.Profile {
+	prof := obs.NewProfile()
+	root := prof.Root(w.phase)
 	w.prof = &profState{
-		prof:   shared,
+		prof:   prof,
 		root:   root,
 		stack:  append(make([]*obs.ProfNode, 0, 8), root),
 		stacks: make(map[int][]*obs.ProfNode),
 	}
-	return shared
+	return prof
 }
 
 // Profile returns the active profile, or nil when profiling is disabled.

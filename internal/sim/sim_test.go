@@ -17,8 +17,8 @@ func TestClockAdvance(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatalf("new clock at %d, want 0", c.Now())
 	}
-	w.Boot().Charge(10)
-	w.Boot().Charge(5)
+	w.Boot().ChargeAdd(10, CtrCompute, 0)
+	w.Boot().ChargeAdd(5, CtrCompute, 0)
 	if got := c.Now(); got != 15 {
 		t.Fatalf("Now() = %d, want 15", got)
 	}
@@ -254,8 +254,8 @@ func TestWorldChargeCount(t *testing.T) {
 func TestCrashClampCreditsChargingVCPU(t *testing.T) {
 	w := NewWorldN(DefaultCostModel(), 1, 2)
 	boot, cpu1 := w.VCPUs()[0], w.VCPUs()[1]
-	boot.Charge(100)
-	cpu1.Charge(50)
+	boot.ChargeAdd(100, CtrCompute, 0)
+	cpu1.ChargeAdd(50, CtrCompute, 0)
 	const deadline = Cycles(400)
 	w.Clock.SetCrashAt(deadline)
 

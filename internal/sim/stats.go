@@ -85,15 +85,14 @@ const (
 
 	// Cycle-attribution counters: these name cycle sinks that previously
 	// charged the clock anonymously, so attributed profiles can decompose
-	// every simulated cycle. CtrOther is the catch-all that keeps the
-	// per-component breakdown summing to the clock total.
+	// every simulated cycle. Every charge names its counter, so the
+	// per-component breakdown sums to the clock total with no catch-all.
 	CtrCompute  Counter = "cpu.compute"
 	CtrIdle     Counter = "cpu.idle"
 	CtrTrap     Counter = "cpu.trap"
 	CtrTLBEvict Counter = "tlb.evict"
 	CtrPageZero Counter = "mm.pagezero"
 	CtrPageCopy Counter = "mm.pagecopy"
-	CtrOther    Counter = "cycles.other"
 )
 
 // counterNames gives each counter slot its name at export. It is sorted by
@@ -102,7 +101,7 @@ var counterNames = [...]Counter{
 	CtrAttackDetected, CtrAttackSnoop, CtrAttackTamper,
 	CtrPageDecrypt, CtrPageEncrypt, CtrHashCompute, CtrMetaCacheHit,
 	CtrMetaCacheMiss, CtrHashVerifyFail, CtrHashVerifyOK,
-	CtrCompute, CtrIdle, CtrTrap, CtrOther,
+	CtrCompute, CtrIdle, CtrTrap,
 	CtrDiskRead, CtrDiskWrite, CtrFaultInjected, CtrMemAccess,
 	CtrMigrateCkptPage, CtrMigrateRetry, CtrMigrateXfer, CtrPageCopy, CtrPageZero,
 	CtrContextSwitch, CtrExec, CtrPageFaultCOW, CtrPageFaultDemand, CtrFork,
@@ -149,108 +148,106 @@ func (c Counter) slot() int {
 		return 11
 	case CtrTrap:
 		return 12
-	case CtrOther:
-		return 13
 	case CtrDiskRead:
-		return 14
+		return 13
 	case CtrDiskWrite:
-		return 15
+		return 14
 	case CtrFaultInjected:
-		return 16
+		return 15
 	case CtrMemAccess:
-		return 17
+		return 16
 	case CtrMigrateCkptPage:
-		return 18
+		return 17
 	case CtrMigrateRetry:
-		return 19
+		return 18
 	case CtrMigrateXfer:
-		return 20
+		return 19
 	case CtrPageCopy:
-		return 21
+		return 20
 	case CtrPageZero:
-		return 22
+		return 21
 	case CtrContextSwitch:
-		return 23
+		return 22
 	case CtrExec:
-		return 24
+		return 23
 	case CtrPageFaultCOW:
-		return 25
+		return 24
 	case CtrPageFaultDemand:
-		return 26
+		return 25
 	case CtrFork:
-		return 27
+		return 26
 	case CtrMigration:
-		return 28
+		return 27
 	case CtrSignalDeliver:
-		return 29
+		return 28
 	case CtrPageIn:
-		return 30
+		return 29
 	case CtrPageOut:
-		return 31
+		return 30
 	case CtrSyscall:
-		return 32
+		return 31
 	case CtrJournalAppend:
-		return 33
+		return 32
 	case CtrJournalCheckpoint:
-		return 34
+		return 33
 	case CtrRecoverPage:
-		return 35
+		return 34
 	case CtrReplayAccepted:
-		return 36
+		return 35
 	case CtrReplayRejected:
-		return 37
+		return 36
 	case CtrJournalWedged:
-		return 38
+		return 37
 	case CtrJournalDomainWedged:
-		return 39
+		return 38
 	case CtrJournalWriteErr:
-		return 40
+		return 39
 	case CtrIagoRejected:
-		return 41
+		return 40
 	case CtrShimMarshalBytes:
-		return 42
+		return 41
 	case CtrShimRetry:
-		return 43
+		return 42
 	case CtrShimSyscall:
-		return 44
+		return 43
 	case CtrTLBEvict:
-		return 45
+		return 44
 	case CtrTLBFlush:
-		return 46
+		return 45
 	case CtrTLBHit:
-		return 47
+		return 46
 	case CtrTLBMiss:
-		return 48
+		return 47
 	case CtrTLBShootdown:
-		return 49
+		return 48
 	case CtrIntrospectDiverge:
-		return 50
+		return 49
 	case CtrIntrospectScan:
-		return 51
+		return 50
 	case CtrCTCRestore:
-		return 52
+		return 51
 	case CtrCTCSave:
-		return 53
+		return 52
 	case CtrCloakFault:
-		return 54
+		return 53
 	case CtrGuestFault:
-		return 55
+		return 54
 	case CtrHiddenFault:
-		return 56
+		return 55
 	case CtrHypercall:
-		return 57
+		return 56
 	case CtrQuarantine:
-		return 58
+		return 57
 	case CtrQuotaDenied:
-		return 59
+		return 58
 	case CtrShadowDrop:
-		return 60
+		return 59
 	case CtrShadowFill:
-		return 61
+		return 60
 	case CtrShadowSwitch:
-		return 62
+		return 61
 	case CtrWorldSwitch:
-		return 63
+		return 62
 	}
 	panic(fmt.Sprintf("sim: unknown counter %q", c))
 }

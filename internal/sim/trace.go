@@ -8,11 +8,10 @@ import "overshadow/internal/obs"
 // sprinkled through the VMM and guest kernel. Every vCPU of a machine writes
 // the one ring; spans land in execution order, which the baton makes total.
 type Tracer struct {
-	enabled bool
-	cap     int
-	buf     []obs.Span
-	next    int
-	total   uint64
+	cap   int
+	buf   []obs.Span
+	next  int
+	total uint64
 }
 
 // Wrapped reports whether the ring filled and began overwriting, i.e.
@@ -48,11 +47,11 @@ func (w *World) EnableTrace(capacity int) {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	w.Tracer = &Tracer{enabled: true, cap: capacity, buf: make([]obs.Span, 0, capacity)}
+	w.Tracer = &Tracer{cap: capacity, buf: make([]obs.Span, 0, capacity)}
 }
 
 // TraceEnabled reports whether spans are being recorded.
-func (w *World) TraceEnabled() bool { return w.Tracer != nil && w.Tracer.enabled }
+func (w *World) TraceEnabled() bool { return w.Tracer != nil }
 
 // SpanHandle marks an open span returned by Begin; End closes it. The zero
 // handle (returned when both tracing and profiling are off) makes End a
@@ -82,7 +81,7 @@ type SpanHandle struct {
 func (c *VCPU) Begin(kind obs.Kind, name string, arg uint64) SpanHandle {
 	w := c.w
 	t := w.Tracer
-	traced := t != nil && t.enabled
+	traced := t != nil
 	if !traced && w.prof == nil {
 		return SpanHandle{}
 	}
@@ -127,7 +126,7 @@ func (h SpanHandle) End() {
 func (c *VCPU) Emit(kind obs.Kind, name string, arg uint64) {
 	w := c.w
 	t := w.Tracer
-	if t == nil || !t.enabled {
+	if t == nil {
 		return
 	}
 	t.record(obs.Span{Start: uint64(w.Clock.Now()), Kind: kind, Name: name, Arg: arg, Instant: true, Attr: c.attr})
@@ -144,7 +143,7 @@ func (c *VCPU) EmitSpan(kind obs.Kind, name string, arg uint64, dur Cycles) {
 		w.profObserve(kind, c.attr.Domain, uint64(dur))
 	}
 	t := w.Tracer
-	if t == nil || !t.enabled {
+	if t == nil {
 		return
 	}
 	now := w.Clock.Now()

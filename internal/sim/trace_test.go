@@ -25,7 +25,7 @@ func TestTraceRecordsInOrder(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
 	for i := 0; i < 5; i++ {
-		w.Boot().Charge(10)
+		w.Boot().ChargeAdd(10, CtrCompute, 0)
 		w.Boot().Emit(obs.KindProc, fmt.Sprintf("event %d", i), uint64(i))
 	}
 	spans, ring := w.TraceSpans()
@@ -85,9 +85,9 @@ func TestTracerExactlyFullIsNotWrapped(t *testing.T) {
 func TestBeginEndSpanCoversCharges(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
-	w.Boot().Charge(100)
+	w.Boot().ChargeAdd(100, CtrCompute, 0)
 	h := w.Boot().Begin(obs.KindSyscall, "write", 42)
-	w.Boot().Charge(250)
+	w.Boot().ChargeAdd(250, CtrCompute, 0)
 	h.End()
 	spans, _ := w.TraceSpans()
 	if len(spans) != 1 {
@@ -105,7 +105,7 @@ func TestBeginEndSpanCoversCharges(t *testing.T) {
 func TestEmitSpanIsBackdated(t *testing.T) {
 	w := NewWorld(DefaultCostModel(), 1)
 	w.EnableTrace(16)
-	w.Boot().Charge(1000)
+	w.Boot().ChargeAdd(1000, CtrCompute, 0)
 	w.Boot().EmitSpan(obs.KindWorldSwitch, "enter", 0, 800)
 	spans, _ := w.TraceSpans()
 	if len(spans) != 1 || spans[0].Start != 200 || spans[0].Dur != 800 {
@@ -150,19 +150,18 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 	w.Boot().SetTask(2, 2, "b", 0, false)
 	w.Boot().ChargeCount(300, CtrSyscall)
 	w.Boot().ChargeAdd(50, CtrMemAccess, 10)
-	w.Boot().Charge(7) // catch-all
 
-	if got := m.TotalCycles(); got != 457 {
+	if got := m.TotalCycles(); got != 450 {
 		t.Fatalf("TotalCycles = %d", got)
 	}
-	if uint64(w.Now()) != 457 {
-		t.Fatalf("clock = %d, want attributed total 457", w.Now())
+	if uint64(w.Now()) != 450 {
+		t.Fatalf("clock = %d, want attributed total 450", w.Now())
 	}
 	totals := map[string]uint64{}
 	for _, nt := range m.TotalsSorted() {
 		totals[nt.Name] = nt.Cycles
 	}
-	if totals[string(CtrSyscall)] != 400 || totals[string(CtrMemAccess)] != 50 || totals[string(CtrOther)] != 7 {
+	if totals[string(CtrSyscall)] != 400 || totals[string(CtrMemAccess)] != 50 {
 		t.Fatalf("totals = %v", totals)
 	}
 	snap := m.Snapshot()
@@ -170,7 +169,7 @@ func TestAttributedChargesBucketPerTask(t *testing.T) {
 	for _, p := range snap {
 		perTask[p.Attr.Task] += p.Cycles
 	}
-	if perTask["a"] != 100 || perTask["b"] != 357 {
+	if perTask["a"] != 100 || perTask["b"] != 350 {
 		t.Fatalf("per-task cycles = %v", perTask)
 	}
 	// Flat counters still maintained.
@@ -197,9 +196,9 @@ func TestMetricsSharedAcrossWorlds(t *testing.T) {
 	w1.EnableMetrics(m)
 	w2.EnableMetrics(m)
 	w1.SetPhase("native")
-	w1.Boot().Charge(10)
+	w1.Boot().ChargeAdd(10, CtrCompute, 0)
 	w2.SetPhase("cloaked")
-	w2.Boot().Charge(20)
+	w2.Boot().ChargeAdd(20, CtrCompute, 0)
 	if m.TotalCycles() != 30 {
 		t.Fatalf("shared metrics total = %d", m.TotalCycles())
 	}

@@ -67,20 +67,6 @@ func (c *VCPU) chargeClock(n Cycles) {
 	c.cycles += n
 }
 
-// Charge advances the clock by n cycles. Sites with a meaningful counter
-// should prefer ChargeCount/ChargeAdd; anything left here lands in the
-// catch-all bucket so attributed components still sum to the clock total.
-func (c *VCPU) Charge(n Cycles) {
-	c.chargeClock(n)
-	w := c.w
-	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, string(CtrOther), uint64(n), 0)
-	}
-	if w.prof != nil {
-		w.profLeaf(string(CtrOther), uint64(n))
-	}
-}
-
 // ChargeCount advances the clock and increments the matching counter; the
 // two almost always travel together.
 func (c *VCPU) ChargeCount(n Cycles, ctr Counter) {

@@ -21,6 +21,8 @@
 #              to machine state (sim and vmm hold no locks)
 #   determinism  serial vs 4-way sharded runs byte-identical, the VCPUs=1
 #              goldens, and the VCPUs=4 two-run check
+#   readers    overprof renders the profile artifact and overtrace the
+#              Chrome trace, each from a built overbench's output
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -182,6 +184,13 @@ for s in 3 11; do
     go run ./cmd/overprof "$tmpdir/profile-serial-$s.profile.json" > /dev/null
 done
 echo "profile artifact: verified shard-independent (seeds 3, 11)"
+
+echo "== trace reader"
+# The Chrome trace is the other run artifact with a reader of its own: it
+# must parse and render through the summarizer too.
+"$tmpdir/overbench" -e E2 -shards 1 -trace "$tmpdir/trace.json" > /dev/null 2>&1
+go run ./cmd/overtrace "$tmpdir/trace.json" > /dev/null
+echo "trace artifact: rendered by overtrace"
 
 echo "== crash-sweep smoke"
 # E14 crashes whole machines at derived cycle deadlines and reboots each one
