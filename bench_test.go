@@ -1,9 +1,11 @@
 package overshadow_test
 
-// One Go benchmark per experiment in DESIGN.md's index. Each bench runs the
-// experiment at quick scale and reports the headline *simulated* metrics via
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates every table's
-// shape. `cmd/overbench -full` prints the full-scale tables.
+// BenchmarkExperiment is the per-experiment host-time instrument: one
+// sub-benchmark per experiment in DESIGN.md's index, each running that
+// experiment alone and serially at quick scale, so ns/op is its own host
+// cost. sim_cycles/op is the experiment's simulated-cycle total, identical
+// on every host; each sub-benchmark logs its table. `cmd/overbench -full`
+// prints the full-scale tables.
 
 import (
 	"testing"
@@ -11,129 +13,16 @@ import (
 	"overshadow/internal/harness"
 )
 
-func benchOpts() harness.Options { return harness.Options{Quick: true, Seed: 1} }
-
-// runExperiment executes the experiment once per b.N and reports rows.
-func runExperiment(b *testing.B, id string, metrics func(*harness.Table, *testing.B)) {
-	b.Helper()
-	exp, ok := harness.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
+func BenchmarkExperiment(b *testing.B) {
+	opts := harness.Options{Quick: true, Seed: 1}
+	for _, e := range harness.Registry() {
+		b.Run(e.ID, func(b *testing.B) {
+			var r harness.Result
+			for i := 0; i < b.N; i++ {
+				r = harness.RunAll(opts, []harness.Experiment{e}, 1)[0]
+			}
+			b.ReportMetric(float64(r.SimCycles), "sim_cycles/op")
+			b.Logf("\n%s", r.Table)
+		})
 	}
-	var tab *harness.Table
-	for i := 0; i < b.N; i++ {
-		tab = exp.Run(benchOpts())
-	}
-	if metrics != nil {
-		metrics(tab, b)
-	}
-	b.Logf("\n%s", tab)
-}
-
-func BenchmarkE1_Microbenchmarks(b *testing.B) {
-	runExperiment(b, "E1", func(t *harness.Table, b *testing.B) {
-		for _, r := range t.Rows {
-			switch r.Name {
-			case "null syscall", "fork+wait", "read 16KiB", "context switch":
-				b.ReportMetric(r.Values[2], r.Name[:4]+"_slowdown_x")
-			}
-		}
-	})
-}
-
-func BenchmarkE2_TransitionBreakdown(b *testing.B) {
-	runExperiment(b, "E2", func(t *harness.Table, b *testing.B) {
-		for _, r := range t.Rows {
-			if r.Name == "kernel touch (encrypt+hash)" {
-				b.ReportMetric(r.Values[0], "encrypt_page_cycles")
-			}
-			if r.Name == "app re-touch (verify+decrypt)" {
-				b.ReportMetric(r.Values[0], "decrypt_page_cycles")
-			}
-		}
-	})
-}
-
-func BenchmarkE3_CPUBound(b *testing.B) {
-	runExperiment(b, "E3", func(t *harness.Table, b *testing.B) {
-		var worst float64
-		for _, r := range t.Rows {
-			if r.Values[2] > worst {
-				worst = r.Values[2]
-			}
-		}
-		b.ReportMetric(worst, "worst_overhead_pct")
-	})
-}
-
-func BenchmarkE4_WebServer(b *testing.B) {
-	runExperiment(b, "E4", func(t *harness.Table, b *testing.B) {
-		b.ReportMetric(t.Rows[0].Values[2], "overhead_1KiB_pct")
-		b.ReportMetric(t.Rows[len(t.Rows)-1].Values[2], "overhead_64KiB_pct")
-	})
-}
-
-func BenchmarkE5_FileIO(b *testing.B) {
-	runExperiment(b, "E5", func(t *harness.Table, b *testing.B) {
-		for _, r := range t.Rows {
-			switch r.Name {
-			case "native":
-				b.ReportMetric(r.Values[0], "native_KiB_per_Mcyc")
-			case "cloaked proc, cloaked file":
-				b.ReportMetric(r.Values[0], "cloaked_KiB_per_Mcyc")
-			}
-		}
-	})
-}
-
-func BenchmarkE6_Paging(b *testing.B) {
-	runExperiment(b, "E6", func(t *harness.Table, b *testing.B) {
-		last := t.Rows[len(t.Rows)-1]
-		b.ReportMetric(last.Values[2], "cloak_delta_Mcyc_at_1.6x")
-		b.ReportMetric(last.Values[3], "pageouts")
-	})
-}
-
-func BenchmarkE7_MetadataOverhead(b *testing.B) {
-	runExperiment(b, "E7", func(t *harness.Table, b *testing.B) {
-		b.ReportMetric(t.Rows[len(t.Rows)-1].Values[2], "metadata_bytes_per_page")
-	})
-}
-
-func BenchmarkE8_AttackDetection(b *testing.B) {
-	runExperiment(b, "E8", func(t *harness.Table, b *testing.B) {
-		var leaked, corrupted float64
-		for _, r := range t.Rows {
-			leaked += r.Values[1]
-			corrupted += r.Values[2]
-		}
-		b.ReportMetric(leaked, "plaintext_leaks")
-		b.ReportMetric(corrupted, "silent_corruptions")
-	})
-}
-
-func BenchmarkE9_ProcessMix(b *testing.B) {
-	runExperiment(b, "E9", func(t *harness.Table, b *testing.B) {
-		b.ReportMetric(t.Rows[len(t.Rows)-1].Values[2], "overhead_pct_jobs8")
-	})
-}
-
-func BenchmarkE10_Ablations(b *testing.B) {
-	runExperiment(b, "E10", func(t *harness.Table, b *testing.B) {
-		b.ReportMetric(t.Rows[1].Values[1], "no_multishadow_x")
-		b.ReportMetric(t.Rows[2].Values[1], "untagged_tlb_x")
-	})
-}
-
-func BenchmarkE11_ProtectedIPC(b *testing.B) {
-	runExperiment(b, "E11", func(t *harness.Table, b *testing.B) {
-		b.ReportMetric(t.Rows[0].Values[0], "pipe_KiB_per_Mcyc")
-		b.ReportMetric(t.Rows[1].Values[0], "shm_KiB_per_Mcyc")
-	})
-}
-
-func BenchmarkE12_KVService(b *testing.B) {
-	runExperiment(b, "E12", func(t *harness.Table, b *testing.B) {
-		b.ReportMetric(t.Rows[0].Values[2], "overhead_pct_64B")
-	})
 }

@@ -336,11 +336,6 @@ func (k *Kernel) finishProcessExit(sh *procShared) {
 		k.wake(w)
 	}
 	leader.waiters = nil
-	if leader.ppid != 0 {
-		if parent, ok := k.procs[leader.ppid]; ok {
-			_ = parent // leader stays in parent.children until reaped
-		}
-	}
 }
 
 // releaseAddressSpace frees all memory of p's process: resident frames,

@@ -37,16 +37,6 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tab := &Table{ID: "EX", Title: "demo", Columns: []string{"col,a", "b"}}
-	tab.AddRow("r,1", 1.5, 42)
-	csv := tab.CSV()
-	want := "name,col;a,b\nr;1,1.5,42\n"
-	if csv != want {
-		t.Fatalf("CSV = %q, want %q", csv, want)
-	}
-}
-
 func TestE1MicrobenchmarksShape(t *testing.T) {
 	tab := RunE1(quick())
 	if len(tab.Rows) != len(microRowOrder) {

@@ -118,7 +118,7 @@ func (ob *Observer) Trace() ([]obs.Span, obs.RingStats) {
 
 // observe attaches w to the configured observer, if any, and registers it
 // with the experiment's world tally. Harness code calls this at every
-// world-construction site so -trace/-metrics and the bench record cover the
+// world-construction site so -trace/-metrics and Result.SimCycles cover the
 // whole run without per-experiment plumbing.
 func (o Options) observe(w *sim.World, phase string) {
 	if o.Observe != nil {

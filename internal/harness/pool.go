@@ -2,7 +2,6 @@ package harness
 
 import (
 	"sync"
-	"time"
 
 	"overshadow/internal/sim"
 )
@@ -14,10 +13,6 @@ import (
 // Simulated cycles — and therefore every table, trace, and metrics export —
 // are byte-identical for any shard count, including -shards 1. Sharding
 // changes host wall time only.
-//
-// Host-time calls (time.Now) are deliberately confined to this package: the
-// harness measures the simulator from outside and is not itself part of the
-// deterministic machine (overlint's determinism analyzer does not gate it).
 
 // pool bounds how many benchmark jobs run concurrently.
 type pool struct{ sem chan struct{} }
@@ -103,20 +98,18 @@ func (t *tally) sum() uint64 {
 }
 
 // Result is one experiment's outcome under RunAll: the rendered table plus
-// the two cost axes the bench record reports — simulated cycles (identical
-// for any shard count) and host wall time (the only axis sharding moves).
+// the simulated cycles of every world it built (identical for any shard
+// count).
 type Result struct {
 	Table     *Table
 	SimCycles uint64
-	HostNS    int64
 }
 
 // RunAll executes the given experiments over a worker pool of the given
 // width and returns results in declaration order. Each experiment gets a
 // goroutine that only composes tables from job futures; the actual world
 // construction runs as pool jobs, so total concurrency is bounded by shards
-// regardless of how many experiments are in flight. HostNS includes queue
-// wait, which is the honest number for a shared pool.
+// regardless of how many experiments are in flight.
 func RunAll(opts Options, exps []Experiment, shards int) []Result {
 	p := newPool(shards)
 	out := make([]Result, len(exps))
@@ -130,9 +123,8 @@ func RunAll(opts Options, exps []Experiment, shards int) []Result {
 		wg.Add(1)
 		go func(i int, e Experiment, o Options) {
 			defer wg.Done()
-			start := time.Now()
 			tab := e.Run(o)
-			out[i] = Result{Table: tab, SimCycles: o.tally.sum(), HostNS: time.Since(start).Nanoseconds()}
+			out[i] = Result{Table: tab, SimCycles: o.tally.sum()}
 		}(i, e, o)
 	}
 	wg.Wait()

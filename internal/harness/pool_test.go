@@ -81,9 +81,6 @@ func TestRunAllSerialMatchesDirect(t *testing.T) {
 		if results[i].SimCycles == 0 {
 			t.Errorf("%s: RunAll reported zero simulated cycles", e.ID)
 		}
-		if results[i].HostNS <= 0 {
-			t.Errorf("%s: RunAll reported non-positive host time", e.ID)
-		}
 	}
 }
 

@@ -116,26 +116,6 @@ func formatCell(v float64) string {
 	}
 }
 
-// CSV renders the table as comma-separated values (header row first),
-// suitable for plotting the figures.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString("name")
-	for _, c := range t.Columns {
-		b.WriteByte(',')
-		b.WriteString(strings.ReplaceAll(c, ",", ";"))
-	}
-	b.WriteByte('\n')
-	for _, r := range t.Rows {
-		b.WriteString(strings.ReplaceAll(r.Name, ",", ";"))
-		for _, v := range r.Values {
-			fmt.Fprintf(&b, ",%g", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // JSON renders the table as indented JSON for machine consumption
 // (overbench -json). Row order and field order are fixed, so the output is
 // byte-identical across same-seed runs.

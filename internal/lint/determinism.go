@@ -29,8 +29,6 @@ import (
 // schedule seeded from host randomness (wall clock, math/rand, os state)
 // would make failure runs unreproducible — the exact property the fault
 // layer exists to provide (see internal/fault and experiment E13).
-//
-// cmd/overbench's host wall-clock reporting is outside the checked set.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid host time, math/rand, multi-channel select, and unscheduled goroutines in simulated-machine packages",

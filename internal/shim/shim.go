@@ -280,10 +280,9 @@ func (s *Ctx) Alloc(pages int) (mach.Addr, error) {
 // Free implements Env.
 func (s *Ctx) Free(base mach.Addr) error {
 	vpn := mach.PageOf(base)
-	if sr, ok := s.shmRegions[vpn]; ok {
+	if _, ok := s.shmRegions[vpn]; ok {
 		// Shared-memory detach: unregister our view; the vault (and the
 		// object's pages) outlive us for the other attachments.
-		_ = sr
 		if err := s.retryTransient(func() error { return s.conn.UnregisterRegion(vpn) }); err != nil {
 			return err
 		}

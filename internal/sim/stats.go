@@ -46,9 +46,6 @@ const (
 	CtrSignalDeliver    Counter = "os.signal.deliver"
 	CtrShimMarshalBytes Counter = "shim.marshal.bytes"
 	CtrShimSyscall      Counter = "shim.syscall"
-	CtrAttackSnoop      Counter = "attack.snoop"
-	CtrAttackTamper     Counter = "attack.tamper"
-	CtrAttackDetected   Counter = "attack.detected"
 	CtrFaultInjected    Counter = "fault.injected"
 	CtrShimRetry        Counter = "shim.retry"
 	CtrQuarantine       Counter = "vmm.quarantine"
@@ -98,7 +95,6 @@ const (
 // counterNames gives each counter slot its name at export. It is sorted by
 // name, so walking the slots in order walks the names in order.
 var counterNames = [...]Counter{
-	CtrAttackDetected, CtrAttackSnoop, CtrAttackTamper,
 	CtrPageDecrypt, CtrPageEncrypt, CtrHashCompute, CtrMetaCacheHit,
 	CtrMetaCacheMiss, CtrHashVerifyFail, CtrHashVerifyOK,
 	CtrCompute, CtrIdle, CtrTrap,
@@ -122,132 +118,126 @@ var counterNames = [...]Counter{
 // other name is a bug at the call site.
 func (c Counter) slot() int {
 	switch c {
-	case CtrAttackDetected:
-		return 0
-	case CtrAttackSnoop:
-		return 1
-	case CtrAttackTamper:
-		return 2
 	case CtrPageDecrypt:
-		return 3
+		return 0
 	case CtrPageEncrypt:
-		return 4
+		return 1
 	case CtrHashCompute:
-		return 5
+		return 2
 	case CtrMetaCacheHit:
-		return 6
+		return 3
 	case CtrMetaCacheMiss:
-		return 7
+		return 4
 	case CtrHashVerifyFail:
-		return 8
+		return 5
 	case CtrHashVerifyOK:
-		return 9
+		return 6
 	case CtrCompute:
-		return 10
+		return 7
 	case CtrIdle:
-		return 11
+		return 8
 	case CtrTrap:
-		return 12
+		return 9
 	case CtrDiskRead:
-		return 13
+		return 10
 	case CtrDiskWrite:
-		return 14
+		return 11
 	case CtrFaultInjected:
-		return 15
+		return 12
 	case CtrMemAccess:
-		return 16
+		return 13
 	case CtrMigrateCkptPage:
-		return 17
+		return 14
 	case CtrMigrateRetry:
-		return 18
+		return 15
 	case CtrMigrateXfer:
-		return 19
+		return 16
 	case CtrPageCopy:
-		return 20
+		return 17
 	case CtrPageZero:
-		return 21
+		return 18
 	case CtrContextSwitch:
-		return 22
+		return 19
 	case CtrExec:
-		return 23
+		return 20
 	case CtrPageFaultCOW:
-		return 24
+		return 21
 	case CtrPageFaultDemand:
-		return 25
+		return 22
 	case CtrFork:
-		return 26
+		return 23
 	case CtrMigration:
-		return 27
+		return 24
 	case CtrSignalDeliver:
-		return 28
+		return 25
 	case CtrPageIn:
-		return 29
+		return 26
 	case CtrPageOut:
-		return 30
+		return 27
 	case CtrSyscall:
-		return 31
+		return 28
 	case CtrJournalAppend:
-		return 32
+		return 29
 	case CtrJournalCheckpoint:
-		return 33
+		return 30
 	case CtrRecoverPage:
-		return 34
+		return 31
 	case CtrReplayAccepted:
-		return 35
+		return 32
 	case CtrReplayRejected:
-		return 36
+		return 33
 	case CtrJournalWedged:
-		return 37
+		return 34
 	case CtrJournalDomainWedged:
-		return 38
+		return 35
 	case CtrJournalWriteErr:
-		return 39
+		return 36
 	case CtrIagoRejected:
-		return 40
+		return 37
 	case CtrShimMarshalBytes:
-		return 41
+		return 38
 	case CtrShimRetry:
-		return 42
+		return 39
 	case CtrShimSyscall:
-		return 43
+		return 40
 	case CtrTLBEvict:
-		return 44
+		return 41
 	case CtrTLBFlush:
-		return 45
+		return 42
 	case CtrTLBHit:
-		return 46
+		return 43
 	case CtrTLBMiss:
-		return 47
+		return 44
 	case CtrTLBShootdown:
-		return 48
+		return 45
 	case CtrIntrospectDiverge:
-		return 49
+		return 46
 	case CtrIntrospectScan:
-		return 50
+		return 47
 	case CtrCTCRestore:
-		return 51
+		return 48
 	case CtrCTCSave:
-		return 52
+		return 49
 	case CtrCloakFault:
-		return 53
+		return 50
 	case CtrGuestFault:
-		return 54
+		return 51
 	case CtrHiddenFault:
-		return 55
+		return 52
 	case CtrHypercall:
-		return 56
+		return 53
 	case CtrQuarantine:
-		return 57
+		return 54
 	case CtrQuotaDenied:
-		return 58
+		return 55
 	case CtrShadowDrop:
-		return 59
+		return 56
 	case CtrShadowFill:
-		return 60
+		return 57
 	case CtrShadowSwitch:
-		return 61
+		return 58
 	case CtrWorldSwitch:
-		return 62
+		return 59
 	}
 	panic(fmt.Sprintf("sim: unknown counter %q", c))
 }

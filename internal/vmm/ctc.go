@@ -185,12 +185,9 @@ func (t *Thread) ExitKernel() error {
 	}
 	var tamperErr error
 	cur, snap := t.Regs, t.exposed
-	if t.trap == TrapSyscall {
-		// GPR[0] legitimately carries the return value.
-		cur.GPR[0], snap.GPR[0] = 0, 0
-	} else {
-		cur.GPR[0], snap.GPR[0] = 0, 0 // interrupts return nothing either
-	}
+	// GPR[0] carries a syscall's return value (an interrupt returns
+	// nothing), so the kernel may write it whatever the trap.
+	cur.GPR[0], snap.GPR[0] = 0, 0
 	if cur != snap {
 		ev := Event{Kind: EventCTCTamper, Domain: t.Domain,
 			Detail: "kernel modified protected registers during trap"}

@@ -8,10 +8,14 @@
 #              errnodiscipline, iagoflow, cyclecharge, smpready) — see
 #              DESIGN.md; also pins the smpready allow count at zero
 #   build      everything compiles
+#   host clock no non-test package of the main module imports time: every
+#              overbench output is a pure function of its flags (bench/ and
+#              _test.go files keep their timers)
 #   tests      full suite, plus vet and tests of the nested bench/ module
 #              (its own go.mod, so ./... above never compiles it)
-#   benchmarks every package benchmark once, so one that breaks at set-up
-#              fails the gate
+#   benchmarks every package benchmark once, and the root BenchmarkExperiment
+#              once per registry entry, so one that breaks at set-up fails
+#              the gate
 #   fuzz       1000 executions of FuzzDecode, the migration checkpoint
 #              decoder's native fuzz target: its 400-input seed corpus,
 #              then mutated inputs
@@ -20,7 +24,8 @@
 #              4 vCPUs — the only check that the baton orders every access
 #              to machine state (sim and vmm hold no locks)
 #   determinism  serial vs 4-way sharded runs byte-identical, the VCPUs=1
-#              goldens, and the VCPUs=4 two-run check
+#              goldens, the VCPUs=4 two-run check, and the full-scale text
+#              golden (scripts/goldens/full-seed1.txt)
 #   readers    overprof renders the profile artifact and overtrace the
 #              Chrome trace, each from a built overbench's output
 set -eu
@@ -57,11 +62,22 @@ echo "smpready inventory: $smp_allows/$max_smp_allows allow directives"
 echo "== build"
 go build ./...
 
+echo "== host clock"
+# Host cost has its own instruments (bench/ and BenchmarkExperiment), so the
+# main module's programs never read the host clock. go list reports non-test
+# imports only, and bench/ is a module of its own.
+timed=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w time || true)
+if [ -n "$timed" ]; then
+    echo "packages importing time:" >&2
+    echo "$timed" >&2
+    exit 1
+fi
+
 echo "== tests"
 go test ./...
 
-echo "== package benchmarks"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core
+echo "== benchmarks"
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core
 
 echo "== bench module"
 # bench/ is a nested module built against this tree (replace ../): an API
@@ -165,6 +181,18 @@ for s in 1 42; do
     fi
 done
 echo "vcpus goldens: VCPUs=1 byte-identical to the pinned goldens, VCPUs=4 deterministic and shard-independent (seeds 1, 42)"
+
+echo "== full-scale golden"
+# The full-scale text EXPERIMENTS.md quotes, each table footed by its
+# simulated-cycle total, at the default shard count (text output is
+# shard-independent too).
+"$tmpdir/overbench" -full -seed 1 > "$tmpdir/full-seed1.txt"
+if ! cmp -s scripts/goldens/full-seed1.txt "$tmpdir/full-seed1.txt"; then
+    echo "full-scale golden broken: output differs from scripts/goldens/full-seed1.txt" >&2
+    diff scripts/goldens/full-seed1.txt "$tmpdir/full-seed1.txt" | head -20 >&2
+    exit 1
+fi
+echo "full-scale golden: byte-identical"
 
 # The sweeps below are also in the quick suite at seeds 1 and 42; these
 # gates add seeds of their own.
