@@ -29,7 +29,8 @@ import (
 	"overshadow/internal/vmm"
 )
 
-// Re-exported types so examples and workloads need only this package.
+// Re-exported types, so callers that assemble a System (the harness, bench/
+// and tests) can write programs against this package alone.
 type (
 	// Env is the application programming surface (see guestos.Env).
 	Env = guestos.Env
@@ -211,11 +212,6 @@ func Cloaked() SpawnOpt {
 	return func(o *guestos.SpawnOpts) { o.Cloaked = true }
 }
 
-// WithArgs passes argv to the program.
-func WithArgs(args ...string) SpawnOpt {
-	return func(o *guestos.SpawnOpts) { o.Args = args }
-}
-
 // Spawn queues a process to run the named program.
 func (s *System) Spawn(name string, opts ...SpawnOpt) (Pid, error) {
 	var so guestos.SpawnOpts
@@ -269,8 +265,8 @@ func (s *System) Stats() *sim.Stats { return s.World.Stats }
 // SecurityEvents returns the VMM's audit log.
 func (s *System) SecurityEvents() []Event { return s.VMM.Events() }
 
-// Adversary gives tests and the attack examples access to the malicious-OS
-// hooks. Must be configured before Run.
+// Adversary gives tests and the attack experiments access to the
+// malicious-OS hooks. Must be configured before Run.
 func (s *System) Adversary() *guestos.Adversary { return &s.Kernel.Adversary }
 
 // AttachIntrospector arms hypervisor-side kernel introspection (VMI): the

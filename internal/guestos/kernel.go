@@ -153,7 +153,6 @@ func (k *Kernel) RegisterProgram(name string, body Program) {
 // SpawnOpts controls process creation.
 type SpawnOpts struct {
 	Cloaked bool
-	Args    []string
 }
 
 // Spawn creates a process that will run the named program when the kernel
@@ -167,7 +166,7 @@ func (k *Kernel) Spawn(name string, opts SpawnOpts) (Pid, error) {
 	if opts.Cloaked && k.cloakRuntime == nil {
 		return 0, fmt.Errorf("guestos: cloaked spawn without a cloak runtime")
 	}
-	p := k.newProc(0, opts.Cloaked, name, opts.Args)
+	p := k.newProc(0, opts.Cloaked, name, nil)
 	runner := k.programRunner(p, body)
 	k.startProcGoroutine(p, runner)
 	k.makeRunnable(p)

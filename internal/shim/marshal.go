@@ -257,10 +257,3 @@ func (s *Ctx) Pipe() (int, int, error) {
 	}
 	return r, w, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

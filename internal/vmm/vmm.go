@@ -153,9 +153,10 @@ type VMM struct {
 type Config struct {
 	GuestPages int // size of guest "physical" memory in pages
 	Options    Options
-	// MasterSecret seeds the domain key hierarchy.
-	MasterSecret []byte
 }
+
+// masterSecret seeds every VMM's domain key hierarchy.
+const masterSecret = "overshadow-default-master-secret"
 
 // New boots a VMM over fresh machine memory, sized to back all
 // guest-physical pages plus one reserved frame. A misconfigured machine
@@ -165,10 +166,6 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 	if cfg.GuestPages <= 0 {
 		return nil, &ResourceFault{Op: "boot",
 			Detail: "GuestPages must be positive"}
-	}
-	secret := cfg.MasterSecret
-	if secret == nil {
-		secret = []byte("overshadow-default-master-secret")
 	}
 	metaCap := cfg.Options.MetaCacheSize
 	if metaCap == 0 {
@@ -190,7 +187,7 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		mem:          mach.NewMemory(cfg.GuestPages + 1),
 		tlbs:         tlbs,
 		activeCtxs:   make([]uint32, world.NumVCPUs()),
-		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer(secret)),
+		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer([]byte(masterSecret))),
 		metas:        cloak.NewMetaStore(world, metaCap),
 		guestPages:   cfg.GuestPages,
 		pages:        make(map[mach.GPPN]*cloakPage),

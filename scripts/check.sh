@@ -11,6 +11,9 @@
 #   host clock no non-test package of the main module imports time: every
 #              overbench output is a pure function of its flags (bench/ and
 #              _test.go files keep their timers)
+#   programs   every main package lives under cmd/, where a step below runs
+#              each one; the runnable tour is the root package's Examples,
+#              which the tests run, so a demo program cannot go unrun
 #   tests      full suite, plus vet and tests of the nested bench/ module
 #              (its own go.mod, so ./... above never compiles it)
 #   benchmarks every package benchmark once, and the root BenchmarkExperiment
@@ -70,6 +73,17 @@ timed=$(go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -w time
 if [ -n "$timed" ]; then
     echo "packages importing time:" >&2
     echo "$timed" >&2
+    exit 1
+fi
+
+echo "== programs"
+# Each cmd/ program runs in a step of this gate, and README's tour is the
+# root package's Examples, whose // Output: blocks the tests pin. A main
+# package anywhere else would be a program nothing runs.
+stray=$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./... | grep -v '^overshadow/cmd/' || true)
+if [ -n "$stray" ]; then
+    echo "main packages outside cmd/ (make them Examples, or cmd/ programs a step runs):" >&2
+    echo "$stray" >&2
     exit 1
 fi
 
