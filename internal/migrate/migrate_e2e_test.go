@@ -159,14 +159,23 @@ func TestMigrateStaleReplay(t *testing.T) {
 		t.Fatalf("migrate: %v", migErr)
 	}
 	dst := core.NewSystem(e2eConfig(9))
+	// The decoded checkpoint aliases the blob, so a restore must leave the
+	// delivered bytes as they arrived for the replay below to present them.
+	sent := bytes.Clone(blob)
 	rep, err := Restore(dst, blob)
 	if err != nil {
 		t.Fatalf("first restore: %v", err)
+	}
+	if !bytes.Equal(blob, sent) {
+		t.Fatal("first restore modified the delivered blob")
 	}
 	epoch := dst.Journal.Epoch()
 
 	if _, err := Restore(dst, blob); !errors.Is(err, ErrStaleCheckpoint) {
 		t.Fatalf("replay: err=%v, want ErrStaleCheckpoint", err)
+	}
+	if !bytes.Equal(blob, sent) {
+		t.Fatal("refused replay modified the delivered blob")
 	}
 	if !dst.VMM.Quarantined(rep.Domain) {
 		t.Fatal("replayed domain not quarantined")
@@ -186,6 +195,52 @@ func TestMigrateStaleReplay(t *testing.T) {
 	// Quarantined, the domain can no longer land anything.
 	if _, err := Restore(dst, blob); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("post-quarantine restore: err=%v, want ErrQuarantined", err)
+	}
+}
+
+// TestMigrateTransferClean: with no fault plan the channel delivers every
+// frame untouched, so Transfer returns exactly Encode's bytes for the
+// checkpoint, one frame per record and per ciphertext page.
+func TestMigrateTransferClean(t *testing.T) {
+	at := e2eHalf(t, 9)
+	sys := core.NewSystem(e2eConfig(9))
+	var done bool
+	e2eRegister(sys, &done)
+	pid, err := sys.Spawn("victim", core.Cloaked())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []byte
+	var stats TransferStats
+	var xerr error
+	var records, pages int
+	sys.MigrateAt(at, func() {
+		ckpt, cerr := Capture(sys, sys.DomainOf(pid))
+		if cerr != nil {
+			xerr = cerr
+			return
+		}
+		want = Encode(ckpt, SealKeyFor(persist.SealKey(sys.Seed())))
+		records = 2 + len(ckpt.Pages) + len(ckpt.Threads)
+		for _, p := range ckpt.Pages {
+			if p.Data != nil {
+				pages++
+			}
+		}
+		got, stats, xerr = Transfer(sys, ckpt)
+	})
+	sys.Run()
+	if xerr != nil {
+		t.Fatalf("capture/transfer: %v", xerr)
+	}
+	if pages == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("transfer delivered %d bytes differing from Encode's %d (%d ciphertext pages)", len(got), len(want), pages)
+	}
+	if stats.Frames != records+pages || stats.Bytes != len(want) || stats.Retries != 0 || stats.Corrupted != 0 {
+		t.Fatalf("stats = %+v, want %d frames, %d bytes, no retries or damage", stats, records+pages, len(want))
+	}
+	if !done {
+		t.Fatal("source victim did not complete after the migration")
 	}
 }
 

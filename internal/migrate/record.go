@@ -21,13 +21,14 @@ import (
 //	record N+M+1             trailer (repeats the counts — anti-truncation)
 //	blobs                    D x PageSize ciphertext pages, D <= N
 //
-// Every record is RecordSize bytes, sealed by persist.Seal (the journal's
-// one record seal) under the migration key, and carries the checkpoint
-// epoch plus its global sequence number — so a record from another
-// checkpoint (stale epoch) or a reordered record (sequence gap) is refused
-// exactly like the journal refuses spliced or relocated log records. Ciphertext blobs carry no
-// separate MAC: their integrity anchor is the sealed per-page hash, which
-// the destination VMM verifies before any plaintext exists.
+// Every record is RecordSize bytes, sealed by a persist.Sealer (the
+// journal's one record seal) under the migration key, and carries the
+// checkpoint epoch plus its global sequence number — so a record from
+// another checkpoint (stale epoch) or a reordered record (sequence gap) is
+// refused exactly like the journal refuses spliced or relocated log
+// records. Ciphertext blobs carry no separate MAC: their integrity anchor is
+// the sealed per-page hash, which the destination VMM verifies before any
+// plaintext exists.
 
 // RecordSize is the fixed size of every checkpoint record: the journal's.
 const RecordSize = persist.RecordSize
@@ -46,7 +47,7 @@ const (
 )
 
 // Shared offsets (every record): kind at 0, epoch at 4, seq at 8, and the
-// persist.Seal MAC at 104. Kind-specific payloads live in [16, 104).
+// persist.Sealer MAC at 104. Kind-specific payloads live in [16, 104).
 const (
 	offKind  = 0
 	offEpoch = 4
@@ -68,11 +69,11 @@ func SealKeyFor(journalKey [32]byte) [32]byte {
 }
 
 // sealRecord stamps the common fields and MAC onto one encoded record.
-func sealRecord(dst []byte, kind byte, epoch uint32, seq uint64, key *[32]byte) {
+func sealRecord(dst []byte, kind byte, epoch uint32, seq uint64, seal *persist.Sealer) {
 	dst[offKind] = kind
 	binary.LittleEndian.PutUint32(dst[offEpoch:], epoch)
 	binary.LittleEndian.PutUint64(dst[offSeq:], seq)
-	persist.Seal(dst, key)
+	seal.Seal(dst)
 }
 
 // Encode serializes ckpt into a sealed blob under key. The output is a pure
@@ -89,6 +90,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	}
 	out := make([]byte, (2+n+m)*RecordSize+nblobs*mach.PageSize)
 	blobBase := (2 + n + m) * RecordSize
+	seal := persist.NewSealer(key)
 
 	// Header.
 	hdr := out[:RecordSize]
@@ -99,7 +101,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(ckpt.SrcVCPUs))
 	copy(hdr[32:64], ckpt.Identity[:])
 	binary.LittleEndian.PutUint32(hdr[64:], uint32(nblobs))
-	sealRecord(hdr, kindHeader, ckpt.Epoch, 0, &key)
+	sealRecord(hdr, kindHeader, ckpt.Epoch, 0, seal)
 
 	// Page metadata records, blobs assigned in order.
 	blobIdx := 0
@@ -119,7 +121,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 		binary.LittleEndian.PutUint64(rec[36:], p.Meta.Version)
 		copy(rec[44:60], p.Meta.IV[:])
 		copy(rec[60:92], p.Meta.Hash[:])
-		sealRecord(rec, kindPageMeta, ckpt.Epoch, uint64(1+i), &key)
+		sealRecord(rec, kindPageMeta, ckpt.Epoch, uint64(1+i), seal)
 	}
 
 	// Thread (CTC) records.
@@ -136,7 +138,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 		for g, v := range t.Regs.GPR {
 			binary.LittleEndian.PutUint64(rec[40+8*g:], v)
 		}
-		sealRecord(rec, kindCTC, ckpt.Epoch, uint64(1+n+i), &key)
+		sealRecord(rec, kindCTC, ckpt.Epoch, uint64(1+n+i), seal)
 	}
 
 	// Trailer repeats the counts so a truncated record section can never
@@ -145,7 +147,7 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	binary.LittleEndian.PutUint32(trl[16:], uint32(n))
 	binary.LittleEndian.PutUint32(trl[20:], uint32(m))
 	binary.LittleEndian.PutUint32(trl[24:], uint32(nblobs))
-	sealRecord(trl, kindTrailer, ckpt.Epoch, uint64(1+n+m), &key)
+	sealRecord(trl, kindTrailer, ckpt.Epoch, uint64(1+n+m), seal)
 
 	return out
 }
@@ -160,15 +162,21 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 // phase "migrate" (bad MAC for corruption, stale epoch for cross-checkpoint
 // splices, sequence gap for reordering, bad kind for a record that verifies
 // but cannot belong here) and the surviving records still decode.
-// Ciphertext blobs are copied out; their verification happens later against
-// the sealed per-page hash. Decode never panics on any input and never
-// produces plaintext.
+//
+// Decode never writes to blob, and the checkpoint aliases it: each page's
+// Data is the page's ciphertext in the blob's ciphertext section, capped at
+// len == cap == PageSize so an append cannot run into the next page. The
+// caller keeps blob unmodified while the checkpoint is in use; restore
+// only reads the ciphertext, verifying it later against the sealed
+// per-page hash. Decode never panics on any input and never produces
+// plaintext.
 func Decode(blob []byte, key [32]byte) (*Checkpoint, persist.Rejections, error) {
 	if len(blob) < 2*RecordSize {
 		return nil, nil, fmt.Errorf("%w: %d bytes is shorter than header+trailer", ErrCheckpointMalformed, len(blob))
 	}
+	seal := persist.NewSealer(key)
 	hdr := blob[:RecordSize]
-	if !persist.Sealed(hdr, &key) {
+	if !seal.Sealed(hdr) {
 		return nil, nil, fmt.Errorf("%w: header seal did not verify (torn, corrupted, or sealed under a different key)", ErrCheckpointMalformed)
 	}
 	if hdr[offKind] != kindHeader || hdr[1] != formatVersion {
@@ -202,7 +210,7 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, persist.Rejections, error) 
 	// false return means the record was rejected (and accounted).
 	verifyCommon := func(rec []byte, frame int, kind byte) bool {
 		switch {
-		case !persist.Sealed(rec, &key):
+		case !seal.Sealed(rec):
 			reject(frame, persist.RejectBadMAC)
 		case rec[offKind] != kind:
 			reject(frame, persist.RejectBadKind)
@@ -244,8 +252,8 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, persist.Rejections, error) 
 				reject(frame, persist.RejectBadKind)
 				continue
 			}
-			p.Data = make([]byte, mach.PageSize)
-			copy(p.Data, blob[blobBase+int(bi)*mach.PageSize:])
+			at := blobBase + int(bi)*mach.PageSize
+			p.Data = blob[at : at+mach.PageSize : at+mach.PageSize]
 		} else {
 			// A data-less page must say why, in one of the three
 			// unavailable states a capture can produce.
@@ -282,7 +290,7 @@ func Decode(blob []byte, key [32]byte) (*Checkpoint, persist.Rejections, error) 
 	// counts must repeat the header's — the anti-truncation cross-check.
 	frame := 1 + n + m
 	trl := blob[frame*RecordSize : (frame+1)*RecordSize]
-	if !persist.Sealed(trl, &key) || trl[offKind] != kindTrailer ||
+	if !seal.Sealed(trl) || trl[offKind] != kindTrailer ||
 		binary.LittleEndian.Uint32(trl[offEpoch:]) != epoch ||
 		binary.LittleEndian.Uint64(trl[offSeq:]) != uint64(frame) ||
 		int(binary.LittleEndian.Uint32(trl[16:])) != n ||

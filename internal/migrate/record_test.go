@@ -2,6 +2,7 @@ package migrate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/core"
+	"overshadow/internal/mach"
 	"overshadow/internal/persist"
 	"overshadow/internal/vmm"
 )
@@ -246,8 +248,10 @@ func TestRecordBadPageState(t *testing.T) {
 // FuzzDecode: whatever bytes arrive, Decode never panics (a panic fails the
 // target) and never yields an untyped outcome — it fails typed-malformed
 // (framing damage), rejects records with a reason, or decodes clean
-// (blob-section damage, caught later by the sealed page hash). Decoded
-// bytes always come verbatim from the blob: the decoder cannot invent data.
+// (blob-section damage, caught later by the sealed page hash). Decode never
+// writes to the blob, and each decoded page's Data is one whole page of the
+// blob's ciphertext section, capped at len == cap == PageSize: the decoder
+// cannot invent data, and an append to one page cannot reach the next.
 // Every data-less page carries one of the three unavailable states. The
 // seed corpus is 400 seeded 1-3-byte corruptions of one checkpoint, so a
 // plain `go test` runs all of them.
@@ -264,7 +268,11 @@ func FuzzDecode(f *testing.F) {
 		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		sent := bytes.Clone(blob)
 		ckpt, rejs, err := Decode(blob, testKey)
+		if !bytes.Equal(blob, sent) {
+			t.Fatal("Decode wrote to the blob")
+		}
 		switch {
 		case err != nil:
 			if !errors.Is(err, ErrCheckpointMalformed) {
@@ -279,17 +287,35 @@ func FuzzDecode(f *testing.F) {
 				t.Fatal("rejection without a reason")
 			}
 		}
+		// A clean decode verified the sealed geometry: the ciphertext
+		// section is the blob's tail after the 2+n+m records.
+		n, m := binary.LittleEndian.Uint32(blob[20:]), binary.LittleEndian.Uint32(blob[24:])
+		section := blob[(2+int(n)+int(m))*RecordSize:]
 		for _, p := range ckpt.Pages {
 			switch {
 			case p.Data != nil:
-				if !bytes.Contains(blob, p.Data[:64]) {
-					t.Fatal("decoded page bytes not from the blob")
+				if len(p.Data) != mach.PageSize || cap(p.Data) != mach.PageSize {
+					t.Fatalf("page %v: len %d cap %d, want %d each", p.ID, len(p.Data), cap(p.Data), mach.PageSize)
+				}
+				if !inSection(p.Data, section) {
+					t.Fatalf("page %v: Data is not a page of the blob's ciphertext section", p.ID)
 				}
 			case p.State != core.NoLocation && p.State != core.StaleLocation && p.State != core.ReadError:
 				t.Fatalf("data-less page %v in state %v", p.ID, p.State)
 			}
 		}
 	})
+}
+
+// inSection reports whether page is one page-aligned page of section, by
+// address: the same backing bytes, not an equal copy.
+func inSection(page, section []byte) bool {
+	for off := 0; off+mach.PageSize <= len(section); off += mach.PageSize {
+		if &page[0] == &section[off] {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRecordFuzzGarbage: seeded arbitrary byte strings (including sizes
@@ -320,5 +346,25 @@ func TestRejectionError(t *testing.T) {
 	want := fmt.Sprintf("persist: rejected migrate record (block 0, slot 4): %s", persist.RejectBadMAC)
 	if r.Error() != want {
 		t.Fatalf("Error() = %q, want %q", r.Error(), want)
+	}
+}
+
+// BenchmarkMigrateRoundTrip measures one synthetic 64-page checkpoint's
+// trip through the codec and a fault-free channel: Transfer (which encodes
+// it under the source's key), then Decode on the destination.
+func BenchmarkMigrateRoundTrip(b *testing.B) {
+	sys := core.NewSystem(core.Config{MemoryPages: 48, Seed: 1, Persist: &persist.Options{}})
+	key := SealKeyFor(persist.SealKey(sys.Seed()))
+	ckpt := synthCheckpoint(1, 64, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blob, _, err := Transfer(sys, ckpt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, rejs, err := Decode(blob, key); err != nil || len(rejs) != 0 {
+			b.Fatalf("decode: err=%v rejections=%v", err, rejs)
+		}
 	}
 }

@@ -29,7 +29,9 @@ type TransferStats struct {
 // across the inter-machine channel frame by frame — each 128-byte sealed
 // record and each ciphertext page is one fault opportunity at
 // fault.SiteTransfer, charged at the channel's setup + per-byte cost on
-// the source clock.
+// the source clock. Frames are delivered in place: the returned blob is the
+// one Encode built, so with no channel fault it is exactly Encode's bytes,
+// and a corrupted frame is damaged where it lies.
 //
 // A lost (Fail) or torn (Torn) frame is re-sent after a sim-clock backoff
 // on the machine's retry schedule; exhausting the budget aborts the whole
@@ -48,19 +50,17 @@ func Transfer(sys *core.System, ckpt *Checkpoint) ([]byte, TransferStats, error)
 	cost := sys.World.Cost
 	cpu.ChargeAdd(cost.TransferSetup, sim.CtrMigrateXfer, 0)
 
-	out := make([]byte, len(blob))
 	off := 0
 	for off < len(blob) {
 		size := RecordSize
 		if off >= recBytes {
 			size = mach.PageSize
 		}
-		frame := out[off : off+size]
+		frame := blob[off : off+size]
 		for attempt := 0; ; attempt++ {
 			cpu.ChargeAdd(sim.Cycles(size)*cost.TransferPerByte, sim.CtrMigrateXfer, 0)
 			kind, _ := cpu.InjectAt(fault.SiteTransfer)
 			if kind == fault.None || kind == fault.Corrupt {
-				copy(frame, blob[off:off+size])
 				if kind == fault.Corrupt {
 					// Delivered, silently damaged. Detection belongs to the
 					// destination's MAC/hash verification.
@@ -84,7 +84,7 @@ func Transfer(sys *core.System, ckpt *Checkpoint) ([]byte, TransferStats, error)
 		cpu.ChargeAdd(0, sim.CtrMigrateXfer, 1)
 		off += size
 	}
-	return out, stats, nil
+	return blob, stats, nil
 }
 
 // Migrate captures domain d on src and transfers its sealed checkpoint,

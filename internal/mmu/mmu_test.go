@@ -162,6 +162,68 @@ func TestPageTableRangeOrderedAndCancelable(t *testing.T) {
 	}
 }
 
+// TestPageTableRangeInMatchesLookup: on random sparse tables — most
+// directories never populated, some populated but holding no present entry
+// — RangeIn over random [base, end) ranges that cross directories or run
+// past MaxVPN visits exactly the present VPNs a per-VPN Lookup loop finds,
+// ascending and each once, while its callback unmaps every entry it visits.
+func TestPageTableRangeInMatchesLookup(t *testing.T) {
+	rng := sim.NewRNG(31)
+	const lastDir = MaxVPN >> tableBits
+	for trial := 0; trial < 300; trial++ {
+		pt := NewPageTable()
+		// Directories 0..7 and the last one, so ranges reach both the
+		// middle of the table and its top edge.
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			di := uint64(rng.Intn(8))
+			if rng.Intn(4) == 0 {
+				di = lastDir
+			}
+			switch entries := rng.Intn(40); {
+			case entries < 8:
+				// Populated directory with no present entry.
+				pt.Map(di<<tableBits|uint64(rng.Intn(tableSize)), PTE{})
+			default:
+				for ; entries > 0; entries-- {
+					vpn := di<<tableBits | uint64(rng.Intn(tableSize))
+					pt.Map(vpn, PTE{PN: vpn, Flags: FlagPresent})
+				}
+			}
+		}
+		base := uint64(rng.Intn(8 * tableSize))
+		end := base + uint64(rng.Intn(3*tableSize))
+		if rng.Intn(3) == 0 {
+			base = lastDir<<tableBits + uint64(rng.Intn(tableSize))
+			end = MaxVPN + 1 + uint64(rng.Intn(2*tableSize))
+		}
+
+		var want []uint64
+		for vpn := base; vpn < end; vpn++ {
+			if pt.Lookup(vpn).Present() {
+				want = append(want, vpn)
+			}
+		}
+		var got []uint64
+		pt.RangeIn(base, end, func(vpn uint64, pte PTE) bool {
+			if pte != pt.Lookup(vpn) || !pte.Present() {
+				t.Fatalf("trial %d: vpn %#x visited with %v, table holds %v", trial, vpn, pte, pt.Lookup(vpn))
+			}
+			got = append(got, vpn)
+			pt.Unmap(vpn)
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("trial %d [%#x,%#x): visited %d VPNs, Lookup finds %d", trial, base, end, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d [%#x,%#x): visit %d is %#x, want %#x (ascending, once each)",
+					trial, base, end, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestPageTableClear(t *testing.T) {
 	pt := NewPageTable()
 	for i := uint64(0); i < 100; i++ {

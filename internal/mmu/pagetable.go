@@ -1,7 +1,5 @@
 package mmu
 
-import "sort"
-
 // The two-level table covers a 32-bit-style virtual space: 10 bits of
 // directory index, 10 bits of table index, 12 bits of offset. Virtual page
 // numbers above 20 bits are rejected, which the guest address-space layout
@@ -110,29 +108,39 @@ func (t *PageTable) Count() int { return t.count }
 // returning false stops the walk. The ordered walk keeps consumers (fork,
 // page-out scans) deterministic.
 func (t *PageTable) Range(fn func(vpn uint64, pte PTE) bool) {
-	for di := uint64(0); di < 1<<dirBits; di++ {
-		d := t.dirs[di]
-		if d == nil {
-			continue
-		}
-		for ti := uint64(0); ti < tableSize; ti++ {
-			if d[ti].Present() {
-				if !fn(di<<tableBits|ti, d[ti]) {
+	t.RangeIn(0, MaxVPN+1, fn)
+}
+
+// RangeIn calls fn for every present entry with base <= vpn < end, in
+// ascending VPN order; fn returning false stops the walk. It visits only
+// the directories the range touches and skips those never populated, so
+// its cost follows the table's populated leaves rather than the range's
+// length; an end past MaxVPN+1 is clipped. fn may unmap the entry it is
+// given (each entry is read before fn runs, and Unmap never frees a
+// directory), and the walk still visits every other entry exactly once.
+func (t *PageTable) RangeIn(base, end uint64, fn func(vpn uint64, pte PTE) bool) {
+	end = min(end, MaxVPN+1)
+	for vpn := base; vpn < end; {
+		di, ti := splitVPN(vpn)
+		last := min(end-vpn, tableSize-ti) + ti // exclusive, within directory di
+		if d := t.dirs[di]; d != nil {
+			for ; ti < last; ti++ {
+				if pte := d[ti]; pte.Present() && !fn(di<<tableBits|ti, pte) {
 					return
 				}
 			}
 		}
+		vpn = (di + 1) << tableBits
 	}
 }
 
-// PresentVPNs returns all mapped VPNs sorted ascending.
+// PresentVPNs returns all mapped VPNs in ascending order.
 func (t *PageTable) PresentVPNs() []uint64 {
 	out := make([]uint64, 0, t.count)
 	t.Range(func(vpn uint64, _ PTE) bool {
 		out = append(out, vpn)
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

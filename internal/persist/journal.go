@@ -56,7 +56,7 @@ var ErrJournalFull = fmt.Errorf("persist: journal wedged: reserved range full")
 type Journal struct {
 	world *sim.World
 	disk  *mach.Disk
-	key   [32]byte
+	seal  *Sealer // this journal's own: never shared with another writer
 	opts  Options
 
 	base       uint64 // first reserved block
@@ -107,7 +107,7 @@ func newJournal(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]
 	j := &Journal{
 		world:      world,
 		disk:       disk,
-		key:        key,
+		seal:       NewSealer(key),
 		opts:       opts,
 		base:       base,
 		blocks:     blocks,
@@ -346,7 +346,7 @@ func (j *Journal) append(r Record) {
 		j.tailBlock = blk
 	}
 	off := (slot % RecordsPerBlock) * RecordSize
-	encode(j.tail[off:off+RecordSize], r, &j.key)
+	encode(j.tail[off:off+RecordSize], r, j.seal)
 	start := j.world.Now()
 	err := j.disk.Write(blk, j.tail[:])
 	j.world.CPU().ChargeCount(0, sim.CtrJournalAppend)
@@ -416,7 +416,7 @@ func (j *Journal) checkpoint() {
 				Hash:    e.Meta.Hash,
 				Dev:     snapshotDev(e),
 				Block:   e.Block,
-			}, &j.key)
+			}, j.seal)
 			written++
 		}
 		if err := j.disk.Write(slotBase+b, img[:]); err != nil {
@@ -436,7 +436,7 @@ func (j *Journal) checkpoint() {
 		Seq:     n,
 		Version: FormatVersion,
 		Block:   superMagic,
-	}, &j.key)
+	}, j.seal)
 	superBlk := j.base + uint64(newEpoch%2)
 	if err := j.disk.Write(superBlk, img[:]); err != nil {
 		// Commit failed: the medium still names the old epoch. Everything

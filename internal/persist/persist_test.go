@@ -32,7 +32,7 @@ func meta(v uint64) cloak.Meta {
 
 const testBlocks = 64
 
-func newTestJournal(t *testing.T, world *sim.World, opts Options) (*Journal, *mach.Disk, [32]byte) {
+func newTestJournal(t testing.TB, world *sim.World, opts Options) (*Journal, *mach.Disk, [32]byte) {
 	t.Helper()
 	disk := mach.NewDisk(world, 128+testBlocks)
 	key := SealKey(7)
@@ -52,8 +52,9 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 	copy(r.IV[:], bytes.Repeat([]byte{0xAB}, len(r.IV)))
 	copy(r.Hash[:], bytes.Repeat([]byte{0xCD}, len(r.Hash)))
 	var buf [RecordSize]byte
-	encode(buf[:], r, &key)
-	got, ok := decode(buf[:], &key)
+	seal := NewSealer(key)
+	encode(buf[:], r, seal)
+	got, ok := decode(buf[:], seal)
 	if !ok {
 		t.Fatal("decode rejected a freshly sealed record")
 	}
@@ -64,26 +65,33 @@ func TestRecordCodecRoundtrip(t *testing.T) {
 	for _, off := range []int{0, offEpoch, offVersion, offIV, offHash, offMAC} {
 		tam := buf
 		tam[off] ^= 0x01
-		if _, ok := decode(tam[:], &key); ok {
+		if _, ok := decode(tam[:], seal); ok {
 			t.Fatalf("decode accepted record with byte %d flipped", off)
 		}
 	}
 	// The wrong key must reject everything.
-	other := SealKey(43)
-	if _, ok := decode(buf[:], &other); ok {
+	if _, ok := decode(buf[:], NewSealer(SealKey(43))); ok {
 		t.Fatal("decode accepted a record under the wrong sealing key")
 	}
 }
 
-func TestJournalReplayRoundtrip(t *testing.T) {
-	world := testWorld(1)
-	j, disk, key := newTestJournal(t, world, Options{})
+// The journal histories below each run on a fresh newTestJournal, and some
+// tamper with its disk afterwards. The tests replay them, and FuzzReplay
+// seeds its corpus with the images they leave.
+
+func roundtripHistory(j *Journal, _ *mach.Disk) {
 	j.Put(pid(1, 1, 0), meta(1))
 	j.Put(pid(1, 1, 1), meta(1))
 	j.Locate(pid(1, 1, 0), DevSwap, 40, 1)
 	j.Put(pid(1, 1, 0), meta(2)) // supersedes; location now stale
 	j.Put(pid(2, 5, 9), meta(3))
 	j.Delete(pid(1, 1, 1))
+}
+
+func TestJournalReplayRoundtrip(t *testing.T) {
+	world := testWorld(1)
+	j, disk, key := newTestJournal(t, world, Options{})
+	roundtripHistory(j, disk)
 
 	rep := Replay(testWorld(2), disk, 128, testBlocks, key)
 	if !rep.Anchored {
@@ -110,9 +118,8 @@ func TestJournalReplayRoundtrip(t *testing.T) {
 	}
 }
 
-func TestJournalCheckpointRollover(t *testing.T) {
-	world := testWorld(3)
-	j, disk, key := newTestJournal(t, world, Options{CheckpointEvery: 8})
+// rolloverHistory runs with CheckpointEvery 8.
+func rolloverHistory(j *Journal, _ *mach.Disk) {
 	// Enough appends to roll several checkpoints (and epochs).
 	for v := uint64(1); v <= 5; v++ {
 		for i := uint64(0); i < 10; i++ {
@@ -120,6 +127,12 @@ func TestJournalCheckpointRollover(t *testing.T) {
 		}
 	}
 	j.DropDomain(cloak.DomainID(99)) // no-op: unknown domain appends nothing
+}
+
+func TestJournalCheckpointRollover(t *testing.T) {
+	world := testWorld(3)
+	j, disk, key := newTestJournal(t, world, Options{CheckpointEvery: 8})
+	rolloverHistory(j, disk)
 	if j.Epoch() < 3 {
 		t.Fatalf("epoch = %d, want several checkpoints", j.Epoch())
 	}
@@ -140,13 +153,17 @@ func TestJournalCheckpointRollover(t *testing.T) {
 	}
 }
 
-func TestJournalDropDomain(t *testing.T) {
-	world := testWorld(5)
-	j, disk, key := newTestJournal(t, world, Options{})
+func dropDomainHistory(j *Journal, _ *mach.Disk) {
 	j.Put(pid(1, 1, 0), meta(1))
 	j.Put(pid(2, 1, 0), meta(1))
 	j.Put(pid(2, 1, 1), meta(1))
 	j.DropDomain(cloak.DomainID(2))
+}
+
+func TestJournalDropDomain(t *testing.T) {
+	world := testWorld(5)
+	j, disk, key := newTestJournal(t, world, Options{})
+	dropDomainHistory(j, disk)
 	rep := Replay(testWorld(6), disk, 128, testBlocks, key)
 	if len(rep.Table) != 1 {
 		t.Fatalf("table size = %d, want 1", len(rep.Table))
@@ -156,10 +173,9 @@ func TestJournalDropDomain(t *testing.T) {
 	}
 }
 
-// tornTail simulates a crash that left the final log record half-written.
-func TestReplayRejectsTornTail(t *testing.T) {
-	world := testWorld(7)
-	j, disk, key := newTestJournal(t, world, Options{})
+// tornTailHistory simulates a crash that left the final log record
+// half-written.
+func tornTailHistory(j *Journal, disk *mach.Disk) {
 	for i := uint64(0); i < 5; i++ {
 		j.Put(pid(1, 1, i), meta(1))
 	}
@@ -171,6 +187,12 @@ func TestReplayRejectsTornTail(t *testing.T) {
 		img[i] ^= 0x5A
 	}
 	disk.Poke(blk, img)
+}
+
+func TestReplayRejectsTornTail(t *testing.T) {
+	world := testWorld(7)
+	j, disk, key := newTestJournal(t, world, Options{})
+	tornTailHistory(j, disk)
 
 	rep := Replay(testWorld(8), disk, 128, testBlocks, key)
 	if !rep.Anchored {
@@ -188,9 +210,7 @@ func TestReplayRejectsTornTail(t *testing.T) {
 	}
 }
 
-func TestReplayRejectsRollback(t *testing.T) {
-	world := testWorld(9)
-	j, disk, key := newTestJournal(t, world, Options{})
+func rollbackHistory(j *Journal, disk *mach.Disk) {
 	j.Put(pid(1, 1, 0), meta(3))
 	// Forge a validly sealed record that rolls the version back — what an
 	// attacker with a stolen sealing key (or a replayed backup of a single
@@ -201,8 +221,14 @@ func TestReplayRejectsRollback(t *testing.T) {
 	encode(buf[j.seq*RecordSize:(j.seq+1)*RecordSize], Record{
 		Kind: KindPut, Epoch: j.epoch, Seq: j.seq, ID: pid(1, 1, 0),
 		Version: old.Version, IV: old.IV, Hash: old.Hash,
-	}, &key)
+	}, j.seal)
 	disk.Poke(j.logStart, buf[:])
+}
+
+func TestReplayRejectsRollback(t *testing.T) {
+	world := testWorld(9)
+	j, disk, key := newTestJournal(t, world, Options{})
+	rollbackHistory(j, disk)
 
 	rep := Replay(testWorld(10), disk, 128, testBlocks, key)
 	if rep.RejectedBy(RejectRollback) != 1 {
@@ -229,9 +255,8 @@ func TestReplayWrongKeyRecoversNothing(t *testing.T) {
 	}
 }
 
-func TestReplayRejectsStaleEpochLog(t *testing.T) {
-	world := testWorld(13)
-	j, disk, key := newTestJournal(t, world, Options{CheckpointEvery: 4})
+// staleEpochHistory runs with CheckpointEvery 4.
+func staleEpochHistory(j *Journal, disk *mach.Disk) {
 	// Three old-epoch records at the log head...
 	for i := uint64(0); i < 3; i++ {
 		j.Put(pid(1, 1, i), meta(1))
@@ -243,6 +268,12 @@ func TestReplayRejectsStaleEpochLog(t *testing.T) {
 	j.Put(pid(1, 1, 9), meta(1))
 	// ...then an adversary re-serves the pre-checkpoint head sector.
 	disk.Poke(j.logStart, stale)
+}
+
+func TestReplayRejectsStaleEpochLog(t *testing.T) {
+	world := testWorld(13)
+	j, disk, key := newTestJournal(t, world, Options{CheckpointEvery: 4})
+	staleEpochHistory(j, disk)
 
 	rep := Replay(testWorld(14), disk, 128, testBlocks, key)
 	if !rep.Anchored {
@@ -455,4 +486,91 @@ func TestJournalPerDomainQuota(t *testing.T) {
 	if _, ok := rep2.Table[pid(2, 2, 0)]; !ok {
 		t.Fatal("recycled domain's page missing: budget not restored")
 	}
+}
+
+// FuzzReplay: whatever a hostile disk holds in the journal range, Replay
+// never panics (a panic fails the target), refuses only with typed reasons,
+// and accepts only what the sealing key vouches for: every entry of the
+// rebuilt table matches a record somewhere in the image that verifies
+// under the key. The seed corpus is the images the journal histories above
+// leave behind, so a plain `go test` replays each of them.
+func FuzzReplay(f *testing.F) {
+	histories := []struct {
+		opts Options
+		run  func(*Journal, *mach.Disk)
+	}{
+		{Options{}, roundtripHistory},
+		{Options{CheckpointEvery: 8}, rolloverHistory},
+		{Options{}, dropDomainHistory},
+		{Options{}, tornTailHistory},
+		{Options{}, rollbackHistory},
+		{Options{CheckpointEvery: 4}, staleEpochHistory},
+	}
+	for i, h := range histories {
+		j, disk, _ := newTestJournal(f, testWorld(uint64(40+i)), h.opts)
+		h.run(j, disk)
+		var img []byte
+		for b := uint64(128); b < 128+testBlocks; b++ {
+			blk := disk.Peek(b)
+			if blk == nil { // never written: reads as zeros
+				blk = make([]byte, mach.BlockSize)
+			}
+			img = append(img, blk...)
+		}
+		f.Add(bytes.TrimRight(img, "\x00"))
+	}
+	key := SealKey(7)
+	f.Fuzz(func(t *testing.T, img []byte) {
+		img = img[:min(len(img), testBlocks*mach.BlockSize)]
+		world := testWorld(1)
+		disk := mach.NewDisk(world, testBlocks)
+		for off := 0; off < len(img); off += mach.BlockSize {
+			disk.Poke(uint64(off/mach.BlockSize), img[off:])
+		}
+		rep := Replay(world, disk, 0, testBlocks, key)
+		for _, r := range rep.Rejections {
+			if r.Reason < RejectBadMAC || r.Reason > RejectNoAnchor {
+				t.Fatalf("rejection %+v has no reason", r)
+			}
+			if r.Phase != "super" && r.Phase != "checkpoint" && r.Phase != "log" {
+				t.Fatalf("rejection %+v in unknown phase", r)
+			}
+		}
+		if !rep.Anchored && len(rep.Table) != 0 {
+			t.Fatalf("unanchored replay rebuilt %d entries", len(rep.Table))
+		}
+
+		seal := NewSealer(key)
+		var sealed []Record
+		for off := 0; off+RecordSize <= len(img); off += RecordSize {
+			if r, ok := decode(img[off:off+RecordSize], seal); ok {
+				sealed = append(sealed, r)
+			}
+		}
+		backs := func(match func(Record) bool) bool {
+			for _, r := range sealed {
+				if match(r) {
+					return true
+				}
+			}
+			return false
+		}
+		for id, e := range rep.Table {
+			if !e.HasMeta && !e.HasLoc {
+				t.Fatalf("entry %v carries neither metadata nor a location", id)
+			}
+			if e.HasMeta && !backs(func(r Record) bool {
+				return r.ID == id && (r.Kind == KindPut || r.Kind == KindSnapshot) &&
+					e.Meta == cloak.Meta{IV: r.IV, Hash: r.Hash, Version: r.Version}
+			}) {
+				t.Fatalf("entry %v: metadata %+v matches no sealed record in the image", id, e.Meta)
+			}
+			if e.HasLoc && !backs(func(r Record) bool {
+				return r.ID == id && (r.Kind == KindLocate || r.Kind == KindSnapshot && r.Dev != DevNone) &&
+					r.Dev == e.Dev && r.Block == e.Block && r.Version == e.LocVersion
+			}) {
+				t.Fatalf("entry %v: location %d/%d@v%d matches no sealed record in the image", id, e.Dev, e.Block, e.LocVersion)
+			}
+		}
+	})
 }

@@ -28,6 +28,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -138,31 +139,49 @@ const (
 	offMAC     = 104
 )
 
-// Seal stamps rec's MAC: HMAC-SHA256 under key over bytes [0, 104),
-// truncated to MACSize and stored at byte 104. It is the one record seal of
-// the journal and of the migration checkpoint; the two protocols seal under
-// different keys, so a record of one never verifies as the other.
-func Seal(rec []byte, key *[32]byte) {
-	copy(rec[offMAC:offMAC+MACSize], recordMAC(rec, key))
+// Sealer stamps and verifies record MACs: HMAC-SHA256 under one key over
+// bytes [0, 104), truncated to MACSize and stored at byte 104. It is the one
+// record seal of the journal and of the migration checkpoint; the two
+// protocols seal under different keys, so a record of one never verifies as
+// the other.
+//
+// A Sealer keeps one keyed HMAC state and resets it for each record, so
+// sealing or verifying a record allocates nothing. That state is mutable:
+// each journal, replay and checkpoint codec call owns its own Sealer, and
+// none is shared between goroutines.
+type Sealer struct {
+	mac hash.Hash
+	sum [sha256.Size]byte
 }
 
-// Sealed reports whether rec's stored MAC verifies under key: false for a
-// torn, corrupted or forged record, or one sealed under another key.
-func Sealed(rec []byte, key *[32]byte) bool {
-	return hmac.Equal(recordMAC(rec, key), rec[offMAC:offMAC+MACSize])
+// NewSealer returns a sealer keyed with key.
+func NewSealer(key [32]byte) *Sealer {
+	return &Sealer{mac: hmac.New(sha256.New, key[:])}
 }
 
-// recordMAC computes the truncated MAC over rec's first offMAC bytes.
-func recordMAC(rec []byte, key *[32]byte) []byte {
-	m := hmac.New(sha256.New, key[:])
-	m.Write(rec[:offMAC])
-	return m.Sum(nil)[:MACSize]
+// Seal stamps rec's MAC.
+func (s *Sealer) Seal(rec []byte) {
+	copy(rec[offMAC:offMAC+MACSize], s.compute(rec))
+}
+
+// Sealed reports whether rec's stored MAC verifies: false for a torn,
+// corrupted or forged record, or one sealed under another key.
+func (s *Sealer) Sealed(rec []byte) bool {
+	return hmac.Equal(s.compute(rec), rec[offMAC:offMAC+MACSize])
+}
+
+// compute returns the truncated MAC over rec's first offMAC bytes, in the
+// sealer's own buffer.
+func (s *Sealer) compute(rec []byte) []byte {
+	s.mac.Reset()
+	s.mac.Write(rec[:offMAC])
+	return s.mac.Sum(s.sum[:0])[:MACSize]
 }
 
 // encode serializes r into dst (len >= RecordSize) and seals it. The layout
 // is pure fixed-width stores: nothing here may depend on map iteration or
 // any other source of run-to-run variation.
-func encode(dst []byte, r Record, key *[32]byte) {
+func encode(dst []byte, r Record, s *Sealer) {
 	for i := 0; i < RecordSize; i++ {
 		dst[i] = 0
 	}
@@ -177,7 +196,7 @@ func encode(dst []byte, r Record, key *[32]byte) {
 	copy(dst[offIV:], r.IV[:])
 	copy(dst[offHash:], r.Hash[:])
 	binary.LittleEndian.PutUint64(dst[offBlock:], r.Block)
-	Seal(dst, key)
+	s.Seal(dst)
 }
 
 // isZero reports whether the slot has never been written (end of log).
@@ -192,8 +211,8 @@ func isZero(src []byte) bool {
 
 // decode parses and verifies one record slot. ok is false when the MAC does
 // not verify — a torn, corrupted, or forged record; the caller classifies.
-func decode(src []byte, key *[32]byte) (Record, bool) {
-	if !Sealed(src, key) {
+func decode(src []byte, s *Sealer) (Record, bool) {
+	if !s.Sealed(src) {
 		return Record{}, false
 	}
 	var r Record

@@ -144,6 +144,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 	}
 	logStart := base + superSlots + 2*ckpt
 	logBlocks := blocks - superSlots - 2*ckpt
+	seal := NewSealer(key)
 
 	// Anchor: the higher committed epoch of the two superblock slots wins.
 	var buf [mach.BlockSize]byte
@@ -153,7 +154,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 			res.reject(world, Rejection{Phase: "super", Block: base + slot, Reason: RejectReadError})
 			continue
 		}
-		r, ok := decode(buf[:RecordSize], &key)
+		r, ok := decode(buf[:RecordSize], seal)
 		if !ok {
 			if !isZero(buf[:RecordSize]) {
 				res.reject(world, Rejection{Phase: "super", Block: base + slot, Reason: RejectBadMAC})
@@ -196,7 +197,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 				}
 			}
 		}
-		r, ok := decode(buf[off:off+RecordSize], &key)
+		r, ok := decode(buf[off:off+RecordSize], seal)
 		if !ok {
 			res.reject(world, Rejection{Phase: "checkpoint", Block: blk, Slot: i, Reason: RejectBadMAC})
 			continue
@@ -237,7 +238,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		if isZero(slot) {
 			return res // clean end of log
 		}
-		r, ok := decode(slot, &key)
+		r, ok := decode(slot, seal)
 		if !ok {
 			res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectBadMAC})
 			return res

@@ -25,6 +25,9 @@ var (
 	ErrRegionOverlap = errors.New("vmm: region overlaps an existing region")
 	// ErrNoResource: a cloaked region was declared without a resource id.
 	ErrNoResource = errors.New("vmm: cloaked region needs a resource id")
+	// ErrRegionRange: the region is empty or does not fit the page table's
+	// VPN range [0, mmu.MaxVPN] (including a BaseVPN+Pages that wraps).
+	ErrRegionRange = errors.New("vmm: region empty or outside the VPN range")
 )
 
 // RegionError decorates a region-registration failure with the offending

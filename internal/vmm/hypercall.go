@@ -4,6 +4,7 @@ import (
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
 	"overshadow/internal/mach"
+	"overshadow/internal/mmu"
 	"overshadow/internal/obs"
 	"overshadow/internal/sim"
 )
@@ -74,10 +75,16 @@ func (v *VMM) allocResource() cloak.ResourceID {
 
 // registerRegion validates and installs a region, then drops any stale
 // shadow entries in its range in one batched pass (they predate the
-// region's semantics).
+// region's semantics). A region the page table cannot hold — empty,
+// starting past mmu.MaxVPN, or running past it (wrapping included) — is
+// refused before any state changes: stored, it would defeat addRegion's
+// overlap check or cost a drop walk over VPNs no table can map.
 func (v *VMM) registerRegion(as *AddressSpace, r Region) error {
 	if r.Cloaked && r.Resource == 0 {
 		return &RegionError{Op: "register", Region: r, Err: ErrNoResource}
+	}
+	if r.Pages == 0 || r.BaseVPN > mmu.MaxVPN || r.Pages > mmu.MaxVPN+1-r.BaseVPN {
+		return &RegionError{Op: "register", Region: r, Err: ErrRegionRange}
 	}
 	if q := v.opts.Quota.MaxRegionsPerDomain; q > 0 && as.domain != 0 {
 		// Metastore growth-bomb containment: regions (and the metadata

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -232,5 +233,49 @@ func TestRegionIndexInvariants(t *testing.T) {
 	}
 	if r.as.regionAt(41) == nil || r.as.regionAt(21) == nil {
 		t.Fatal("neighbors lost by unregister")
+	}
+}
+
+// TestRegisterRegionRange: a region the page table cannot hold — empty,
+// starting past mmu.MaxVPN, or running past it (wrapping uint64 included) —
+// is refused with ErrRegionRange inside a *RegionError, and the region list
+// is left as it was. A region ending exactly at MaxVPN still registers.
+func TestRegisterRegionRange(t *testing.T) {
+	r := newRig(t, Options{})
+	res := r.cloakSetup(20, 4) // [20,24)
+	refused := []struct {
+		name string
+		reg  Region
+	}{
+		{"empty", Region{BaseVPN: 40, Pages: 0}},
+		{"empty cloaked", Region{BaseVPN: 40, Pages: 0, Resource: res, Cloaked: true}},
+		{"starts past MaxVPN", Region{BaseVPN: mmu.MaxVPN + 1, Pages: 1}},
+		{"starts far past MaxVPN", Region{BaseVPN: 1 << 40, Pages: 1 << 40}},
+		{"runs past MaxVPN", Region{BaseVPN: mmu.MaxVPN, Pages: 2}},
+		{"2^28 pages", Region{BaseVPN: 0x100, Pages: 1 << 28}},
+		// BaseVPN+Pages wraps to 19, which would pass the overlap check
+		// against [20,24).
+		{"wraps", Region{BaseVPN: 30, Pages: ^uint64(0) - 10}},
+	}
+	for _, tc := range refused {
+		before := append([]Region(nil), r.as.regions...)
+		err := r.conn.RegisterRegion(tc.reg)
+		if !errors.Is(err, ErrRegionRange) {
+			t.Fatalf("%s: err = %v, want ErrRegionRange", tc.name, err)
+		}
+		var re *RegionError
+		if !errors.As(err, &re) || re.Op != "register" || re.Region != tc.reg {
+			t.Fatalf("%s: err = %#v, want a *RegionError naming the region", tc.name, err)
+		}
+		if !reflect.DeepEqual(r.as.regions, before) {
+			t.Fatalf("%s: region list changed to %+v", tc.name, r.as.regions)
+		}
+	}
+	top := Region{BaseVPN: mmu.MaxVPN - 3, Pages: 4}
+	if err := r.conn.RegisterRegion(top); err != nil {
+		t.Fatalf("region ending at MaxVPN: %v", err)
+	}
+	if got := r.as.regionAt(mmu.MaxVPN); got == nil || *got != top {
+		t.Fatalf("region ending at MaxVPN not registered: %+v", r.as.regions)
 	}
 }

@@ -406,17 +406,19 @@ func (v *VMM) dropShadowsFor(as *AddressSpace, vpn uint64, views ...View) {
 // views of as on every vCPU, then invalidates the TLBs for the range in one
 // pass instead of one full-table scan per page. Charges are identical to
 // calling dropShadowsFor per VPN — same per-entry ShadowDrop and TLBEvict
-// counts — only the host-side work is batched.
+// counts — only the host-side work is batched. Each table's walk visits
+// only its populated leaves, in ascending VPN order, so registering a
+// 65,280-page heap over an empty shadow costs no per-VPN probe, and a crash
+// deadline inside the walk leaves the same counters a per-VPN loop would.
 func (v *VMM) dropShadowsRange(as *AddressSpace, base, pages uint64) {
 	for view := View(0); view < numViews; view++ {
 		for cpu := range as.shadows {
 			sh := as.shadows[cpu][view]
-			for vpn := base; vpn < base+pages; vpn++ {
-				if sh.Lookup(vpn).Present() {
-					sh.Unmap(vpn)
-					v.cpu().ChargeCount(v.world.Cost.ShadowDrop, sim.CtrShadowDrop)
-				}
-			}
+			sh.pt.RangeIn(base, base+pages, func(vpn uint64, _ mmu.PTE) bool {
+				sh.Unmap(vpn)
+				v.cpu().ChargeCount(v.world.Cost.ShadowDrop, sim.CtrShadowDrop)
+				return true
+			})
 		}
 	}
 	v.tlbInvalidateRange(base, pages)

@@ -19,9 +19,11 @@
 #   benchmarks every package benchmark once, and the root BenchmarkExperiment
 #              once per registry entry, so one that breaks at set-up fails
 #              the gate
-#   fuzz       1000 executions of FuzzDecode, the migration checkpoint
-#              decoder's native fuzz target: its 400-input seed corpus,
-#              then mutated inputs
+#   fuzz       1000 executions each of the native fuzz targets over
+#              untrusted bytes: FuzzDecode (the migration checkpoint
+#              decoder; its 400-input seed corpus, then mutated inputs) and
+#              FuzzReplay (journal replay over a hostile disk image; the
+#              journal tests' images, then mutated inputs)
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -91,7 +93,8 @@ echo "== tests"
 go test ./...
 
 echo "== benchmarks"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core
+go test -run '^$' -bench . -benchtime 1x . ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core \
+    ./internal/persist ./internal/migrate
 
 echo "== bench module"
 # bench/ is a nested module built against this tree (replace ../): an API
@@ -99,12 +102,14 @@ echo "== bench module"
 (cd bench && go vet ./... && go test ./...)
 
 echo "== fuzz"
-# The checkpoint decoder takes untrusted bytes off the migration channel. A
-# crasher is a decoder bug: go test saves it under
-# internal/migrate/testdata/fuzz/, where it becomes the fix's regression
-# seed. The execution count includes the seed-corpus baseline, so it must
-# stay well above the 400 seeds for any mutated input to run.
+# The checkpoint decoder takes untrusted bytes off the migration channel,
+# and journal replay reads a disk the guest controls. A crasher is a bug:
+# go test saves it under the package's testdata/fuzz/, where it becomes the
+# fix's regression seed. The execution count includes the seed-corpus
+# baseline, so it must stay well above the 400 FuzzDecode seeds for any
+# mutated input to run.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 1000x ./internal/migrate
+go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 1000x ./internal/persist
 
 echo "== race pass"
 # The channel handoff of the scheduler baton is the happens-before edge that
