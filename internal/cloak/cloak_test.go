@@ -42,6 +42,39 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPageCryptoAllocs pins the host allocations of a page transition: the
+// one AES-CTR stream crypto/cipher allocates, and nothing of the engine's
+// own (header, digest and IV live in the engine).
+func TestPageCryptoAllocs(t *testing.T) {
+	e, _ := testEngine()
+	id := PageID{Domain: 1, Resource: 2, Index: 3}
+	page := somePage(0x5A)
+	var meta Meta
+	if n := testing.AllocsPerRun(100, func() {
+		meta = e.EncryptPage(id, meta.Version, page)
+	}); n != 1 {
+		t.Errorf("EncryptPage allocates %v times per page, want 1", n)
+	}
+	// AllocsPerRun makes one warm-up call before its runs: each call
+	// decrypts a page of its own.
+	const runs = 100
+	pages := make([][]byte, runs+1)
+	metas := make([]Meta, runs+1)
+	for i := range pages {
+		pages[i] = somePage(byte(i))
+		metas[i] = e.EncryptPage(id, uint64(i), pages[i])
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := e.DecryptPage(id, metas[i], pages[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 1 {
+		t.Errorf("DecryptPage allocates %v times per page, want 1", n)
+	}
+}
+
 func TestFreshIVPerEncryption(t *testing.T) {
 	e, _ := testEngine()
 	id := PageID{Domain: 1, Resource: 1, Index: 1}

@@ -110,6 +110,12 @@ type Engine struct {
 	// per use. The engine is VMM-owned and single-threaded by the baton
 	// scheduler, so one instance suffices.
 	hasher hash.Hash
+	// hdr and sum are hashPage's header and digest, and iv is the IV handed
+	// to cipher.NewCTR (which copies it). Each passes through an interface
+	// call, so as a local each would cost a heap allocation per page.
+	hdr [8 + 4 + 8 + 8 + IVSize]byte
+	sum [HashSize]byte
+	iv  [IVSize]byte
 }
 
 // NewEngine builds a crypto engine.
@@ -143,7 +149,8 @@ func (e *Engine) stream(d DomainID, iv [IVSize]byte) cipher.Stream {
 		}
 		e.blocks[d] = block
 	}
-	return cipher.NewCTR(block, iv[:])
+	e.iv = iv
+	return cipher.NewCTR(block, e.iv[:])
 }
 
 // hashPage computes the integrity hash binding ciphertext to identity and
@@ -152,7 +159,7 @@ func (e *Engine) stream(d DomainID, iv [IVSize]byte) cipher.Stream {
 func (e *Engine) hashPage(id PageID, version uint64, iv [IVSize]byte, ciphertext []byte) [HashSize]byte {
 	h := e.hasher
 	h.Reset()
-	var hdr [8 + 4 + 8 + 8 + IVSize]byte
+	hdr := &e.hdr
 	binary.LittleEndian.PutUint64(hdr[0:], uint64(id.Resource))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(id.Domain))
 	binary.LittleEndian.PutUint64(hdr[12:], id.Index)
@@ -160,9 +167,8 @@ func (e *Engine) hashPage(id PageID, version uint64, iv [IVSize]byte, ciphertext
 	copy(hdr[28:], iv[:])
 	h.Write(hdr[:])
 	h.Write(ciphertext)
-	var out [HashSize]byte
-	h.Sum(out[:0])
-	return out
+	h.Sum(e.sum[:0])
+	return e.sum
 }
 
 // EncryptPage encrypts page contents in place with a fresh IV, computes the

@@ -107,3 +107,77 @@ func BenchmarkFileWrite4K(b *testing.B) {
 		e.Exit(0)
 	})
 }
+
+// The swap sweep: a native process stores round-robin to sweepPages heap
+// pages on a machine of sweepMemory pages. Once a warm-up has backed every
+// frame and swap block, every store faults, pages its page in from swap and,
+// one store in eight, has the kernel page eight others out first.
+const sweepPages, sweepMemory = 96, 64
+
+// runSwapSweep boots the sweep machine and hands body, after the warm-up,
+// a store(i) that writes page i mod sweepPages. It fails unless body's
+// stores each paged in.
+func runSwapSweep(tb testing.TB, body func(store func(i int)) int) {
+	tb.Helper()
+	w := sim.NewWorld(sim.DefaultCostModel(), 1)
+	hv := mustVMM(tb, w, vmm.Config{GuestPages: sweepMemory})
+	k := NewKernel(w, hv, Config{MemoryPages: sweepMemory})
+	var stores int
+	var pageIns uint64
+	k.RegisterProgram("sweep", func(e Env) {
+		base, err := e.Alloc(sweepPages)
+		if err != nil {
+			tb.Errorf("alloc: %v", err)
+			e.Exit(1)
+		}
+		store := func(i int) {
+			e.Store64(base+mach.Addr(i%sweepPages)*mach.PageSize, uint64(i))
+		}
+		for i := 0; i < 2*sweepPages; i++ {
+			store(i)
+		}
+		before := w.Stats.Get(sim.CtrPageIn)
+		stores = body(store)
+		pageIns = w.Stats.Get(sim.CtrPageIn) - before
+		e.Exit(0)
+	})
+	if _, err := k.Spawn("sweep", SpawnOpts{}); err != nil {
+		tb.Fatal(err)
+	}
+	k.Run()
+	if pageIns < uint64(stores) {
+		tb.Fatalf("%d stores paged in %d times, want one page-in per store", stores, pageIns)
+	}
+}
+
+// BenchmarkSwapSweep measures one store of the swap sweep: a hidden fault, a
+// guest fault, a page-in and an eighth of an eight-page eviction.
+func BenchmarkSwapSweep(b *testing.B) {
+	runSwapSweep(b, func(store func(int)) int {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			store(i)
+		}
+		b.StopTimer()
+		return b.N
+	})
+}
+
+// TestSwapSweepAllocs pins the host allocations of the native swap path: a
+// store that pages in, with its share of page-outs, allocates at most the
+// *mmu.Fault delivered to the kernel.
+func TestSwapSweepAllocs(t *testing.T) {
+	var allocs float64
+	runSwapSweep(t, func(store func(int)) int {
+		i := 0
+		allocs = testing.AllocsPerRun(4*sweepPages, func() {
+			store(i)
+			i++
+		})
+		return i
+	})
+	if allocs > 1 {
+		t.Errorf("a swap-sweep store allocates %v times, want at most 1", allocs)
+	}
+}

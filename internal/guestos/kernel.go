@@ -68,8 +68,7 @@ type Kernel struct {
 	schedRNG *sim.RNG
 	current  *Proc
 	sleepers []*sleeper
-	resident []residentPage // global page-replacement candidate list
-	handSeq  int
+	resident residentQueue // global page-replacement candidate list
 
 	shm          map[string]*ShmObj
 	programs     map[string]Program

@@ -99,16 +99,16 @@ func (f *freeList) len() int { return len(f.freed) + int(f.hi-f.next) }
 // gppnAllocator manages guest-physical pages with sharing counts (COW).
 type gppnAllocator struct {
 	pages freeList
-	refs  map[mach.GPPN]int
+	// refs[g] is frame g's sharing count, 0 while g is free. Every GPPN the
+	// kernel maps came from alloc, so the table grows to the highest number
+	// handed out and is indexed directly.
+	refs []int32
 }
 
 func newGPPNAllocator(pages int) *gppnAllocator {
 	// GPPN 0 is reserved so a zero page number can mean "no page"
 	// (shared-memory objects and other tables rely on this).
-	return &gppnAllocator{
-		pages: freeList{next: 1, hi: uint64(pages)},
-		refs:  make(map[mach.GPPN]int),
-	}
+	return &gppnAllocator{pages: freeList{next: 1, hi: uint64(pages)}}
 }
 
 func (a *gppnAllocator) alloc() (mach.GPPN, bool) {
@@ -116,9 +116,11 @@ func (a *gppnAllocator) alloc() (mach.GPPN, bool) {
 	if !ok {
 		return 0, false
 	}
-	g := mach.GPPN(x)
-	a.refs[g] = 1
-	return g, true
+	if n := int(x) + 1; n > len(a.refs) {
+		a.refs = append(a.refs, make([]int32, n-len(a.refs))...)
+	}
+	a.refs[x] = 1
+	return mach.GPPN(x), true
 }
 
 func (a *gppnAllocator) share(g mach.GPPN) { a.refs[g]++ }
@@ -132,11 +134,11 @@ func (a *gppnAllocator) release(g mach.GPPN) bool {
 
 // free returns a frame to the pool; call only after release returned true.
 func (a *gppnAllocator) free(g mach.GPPN) {
-	delete(a.refs, g)
+	a.refs[g] = 0
 	a.pages.free(uint64(g))
 }
 
-func (a *gppnAllocator) refCount(g mach.GPPN) int { return a.refs[g] }
+func (a *gppnAllocator) refCount(g mach.GPPN) int { return int(a.refs[g]) }
 
 func (a *gppnAllocator) freePages() int { return a.pages.len() }
 
@@ -179,28 +181,55 @@ func (s *swapSpace) dup(b uint64) (uint64, bool) {
 }
 
 // residentPage is an entry in the global page-replacement candidate list.
+// An entry goes stale when its page is unmapped or its process exits; the
+// sweep skips it then.
 type residentPage struct {
 	p   *Proc
 	vpn uint64
-	seq int // generation to detect staleness cheaply
+}
+
+// residentQueue is the replacement candidates in FIFO order, consumed from
+// head. Advancing head instead of re-slicing lets appends reuse the backing
+// array (q = q[1:] plus append reallocates it each time the clock hand
+// reaches its end), and the consumed prefix is compacted away once it
+// dominates, so the array stays proportional to the queued entries.
+type residentQueue struct {
+	pages []residentPage
+	head  int
+}
+
+func (q *residentQueue) len() int { return len(q.pages) - q.head }
+
+func (q *residentQueue) push(rp residentPage) { q.pages = append(q.pages, rp) }
+
+// pop removes and returns the oldest entry; the queue must not be empty.
+func (q *residentQueue) pop() residentPage {
+	rp := q.pages[q.head]
+	q.pages[q.head] = residentPage{} // unpin the process
+	q.head++
+	if q.head >= 64 && 2*q.head >= len(q.pages) {
+		n := copy(q.pages, q.pages[q.head:])
+		clear(q.pages[n:])
+		q.pages = q.pages[:n]
+		q.head = 0
+	}
+	return rp
 }
 
 func (k *Kernel) noteResident(p *Proc, vpn uint64) {
-	k.handSeq++
-	k.resident = append(k.resident, residentPage{p: p, vpn: vpn, seq: k.handSeq})
+	k.resident.push(residentPage{p: p, vpn: vpn})
 }
 
-// scratchPage returns the kernel's page-sized scratch buffer, zeroed to
-// reproduce the fresh-allocation semantics the transfer paths were written
-// against. Reuse is safe because the baton scheduler admits exactly one
-// runnable goroutine, and every user (page-out, page-in, COW break, msync)
-// is done with the buffer before any path that could re-enter page
+// scratchPage returns the kernel's page-sized scratch buffer, holding
+// whatever its last user left there: every caller overwrites all of it
+// before reading any (PhysRead and Disk.Read copy or zero-fill the whole
+// page, ReadFilePage zero-fills past end of file) and stops using it when
+// that fill fails. Reuse is safe because the baton scheduler admits exactly
+// one runnable goroutine, and every user (page-out, page-in, COW break,
+// msync) is done with the buffer before any path that could re-enter page
 // allocation: allocUserPage's eviction (the only nested user) completes
 // before its caller touches the buffer it acquired.
-func (k *Kernel) scratchPage() []byte {
-	clear(k.pageBuf)
-	return k.pageBuf
-}
+func (k *Kernel) scratchPage() []byte { return k.pageBuf }
 
 // --- Page allocation with replacement --------------------------------------
 
@@ -234,10 +263,9 @@ func (p *Proc) mapUserPage(vpn uint64, g mach.GPPN, writable bool) {
 func (k *Kernel) evictSome(n int) bool {
 	freed := 0
 	scanned := 0
-	limit := 2 * len(k.resident)
-	for freed < n && scanned < limit && len(k.resident) > 0 {
-		rp := k.resident[0]
-		k.resident = k.resident[1:]
+	limit := 2 * k.resident.len()
+	for freed < n && scanned < limit && k.resident.len() > 0 {
+		rp := k.resident.pop()
 		scanned++
 		pte := rp.p.gpt.Lookup(rp.vpn)
 		if !pte.Present() || rp.p.state == stateZombie {
@@ -246,18 +274,17 @@ func (k *Kernel) evictSome(n int) bool {
 		if pte.Flags.Has(mmu.FlagAccessed) {
 			// Second chance: clear and requeue.
 			rp.p.gpt.ClearFlags(rp.vpn, mmu.FlagAccessed)
-			k.resident = append(k.resident, rp)
+			k.resident.push(rp)
 			continue
 		}
 		if k.pageOut(rp.p, rp.vpn, pte) {
 			freed++
 		}
 	}
-	if freed == 0 && len(k.resident) > 0 {
+	if freed == 0 && k.resident.len() > 0 {
 		// Pressure override: evict ignoring accessed bits.
-		for freed < n && len(k.resident) > 0 {
-			rp := k.resident[0]
-			k.resident = k.resident[1:]
+		for freed < n && k.resident.len() > 0 {
+			rp := k.resident.pop()
 			pte := rp.p.gpt.Lookup(rp.vpn)
 			if !pte.Present() || rp.p.state == stateZombie {
 				continue

@@ -91,8 +91,9 @@ func (c *UserCtx) access(va mach.Addr, buf []byte, write bool) {
 		if err == nil {
 			return
 		}
-		var fault *mmu.Fault
-		if errors.As(err, &fault) {
+		// ReadVirt and WriteVirt return a guest fault unwrapped; a type
+		// assertion, unlike errors.As, costs no allocation per fault.
+		if fault, ok := err.(*mmu.Fault); ok {
 			// Page fault: trap to the kernel to service it.
 			sp := k.world.CPU().Begin(obs.KindPageFault, "app", uint64(va))
 			p.thread.EnterKernel(vmm.TrapFault)
@@ -235,8 +236,7 @@ func (k *Kernel) sysAccess(p *Proc, va mach.Addr, buf []byte, write bool) Errno 
 		if err == nil {
 			return OK
 		}
-		var fault *mmu.Fault
-		if errors.As(err, &fault) {
+		if fault, ok := err.(*mmu.Fault); ok {
 			if errno := k.handleFault(p, fault); errno != OK {
 				return EFAULT
 			}

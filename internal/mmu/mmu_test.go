@@ -9,6 +9,9 @@ import (
 
 func testWorld() *sim.World { return sim.NewWorld(sim.DefaultCostModel(), 1) }
 
+// faultSink keeps TestProbeAllocs's permission checks live.
+var faultSink Fault
+
 func TestFlagsString(t *testing.T) {
 	f := FlagPresent | FlagWritable | FlagDirty
 	if got := f.String(); got != "PW--d-" {
@@ -49,14 +52,52 @@ func TestCheckPerms(t *testing.T) {
 		{"not present", PTE{}, AccessRead, true, true, FaultNotPresent},
 	}
 	for _, c := range cases {
-		f := CheckPerms(7, c.pte, c.access, c.user)
-		if (f != nil) != c.fault {
-			t.Errorf("%s: fault=%v, want %v", c.name, f != nil, c.fault)
+		f, ok := CheckPerms(7, c.pte, c.access, c.user)
+		if ok == c.fault {
+			t.Errorf("%s: fault=%v, want %v", c.name, !ok, c.fault)
 			continue
 		}
-		if f != nil && f.Reason != c.reason {
-			t.Errorf("%s: reason=%v, want %v", c.name, f.Reason, c.reason)
+		want := Fault{}
+		if c.fault {
+			want = Fault{VPN: 7, Access: c.access, Reason: c.reason, User: c.user}
 		}
+		if f != want {
+			t.Errorf("%s: fault %+v, want %+v", c.name, f, want)
+		}
+	}
+}
+
+// TestProbeAllocs pins the MMU's per-access bookkeeping at zero host
+// allocations: a permission check, allowed or refused (the refused one is
+// the shadow-walk probe of every hidden fault), and a page invalidation,
+// which probes the index once per live context tag.
+func TestProbeAllocs(t *testing.T) {
+	rw := PTE{PN: 1, Flags: FlagPresent | FlagWritable | FlagUser}
+	for _, pte := range []PTE{rw, {}} {
+		if n := testing.AllocsPerRun(100, func() {
+			faultSink, _ = CheckPerms(7, pte, AccessWrite, true)
+		}); n != 0 {
+			t.Errorf("CheckPerms(%v) allocates %v times, want 0", pte, n)
+		}
+	}
+
+	const ctxs, pages = 4, 64
+	cpu := testWorld().Boot()
+	tlb := NewTLB(cpu, ctxs*pages)
+	for vpn := uint64(0); vpn < pages; vpn++ {
+		for ctx := uint32(0); ctx < ctxs; ctx++ {
+			tlb.Insert(ctx, vpn, PTE{PN: vpn, Flags: FlagPresent})
+		}
+	}
+	// AllocsPerRun calls once more than its run count: one call per page.
+	vpn := uint64(0)
+	if n := testing.AllocsPerRun(pages-1, func() {
+		if got := tlb.InvalidatePage(cpu, vpn); got != ctxs {
+			t.Fatalf("invalidated %d entries of vpn %d, want %d", got, vpn, ctxs)
+		}
+		vpn++
+	}); n != 0 {
+		t.Errorf("InvalidatePage allocates %v times, want 0", n)
 	}
 }
 

@@ -119,20 +119,18 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("page fault: vpn=%#x %s %s (%s mode)", f.VPN, f.Access, f.Reason, mode)
 }
 
-// CheckPerms verifies that a present PTE allows the access; it returns nil or
-// a protection fault.
-func CheckPerms(vpn uint64, pte PTE, access AccessType, user bool) *Fault {
+// CheckPerms reports whether pte allows the access and, when it does not,
+// the fault the access raises. The fault comes back by value, so a caller
+// that only tests ok (the hit and walk probes of a translation) builds
+// nothing on the heap.
+func CheckPerms(vpn uint64, pte PTE, access AccessType, user bool) (Fault, bool) {
 	if !pte.Present() {
-		return &Fault{VPN: vpn, Access: access, Reason: FaultNotPresent, User: user}
+		return Fault{VPN: vpn, Access: access, Reason: FaultNotPresent, User: user}, false
 	}
-	if user && !pte.Flags.Has(FlagUser) {
-		return &Fault{VPN: vpn, Access: access, Reason: FaultProtection, User: user}
+	if user && !pte.Flags.Has(FlagUser) ||
+		access == AccessWrite && !pte.Flags.Has(FlagWritable) ||
+		access == AccessExec && pte.Flags.Has(FlagNX) {
+		return Fault{VPN: vpn, Access: access, Reason: FaultProtection, User: user}, false
 	}
-	if access == AccessWrite && !pte.Flags.Has(FlagWritable) {
-		return &Fault{VPN: vpn, Access: access, Reason: FaultProtection, User: user}
-	}
-	if access == AccessExec && pte.Flags.Has(FlagNX) {
-		return &Fault{VPN: vpn, Access: access, Reason: FaultProtection, User: user}
-	}
-	return nil
+	return Fault{}, true
 }

@@ -27,10 +27,13 @@ func (e *tlbEntry) key() uint64 { return tlbKey(e.ctx, e.vpn) }
 // explicitly and report how many entries were dropped — the VMM charges the
 // initiator the IPI cost when a remote TLB actually held stale entries.
 //
-// The live entries sit in a dense slot array, so an invalidation is one scan
-// of at most capacity slots with swap-remove; the index finds a key's slot
-// for lookups and fills. Slot positions are host bookkeeping only: which
-// entry replacement evicts is decided by order and the owner's random stream.
+// The live entries sit in a dense slot array with swap-remove, and the index
+// finds a key's slot for lookups, fills and page invalidations. A page
+// invalidation probes the index once per context tag that has live entries,
+// so its host cost does not grow with the number of cached entries; range and
+// context invalidations scan the slots. Slot positions and the order tags are
+// probed in are host bookkeeping only: which entry replacement evicts is
+// decided by order and the owner's random stream.
 type TLB struct {
 	cpu   *sim.VCPU
 	cap   int
@@ -42,6 +45,16 @@ type TLB struct {
 	index []int32
 	shift uint     // 64 - log2(len(index)), for Fibonacci hashing
 	order []uint64 // insertion keys for eviction choice
+	// tags holds each context tag that has live entries, with their count;
+	// a tag leaves when its count reaches zero. An address space has two
+	// tags (one per view), so the list stays short.
+	tags []tlbTag
+}
+
+// tlbTag counts the live entries filled under one context tag.
+type tlbTag struct {
+	ctx  uint32
+	live int32
 }
 
 // NewTLB builds a TLB with the given entry capacity, owned by cpu.
@@ -109,6 +122,23 @@ func (t *TLB) Insert(ctx uint32, vpn uint64, pte PTE) {
 	t.index[c] = int32(len(t.slots)) + 1
 	t.slots = append(t.slots, e)
 	t.order = append(t.order, key)
+	t.countTag(ctx, 1)
+}
+
+// countTag adds d to ctx's live count, adding the tag on its first entry and
+// dropping it (swap-remove) when its last entry goes.
+func (t *TLB) countTag(ctx uint32, d int32) {
+	for i := range t.tags {
+		if g := &t.tags[i]; g.ctx == ctx {
+			if g.live += d; g.live == 0 {
+				last := len(t.tags) - 1
+				t.tags[i] = t.tags[last]
+				t.tags = t.tags[:last]
+			}
+			return
+		}
+	}
+	t.tags = append(t.tags, tlbTag{ctx: ctx, live: d})
 }
 
 func (t *TLB) evictOne() {
@@ -130,6 +160,7 @@ func (t *TLB) evictOne() {
 func (t *TLB) remove(i int) {
 	c, _ := t.find(t.slots[i].key())
 	t.unindex(c)
+	t.countTag(t.slots[i].ctx, -1)
 	last := len(t.slots) - 1
 	if i != last {
 		t.slots[i] = t.slots[last]
@@ -162,10 +193,11 @@ func (t *TLB) unindex(c int) {
 // (cloak transitions must be visible immediately in all contexts).
 func (t *TLB) InvalidatePage(on *sim.VCPU, vpn uint64) int {
 	dropped := 0
-	// Scan downward: swap-remove moves an already-scanned slot into i.
-	for i := len(t.slots) - 1; i >= 0; i-- {
-		if t.slots[i].vpn == vpn {
-			t.remove(i)
+	// Probe downward: dropping a tag's last entry swap-removes the tag,
+	// moving an already-probed tag into i.
+	for i := len(t.tags) - 1; i >= 0; i-- {
+		if _, s := t.find(tlbKey(t.tags[i].ctx, vpn)); s != 0 {
+			t.remove(int(s - 1))
 			on.ChargeAdd(on.World().Cost.TLBEvict, sim.CtrTLBEvict, 1)
 			dropped++
 		}
@@ -176,7 +208,7 @@ func (t *TLB) InvalidatePage(on *sim.VCPU, vpn uint64) int {
 // InvalidateRange drops the translations of every vpn in [base, base+pages)
 // across all shadow contexts in a single pass over the TLB. Equivalent to
 // calling InvalidatePage per vpn — same entries dropped, same per-entry evict
-// charge — without paying one full-table scan per page.
+// charge — at one slot scan for the whole range, however many pages it spans.
 func (t *TLB) InvalidateRange(on *sim.VCPU, base, pages uint64) int {
 	dropped := 0
 	for i := len(t.slots) - 1; i >= 0; i-- {
@@ -210,6 +242,7 @@ func (t *TLB) Flush() {
 	t.slots = t.slots[:0]
 	clear(t.index)
 	t.order = t.order[:0]
+	t.tags = t.tags[:0]
 	t.cpu.ChargeCount(t.cpu.World().Cost.TLBFlush, sim.CtrTLBFlush)
 }
 

@@ -3,6 +3,7 @@ package mmu
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"maps"
 	"testing"
 
 	"overshadow/internal/sim"
@@ -17,20 +18,25 @@ import (
 // page, and the rest split evenly between inserts and lookups. The second
 // configuration draws from 4096 keys and rarely invalidates, so a 256-entry
 // TLB stays full, eviction runs on nearly every insert, and probe runs wrap
-// past the end of the key index. After every step the index must find each
-// live slot from its key and hold exactly Len() occupied cells.
+// past the end of the key index. The third is the pager's pattern: every
+// step also pages in a fresh VPN under a drawn context and pages out (drops
+// in every context) the VPN lag steps older, so the TLB stays below capacity
+// while page invalidations run on every step. After every step the index
+// must find each live slot from its key and hold exactly Len() occupied
+// cells, and the per-context counts must match the slots (checkTLBTags).
 func TestTLBAgainstReferenceModel(t *testing.T) {
-	for _, cfg := range []struct{ capacity, ctxs, vpns, ops int }{
-		{32, 4, 64, 10},
-		{256, 16, 256, 200},
+	for _, cfg := range []struct{ capacity, ctxs, vpns, ops, lag int }{
+		{32, 4, 64, 10, 0},
+		{256, 16, 256, 200, 0},
+		{256, 4, 48, 10, 48},
 	} {
 		for seed := uint64(1); seed <= 6; seed++ {
-			runTLBModel(t, seed, cfg.capacity, cfg.ctxs, cfg.vpns, cfg.ops)
+			runTLBModel(t, seed, cfg.capacity, cfg.ctxs, cfg.vpns, cfg.ops, cfg.lag)
 		}
 	}
 }
 
-func runTLBModel(t *testing.T, seed uint64, capacity, ctxs, vpns, ops int) {
+func runTLBModel(t *testing.T, seed uint64, capacity, ctxs, vpns, ops, lag int) {
 	t.Helper()
 	w := sim.NewWorld(sim.DefaultCostModel(), seed)
 	tlb := NewTLB(w.Boot(), capacity)
@@ -40,35 +46,46 @@ func runTLBModel(t *testing.T, seed uint64, capacity, ctxs, vpns, ops int) {
 		vpn uint64
 	}
 	ref := map[key]PTE{}
+	insert := func(ctx uint32, vpn uint64) {
+		pte := PTE{PN: rng.Uint64() % 1024, Flags: FlagPresent | Flags(rng.Intn(4))<<1}
+		tlb.Insert(ctx, vpn, pte)
+		ref[key{ctx, vpn}] = pte
+	}
+	invalidatePage := func(vpn uint64) {
+		tlb.InvalidatePage(w.Boot(), vpn)
+		for kk := range ref {
+			if kk.vpn == vpn {
+				delete(ref, kk)
+			}
+		}
+	}
 
 	for step := 0; step < 5000; step++ {
 		ctx := uint32(rng.Intn(ctxs))
 		vpn := uint64(rng.Intn(vpns))
+		if lag > 0 {
+			// The pager's sweep: the drawn operation below then works on the
+			// lag resident VPNs.
+			insert(ctx, uint64(step+lag))
+			invalidatePage(uint64(step))
+			vpn += uint64(step + 1)
+		}
 		k := key{ctx, vpn}
 		switch op := rng.Intn(ops); {
 		case op < (ops-2)/2: // insert
-			pte := PTE{PN: rng.Uint64() % 1024, Flags: FlagPresent | Flags(rng.Intn(4))<<1}
-			tlb.Insert(ctx, vpn, pte)
-			ref[k] = pte
-		case op < ops-2: // lookup
-			got, hit := tlb.Lookup(ctx, vpn)
-			if !hit {
-				continue // miss is always sound
-			}
-			want, ok := ref[k]
-			if !ok {
-				t.Fatalf("cap %d seed %d step %d: hit on never-inserted (ctx %d vpn %d)", capacity, seed, step, ctx, vpn)
-			}
-			if got != want {
-				t.Fatalf("cap %d seed %d step %d: stale translation %v, want %v", capacity, seed, step, got, want)
-			}
-		case op == ops-2: // invalidate page everywhere
-			tlb.InvalidatePage(w.Boot(), vpn)
-			for kk := range ref {
-				if kk.vpn == vpn {
-					delete(ref, kk)
+			insert(ctx, vpn)
+		case op < ops-2: // lookup; a miss is always sound
+			if got, hit := tlb.Lookup(ctx, vpn); hit {
+				want, ok := ref[k]
+				if !ok {
+					t.Fatalf("cap %d seed %d step %d: hit on never-inserted (ctx %d vpn %d)", capacity, seed, step, ctx, vpn)
+				}
+				if got != want {
+					t.Fatalf("cap %d seed %d step %d: stale translation %v, want %v", capacity, seed, step, got, want)
 				}
 			}
+		case op == ops-2: // invalidate page everywhere
+			invalidatePage(vpn)
 		default: // invalidate a whole context
 			tlb.InvalidateContext(w.Boot(), ctx)
 			for kk := range ref {
@@ -79,6 +96,9 @@ func runTLBModel(t *testing.T, seed uint64, capacity, ctxs, vpns, ops int) {
 		}
 		if tlb.Len() > capacity {
 			t.Fatalf("cap %d seed %d step %d: TLB over capacity: %d", capacity, seed, step, tlb.Len())
+		}
+		if lag > 0 && tlb.Len() == capacity {
+			t.Fatalf("cap %d seed %d step %d: the sweep filled the TLB", capacity, seed, step)
 		}
 		occupied := 0
 		for _, s := range tlb.index {
@@ -94,6 +114,27 @@ func runTLBModel(t *testing.T, seed uint64, capacity, ctxs, vpns, ops int) {
 				t.Fatalf("cap %d seed %d step %d: slot %d's key finds cell content %d", capacity, seed, step, i, s)
 			}
 		}
+		checkTLBTags(t, tlb, step)
+	}
+}
+
+// checkTLBTags fails unless tlb.tags names each context tag of a live slot
+// exactly once, with that tag's slot count, and no tag without live slots.
+func checkTLBTags(t *testing.T, tlb *TLB, step int) {
+	t.Helper()
+	want := map[uint32]int32{}
+	for i := range tlb.slots {
+		want[tlb.slots[i].ctx]++
+	}
+	got := map[uint32]int32{}
+	for _, g := range tlb.tags {
+		if _, dup := got[g.ctx]; dup || g.live == 0 {
+			t.Fatalf("step %d: tag list %v repeats a tag or keeps a zero count", step, tlb.tags)
+		}
+		got[g.ctx] = g.live
+	}
+	if !maps.Equal(got, want) {
+		t.Fatalf("step %d: tag counts %v, slots hold %v", step, got, want)
 	}
 }
 
@@ -143,6 +184,7 @@ func TestTLBReplacementDigest(t *testing.T) {
 		}
 		fold(uint64(tlb.Len()))
 		fold(uint64(w.Now()))
+		checkTLBTags(t, tlb, step)
 	}
 	fold(owner.RNG.Uint64())
 	if got := h.Sum64(); got != want {

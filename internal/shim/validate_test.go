@@ -2,7 +2,7 @@ package shim
 
 // White-box tests for the Iago validation layer. Every rejection path in
 // validate.go is pinned table-style — wrong errno, missing audit event, or a
-// silently accepted lie all fail here — and a seeded-random generator throws
+// silently accepted lie all fail here — and a native fuzz target throws
 // arbitrary malicious kernel returns at the validators to pin the core
 // invariant: never a panic, never an unvalidated acceptance, always a typed
 // errno from the validator's own vocabulary.
@@ -208,16 +208,17 @@ func TestValidateNilErrnoPassthrough(t *testing.T) {
 	}
 }
 
-// TestValidateFuzzMaliciousReturns drives every validator with a seeded
-// stream of adversarial kernel returns — boundary values, wild addresses,
-// wrapped lengths, forged errnos — and asserts the layer's contract on each:
-// it never panics, it never accepts a value that violates the documented
-// invariant, and every rejection is one of the validator's own typed errnos.
-func TestValidateFuzzMaliciousReturns(t *testing.T) {
-	s, hv, w := newValidatorCtx(t)
-	rng := sim.NewRNG(0xE17F0221)
-
-	// Adversarial value pools: exact boundaries, off-by-ones, and wild bits.
+// FuzzValidate drives every validator with (call, kernel return, request)
+// triples: call picks the validator, ret is the value the lying kernel puts
+// in the return register, and arg is what the shim itself asked for (pages
+// to map, pages to grow the break by, the chunk offered). It asserts the
+// layer's contract on each: it never panics, it never accepts a value that
+// violates the documented invariant, and every rejection is the validator's
+// own typed errno with exactly one audit event and one counted rejection.
+// The seed corpus is the pool of adversarial values — exact layout
+// boundaries, off-by-ones and wild bits — as each validator's return, and as
+// the request of the two that take one.
+func FuzzValidate(f *testing.F) {
 	interesting := []uint64{
 		0, 1, 7,
 		guestos.LayoutHeapBase, guestos.LayoutHeapBase - 1,
@@ -227,27 +228,37 @@ func TestValidateFuzzMaliciousReturns(t *testing.T) {
 		guestos.LayoutScratch, guestos.LayoutStackTop,
 		^uint64(0), ^uint64(0) >> 1, 1 << 40,
 	}
-	pick := func() uint64 {
-		if rng.Intn(2) == 0 {
-			return interesting[rng.Intn(len(interesting))]
-		}
-		return rng.Uint64()
+	const (
+		callMmap = iota
+		callBrk
+		callXfer
+		callFD
+		callErrno
+		numCalls
+	)
+	for _, v := range interesting {
+		f.Add(uint8(callMmap), v*mach.PageSize, uint64(4))
+		f.Add(uint8(callBrk), v*mach.PageSize, uint64(8))
+		f.Add(uint8(callXfer), v, uint64(4096))
+		f.Add(uint8(callFD), v, uint64(0))
+		f.Add(uint8(callErrno), v, uint64(0))
+		f.Add(uint8(callMmap), uint64(guestos.LayoutMmapBase*mach.PageSize), v)
+		f.Add(uint8(callBrk), uint64(guestos.LayoutHeapBase*mach.PageSize), v)
 	}
 	typedFault := func(err error, want guestos.Errno) bool {
 		var e guestos.Errno
 		return errors.As(err, &e) && e == want
 	}
-
-	const rounds = 4000
-	for i := 0; i < rounds; i++ {
-		switch rng.Intn(5) {
-		case 0: // mmap-class base
-			base := mach.Addr(pick()*mach.PageSize + uint64(rng.Intn(16)))
-			pages := pick() % (1 << 21)
-			err := s.validateMappedBase("fuzz_mmap", base, pages)
+	f.Fuzz(func(t *testing.T, call uint8, ret, arg uint64) {
+		s, hv, w := newValidatorCtx(t)
+		var err error
+		switch call % numCalls {
+		case callMmap:
+			base, pages := mach.Addr(ret), arg
+			err = s.validateMappedBase("fuzz_mmap", base, pages)
 			if err == nil {
 				vpn := mach.PageOf(base)
-				if base%mach.PageSize != 0 || pages == 0 ||
+				if base%mach.PageSize != 0 || pages == 0 || vpn+pages < vpn ||
 					vpn < guestos.LayoutMmapBase || vpn+pages > guestos.LayoutMmapMax ||
 					s.trackedOverlap(vpn, pages) {
 					t.Fatalf("accepted bad mapping base=%#x pages=%d", uint64(base), pages)
@@ -255,27 +266,25 @@ func TestValidateFuzzMaliciousReturns(t *testing.T) {
 			} else if !typedFault(err, guestos.EFAULT) {
 				t.Fatalf("mapping rejection not EFAULT: %v", err)
 			}
-		case 1: // program break
-			old := mach.Addr(pick()*mach.PageSize + uint64(rng.Intn(16)))
-			delta := int64(rng.Intn(64)) - 8
-			err := s.validateHeapBrk("fuzz_brk", old, delta)
+		case callBrk:
+			old, delta := mach.Addr(ret), int64(arg)
+			err = s.validateHeapBrk("fuzz_brk", old, delta)
 			if err == nil {
 				vpn := mach.PageOf(old)
 				grown := vpn
 				if delta > 0 {
 					grown += uint64(delta)
 				}
-				if old%mach.PageSize != 0 ||
+				if old%mach.PageSize != 0 || grown < vpn ||
 					vpn < guestos.LayoutHeapBase || grown > guestos.LayoutHeapMax {
 					t.Fatalf("accepted bad break old=%#x delta=%d", uint64(old), delta)
 				}
 			} else if !typedFault(err, guestos.EFAULT) {
 				t.Fatalf("break rejection not EFAULT: %v", err)
 			}
-		case 2: // transfer count
-			chunk := rng.Intn(1 << 16)
-			got := rng.Intn(1<<17) - (1 << 16)
-			err := s.validateXferCount("fuzz_xfer", got, chunk)
+		case callXfer:
+			got, chunk := int(ret), int(arg%(1<<16))
+			err = s.validateXferCount("fuzz_xfer", got, chunk)
 			if err == nil {
 				if got < 0 || got > chunk {
 					t.Fatalf("accepted bad count %d/[0,%d]", got, chunk)
@@ -283,9 +292,9 @@ func TestValidateFuzzMaliciousReturns(t *testing.T) {
 			} else if !typedFault(err, guestos.EIO) {
 				t.Fatalf("count rejection not EIO: %v", err)
 			}
-		case 3: // descriptor
-			fd := int(int32(pick()))
-			err := s.validateNewFD("fuzz_fd", fd)
+		case callFD:
+			fd := int(ret)
+			err = s.validateNewFD("fuzz_fd", fd)
 			if err == nil {
 				if fd < 0 || fd >= 1<<20 {
 					t.Fatalf("accepted wild fd %d", fd)
@@ -296,20 +305,26 @@ func TestValidateFuzzMaliciousReturns(t *testing.T) {
 			} else if !typedFault(err, guestos.EBADF) {
 				t.Fatalf("fd rejection not EBADF: %v", err)
 			}
-		case 4: // errno
-			forged := guestos.Errno(int(pick() % 100000))
-			err := s.validateErrno("fuzz_errno", forged)
+		case callErrno:
+			forged := guestos.Errno(ret)
+			err = s.validateErrno("fuzz_errno", forged)
 			if guestos.KnownErrno(forged) {
 				if err != forged {
 					t.Fatalf("known errno %d rewritten to %v", int(forged), err)
 				}
+				err = nil // a passed-through errno is no rejection
 			} else if !typedFault(err, guestos.EIO) {
 				t.Fatalf("forged errno %d not normalized to EIO: %v", int(forged), err)
 			}
 		}
-	}
-	// Every rejection must have produced an audit event: count parity.
-	if rej := int(w.Stats.Get(sim.CtrIagoRejected)); rej != countIagoEvents(hv) {
-		t.Fatalf("counter (%d) and audit log (%d) disagree", rej, countIagoEvents(hv))
-	}
+		// Every rejection, and only a rejection, lands one audit event and
+		// one count.
+		want := 0
+		if err != nil {
+			want = 1
+		}
+		if rej, ev := int(w.Stats.Get(sim.CtrIagoRejected)), countIagoEvents(hv); rej != want || ev != want {
+			t.Fatalf("rejected=%v: counter %d, audit log %d, want %d each", err != nil, rej, ev, want)
+		}
+	})
 }

@@ -259,7 +259,7 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 			newMeta := v.engine.EncryptPage(childID, 0, frame)
 			v.metas.Put(childID, newMeta)
 			v.jPut(childID, newMeta)
-			v.registerPage(gppn, &cloakPage{state: stateEncrypted, id: childID})
+			v.registerPage(gppn, cloakPage{state: stateEncrypted, id: childID})
 		}
 	}
 	return resourceMap, nil

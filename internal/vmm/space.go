@@ -13,6 +13,7 @@
 package vmm
 
 import (
+	"slices"
 	"sort"
 
 	"overshadow/internal/cloak"
@@ -105,11 +106,19 @@ func (as *AddressSpace) shadow(cpu int, view View) *shadowTable {
 // VPNs are kept ascending, the order a walk of the table visits them.
 type shadowTable struct {
 	pt   mmu.PageTable
-	back map[uint64][]uint64 // PN -> VPNs mapping it, ascending; never empty
+	back map[uint64]mappers // PN -> VPNs mapping it; no entry once none do
+}
+
+// mappers holds the VPNs that map one frame, ascending: the lowest inline,
+// the rest in more. A frame usually has one mapper per table, so more stays
+// empty and linking it allocates nothing.
+type mappers struct {
+	first uint64
+	more  []uint64 // ascending, each above first
 }
 
 func newShadowTable() *shadowTable {
-	return &shadowTable{back: make(map[uint64][]uint64)}
+	return &shadowTable{back: make(map[uint64]mappers)}
 }
 
 // Lookup returns the PTE for vpn.
@@ -146,37 +155,40 @@ func (s *shadowTable) Clear() {
 
 // firstMapper returns the lowest VPN that maps pn.
 func (s *shadowTable) firstMapper(pn uint64) (uint64, bool) {
-	if vpns := s.back[pn]; len(vpns) > 0 {
-		return vpns[0], true
-	}
-	return 0, false
+	m, ok := s.back[pn]
+	return m.first, ok
 }
 
 func (s *shadowTable) link(pn, vpn uint64) {
-	vpns := s.back[pn]
-	i := len(vpns)
-	for i > 0 && vpns[i-1] > vpn {
-		i--
+	m, ok := s.back[pn]
+	switch {
+	case !ok:
+		m.first = vpn
+	case vpn < m.first:
+		m.more = slices.Insert(m.more, 0, m.first)
+		m.first = vpn
+	default:
+		i, _ := slices.BinarySearch(m.more, vpn)
+		m.more = slices.Insert(m.more, i, vpn)
 	}
-	vpns = append(vpns, 0)
-	copy(vpns[i+1:], vpns[i:])
-	vpns[i] = vpn
-	s.back[pn] = vpns
+	s.back[pn] = m
 }
 
 func (s *shadowTable) unlink(pn, vpn uint64) {
-	vpns := s.back[pn]
-	for i, x := range vpns {
-		if x == vpn {
-			vpns = append(vpns[:i], vpns[i+1:]...)
-			break
+	m := s.back[pn]
+	switch {
+	case vpn != m.first:
+		if i, ok := slices.BinarySearch(m.more, vpn); ok {
+			m.more = slices.Delete(m.more, i, i+1)
 		}
-	}
-	if len(vpns) == 0 {
+	case len(m.more) == 0:
 		delete(s.back, pn)
-	} else {
-		s.back[pn] = vpns
+		return
+	default:
+		m.first = m.more[0]
+		m.more = slices.Delete(m.more, 0, 1)
 	}
+	s.back[pn] = m
 }
 
 // ID returns the address-space identifier.

@@ -69,7 +69,8 @@ func (v *VMM) Translate(as *AddressSpace, view View, vpn uint64, access mmu.Acce
 	tlb := v.tlbs[c.ID()]
 	ctx := as.ctxIDs[view]
 	if pte, ok := tlb.Lookup(ctx, vpn); ok {
-		if f := mmu.CheckPerms(vpn, pte, access, user); f == nil {
+		//overlint:allow errnodiscipline -- a probe: a refused hit falls through to the walk, which derives the fault the guest sees
+		if _, ok := mmu.CheckPerms(vpn, pte, access, user); ok {
 			v.markGuestAD(as, vpn, access)
 			return mach.MPN(pte.PN), nil
 		}
@@ -81,7 +82,8 @@ func (v *VMM) Translate(as *AddressSpace, view View, vpn uint64, access mmu.Acce
 	// TLB miss: hardware walks this vCPU's shadow page table.
 	c.ChargeAdd(v.world.Cost.TLBMiss, sim.CtrTLBMiss, 0)
 	pte := as.shadow(c.ID(), view).Lookup(vpn)
-	if f := mmu.CheckPerms(vpn, pte, access, user); f == nil {
+	//overlint:allow errnodiscipline -- a probe: a refused walk is a hidden fault, and resolveShadowFault derives the fault the guest sees
+	if _, ok := mmu.CheckPerms(vpn, pte, access, user); ok {
 		tlb.Insert(ctx, vpn, pte)
 		v.markGuestAD(as, vpn, access)
 		return mach.MPN(pte.PN), nil
@@ -110,11 +112,13 @@ func (v *VMM) markGuestAD(as *AddressSpace, vpn uint64, access mmu.AccessType) {
 // encrypt/decrypt transition, installs the shadow mapping, and retries.
 func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access mmu.AccessType, user bool) (mach.MPN, error) {
 	gpte := as.guestPT.Lookup(vpn)
-	if f := mmu.CheckPerms(vpn, gpte, access, user); f != nil {
+	if f, ok := mmu.CheckPerms(vpn, gpte, access, user); !ok {
 		// True guest fault: the guest kernel must service it (demand page,
-		// COW, or segfault). Delivered by the caller.
+		// COW, or segfault). Delivered by the caller. Only this copy moves
+		// to the heap: taking f's address would allocate on every call.
 		v.cpu().ChargeCount(v.world.Cost.GuestFault, sim.CtrGuestFault)
-		return 0, f
+		delivered := f
+		return 0, &delivered
 	}
 	gppn := mach.GPPN(gpte.PN)
 	mpn, ok := v.machineOf(gppn)
@@ -196,7 +200,7 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 			} else {
 				v.zeroPage(gppn)
 			}
-			v.registerPage(gppn, &cloakPage{state: statePlain, id: id, faultCPU: c.ID()})
+			v.registerPage(gppn, cloakPage{state: statePlain, id: id, faultCPU: c.ID()})
 			v.dropAllShadowsOfGPPN(gppn) // stale system-view mappings
 		case cp.state == statePlain:
 			if cp.id != id {
@@ -236,12 +240,15 @@ func (v *VMM) chargeCopy(n int) {
 
 // ReadVirt copies len(buf) bytes from virtual address va in (as, view) into
 // buf, performing translations page by page. user marks whether the access
-// carries user-mode privileges.
+// carries user-mode privileges. A fault the guest kernel must service comes
+// back as a bare *mmu.Fault, never wrapped, so the kernel's per-fault check
+// is a type assertion; other refusals are *SecViolation or *ResourceFault.
 func (v *VMM) ReadVirt(as *AddressSpace, view View, va mach.Addr, buf []byte, user bool) error {
 	return v.accessVirt(as, view, va, buf, user, false)
 }
 
-// WriteVirt copies buf into virtual address va of (as, view).
+// WriteVirt copies buf into virtual address va of (as, view). Its errors
+// follow ReadVirt's contract: a guest fault is a bare *mmu.Fault.
 func (v *VMM) WriteVirt(as *AddressSpace, view View, va mach.Addr, buf []byte, user bool) error {
 	return v.accessVirt(as, view, va, buf, user, true)
 }

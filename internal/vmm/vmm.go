@@ -117,6 +117,8 @@ type VMM struct {
 	pages map[mach.GPPN]*cloakPage
 	// byDomain indexes registrations for teardown and eager encryption.
 	byDomain map[cloak.DomainID]map[mach.GPPN]*cloakPage
+	// spare holds the records of dropped registrations for reuse.
+	spare []*cloakPage
 
 	nextDomain   cloak.DomainID
 	nextResource cloak.ResourceID
@@ -473,7 +475,17 @@ func (v *VMM) NotifyFrameRecycled(gppn mach.GPPN) {
 	}
 }
 
-func (v *VMM) registerPage(gppn mach.GPPN, cp *cloakPage) {
+// registerPage records page as gppn's registration, in a record that
+// unregisterPage released when there is one: a cloaked page-in then
+// allocates no registration of its own.
+func (v *VMM) registerPage(gppn mach.GPPN, page cloakPage) {
+	var cp *cloakPage
+	if n := len(v.spare); n > 0 {
+		cp, v.spare = v.spare[n-1], v.spare[:n-1]
+	} else {
+		cp = new(cloakPage)
+	}
+	*cp = page
 	v.pages[gppn] = cp
 	m := v.byDomain[cp.id.Domain]
 	if m == nil {
@@ -483,11 +495,14 @@ func (v *VMM) registerPage(gppn mach.GPPN, cp *cloakPage) {
 	m[gppn] = cp
 }
 
+// unregisterPage drops gppn's registration cp and keeps the record for
+// registerPage; the caller must not use cp afterwards.
 func (v *VMM) unregisterPage(gppn mach.GPPN, cp *cloakPage) {
 	delete(v.pages, gppn)
 	if m := v.byDomain[cp.id.Domain]; m != nil {
 		delete(m, gppn)
 	}
+	v.spare = append(v.spare, cp)
 }
 
 // domainPages returns the GPPNs registered to domain d whose page satisfies

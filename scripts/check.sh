@@ -20,10 +20,12 @@
 #              once per registry entry, so one that breaks at set-up fails
 #              the gate
 #   fuzz       1000 executions each of the native fuzz targets over
-#              untrusted bytes: FuzzDecode (the migration checkpoint
-#              decoder; its 400-input seed corpus, then mutated inputs) and
+#              untrusted input: FuzzDecode (the migration checkpoint
+#              decoder; its 400-input seed corpus, then mutated inputs),
 #              FuzzReplay (journal replay over a hostile disk image; the
-#              journal tests' images, then mutated inputs)
+#              journal tests' images, then mutated inputs) and FuzzValidate
+#              (the shim's checks of kernel syscall returns; its pool of
+#              layout boundaries and wild values, then mutated inputs)
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -103,13 +105,15 @@ echo "== bench module"
 
 echo "== fuzz"
 # The checkpoint decoder takes untrusted bytes off the migration channel,
-# and journal replay reads a disk the guest controls. A crasher is a bug:
+# journal replay reads a disk the guest controls, and the shim's validators
+# read whatever the kernel returns from a syscall. A crasher is a bug:
 # go test saves it under the package's testdata/fuzz/, where it becomes the
 # fix's regression seed. The execution count includes the seed-corpus
 # baseline, so it must stay well above the 400 FuzzDecode seeds for any
 # mutated input to run.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 1000x ./internal/migrate
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 1000x ./internal/persist
+go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 1000x ./internal/shim
 
 echo "== race pass"
 # The channel handoff of the scheduler baton is the happens-before edge that
