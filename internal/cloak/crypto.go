@@ -198,17 +198,25 @@ func (e *ErrIntegrity) Error() string {
 }
 
 // DecryptPage verifies the page's ciphertext against meta and, on success,
-// decrypts in place. On failure the page is left untouched and an
-// *ErrIntegrity is returned.
+// decrypts in place: DecryptPageTo with the page as both destination and
+// source.
 func (e *Engine) DecryptPage(id PageID, meta Meta, page []byte) error {
-	e.world.CPU().ChargeAdd(e.world.Cost.PageHashCost(len(page)), sim.CtrHashCompute, 0)
-	want := e.hashPage(id, meta.Version, meta.IV, page)
+	return e.DecryptPageTo(id, meta, page, page)
+}
+
+// DecryptPageTo verifies the ciphertext src against meta where it lies and,
+// on success, decrypts it into dst (len(dst) >= len(src)) in one pass. dst
+// and src are the same slice or do not overlap. On failure neither is
+// written and an *ErrIntegrity is returned.
+func (e *Engine) DecryptPageTo(id PageID, meta Meta, dst, src []byte) error {
+	e.world.CPU().ChargeAdd(e.world.Cost.PageHashCost(len(src)), sim.CtrHashCompute, 0)
+	want := e.hashPage(id, meta.Version, meta.IV, src)
 	if want != meta.Hash {
 		e.world.CPU().ChargeAdd(0, sim.CtrHashVerifyFail, 1)
 		return &ErrIntegrity{Page: id}
 	}
 	e.world.CPU().ChargeAdd(0, sim.CtrHashVerifyOK, 1)
-	e.stream(id.Domain, meta.IV).XORKeyStream(page, page)
-	e.world.CPU().ChargeCount(e.world.Cost.PageCryptCost(len(page)), sim.CtrPageDecrypt)
+	e.stream(id.Domain, meta.IV).XORKeyStream(dst[:len(src)], src)
+	e.world.CPU().ChargeCount(e.world.Cost.PageCryptCost(len(src)), sim.CtrPageDecrypt)
 	return nil
 }

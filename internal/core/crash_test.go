@@ -149,6 +149,53 @@ func TestCrashRebootRecoversVerifiedPages(t *testing.T) {
 	}
 }
 
+// TestRebootLeavesSwapUntouched: Reboot writes no pager block, so every
+// block of the surviving disk outside the journal's reserved range is
+// byte-identical after recovery and no plaintext lands on it. Only that
+// range changes: Reboot re-seals the recovered table there under a fresher
+// epoch. (Reboot reads each block into a buffer of its own, so this cannot
+// see whether recovery writes its ciphertext source; the VMM's
+// TestEncryptAllPlaintext checks RecoverPage for that directly.)
+func TestRebootLeavesSwapUntouched(t *testing.T) {
+	const pages = 160
+	cfg := crashConfig(11)
+	cfg.CrashAt = probeTotal(t, cfg, pages) / 2
+	sys := NewSystem(cfg)
+	sys.Register("app", swapHeavyApp(pages))
+	if _, err := sys.Spawn("app", Cloaked()); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if !sys.Crashed() {
+		t.Fatal("machine did not crash at the armed deadline")
+	}
+	d := sys.Kernel.SwapDisk()
+	before := make([][]byte, d.NumBlocks())
+	for b := range before {
+		before[b] = d.Peek(uint64(b))
+	}
+	_, rep, err := Reboot(sys)
+	if err != nil {
+		t.Fatalf("Reboot: %v", err)
+	}
+	if rep.Recovered == 0 {
+		t.Fatal("reboot recovered nothing, so no page was verified from swap")
+	}
+	base, blocks := sys.Journal.Range()
+	for b, img := range before {
+		if blk := uint64(b); blk >= base && blk < base+blocks {
+			continue
+		}
+		after := d.Peek(uint64(b))
+		if !bytes.Equal(after, img) {
+			t.Fatalf("reboot changed swap block %d", b)
+		}
+		if bytes.Contains(after, []byte(crashMarker)) {
+			t.Fatalf("plaintext marker on swap block %d after reboot", b)
+		}
+	}
+}
+
 // TestCrashRebootDeterministic pins that one (seed, CrashAt) pair names one
 // exact crashed world and one exact recovery.
 func TestCrashRebootDeterministic(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"overshadow/internal/mach"
+	"overshadow/internal/mmu"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
@@ -237,5 +238,72 @@ func TestSwapExhaustionUnderCloaking(t *testing.T) {
 	k.Run()
 	if !ranAfter {
 		t.Fatal("kernel wedged after OOM kill")
+	}
+}
+
+// TestWildLengthIsEFAULT: a length register that runs past the user address
+// space is refused with EFAULT before the kernel sizes a buffer from it.
+// Sized from 1<<40, that buffer would kill the host process with an
+// out-of-memory fatal error; refused, it costs nothing and the process
+// keeps running.
+func TestWildLengthIsEFAULT(t *testing.T) {
+	const wild = 1 << 40
+	calls := []struct {
+		name string
+		call func(e Env, fd int, va mach.Addr) (int, error)
+	}{
+		{"read", func(e Env, fd int, va mach.Addr) (int, error) { return e.Read(fd, va, wild) }},
+		{"write", func(e Env, fd int, va mach.Addr) (int, error) { return e.Write(fd, va, wild) }},
+		{"pread", func(e Env, fd int, va mach.Addr) (int, error) { return e.Pread(fd, va, wild, 0) }},
+		{"pwrite", func(e Env, fd int, va mach.Addr) (int, error) { return e.Pwrite(fd, va, wild, 0) }},
+	}
+	for _, tc := range calls {
+		t.Run(tc.name, func(t *testing.T) {
+			k, _ := newTestKernel(t, 64)
+			ran := false
+			runOne(t, k, func(e Env) {
+				fd, err := e.Open("/f", OCreate|ORdWr)
+				va, aerr := e.Alloc(1)
+				if err != nil || aerr != nil {
+					t.Errorf("open: %v, alloc: %v", err, aerr)
+					e.Exit(1)
+				}
+				if n, err := tc.call(e, fd, va); n != 0 || err != EFAULT {
+					t.Errorf("%s of %d bytes = (%d, %v), want (0, EFAULT)", tc.name, wild, n, err)
+				}
+				if n, err := e.Pwrite(fd, va, 8, 0); n != 8 || err != nil {
+					t.Errorf("pwrite after the refusal = (%d, %v), want (8, nil)", n, err)
+				}
+				ran = true
+				e.Exit(0)
+			})
+			if !ran {
+				t.Fatal("process did not run past the refused call")
+			}
+		})
+	}
+}
+
+// TestUserRange pins the bound at its edges: a range may end exactly at the
+// top of the user address space, and one byte more, or a wrap, is refused.
+func TestUserRange(t *testing.T) {
+	const top = (mmu.MaxVPN + 1) * mach.PageSize
+	for _, tc := range []struct {
+		va, n uint64
+		ok    bool
+	}{
+		{0, 0, true},
+		{0, top, true},
+		{top - mach.PageSize, mach.PageSize, true},
+		{top, 0, true},
+		{0, top + 1, false},
+		{top - mach.PageSize, mach.PageSize + 1, false},
+		{top + 1, 0, false},
+		{1 << 63, 1 << 63, false}, // wraps to 0
+		{^uint64(0), 2, false},
+	} {
+		if got := userRange(tc.va, tc.n); got != tc.ok {
+			t.Errorf("userRange(%#x, %#x) = %v, want %v", tc.va, tc.n, got, tc.ok)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package guestos
 
 import (
 	"overshadow/internal/mach"
+	"overshadow/internal/mmu"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
@@ -17,6 +18,16 @@ func (k *Kernel) chargePathCopy(path string) {
 }
 
 const cachelineBytes = 64
+
+// userRange reports whether [va, va+n) lies inside the user address space,
+// VPNs 0 through mmu.MaxVPN, without wrapping. Read, Write, Pread and Pwrite
+// size their kernel buffer from the length register, which the guest (or a
+// hostile kernel hook) controls, so each checks the range first: a wild
+// length is EFAULT, never a host allocation.
+func userRange(va, n uint64) bool {
+	const top = (mmu.MaxVPN + 1) * mach.PageSize
+	return va <= top && n <= top-va
+}
 
 // Null implements Env: the lmbench null syscall.
 func (c *UserCtx) Null() {
@@ -135,6 +146,9 @@ func (c *UserCtx) Close(fd int) error {
 func (c *UserCtx) Read(fd int, va mach.Addr, n int) (int, error) {
 	v, e := c.call(SysRead, [5]uint64{uint64(fd), uint64(va), uint64(n)}, func(kregs *vmm.Regs) uint64 {
 		k, p := c.k, c.p
+		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
+			return encodeRet(0, EFAULT)
+		}
 		buf := make([]byte, kregs.GPR[3])
 		got, errno := k.readFD(p, int(kregs.GPR[1]), buf)
 		if errno != OK {
@@ -152,6 +166,9 @@ func (c *UserCtx) Read(fd int, va mach.Addr, n int) (int, error) {
 func (c *UserCtx) Write(fd int, va mach.Addr, n int) (int, error) {
 	v, e := c.call(SysWrite, [5]uint64{uint64(fd), uint64(va), uint64(n)}, func(kregs *vmm.Regs) uint64 {
 		k, p := c.k, c.p
+		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
+			return encodeRet(0, EFAULT)
+		}
 		buf := make([]byte, kregs.GPR[3])
 		if errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
 			return encodeRet(0, errno)
@@ -169,6 +186,9 @@ func (c *UserCtx) Write(fd int, va mach.Addr, n int) (int, error) {
 func (c *UserCtx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
 	v, e := c.call(SysPread, [5]uint64{uint64(fd), uint64(va), uint64(n), off}, func(kregs *vmm.Regs) uint64 {
 		k, p := c.k, c.p
+		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
+			return encodeRet(0, EFAULT)
+		}
 		buf := make([]byte, kregs.GPR[3])
 		got, errno := k.preadFD(p, int(kregs.GPR[1]), kregs.GPR[4], buf)
 		if errno != OK {
@@ -186,6 +206,9 @@ func (c *UserCtx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
 func (c *UserCtx) Pwrite(fd int, va mach.Addr, n int, off uint64) (int, error) {
 	v, e := c.call(SysPwrite, [5]uint64{uint64(fd), uint64(va), uint64(n), off}, func(kregs *vmm.Regs) uint64 {
 		k, p := c.k, c.p
+		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
+			return encodeRet(0, EFAULT)
+		}
 		buf := make([]byte, kregs.GPR[3])
 		if errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
 			return encodeRet(0, errno)

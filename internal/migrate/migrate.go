@@ -99,4 +99,9 @@ type Checkpoint struct {
 	// Threads are the domain's thread snapshots (saved CTCs for trapped
 	// threads), in thread-ID order.
 	Threads []vmm.ThreadState
+
+	// wire is the blob Capture laid out: room for the records, then each
+	// page's ciphertext, which every Data with ciphertext is a slot of.
+	// Encode seals the records into it rather than building a second blob.
+	wire []byte
 }

@@ -159,14 +159,19 @@ func TestMigrateStaleReplay(t *testing.T) {
 		t.Fatalf("migrate: %v", migErr)
 	}
 	dst := core.NewSystem(e2eConfig(9))
-	// The decoded checkpoint aliases the blob, so a restore must leave the
-	// delivered bytes as they arrived for the replay below to present them.
+	// The decoded checkpoint aliases the blob, and restore verifies each
+	// page where it lies and decrypts it into a buffer of its own, so the
+	// delivered bytes stay as they arrived, with no plaintext in them, for
+	// the replay below to present.
 	sent := bytes.Clone(blob)
 	rep, err := Restore(dst, blob)
 	if err != nil {
 		t.Fatalf("first restore: %v", err)
 	}
-	if !bytes.Equal(blob, sent) {
+	if rep.Recovered == 0 {
+		t.Fatal("first restore recovered no page")
+	}
+	if !bytes.Equal(blob, sent) || bytes.Contains(blob, e2eSecret[:8]) {
 		t.Fatal("first restore modified the delivered blob")
 	}
 	epoch := dst.Journal.Epoch()
@@ -220,7 +225,10 @@ func TestMigrateTransferClean(t *testing.T) {
 			xerr = cerr
 			return
 		}
-		want = Encode(ckpt, SealKeyFor(persist.SealKey(sys.Seed())))
+		// A snapshot: Encode of a captured checkpoint returns the capture's
+		// own buffer, which Transfer's Encode below re-seals and delivers in
+		// place, so an uncloned want would be got itself.
+		want = bytes.Clone(Encode(ckpt, SealKeyFor(persist.SealKey(sys.Seed()))))
 		records = 2 + len(ckpt.Pages) + len(ckpt.Threads)
 		for _, p := range ckpt.Pages {
 			if p.Data != nil {

@@ -80,6 +80,14 @@ func sealRecord(dst []byte, kind byte, epoch uint32, seq uint64, seal *persist.S
 // function of the checkpoint contents: pages and threads are serialized in
 // the order they appear (Capture produces them sorted), and ciphertext
 // blobs are appended in page order.
+//
+// A checkpoint fresh from Capture already holds its ciphertext in place in
+// a buffer laid out as the blob, so Encode seals the records into that
+// buffer and returns it, copying no page: the blob and the checkpoint's page
+// Data then share memory, and a later Encode or Transfer of the same
+// checkpoint re-seals and returns that same buffer, overwriting the blob an
+// earlier call returned. A caller that keeps one blob across a second call
+// clones it first. Any other checkpoint is encoded into a new blob.
 func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	n, m := len(ckpt.Pages), len(ckpt.Threads)
 	nblobs := 0
@@ -88,8 +96,13 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 			nblobs++
 		}
 	}
-	out := make([]byte, (2+n+m)*RecordSize+nblobs*mach.PageSize)
 	blobBase := (2 + n + m) * RecordSize
+	out, inPlace := ckpt.wire, ckpt.laidOut(blobBase, nblobs)
+	if inPlace {
+		clear(out[:blobBase])
+	} else {
+		out = make([]byte, blobBase+nblobs*mach.PageSize)
+	}
 	seal := persist.NewSealer(key)
 
 	// Header.
@@ -110,7 +123,9 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 		if p.Data != nil {
 			rec[1] = 1 // hasData
 			binary.LittleEndian.PutUint64(rec[96:], uint64(blobIdx))
-			copy(out[blobBase+blobIdx*mach.PageSize:], p.Data)
+			if !inPlace {
+				copy(out[blobBase+blobIdx*mach.PageSize:], p.Data)
+			}
 			blobIdx++
 		} else {
 			rec[2] = byte(p.State)
@@ -150,6 +165,26 @@ func Encode(ckpt *Checkpoint, key [32]byte) []byte {
 	sealRecord(trl, kindTrailer, ckpt.Epoch, uint64(1+n+m), seal)
 
 	return out
+}
+
+// laidOut reports whether c.wire is the blob Encode builds for c: sized
+// for blobBase bytes of records and nblobs pages, with each page's Data
+// already the page's slot in it.
+func (c *Checkpoint) laidOut(blobBase, nblobs int) bool {
+	if len(c.wire) != blobBase+nblobs*mach.PageSize {
+		return false
+	}
+	at := blobBase
+	for _, p := range c.Pages {
+		if p.Data == nil {
+			continue
+		}
+		if len(p.Data) != mach.PageSize || &p.Data[0] != &c.wire[at] {
+			return false
+		}
+		at += mach.PageSize
+	}
+	return true
 }
 
 // Decode parses and verifies a checkpoint blob under key.

@@ -31,7 +31,9 @@ type TransferStats struct {
 // fault.SiteTransfer, charged at the channel's setup + per-byte cost on
 // the source clock. Frames are delivered in place: the returned blob is the
 // one Encode built, so with no channel fault it is exactly Encode's bytes,
-// and a corrupted frame is damaged where it lies.
+// and a corrupted frame is damaged where it lies. For a checkpoint fresh
+// from Capture that blob is the capture's own buffer, so a corrupted page
+// shows in the checkpoint's page Data too.
 //
 // A lost (Fail) or torn (Torn) frame is re-sent after a sim-clock backoff
 // on the machine's retry schedule; exhausting the budget aborts the whole

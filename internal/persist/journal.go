@@ -2,7 +2,7 @@ package persist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -66,14 +66,17 @@ type Journal struct {
 	logBlocks  uint64
 
 	// table is the writer's in-memory truth: what a fully successful replay
-	// of the on-disk journal should reconstruct.
-	table map[cloak.PageID]Entry
+	// of the on-disk journal should reconstruct. It is kept in PageID order,
+	// so a checkpoint serializes it as it stands and a domain's entries are
+	// one contiguous run.
+	table []TableEntry
 
 	epoch     uint32               // current committed epoch
 	seq       uint64               // next log record sequence number within epoch
 	sinceCkpt int                  // appends since the last checkpoint
 	tail      [mach.BlockSize]byte // image of the current tail log block
 	tailBlock uint64               // absolute index of the tail block, 0 = none
+	img       [mach.BlockSize]byte // checkpoint and superblock image, reused
 
 	wedged    bool
 	writeErrs int
@@ -114,7 +117,6 @@ func newJournal(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]
 		ckptBlocks: ckpt,
 		logStart:   base + superSlots + 2*ckpt,
 		logBlocks:  blocks - superSlots - 2*ckpt,
-		table:      make(map[cloak.PageID]Entry),
 	}
 	if opts.PerDomainEntries > 0 {
 		j.domainCount = make(map[cloak.DomainID]int)
@@ -147,9 +149,10 @@ func Resume(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 		return nil, err
 	}
 	j.epoch = rep.Epoch // next checkpoint commits rep.Epoch+1
-	j.table = make(map[cloak.PageID]Entry, len(rep.Table))
-	for _, id := range rep.PageIDs() {
-		j.table[id] = rep.Table[id]
+	ids := rep.PageIDs()
+	j.table = make([]TableEntry, 0, len(ids))
+	for _, id := range ids {
+		j.table = append(j.table, TableEntry{ID: id, Entry: rep.Table[id]})
 		if j.domainCount != nil {
 			j.domainCount[id.Domain]++
 		}
@@ -168,10 +171,52 @@ func (j *Journal) Wedged() bool { return j.wedged }
 // lost journaling (its sealed state is gone; siblings are unaffected).
 func (j *Journal) DomainWedged(d cloak.DomainID) bool { return j.domainWedged[d] }
 
-// admit applies the per-domain quota to a mutation of id's entry, reporting
-// whether it may proceed. Growth beyond the quota wedges the offending
-// domain only: its state is dropped and further mutations are ignored.
-func (j *Journal) admit(id cloak.PageID) bool {
+// find returns the index of id's entry in the ordered table and true, or
+// the index where id's entry belongs and false.
+func (j *Journal) find(id cloak.PageID) (int, bool) {
+	lo, hi := 0, len(j.table)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if j.table[mid].ID.Less(id) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(j.table) && j.table[lo].ID == id
+}
+
+// mutable returns id's entry for a mutation, inserting an empty one in
+// PageID order if the table has none, or nil if the domain's quota refuses
+// the mutation.
+func (j *Journal) mutable(id cloak.PageID) *Entry {
+	i, live := j.find(id)
+	if !j.admit(id, live) {
+		return nil
+	}
+	if !live {
+		j.table = slices.Insert(j.table, i, TableEntry{ID: id})
+	}
+	return &j.table[i].Entry
+}
+
+// dropDomainRun removes domain d's entries, one contiguous run of the
+// ordered table, and reports whether there were any.
+func (j *Journal) dropDomainRun(d cloak.DomainID) bool {
+	lo, _ := j.find(cloak.PageID{Domain: d})
+	hi := lo
+	for hi < len(j.table) && j.table[hi].ID.Domain == d {
+		hi++
+	}
+	j.table = slices.Delete(j.table, lo, hi)
+	return hi > lo
+}
+
+// admit applies the per-domain quota to a mutation of id's entry (live
+// reports whether the table holds one), reporting whether it may proceed.
+// Growth beyond the quota wedges the offending domain only: its state is
+// dropped and further mutations are ignored.
+func (j *Journal) admit(id cloak.PageID, live bool) bool {
 	if j.opts.PerDomainEntries <= 0 {
 		return true
 	}
@@ -179,7 +224,7 @@ func (j *Journal) admit(id cloak.PageID) bool {
 	if j.domainWedged[d] {
 		return false
 	}
-	if _, ok := j.table[id]; ok {
+	if live {
 		return true // updating a live entry adds no growth
 	}
 	if j.domainCount[d] >= j.opts.PerDomainEntries {
@@ -198,17 +243,7 @@ func (j *Journal) wedgeDomain(d cloak.DomainID) {
 	j.domainWedged[d] = true
 	j.domainCount[d] = 0
 	j.world.CPU().ChargeCount(0, sim.CtrJournalDomainWedged)
-	found := false
-	// Deletion is commutative; only the single KindDomainGone record below
-	// is serialized, so iteration order cannot reach any byte on disk.
-	//overlint:allow determinism -- domain-wide deletion is commutative; quota containment sweep
-	for id := range j.table {
-		if id.Domain == d {
-			delete(j.table, id)
-			found = true
-		}
-	}
-	if found {
+	if j.dropDomainRun(d) {
 		j.append(Record{Kind: KindDomainGone, ID: cloak.PageID{Domain: d}})
 	}
 }
@@ -228,34 +263,25 @@ func (j *Journal) Marks() (appends, checkpoints []sim.Cycles) {
 	return j.appendMarks, j.ckptMarks
 }
 
-// TableEntry pairs a page identity with its live journal entry, for callers
-// that need the writer's full in-memory table (live-migration capture walks
-// it to enumerate a domain's sealed pages).
+// TableEntry pairs a page identity with its live journal entry: one element
+// of the writer's ordered table, which live-migration capture walks to
+// enumerate a domain's sealed pages.
 type TableEntry struct {
 	ID    cloak.PageID
 	Entry Entry
 }
 
-// Entries returns a copy of the live table in deterministic PageID order.
-func (j *Journal) Entries() []TableEntry {
-	out := make([]TableEntry, 0, len(j.table))
-	//overlint:allow determinism -- entries are collected then sorted before use
-	for id, e := range j.table {
-		out = append(out, TableEntry{ID: id, Entry: e})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID.Less(out[b].ID) })
-	return out
-}
+// Entries returns a copy of the live table in PageID order.
+func (j *Journal) Entries() []TableEntry { return slices.Clone(j.table) }
 
 // Put journals a page's new metadata record.
 func (j *Journal) Put(id cloak.PageID, m cloak.Meta) {
-	if !j.admit(id) {
+	e := j.mutable(id)
+	if e == nil {
 		return
 	}
-	e := j.table[id]
 	e.Meta = m
 	e.HasMeta = true
-	j.table[id] = e
 	j.append(Record{Kind: KindPut, ID: id, Version: m.Version, IV: m.IV, Hash: m.Hash})
 }
 
@@ -264,25 +290,25 @@ func (j *Journal) Put(id cloak.PageID, m cloak.Meta) {
 // re-verifies the payload against the sealed hash, so a wrong location can
 // only cost availability.
 func (j *Journal) Locate(id cloak.PageID, dev uint8, block, version uint64) {
-	if !j.admit(id) {
+	e := j.mutable(id)
+	if e == nil {
 		return
 	}
-	e := j.table[id]
 	e.Dev = dev
 	e.Block = block
 	e.LocVersion = version
 	e.HasLoc = true
-	j.table[id] = e
 	j.append(Record{Kind: KindLocate, ID: id, Version: version, Dev: dev, Block: block})
 }
 
 // Delete journals the discard of a page's metadata (resource release). The
 // ciphertext becomes permanently undecryptable — cryptographic erasure.
 func (j *Journal) Delete(id cloak.PageID) {
-	if _, ok := j.table[id]; !ok {
+	i, live := j.find(id)
+	if !live {
 		return
 	}
-	delete(j.table, id)
+	j.table = slices.Delete(j.table, i, i+1)
 	if j.domainCount != nil {
 		j.domainCount[id.Domain]--
 	}
@@ -291,17 +317,7 @@ func (j *Journal) Delete(id cloak.PageID) {
 
 // DropDomain journals the teardown of an entire domain (exit, quarantine).
 func (j *Journal) DropDomain(d cloak.DomainID) {
-	found := false
-	// Deletion is commutative, so map iteration order cannot influence the
-	// resulting table or any bytes written (the single record below encodes
-	// only the domain ID).
-	//overlint:allow determinism -- domain-wide deletion is commutative; teardown sweep, no serialized bytes depend on this order
-	for id := range j.table {
-		if id.Domain == d {
-			delete(j.table, id)
-			found = true
-		}
-	}
+	found := j.dropDomainRun(d)
 	if j.domainCount != nil {
 		// Teardown releases the domain's quota slots (and any wedge marker):
 		// a recycled domain ID starts with a clean budget.
@@ -368,24 +384,22 @@ func (j *Journal) append(r Record) {
 // checkpoint writes the full table into the inactive slot and commits it
 // with a new-epoch superblock. Only the superblock write makes the new
 // epoch real; a crash at any earlier point leaves the previous epoch's
-// checkpoint + log authoritative.
+// checkpoint + log authoritative. The table is already in PageID order, so
+// the encoded checkpoint is a pure function of its contents, and the block
+// image is the journal's own: a checkpoint allocates nothing.
 func (j *Journal) checkpoint() {
 	if j.wedged {
 		return
 	}
 	j.ckptMarks = append(j.ckptMarks, j.world.Now())
-	ids := make([]cloak.PageID, 0, len(j.table))
-	// Keys are sorted before any byte is serialized; the encoded checkpoint
-	// is a pure function of the table contents. Location-only entries (a
-	// Locate that never saw a Put) carry no sealed metadata and are dropped.
-	//overlint:allow determinism -- checkpoint sweep; keys are collected then sorted before serialization
-	for id, e := range j.table {
-		if e.HasMeta {
-			ids = append(ids, id)
+	// Location-only entries (a Locate that never saw a Put) carry no sealed
+	// metadata and are not serialized.
+	n := uint64(0)
+	for i := range j.table {
+		if j.table[i].Entry.HasMeta {
+			n++
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-	n := uint64(len(ids))
 	if n > j.ckptBlocks*RecordsPerBlock {
 		j.wedged = true
 		j.world.CPU().ChargeCount(0, sim.CtrJournalWedged)
@@ -398,38 +412,40 @@ func (j *Journal) checkpoint() {
 	if newEpoch%2 == 1 {
 		slotBase += j.ckptBlocks
 	}
-	var img [mach.BlockSize]byte
+	img := &j.img
+	clear(img[:])
 	written := uint64(0)
-	for b := uint64(0); written < n; b++ {
-		for i := range img {
-			img[i] = 0
+	for i := range j.table {
+		te := &j.table[i]
+		if !te.Entry.HasMeta {
+			continue
 		}
-		for s := uint64(0); s < RecordsPerBlock && written < n; s++ {
-			e := j.table[ids[written]]
-			encode(img[s*RecordSize:(s+1)*RecordSize], Record{
-				Kind:    KindSnapshot,
-				Epoch:   newEpoch,
-				Seq:     written,
-				ID:      ids[written],
-				Version: e.Meta.Version,
-				IV:      e.Meta.IV,
-				Hash:    e.Meta.Hash,
-				Dev:     snapshotDev(e),
-				Block:   e.Block,
-			}, j.seal)
-			written++
+		s := written % RecordsPerBlock
+		encode(img[s*RecordSize:(s+1)*RecordSize], Record{
+			Kind:    KindSnapshot,
+			Epoch:   newEpoch,
+			Seq:     written,
+			ID:      te.ID,
+			Version: te.Entry.Meta.Version,
+			IV:      te.Entry.Meta.IV,
+			Hash:    te.Entry.Meta.Hash,
+			Dev:     snapshotDev(te.Entry),
+			Block:   te.Entry.Block,
+		}, j.seal)
+		written++
+		if s < RecordsPerBlock-1 && written < n {
+			continue // the block has room and records remain
 		}
-		if err := j.disk.Write(slotBase+b, img[:]); err != nil {
+		if err := j.disk.Write(slotBase+(written-1)/RecordsPerBlock, img[:]); err != nil {
 			// A bad snapshot block costs exactly its records at replay
 			// (entries are validated independently); keep going.
 			j.writeErrs++
 			j.world.CPU().ChargeCount(0, sim.CtrJournalWriteErr)
 		}
+		clear(img[:])
 	}
 	// Commit: the superblock names the new epoch and its checkpoint length.
-	for i := range img {
-		img[i] = 0
-	}
+	clear(img[:])
 	encode(img[:RecordSize], Record{
 		Kind:    KindSuper,
 		Epoch:   newEpoch,

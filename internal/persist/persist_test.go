@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand/v2"
 	"testing"
 
 	"overshadow/internal/cloak"
@@ -573,4 +576,120 @@ func FuzzReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestJournalTableMatchesModel drives the journal through a seeded mix of
+// puts, locates, deletes and domain drops over a small page space (so
+// updates, reinsertions and whole-domain runs all recur) and checks after
+// every step that Entries is exactly a map-backed model's table in PageID
+// order.
+func TestJournalTableMatchesModel(t *testing.T) {
+	world := testWorld(3)
+	disk := mach.NewDisk(world, 1024)
+	j, err := NewJournal(world, disk, 0, 1024, SealKey(3), Options{CheckpointEvery: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[cloak.PageID]Entry{}
+	rng := rand.New(rand.NewPCG(3, 3))
+	for step := 0; step < 4000; step++ {
+		id := pid(1+rng.Uint64N(4), rng.Uint64N(3), rng.Uint64N(8))
+		v := 1 + rng.Uint64N(50)
+		switch op := rng.IntN(20); {
+		case op < 9:
+			j.Put(id, meta(v))
+			e := model[id]
+			e.Meta, e.HasMeta = meta(v), true
+			model[id] = e
+		case op < 15:
+			j.Locate(id, DevSwap, v, v)
+			e := model[id]
+			e.Dev, e.Block, e.LocVersion, e.HasLoc = DevSwap, v, v, true
+			model[id] = e
+		case op < 19:
+			j.Delete(id)
+			delete(model, id)
+		default:
+			j.DropDomain(id.Domain)
+			for mid := range model {
+				if mid.Domain == id.Domain {
+					delete(model, mid)
+				}
+			}
+		}
+		got := j.Entries()
+		if len(got) != len(model) || j.Len() != len(model) {
+			t.Fatalf("step %d: journal holds %d entries (Len %d), model %d", step, len(got), j.Len(), len(model))
+		}
+		for i, te := range got {
+			if i > 0 && !got[i-1].ID.Less(te.ID) {
+				t.Fatalf("step %d: entries out of PageID order at %d: %v then %v", step, i, got[i-1].ID, te.ID)
+			}
+			if e, ok := model[te.ID]; !ok || e != te.Entry {
+				t.Fatalf("step %d: entry %v = %+v, model has %+v (present %v)", step, te.ID, te.Entry, e, ok)
+			}
+		}
+	}
+	if j.Wedged() {
+		t.Fatal("journal wedged: the range is too small for the model's table")
+	}
+}
+
+// TestCheckpointAllocsNothing: the table is already in PageID order and the
+// block image is the journal's own, so once each checkpoint slot's blocks
+// exist on the disk a checkpoint allocates nothing.
+func TestCheckpointAllocsNothing(t *testing.T) {
+	world := testWorld(4)
+	j, _, _ := newTestJournal(t, world, Options{CheckpointEvery: 1 << 30})
+	for i := uint64(0); i < 2*RecordsPerBlock+5; i++ {
+		j.Put(pid(1+i%3, 1, i), meta(i+1))
+	}
+	j.Locate(pid(9, 1, 1), DevSwap, 5, 1) // location only: never serialized
+	j.Checkpoint()                        // both slots' blocks now exist
+	j.Checkpoint()
+	if n := testing.AllocsPerRun(50, j.Checkpoint); n != 0 {
+		t.Fatalf("Checkpoint allocates %v times per call, want 0", n)
+	}
+	if j.Wedged() || j.WriteErrs() != 0 {
+		t.Fatal("checkpoints wedged or failed")
+	}
+}
+
+// TestJournalImagePinned pins the bytes a seeded history leaves on the
+// journal range, so how the writer keeps its table cannot change what
+// reaches the disk. Puts, locates, deletes and domain drops arrive out of
+// PageID order across four domains, location-only entries stay out of
+// checkpoints, and checkpoints span several blocks, so ordering, filtering
+// and block packing all reach the hash.
+func TestJournalImagePinned(t *testing.T) {
+	const want = "9ae38ad1401119c31cecf6f5845966437ba0845119dc747b1c24323a9b9f10fd"
+	world := testWorld(5)
+	disk := mach.NewDisk(world, 256)
+	j, err := NewJournal(world, disk, 0, 256, SealKey(5), Options{CheckpointEvery: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(5, 5))
+	for step := 0; step < 3000; step++ {
+		id := pid(1+rng.Uint64N(4), rng.Uint64N(4), rng.Uint64N(24))
+		v := 1 + rng.Uint64N(50)
+		switch op := rng.IntN(40); {
+		case op < 22:
+			j.Put(id, meta(v))
+		case op < 34:
+			j.Locate(id, DevSwap, v, v)
+		case op < 39:
+			j.Delete(id)
+		default:
+			j.DropDomain(id.Domain)
+		}
+	}
+	j.Checkpoint()
+	h := sha256.New()
+	for b := uint64(0); b < 256; b++ {
+		h.Write(disk.Peek(b))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("journal image SHA-256 %s, want %s", got, want)
+	}
 }

@@ -19,10 +19,6 @@ const (
 	// EventIdentityMismatch: the OS presented a plaintext cloaked frame at
 	// the wrong virtual location (page remapping attack).
 	EventIdentityMismatch
-	// EventCloakOnKernelAccess: informational — a plaintext page was
-	// encrypted because a non-owner context touched it. Not an attack by
-	// itself (legitimate paging does this) but the audit trail for snooping.
-	EventCloakOnKernelAccess
 	// EventCTCTamper: the kernel attempted to resume a cloaked thread with
 	// a corrupted context.
 	EventCTCTamper
@@ -67,8 +63,6 @@ func (k EventKind) String() string {
 		return "integrity-violation"
 	case EventIdentityMismatch:
 		return "identity-mismatch"
-	case EventCloakOnKernelAccess:
-		return "cloak-on-kernel-access"
 	case EventCTCTamper:
 		return "ctc-tamper"
 	case EventResourceFault:

@@ -50,18 +50,24 @@ func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 }
 
 // ResidentPage is one memory-resident encrypted page of a domain: its sealed
-// identity and metadata plus a copy of the ciphertext frame.
+// identity and metadata plus its ciphertext frame.
 type ResidentPage struct {
 	ID   cloak.PageID
 	Meta cloak.Meta
+	// Data is the guest frame itself, not a copy: it holds ciphertext only
+	// until the domain next touches the page, which decrypts it in place.
 	Data []byte
 }
 
-// ResidentCiphertexts returns copies of every encrypted frame domain d still
-// holds in guest memory, in PageID order. The caller must have quiesced the
-// domain first (EncryptAllPlaintext): a plaintext page reaching this sweep
-// would be a cloaking bug, so such pages are skipped, never exported. Copy
-// cost is charged to the executing vCPU like any other bulk memory move.
+// ResidentCiphertexts returns every encrypted frame domain d still holds in
+// guest memory, in PageID order. The caller must have quiesced the domain
+// first (EncryptAllPlaintext): a plaintext page reaching this sweep would be
+// a cloaking bug, so such pages are skipped, never exported.
+//
+// Each Data aliases guest memory, so the caller copies it out before the
+// machine runs again and keeps no alias past that copy (migration capture
+// copies each frame into its wire blob). The copy's cost is charged here, to
+// the executing vCPU, like any other bulk memory move.
 func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 	type resident struct {
 		gppn mach.GPPN
@@ -91,10 +97,8 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		if frame == nil {
 			continue
 		}
-		data := make([]byte, mach.PageSize)
-		copy(data, frame)
 		v.chargeCopy(mach.PageSize)
-		out = append(out, ResidentPage{ID: id, Meta: meta, Data: data})
+		out = append(out, ResidentPage{ID: id, Meta: meta, Data: frame})
 	}
 	return out
 }

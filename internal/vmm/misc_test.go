@@ -19,7 +19,7 @@ func TestStringers(t *testing.T) {
 		}
 	}
 	kinds := []EventKind{EventIntegrityViolation, EventIdentityMismatch,
-		EventCloakOnKernelAccess, EventCTCTamper, EventKind(99)}
+		EventCTCTamper, EventKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Errorf("empty event kind %d", k)

@@ -80,14 +80,14 @@ func (v *VMM) NoteSwapSlot(gppn mach.GPPN, blk uint64) {
 
 // RecoverPage verifies and decrypts a journaled page on behalf of the
 // recovery path: meta comes from the replayed journal, ciphertext from the
-// surviving disk. The plaintext is returned in a fresh buffer; failure is
-// the typed *cloak.ErrIntegrity. Key custody stays inside the VMM — the
-// recovery code never sees domain keys, only verified plaintext or an
-// error.
+// surviving disk or a migration blob. The ciphertext is verified where it
+// lies and never written; the plaintext is decrypted straight into a fresh
+// buffer, the page's one host copy. Failure is the typed
+// *cloak.ErrIntegrity. Key custody stays inside the VMM — the recovery code
+// never sees domain keys, only verified plaintext or an error.
 func (v *VMM) RecoverPage(id cloak.PageID, meta cloak.Meta, ciphertext []byte) ([]byte, error) {
 	buf := make([]byte, len(ciphertext))
-	copy(buf, ciphertext)
-	if err := v.engine.DecryptPage(id, meta, buf); err != nil {
+	if err := v.engine.DecryptPageTo(id, meta, buf, ciphertext); err != nil {
 		return nil, err
 	}
 	v.cpu().ChargeAdd(0, sim.CtrRecoverPage, 1)

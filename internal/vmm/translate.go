@@ -32,7 +32,7 @@ func (v *VMM) SwitchContext(as *AddressSpace, view View) {
 		// Ablation E10a: without multi-shadowing the VMM cannot keep a
 		// plaintext view alive while the kernel runs; every crossing into
 		// the system view eagerly encrypts the domain's plaintext pages.
-		v.EncryptAllPlaintext(as.domain, "no-multishadow crossing")
+		v.EncryptAllPlaintext(as.domain)
 	}
 	if v.introspector != nil {
 		// VMI cadence: real context switches are the monitor's clock.
@@ -43,11 +43,11 @@ func (v *VMM) SwitchContext(as *AddressSpace, view View) {
 // EncryptAllPlaintext forces every plaintext page of a domain into the
 // encrypted state. Used by the E10a ablation and by domain checkpointing.
 // The sweep runs in ascending GPPN order (see domainPages).
-func (v *VMM) EncryptAllPlaintext(d cloak.DomainID, why string) int {
+func (v *VMM) EncryptAllPlaintext(d cloak.DomainID) int {
 	pages := v.byDomain[d]
 	gppns := v.domainPages(d, func(cp *cloakPage) bool { return cp.state == statePlain })
 	for _, gppn := range gppns {
-		v.encryptPage(gppn, pages[gppn], why)
+		v.encryptPage(gppn, pages[gppn])
 	}
 	return len(gppns)
 }
@@ -140,7 +140,7 @@ func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access
 		// unregistered range). Multi-shadowing demands this context see
 		// only ciphertext: encrypt before mapping.
 		if view != ViewApp || as.domain != cp.id.Domain {
-			v.encryptPage(gppn, cp, "foreign mapping of plaintext frame")
+			v.encryptPage(gppn, cp)
 		}
 	}
 
@@ -222,7 +222,7 @@ func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.
 		}
 	case ViewSystem:
 		if registered && cp.state == statePlain {
-			v.encryptPage(gppn, cp, "kernel access to cloaked page")
+			v.encryptPage(gppn, cp)
 		}
 		// Encrypted or unregistered frames map freely in the system view.
 	}
@@ -292,7 +292,7 @@ func (v *VMM) PhysRead(gppn mach.GPPN, off int, buf []byte) error {
 		return err
 	}
 	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
-		v.encryptPage(gppn, cp, "kernel physical read")
+		v.encryptPage(gppn, cp)
 	}
 	copy(buf, v.frame(gppn)[off:off+len(buf)])
 	v.chargeCopy(len(buf))
@@ -308,7 +308,7 @@ func (v *VMM) PhysWrite(gppn mach.GPPN, off int, buf []byte) error {
 		return err
 	}
 	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
-		v.encryptPage(gppn, cp, "kernel physical write")
+		v.encryptPage(gppn, cp)
 	}
 	copy(v.frame(gppn)[off:off+len(buf)], buf)
 	v.chargeCopy(len(buf))
@@ -333,7 +333,7 @@ func (v *VMM) PhysZero(gppn mach.GPPN) error {
 		return err
 	}
 	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
-		v.encryptPage(gppn, cp, "kernel zeroing cloaked page")
+		v.encryptPage(gppn, cp)
 	}
 	v.zeroPage(gppn)
 	return nil

@@ -243,9 +243,7 @@ func (v *VMM) logEvent(e Event) {
 		Page: e.Page, GPPN: e.GPPN, Detail: e.Detail,
 	}
 	v.events = append(v.events, stamped)
-	if e.Kind != EventCloakOnKernelAccess {
-		v.cpu().Emit(obs.KindSecurity, e.Kind.String(), uint64(e.GPPN))
-	}
+	v.cpu().Emit(obs.KindSecurity, e.Kind.String(), uint64(e.GPPN))
 }
 
 // machineOf resolves a guest-physical page to its machine frame. ok is false
@@ -538,7 +536,10 @@ func (v *VMM) scrubDomain(d cloak.DomainID) {
 }
 
 // encryptPage transitions a plaintext cloaked page to the encrypted state.
-func (v *VMM) encryptPage(gppn mach.GPPN, cp *cloakPage, why string) {
+// It logs no audit event: CtrPageEncrypt and the encrypt span record every
+// encryption, and an event kept per encryption would grow the log for the
+// machine's lifetime.
+func (v *VMM) encryptPage(gppn mach.GPPN, cp *cloakPage) {
 	sp := v.cpu().Begin(obs.KindCloak, "encrypt", uint64(gppn))
 	frame := v.frame(gppn)
 	id := cp.id
@@ -548,10 +549,6 @@ func (v *VMM) encryptPage(gppn mach.GPPN, cp *cloakPage, why string) {
 	cp.state = stateEncrypted
 	v.dropAllShadowsOfGPPN(gppn)
 	sp.End()
-	v.logEvent(Event{
-		Kind: EventCloakOnKernelAccess, Domain: id.Domain,
-		Page: id, GPPN: gppn, Detail: why,
-	})
 }
 
 // decryptPage transitions an encrypted frame to plaintext for identity id,

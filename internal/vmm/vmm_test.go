@@ -648,9 +648,32 @@ func TestEncryptAllPlaintext(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := r.v.EncryptAllPlaintext(r.as.Domain(), "test")
+	n := r.v.EncryptAllPlaintext(r.as.Domain())
 	if n != 3 {
 		t.Fatalf("encrypted %d pages, want 3", n)
+	}
+	// RecoverPage verifies each ciphertext where it lies and decrypts into
+	// a buffer of its own: the frame it is handed stays byte-identical,
+	// whether it verifies or not.
+	rps := r.v.ResidentCiphertexts(r.as.Domain())
+	if len(rps) != 3 {
+		t.Fatalf("%d resident ciphertexts, want 3", len(rps))
+	}
+	for i, rp := range rps {
+		ct := bytes.Clone(rp.Data)
+		pt, err := r.v.RecoverPage(rp.ID, rp.Meta, rp.Data)
+		if err != nil || pt[0] != byte(i) {
+			t.Fatalf("page %v: recovered %v, err %v; want plaintext byte %d", rp.ID, pt[:min(len(pt), 1)], err, i)
+		}
+		if !bytes.Equal(rp.Data, ct) {
+			t.Fatalf("page %v: RecoverPage wrote its ciphertext argument", rp.ID)
+		}
+		ct[1] ^= 0xff
+		bad := bytes.Clone(ct)
+		var ierr *cloak.ErrIntegrity
+		if _, err := r.v.RecoverPage(rp.ID, rp.Meta, bad); !errors.As(err, &ierr) || !bytes.Equal(bad, ct) {
+			t.Fatalf("page %v: tampered recovery err %v, argument unchanged %v", rp.ID, err, bytes.Equal(bad, ct))
+		}
 	}
 }
 
