@@ -196,6 +196,83 @@ func TestRebootLeavesSwapUntouched(t *testing.T) {
 	}
 }
 
+// TestRebootReservesRecoveredDomains runs a new swapping program on a
+// rebooted machine. Every VMM derives domain keys from one master secret and
+// draws IVs from the seed's stream, so had the program been handed a domain
+// ID the replayed journal names, its first encryptions would repeat the
+// crashed machine's (domain, IV) pairs — AES-CTR keystream reuse on the disk
+// that holds the surviving ciphertext — and its journal writes would
+// overwrite recovered entries with the same PageIDs.
+func TestRebootReservesRecoveredDomains(t *testing.T) {
+	const pages = 152
+	type domainIV struct {
+		d  cloak.DomainID
+		iv [cloak.IVSize]byte
+	}
+	for _, seed := range []uint64{1, 2} {
+		cfg := crashConfig(seed)
+		cfg.CrashAt = probeTotal(t, cfg, pages) / 2
+		_, sys2, rep := crashAndReboot(t, cfg, pages)
+		recovered := make(map[cloak.PageID]cloak.Meta)
+		used := make(map[domainIV]bool)
+		for _, id := range rep.Replay.PageIDs() {
+			if e := rep.Replay.Table[id]; e.HasMeta {
+				recovered[id] = e.Meta
+				used[domainIV{id.Domain, e.Meta.IV}] = true
+			}
+		}
+		if len(recovered) == 0 {
+			t.Fatalf("seed %d: the replayed journal holds no sealed entry", seed)
+		}
+
+		var dom cloak.DomainID
+		var live []persist.TableEntry
+		sys2.Register("after", func(e Env) {
+			base, err := e.Alloc(pages)
+			if err != nil {
+				e.Exit(1)
+			}
+			for i := 0; i < pages; i++ {
+				e.Store64(base+Addr(i*PageSize), uint64(i))
+			}
+			dom, live = sys2.DomainOf(e.Pid()), sys2.Journal.Entries()
+			e.Exit(0)
+		})
+		if _, err := sys2.Spawn("after", Cloaked()); err != nil {
+			t.Fatal(err)
+		}
+		sys2.Run()
+
+		for id := range recovered {
+			if id.Domain == dom {
+				t.Fatalf("seed %d: new program got domain %d, which the recovered journal names", seed, dom)
+			}
+		}
+		kept, fresh := 0, 0
+		for _, te := range live {
+			if want, ok := recovered[te.ID]; ok {
+				if te.Entry.Meta != want {
+					t.Fatalf("seed %d: recovered entry %v was overwritten after reboot", seed, te.ID)
+				}
+				kept++
+				continue
+			}
+			if te.Entry.HasMeta {
+				fresh++
+				if used[domainIV{te.ID.Domain, te.Entry.Meta.IV}] {
+					t.Fatalf("seed %d: page %v reuses a recovered entry's (domain, IV) pair", seed, te.ID)
+				}
+			}
+		}
+		if fresh == 0 {
+			t.Fatalf("seed %d: the new program sealed no page, so nothing was checked", seed)
+		}
+		if kept != len(recovered) {
+			t.Fatalf("seed %d: %d of %d recovered entries left the journal", seed, len(recovered)-kept, len(recovered))
+		}
+	}
+}
+
 // TestCrashRebootDeterministic pins that one (seed, CrashAt) pair names one
 // exact crashed world and one exact recovery.
 func TestCrashRebootDeterministic(t *testing.T) {

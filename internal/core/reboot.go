@@ -147,7 +147,8 @@ func Locate(e persist.Entry) (block uint64, st RecoveryState) {
 //
 // The new machine reuses prev's configuration (and therefore its seed: the
 // journal sealing key and domain key hierarchy must match for recovery to
-// verify anything) with the crash deadline cleared.
+// verify anything) with the crash deadline cleared. Every domain ID the
+// replayed journal names stays reserved on it.
 func Reboot(prev *System) (*System, *RecoveryReport, error) {
 	if prev.Journal == nil {
 		return nil, nil, ErrNoJournal
@@ -184,6 +185,11 @@ func Reboot(prev *System) (*System, *RecoveryReport, error) {
 	}
 	buf := make([]byte, mach.BlockSize)
 	for _, id := range rep.PageIDs() {
+		// The new machine must not hand a recovered domain's ID to a new
+		// workload: it would reuse the crashed machine's (domain, IV)
+		// pairs on the disk that holds the surviving ciphertext, and its
+		// writes would overwrite the recovered entries.
+		hv.ReserveDomain(id.Domain)
 		e := rep.Table[id]
 		blk, st := Locate(e)
 		var rerr error

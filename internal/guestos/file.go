@@ -144,27 +144,28 @@ func (k *Kernel) makePipe(p *Proc) (int, int, Errno) {
 	return rfd, wfd, OK
 }
 
-// readFD reads up to len(buf) bytes into the kernel buffer buf.
-func (k *Kernel) readFD(p *Proc, fd int, buf []byte) (int, Errno) {
+// readFD reads up to n bytes into a kernel buffer sized by what the file or
+// pipe delivers.
+func (k *Kernel) readFD(p *Proc, fd int, n uint64) ([]byte, Errno) {
 	f, err := p.fd(fd)
 	if err != OK {
-		return 0, err
+		return nil, err
 	}
 	if f.pipe != nil {
 		if f.writeEnd {
-			return 0, EBADF
+			return nil, EBADF
 		}
-		return k.pipeRead(p, f.pipe, buf)
+		return k.pipeRead(p, f.pipe, n)
 	}
 	if f.flags&(OWrOnly) != 0 {
-		return 0, EBADF
+		return nil, EBADF
 	}
-	n, e := k.fs.ReadAt(f.ino, f.pos, buf)
+	buf, e := k.fs.readN(f.ino, f.pos, n)
 	if e != OK {
-		return 0, e
+		return nil, e
 	}
-	f.pos += uint64(n)
-	return n, OK
+	f.pos += uint64(len(buf))
+	return buf, OK
 }
 
 // writeFD writes the kernel buffer buf.
@@ -198,15 +199,15 @@ func (k *Kernel) writeFD(p *Proc, fd int, buf []byte) (int, Errno) {
 	return n, OK
 }
 
-func (k *Kernel) preadFD(p *Proc, fd int, off uint64, buf []byte) (int, Errno) {
+func (k *Kernel) preadFD(p *Proc, fd int, off, n uint64) ([]byte, Errno) {
 	f, err := p.fd(fd)
 	if err != OK {
-		return 0, err
+		return nil, err
 	}
 	if f.pipe != nil {
-		return 0, ESPIPE
+		return nil, ESPIPE
 	}
-	return k.fs.ReadAt(f.ino, off, buf)
+	return k.fs.readN(f.ino, off, n)
 }
 
 func (k *Kernel) pwriteFD(p *Proc, fd int, off uint64, buf []byte) (int, Errno) {
@@ -253,21 +254,21 @@ func (k *Kernel) lseekFD(p *Proc, fd int, off int64, whence int) (uint64, Errno)
 
 // --- Pipe data path ----------------------------------------------------------
 
-func (k *Kernel) pipeRead(p *Proc, pp *Pipe, buf []byte) (int, Errno) {
+func (k *Kernel) pipeRead(p *Proc, pp *Pipe, n uint64) ([]byte, Errno) {
 	for len(pp.buf) == 0 {
 		if pp.writers == 0 {
-			return 0, OK // EOF
+			return nil, OK // EOF
 		}
 		pp.waitRead = append(pp.waitRead, p)
 		k.block(p, "pipe-read")
 	}
-	n := copy(buf, pp.buf)
-	pp.buf = pp.buf[n:]
+	buf := make([]byte, min(n, uint64(len(pp.buf))))
+	pp.buf = pp.buf[copy(buf, pp.buf):]
 	for _, w := range pp.waitWrite {
 		k.wake(w)
 	}
 	pp.waitWrite = nil
-	return n, OK
+	return buf, OK
 }
 
 func (k *Kernel) pipeWrite(p *Proc, pp *Pipe, buf []byte) (int, Errno) {

@@ -67,6 +67,21 @@ func (p *Proc) vmaAt(vpn uint64) *VMA {
 	return nil
 }
 
+// mapped reports how many of the n bytes at va lie in p's VMAs with no gap
+// between them from va on: what a kernel copy from va reads before it
+// faults at an unmapped page.
+func (p *Proc) mapped(va mach.Addr, n uint64) uint64 {
+	end := uint64(va)
+	for end < uint64(va)+n {
+		v := p.vmaAt(end / mach.PageSize)
+		if v == nil {
+			break
+		}
+		end = (v.Base + v.Pages) * mach.PageSize
+	}
+	return min(n, end-uint64(va))
+}
+
 // --- Guest-physical page accounting ---------------------------------------
 
 // freeList hands out the numbers in [next, hi): recycled numbers first, most

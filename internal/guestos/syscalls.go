@@ -21,9 +21,11 @@ const cachelineBytes = 64
 
 // userRange reports whether [va, va+n) lies inside the user address space,
 // VPNs 0 through mmu.MaxVPN, without wrapping. Read, Write, Pread and Pwrite
-// size their kernel buffer from the length register, which the guest (or a
-// hostile kernel hook) controls, so each checks the range first: a wild
-// length is EFAULT, never a host allocation.
+// take their length from a register the guest (or a hostile kernel hook)
+// controls, so each checks the range first: a length past the user address
+// space is EFAULT before any work. Within it, a read's kernel buffer is
+// sized by what the file or pipe delivers and a write's by what copyIn
+// reads, never by the register.
 func userRange(va, n uint64) bool {
 	const top = (mmu.MaxVPN + 1) * mach.PageSize
 	return va <= top && n <= top-va
@@ -149,15 +151,14 @@ func (c *UserCtx) Read(fd int, va mach.Addr, n int) (int, error) {
 		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
 			return encodeRet(0, EFAULT)
 		}
-		buf := make([]byte, kregs.GPR[3])
-		got, errno := k.readFD(p, int(kregs.GPR[1]), buf)
+		buf, errno := k.readFD(p, int(kregs.GPR[1]), kregs.GPR[3])
 		if errno != OK {
 			return encodeRet(0, errno)
 		}
-		if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf[:got]); errno != OK {
+		if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
 			return encodeRet(0, errno)
 		}
-		return encodeRet(uint64(got), OK)
+		return encodeRet(uint64(len(buf)), OK)
 	})
 	return int(v), errOrNil(e)
 }
@@ -169,8 +170,8 @@ func (c *UserCtx) Write(fd int, va mach.Addr, n int) (int, error) {
 		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
 			return encodeRet(0, EFAULT)
 		}
-		buf := make([]byte, kregs.GPR[3])
-		if errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
+		buf, errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), kregs.GPR[3])
+		if errno != OK {
 			return encodeRet(0, errno)
 		}
 		if k.Adversary.OnWriteData != nil {
@@ -189,15 +190,14 @@ func (c *UserCtx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
 		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
 			return encodeRet(0, EFAULT)
 		}
-		buf := make([]byte, kregs.GPR[3])
-		got, errno := k.preadFD(p, int(kregs.GPR[1]), kregs.GPR[4], buf)
+		buf, errno := k.preadFD(p, int(kregs.GPR[1]), kregs.GPR[4], kregs.GPR[3])
 		if errno != OK {
 			return encodeRet(0, errno)
 		}
-		if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf[:got]); errno != OK {
+		if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
 			return encodeRet(0, errno)
 		}
-		return encodeRet(uint64(got), OK)
+		return encodeRet(uint64(len(buf)), OK)
 	})
 	return int(v), errOrNil(e)
 }
@@ -209,8 +209,8 @@ func (c *UserCtx) Pwrite(fd int, va mach.Addr, n int, off uint64) (int, error) {
 		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
 			return encodeRet(0, EFAULT)
 		}
-		buf := make([]byte, kregs.GPR[3])
-		if errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
+		buf, errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), kregs.GPR[3])
+		if errno != OK {
 			return encodeRet(0, errno)
 		}
 		got, errno := k.pwriteFD(p, int(kregs.GPR[1]), kregs.GPR[4], buf)

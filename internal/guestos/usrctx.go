@@ -212,46 +212,74 @@ func (c *UserCtx) call(no Sysno, args [5]uint64, handler func(kregs *vmm.Regs) u
 
 // --- Kernel-side user buffer helpers -----------------------------------------
 
-// copyIn copies from user memory (system view) into a kernel buffer,
-// servicing demand faults. For cloaked pages this reads ciphertext — which
-// is exactly why unmarshalled syscalls on cloaked buffers return garbage
-// and the shim must interpose.
-func (k *Kernel) copyIn(p *Proc, va mach.Addr, buf []byte) Errno {
-	return k.sysAccess(p, va, buf, false)
-}
-
-// copyOut copies a kernel buffer into user memory (system view).
-func (k *Kernel) copyOut(p *Proc, va mach.Addr, buf []byte) Errno {
-	return k.sysAccess(p, va, buf, true)
-}
-
-func (k *Kernel) sysAccess(p *Proc, va mach.Addr, buf []byte, write bool) Errno {
-	for {
+// copyIn copies the n bytes of user memory at va (system view) into a new
+// kernel buffer, servicing demand faults. For cloaked pages this reads
+// ciphertext — which is exactly why unmarshalled syscalls on cloaked buffers
+// return garbage and the shim must interpose. The buffer starts at what p's
+// mappings cover from va and grows only by pages the copy has read, so a
+// length register sizes no host allocation beyond what the guest mapped.
+// The copy moves one page per ReadVirt, exactly as one ReadVirt of the whole
+// range does, and a serviced fault restarts it from va, as copyOut does.
+func (k *Kernel) copyIn(p *Proc, va mach.Addr, n uint64) ([]byte, Errno) {
+	buf := make([]byte, p.mapped(va, n))
+	for off := uint64(0); off < n; {
+		chunk := min(mach.PageSize-mach.PageOffset(va+mach.Addr(off)), n-off)
 		var err error
-		if write {
-			err = k.vmm.WriteVirt(p.as, vmm.ViewSystem, va, buf, false)
+		if off < uint64(len(buf)) {
+			err = k.vmm.ReadVirt(p.as, vmm.ViewSystem, va+mach.Addr(off), buf[off:off+chunk], false)
 		} else {
-			err = k.vmm.ReadVirt(p.as, vmm.ViewSystem, va, buf, false)
+			// Past the mapped prefix a page joins buf only once read, so
+			// the fault that usually ends the copy there allocates nothing.
+			var page [mach.PageSize]byte
+			if err = k.vmm.ReadVirt(p.as, vmm.ViewSystem, va+mach.Addr(off), page[:chunk], false); err == nil {
+				buf = append(buf, page[:chunk]...)
+			}
 		}
+		if err != nil {
+			if errno := k.serviceFault(p, err); errno != OK {
+				return nil, errno
+			}
+			off = 0
+			continue
+		}
+		off += chunk
+	}
+	return buf, OK
+}
+
+// copyOut copies a kernel buffer into user memory (system view), servicing
+// demand faults; a serviced fault restarts the copy from va.
+func (k *Kernel) copyOut(p *Proc, va mach.Addr, buf []byte) Errno {
+	for {
+		err := k.vmm.WriteVirt(p.as, vmm.ViewSystem, va, buf, false)
 		if err == nil {
 			return OK
 		}
-		if fault, ok := err.(*mmu.Fault); ok {
-			if errno := k.handleFault(p, fault); errno != OK {
-				return EFAULT
-			}
-			continue
+		if errno := k.serviceFault(p, err); errno != OK {
+			return errno
 		}
-		var rf *vmm.ResourceFault
-		if errors.As(err, &rf) {
-			// Corrupt guest PTE behind this buffer: the kernel treats the
-			// access like a wild pointer.
+	}
+}
+
+// serviceFault handles the error of a kernel copy through the system view:
+// OK means the fault was serviced and the copy should retry; a fault the
+// kernel cannot service is EFAULT.
+func (k *Kernel) serviceFault(p *Proc, err error) Errno {
+	if fault, ok := err.(*mmu.Fault); ok {
+		if errno := k.handleFault(p, fault); errno != OK {
 			return EFAULT
 		}
-		// Security violations cannot happen in the system view (the kernel
-		// always gets *some* view); anything else is a simulator bug.
-		panic(fmt.Sprintf("guestos: unexpected copy error: %v", err))
+		return OK
 	}
+	var rf *vmm.ResourceFault
+	if errors.As(err, &rf) {
+		// Corrupt guest PTE behind this buffer: the kernel treats the
+		// access like a wild pointer.
+		return EFAULT
+	}
+	// Security violations cannot happen in the system view (the kernel
+	// always gets *some* view); anything else is a simulator bug.
+	panic(fmt.Sprintf("guestos: unexpected copy error: %v", err))
 }
 
 // --- Signal delivery ----------------------------------------------------------

@@ -72,7 +72,7 @@ func (ob *Observer) ordered() []obsSlot {
 // view. Merge is additive and commutative, so the result is independent of
 // which worker built which world.
 func (ob *Observer) MergedMetrics() *obs.Metrics {
-	m := obs.NewMetrics()
+	m := obs.NewMetrics(sim.CounterTable())
 	for _, s := range ob.ordered() {
 		m.Merge(s.store)
 	}
@@ -85,7 +85,7 @@ func (ob *Observer) MergedMetrics() *obs.Metrics {
 // count. Each world's trace-ring dropped count is folded in so histogram
 // exports surface truncation of the companion trace.
 func (ob *Observer) MergedProfile() *obs.Profile {
-	p := obs.NewProfile()
+	p := obs.NewProfile(sim.CounterTable())
 	for _, s := range ob.ordered() {
 		p.Merge(s.world.Profile())
 		p.AddDropped(s.world.Tracer.Dropped())

@@ -18,7 +18,7 @@ import (
 )
 
 // Attr identifies who was on the simulated CPU when a cycle was charged or a
-// span was emitted. It is a comparable value used as the metrics bucket key;
+// span was emitted. It is a comparable value used as the metrics row key;
 // the zero Attr means "machine context" (boot, VMM internals, scheduler
 // idle) before any guest task has been dispatched.
 type Attr struct {

@@ -31,14 +31,14 @@ func fixtureSpans() ([]Span, RingStats) {
 }
 
 func fixtureMetrics() *Metrics {
-	m := NewMetrics()
+	m := NewMetrics(testCtrs)
 	app := Attr{Phase: "E2/cloaked", Domain: 2, PID: 3, TID: 3, Task: "kv", Cloaked: true}
-	m.Charge(app, "cloak.encrypt", 43240, 1)
-	m.Charge(app, "vmm.worldswitch", 1600, 2)
-	m.Charge(app, "vmm.ctc.save", 300, 1)
-	m.Charge(app, "mem.access", 256, 64)
-	m.Charge(Attr{Phase: "E2/native", PID: 4, TID: 5, Task: "web"}, "mem.access", 128, 32)
-	m.Charge(Attr{}, "cpu.idle", 5000, 0)
+	m.Charge(app, slotOf("cloak.encrypt"), 43240, 1)
+	m.Charge(app, slotOf("vmm.worldswitch"), 1600, 2)
+	m.Charge(app, slotOf("vmm.ctc.save"), 300, 1)
+	m.Charge(app, slotOf("mem.access"), 256, 64)
+	m.Charge(Attr{Phase: "E2/native", PID: 4, TID: 5, Task: "web"}, slotOf("mem.access"), 128, 32)
+	m.Charge(Attr{}, slotOf("cpu.idle"), 5000, 0)
 	return m
 }
 

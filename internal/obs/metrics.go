@@ -2,48 +2,110 @@ package obs
 
 import "sort"
 
-// bucket accumulates per-counter cycles and event counts for one Attr.
-type bucket struct {
-	cycles map[string]uint64
-	counts map[string]uint64
+// Counters is the fixed counter vocabulary that attributed stores index
+// their rows by: slot i is named names[i]. The simulator builds one table
+// from its counter list, so a charge carries a slot and names appear only
+// at export.
+type Counters struct {
+	names []string
+	// byName lists the slots in name order, the order every export emits
+	// a row's cells in.
+	byName []int
 }
 
-// Metrics is the attributed cycle-accounting store: every cost-model charge
-// is bucketed under (attribution key, counter name). Nothing here reads host
-// state; buckets are plain accumulators, so two runs with the same seed
-// produce identical snapshots.
+// NewCounters builds the vocabulary whose slot i is names[i].
+func NewCounters[S ~string](names []S) *Counters {
+	cs := &Counters{names: make([]string, len(names)), byName: make([]int, len(names))}
+	for i, n := range names {
+		cs.names[i], cs.byName[i] = string(n), i
+	}
+	sort.Slice(cs.byName, func(i, j int) bool { return cs.names[cs.byName[i]] < cs.names[cs.byName[j]] })
+	return cs
+}
+
+// cell is one counter's accumulation in a Row. Charged records that the
+// counter was charged at all: exports keep a cell charged zero cycles.
+type cell struct {
+	Cycles, Events uint64
+	Charged        bool
+}
+
+// Row is one dense row of cells indexed by counter slot. A row never
+// resizes, so a Row value handed out by a store stays valid as it grows.
+type Row []cell
+
+// Add charges cycles and events to the counter in slot.
+func (r Row) Add(slot int, cycles, events uint64) {
+	c := &r[slot]
+	c.Cycles += cycles
+	c.Events += events
+	c.Charged = true
+}
+
+// merge adds every charged cell of o into r.
+func (r Row) merge(o Row) {
+	for s, c := range o {
+		if c.Charged {
+			r.Add(s, c.Cycles, c.Events)
+		}
+	}
+}
+
+// cycles sums the row's cycles.
+func (r Row) cycles() uint64 {
+	var total uint64
+	for _, c := range r {
+		total += c.Cycles
+	}
+	return total
+}
+
+// attrRow is one attribution key's row.
+type attrRow struct {
+	attr Attr
+	row  Row
+}
+
+// Metrics is the attributed cycle-accounting store: one Row per attribution
+// key, in first-use order. The key-to-row index is consulted only when a
+// vCPU's attribution changes; a charge is an array add through the Row
+// handle the vCPU holds. Nothing here reads host state, so two runs with
+// the same seed produce identical snapshots.
 type Metrics struct {
-	buckets map[Attr]*bucket
+	ctrs  *Counters
+	rows  []attrRow
+	index map[Attr]int
 }
 
-// NewMetrics returns an empty attributed-metrics store.
-func NewMetrics() *Metrics { return &Metrics{buckets: make(map[Attr]*bucket)} }
+// NewMetrics returns an empty attributed-metrics store over ctrs.
+func NewMetrics(ctrs *Counters) *Metrics {
+	return &Metrics{ctrs: ctrs, index: make(map[Attr]int)}
+}
 
-// Charge records cycles (and optionally events) against counter name under
+// Row returns the row of attribution key a, creating it on first use.
+func (m *Metrics) Row(a Attr) Row {
+	if i, ok := m.index[a]; ok {
+		return m.rows[i].row
+	}
+	// Amortized: one row per distinct attribution key, not per charge; the
+	// key space (task × domain × phase) is small and fixed.
+	r := make(Row, len(m.ctrs.names))
+	m.index[a] = len(m.rows)
+	m.rows = append(m.rows, attrRow{attr: a, row: r})
+	return r
+}
+
+// Charge records cycles (and optionally events) against counter slot under
 // attribution key a.
-func (m *Metrics) Charge(a Attr, name string, cycles, events uint64) {
-	b := m.buckets[a]
-	if b == nil {
-		// Amortized: one allocation per distinct attribution key, not per
-		// charge; the key space (task × domain × phase) is small and fixed.
-		b = &bucket{cycles: make(map[string]uint64), counts: make(map[string]uint64)}
-		m.buckets[a] = b
-	}
-	b.cycles[name] += cycles
-	if events != 0 {
-		b.counts[name] += events
-	}
+func (m *Metrics) Charge(a Attr, slot int, cycles, events uint64) {
+	m.Row(a).Add(slot, cycles, events)
 }
 
 // TotalCycles reports the sum of all attributed cycles.
 func (m *Metrics) TotalCycles() uint64 {
 	var total uint64
-	//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
-	for _, b := range m.buckets {
-		//overlint:allow determinism -- commutative sum; iteration order cannot reach serialized bytes
-		for _, c := range b.cycles {
-			total += c
-		}
+	for _, r := range m.rows {
+		total += r.row.cycles()
 	}
 	return total
 }
@@ -54,28 +116,20 @@ type NameTotal struct {
 	Cycles uint64
 }
 
-// TotalsSorted sums attributed cycles per counter name across all
-// attribution keys and returns the totals in name order. It replaces the
-// map-returning TotalsByName: with a sorted slice, caller iteration order —
-// including float accumulation order — is deterministic by construction.
+// TotalsSorted sums attributed cycles per counter across all attribution
+// keys and returns the charged counters' totals in name order, so caller
+// iteration order — including float accumulation order — is deterministic
+// by construction.
 func (m *Metrics) TotalsSorted() []NameTotal {
-	totals := make(map[string]uint64)
-	//overlint:allow determinism -- additive fold into a scratch map, sorted before return
-	for _, b := range m.buckets {
-		//overlint:allow determinism -- additive fold into a scratch map, sorted before return
-		for name, c := range b.cycles {
-			totals[name] += c
+	sum := make(Row, len(m.ctrs.names))
+	for _, r := range m.rows {
+		sum.merge(r.row)
+	}
+	out := make([]NameTotal, 0, len(sum))
+	for _, s := range m.ctrs.byName {
+		if sum[s].Charged {
+			out = append(out, NameTotal{Name: m.ctrs.names[s], Cycles: sum[s].Cycles})
 		}
-	}
-	names := make([]string, 0, len(totals))
-	//overlint:allow determinism -- keys are collected then sorted before return
-	for name := range totals {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]NameTotal, 0, len(names))
-	for _, name := range names {
-		out = append(out, NameTotal{Name: name, Cycles: totals[name]})
 	}
 	return out
 }
@@ -89,51 +143,31 @@ type MetricPoint struct {
 }
 
 // Snapshot flattens the store into a deterministically ordered slice:
-// attribution keys in key order, counter names alphabetical within each.
+// attribution keys in key order, charged counters in name order within
+// each.
 func (m *Metrics) Snapshot() []MetricPoint {
-	attrs := make([]Attr, 0, len(m.buckets))
-	//overlint:allow determinism -- keys are collected then sorted before serialization
-	for a := range m.buckets {
-		attrs = append(attrs, a)
-	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].key() < attrs[j].key() })
+	rows := append([]attrRow(nil), m.rows...)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].attr.key() < rows[j].attr.key() })
 	var out []MetricPoint
-	for _, a := range attrs {
-		b := m.buckets[a]
-		names := make([]string, 0, len(b.cycles))
-		//overlint:allow determinism -- keys are collected then sorted before serialization
-		for n := range b.cycles {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			out = append(out, MetricPoint{Attr: a, Name: n, Cycles: b.cycles[n], Events: b.counts[n]})
+	for _, r := range rows {
+		for _, s := range m.ctrs.byName {
+			if c := r.row[s]; c.Charged {
+				out = append(out, MetricPoint{Attr: r.attr, Name: m.ctrs.names[s], Cycles: c.Cycles, Events: c.Events})
+			}
 		}
 	}
 	return out
 }
 
-// Merge adds every cell of other into m. Addition commutes, so merging the
-// same set of per-world stores in any order yields identical totals — the
-// property the sharded harness relies on for byte-identical exports.
+// Merge adds every cell of other, a store over the same counters, into m.
+// Addition commutes, so merging the same set of per-world stores in any
+// order yields identical totals — the property the sharded harness relies
+// on for byte-identical exports.
 func (m *Metrics) Merge(other *Metrics) {
 	if other == nil {
 		return
 	}
-	//overlint:allow determinism -- additive merge; iteration order cannot reach serialized bytes
-	for a, ob := range other.buckets {
-		b := m.buckets[a]
-		if b == nil {
-			b = &bucket{cycles: make(map[string]uint64), counts: make(map[string]uint64)}
-			m.buckets[a] = b
-		}
-		//overlint:allow determinism -- additive merge; iteration order cannot reach serialized bytes
-		for name, c := range ob.cycles {
-			b.cycles[name] += c
-		}
-		//overlint:allow determinism -- additive merge; iteration order cannot reach serialized bytes
-		for name, n := range ob.counts {
-			b.counts[name] += n
-		}
+	for _, r := range other.rows {
+		m.Row(r.attr).merge(r.row)
 	}
 }

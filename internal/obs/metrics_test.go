@@ -7,14 +7,14 @@ import (
 )
 
 func TestMetricsChargeAndTotals(t *testing.T) {
-	m := NewMetrics()
+	m := NewMetrics(testCtrs)
 	a := Attr{PID: 3, TID: 3, Task: "kv", Cloaked: true, Domain: 2}
 	b := Attr{PID: 4, TID: 4, Task: "web"}
-	m.Charge(a, "cloak.encrypt", 100, 1)
-	m.Charge(a, "cloak.encrypt", 50, 1)
-	m.Charge(a, "mem.access", 8, 2)
-	m.Charge(b, "mem.access", 4, 1)
-	m.Charge(b, "cpu.idle", 1000, 0)
+	m.Charge(a, slotOf("cloak.encrypt"), 100, 1)
+	m.Charge(a, slotOf("cloak.encrypt"), 50, 1)
+	m.Charge(a, slotOf("mem.access"), 8, 2)
+	m.Charge(b, slotOf("mem.access"), 4, 1)
+	m.Charge(b, slotOf("cpu.idle"), 1000, 0)
 
 	if got := m.TotalCycles(); got != 1162 {
 		t.Fatalf("TotalCycles = %d, want 1162", got)
@@ -31,11 +31,11 @@ func TestMetricsChargeAndTotals(t *testing.T) {
 
 func TestMetricsSnapshotDeterministicOrder(t *testing.T) {
 	build := func(order []int) []MetricPoint {
-		m := NewMetrics()
+		m := NewMetrics(testCtrs)
 		attrs := []Attr{{PID: 1, TID: 1}, {PID: 2, TID: 2}, {Phase: "E2", PID: 1, TID: 1}}
 		for _, i := range order {
-			m.Charge(attrs[i], "z.ctr", uint64(10*(i+1)), 1)
-			m.Charge(attrs[i], "a.ctr", uint64(i+1), 1)
+			m.Charge(attrs[i], slotOf("z.ctr"), uint64(10*(i+1)), 1)
+			m.Charge(attrs[i], slotOf("a.ctr"), uint64(i+1), 1)
 		}
 		return m.Snapshot()
 	}
@@ -51,11 +51,26 @@ func TestMetricsSnapshotDeterministicOrder(t *testing.T) {
 }
 
 func TestMetricsZeroEventsCreateNoCount(t *testing.T) {
-	m := NewMetrics()
-	m.Charge(Attr{}, "cpu.idle", 500, 0)
+	m := NewMetrics(testCtrs)
+	m.Charge(Attr{}, slotOf("cpu.idle"), 500, 0)
 	snap := m.Snapshot()
 	if len(snap) != 1 || snap[0].Events != 0 || snap[0].Cycles != 500 {
 		t.Fatalf("snapshot = %v", snap)
+	}
+}
+
+// TestMetricsRowOutlivesGrowth pins the handle contract the charge path
+// relies on: a Row taken before the store grows still lands its charges.
+func TestMetricsRowOutlivesGrowth(t *testing.T) {
+	m := NewMetrics(testCtrs)
+	r := m.Row(Attr{PID: 1, TID: 1})
+	for pid := 2; pid < 100; pid++ {
+		m.Charge(Attr{PID: pid, TID: pid}, slotOf("tlb.hit"), 1, 1)
+	}
+	r.Add(slotOf("tlb.hit"), 0, 1)
+	snap := m.Snapshot()
+	if snap[0].Attr.PID != 1 || snap[0].Name != "tlb.hit" || snap[0].Cycles != 0 || snap[0].Events != 1 {
+		t.Fatalf("first point = %+v, want pid 1's zero-cycle tlb.hit", snap[0])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -97,29 +98,24 @@ type FrameStat struct {
 // innermost frame — and returns the top n rows ordered by self cycles
 // (total, then frame name, break ties). n <= 0 returns every frame.
 func TopFrames(doc *ProfileJSON, n int) []FrameStat {
-	self := make(map[string]uint64)
-	total := make(map[string]uint64)
-	seen := make(map[string]bool)
+	var out []FrameStat
+	row := make(map[string]int) // frame → its index in out
 	for _, l := range doc.Folded {
 		frames := strings.Split(l.Stack, ";")
-		//overlint:allow determinism -- commutative set reset; nothing serialized in the loop
-		for k := range seen {
-			delete(seen, k)
-		}
-		for _, f := range frames {
-			if !seen[f] {
-				seen[f] = true
-				total[f] += l.Cycles
+		for i, f := range frames {
+			j, ok := row[f]
+			if !ok {
+				j = len(out)
+				row[f] = j
+				out = append(out, FrameStat{Frame: f})
+			}
+			if !slices.Contains(frames[:i], f) {
+				out[j].Total += l.Cycles
+			}
+			if i == len(frames)-1 {
+				out[j].Self += l.Cycles
 			}
 		}
-		if len(frames) > 0 {
-			self[frames[len(frames)-1]] += l.Cycles
-		}
-	}
-	out := make([]FrameStat, 0, len(total))
-	//overlint:allow determinism -- rows are collected then fully ordered below
-	for f, t := range total {
-		out = append(out, FrameStat{Frame: f, Self: self[f], Total: t})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Self != out[j].Self {

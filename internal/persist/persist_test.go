@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
 	"overshadow/internal/mach"
+	"overshadow/internal/obs"
 	"overshadow/internal/sim"
 )
 
@@ -691,5 +693,86 @@ func TestJournalImagePinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("journal image SHA-256 %s, want %s", got, want)
+	}
+}
+
+// TestCheckpointCommitOrder journals a seeded table, crashes the machine
+// inside each block write of the next checkpoint, and replays the disk;
+// then it replays once more after that checkpoint commits. Every entry
+// sealed before the checkpoint began must come back at its version: the
+// snapshot blocks fill the inactive slot before the superblock names them,
+// so a crash anywhere up to the commit leaves the previous epoch's
+// checkpoint and log authoritative, and a committed checkpoint holds every
+// entry. The crash points are the disk's own write spans, so they do not
+// depend on the cost model.
+func TestCheckpointCommitOrder(t *testing.T) {
+	history := func() (*sim.World, *Journal, *mach.Disk, [32]byte, map[cloak.PageID]cloak.Meta) {
+		world := testWorld(8)
+		world.EnableTrace(1 << 16)
+		j, disk, key := newTestJournal(t, world, Options{CheckpointEvery: 48})
+		rng := rand.New(rand.NewPCG(8, 8))
+		version := map[cloak.PageID]uint64{}
+		for step := 0; step < 400; step++ {
+			id := pid(1+rng.Uint64N(3), rng.Uint64N(4), rng.Uint64N(12))
+			switch op := rng.IntN(10); {
+			case op < 7:
+				version[id] += 1 + rng.Uint64N(3) // replay refuses a version that goes back
+				j.Put(id, meta(version[id]))
+			case op < 9:
+				j.Locate(id, DevSwap, rng.Uint64N(128), version[id])
+			default:
+				j.Delete(id)
+			}
+		}
+		sealed := map[cloak.PageID]cloak.Meta{}
+		for _, te := range j.Entries() {
+			if te.Entry.HasMeta {
+				sealed[te.ID] = te.Entry.Meta
+			}
+		}
+		return world, j, disk, key, sealed
+	}
+	check := func(when string, world *sim.World, disk *mach.Disk, key [32]byte, sealed map[cloak.PageID]cloak.Meta) {
+		t.Helper()
+		rep := Replay(world, disk, 128, testBlocks, key)
+		for id, want := range sealed {
+			if got := rep.Table[id]; !got.HasMeta || got.Meta != want {
+				t.Fatalf("%s: entry %v sealed at version %d came back at version %d (metadata present %v)",
+					when, id, want.Version, got.Meta.Version, got.HasMeta)
+			}
+		}
+	}
+
+	world, j, disk, key, sealed := history()
+	if len(sealed) <= 2*RecordsPerBlock {
+		t.Fatalf("history sealed %d entries; the checkpoint must span several blocks", len(sealed))
+	}
+	t0 := world.Now()
+	j.Checkpoint()
+	check("after the checkpoint committed", world, disk, key, sealed)
+	spans, _ := world.TraceSpans()
+	var writes []obs.Span
+	for _, s := range spans {
+		if s.Kind == obs.KindDisk && s.Name == "write" && s.Start >= uint64(t0) {
+			writes = append(writes, s)
+		}
+	}
+	if len(writes) < 3 {
+		t.Fatalf("checkpoint wrote %d blocks, want snapshot blocks and a superblock", len(writes))
+	}
+	for k, w := range writes {
+		world, j, disk, key, sealed := history()
+		world.Clock.SetCrashAt(sim.Cycles(w.Start + 1))
+		func() {
+			defer func() {
+				if r := recover(); !sim.IsCrash(r) {
+					panic(r)
+				}
+			}()
+			j.Checkpoint()
+			t.Fatalf("no crash inside checkpoint block write %d", k)
+		}()
+		check(fmt.Sprintf("crash inside checkpoint block write %d of %d (block %d)", k, len(writes), w.Arg),
+			world, disk, key, sealed)
 	}
 }

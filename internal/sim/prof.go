@@ -31,7 +31,7 @@ type profState struct {
 // set the phase before enabling — the root frame is the phase label at
 // enable time. Returns the active profile.
 func (w *World) EnableProfile() *obs.Profile {
-	prof := obs.NewProfile()
+	prof := obs.NewProfile(counterTable)
 	root := prof.Root(w.phase)
 	w.prof = &profState{
 		prof:   prof,
@@ -50,11 +50,11 @@ func (w *World) Profile() *obs.Profile {
 	return w.prof.prof
 }
 
-// profLeaf charges cycles at the top of the active stack under the counter
-// name. Called only when w.prof != nil.
-func (w *World) profLeaf(name string, cycles uint64) {
+// profLeaf charges cycles at the top of the active stack to the counter in
+// slot. Called only when w.prof != nil.
+func (w *World) profLeaf(slot int, cycles uint64) {
 	p := w.prof
-	p.stack[len(p.stack)-1].AddLeaf(name, cycles)
+	p.stack[len(p.stack)-1].AddLeaf(slot, cycles)
 }
 
 // profObserve feeds the (kind, domain) duration histogram. Called only when

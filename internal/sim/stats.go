@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"strings"
+
+	"overshadow/internal/obs"
 )
 
 // Counter names every event class the machine records. Keeping these as
@@ -111,6 +113,14 @@ var counterNames = [...]Counter{
 	CtrHypercall, CtrQuarantine, CtrQuotaDenied,
 	CtrShadowDrop, CtrShadowFill, CtrShadowSwitch, CtrWorldSwitch,
 }
+
+// counterTable is counterNames as obs's counter vocabulary: Stats, metrics
+// rows and profile leaf rows all index a counter by its slot.
+var counterTable = obs.NewCounters(counterNames[:])
+
+// CounterTable returns the counter vocabulary of every attributed store
+// (obs.NewMetrics, obs.NewProfile) that this machine's charges land in.
+func CounterTable() *obs.Counters { return counterTable }
 
 // slot returns c's index in counterNames. The compiler lowers a switch over
 // string constants to length and byte comparisons, so finding a counter's

@@ -190,7 +190,7 @@ func TestChargeAddZeroEventsKeepsStatsClean(t *testing.T) {
 }
 
 func TestMetricsSharedAcrossWorlds(t *testing.T) {
-	m := obs.NewMetrics()
+	m := obs.NewMetrics(CounterTable())
 	w1 := NewWorld(DefaultCostModel(), 1)
 	w2 := NewWorld(DefaultCostModel(), 2)
 	w1.EnableMetrics(m)
@@ -201,5 +201,40 @@ func TestMetricsSharedAcrossWorlds(t *testing.T) {
 	w2.Boot().ChargeAdd(20, CtrCompute, 0)
 	if m.TotalCycles() != 30 {
 		t.Fatalf("shared metrics total = %d", m.TotalCycles())
+	}
+}
+
+// TestMetricsRowFollowsAttribution checks that every point where a vCPU's
+// attribution changes moves its charges to the new key's row: EnableMetrics
+// after a dispatch, SetTaskDomain, and SetPhase on every vCPU.
+func TestMetricsRowFollowsAttribution(t *testing.T) {
+	w := NewWorldN(DefaultCostModel(), 1, 2)
+	a, b := w.VCPUs()[0], w.VCPUs()[1]
+	a.SetTask(1, 1, "a", 0, false)
+	m := w.EnableMetrics(nil)
+	a.ChargeCount(10, CtrSyscall)
+	a.SetTaskDomain(3)
+	a.ChargeCount(20, CtrSyscall)
+	b.SetTask(2, 2, "b", 0, true)
+	w.SetPhase("p")
+	a.ChargeCount(40, CtrSyscall)
+	b.ChargeAdd(80, CtrIdle, 0)
+	want := map[obs.Attr]uint64{
+		{PID: 1, TID: 1, Task: "a"}:                            10,
+		{PID: 1, TID: 1, Task: "a", Domain: 3}:                 20,
+		{Phase: "p", PID: 1, TID: 1, Task: "a", Domain: 3}:     40,
+		{Phase: "p", PID: 2, TID: 2, Task: "b", Cloaked: true}: 80,
+	}
+	got := map[obs.Attr]uint64{}
+	for _, p := range m.Snapshot() {
+		got[p.Attr] += p.Cycles
+	}
+	if len(got) != len(want) {
+		t.Fatalf("charges landed under %d attribution keys, want %d: %v", len(got), len(want), got)
+	}
+	for a, c := range want {
+		if got[a] != c {
+			t.Errorf("%v: %d cycles, want %d", a, got[a], c)
+		}
 	}
 }

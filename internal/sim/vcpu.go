@@ -28,6 +28,10 @@ type VCPU struct {
 	// are attributed to it. The guest scheduler and the shim keep it current
 	// (see SetTask).
 	attr obs.Attr
+	// row is attr's row in the World's metrics store, nil while metrics are
+	// off. It is looked up only when attr changes (setAttr), so a metered
+	// charge is an array add.
+	row obs.Row
 	// cycles is the simulated time this vCPU has charged to the clock.
 	cycles Cycles
 }
@@ -72,12 +76,13 @@ func (c *VCPU) chargeClock(n Cycles) {
 func (c *VCPU) ChargeCount(n Cycles, ctr Counter) {
 	c.chargeClock(n)
 	w := c.w
-	w.Stats.Inc(ctr)
-	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, string(ctr), uint64(n), 1)
+	s := ctr.slot()
+	w.Stats.counts[s]++
+	if c.row != nil {
+		c.row.Add(s, uint64(n), 1)
 	}
 	if w.prof != nil {
-		w.profLeaf(string(ctr), uint64(n))
+		w.profLeaf(s, uint64(n))
 	}
 }
 
@@ -90,11 +95,11 @@ func (c *VCPU) ChargeAdd(n Cycles, ctr Counter, events uint64) {
 	if events != 0 {
 		w.Stats.Add(ctr, events)
 	}
-	if w.Metrics != nil {
-		w.Metrics.Charge(c.attr, string(ctr), uint64(n), events)
+	if c.row != nil {
+		c.row.Add(ctr.slot(), uint64(n), events)
 	}
 	if w.prof != nil {
-		w.profLeaf(string(ctr), uint64(n))
+		w.profLeaf(ctr.slot(), uint64(n))
 	}
 }
 
@@ -128,20 +133,29 @@ func (c *VCPU) SetTask(pid, tid int, name string, domain uint32, cloaked bool) {
 	if w.prof != nil {
 		w.profDispatch(tid)
 	}
-	c.attr = obs.Attr{
+	c.setAttr(obs.Attr{
 		PID: pid, TID: tid, Task: name,
 		Domain: domain, Cloaked: cloaked,
 		Phase: c.attr.Phase,
-	}
+	})
 }
 
 // SetTaskDomain updates the cloaking domain of the current task (the shim
 // learns the domain only after its first hypercall, mid-run).
-func (c *VCPU) SetTaskDomain(domain uint32) { c.attr.Domain = domain }
+func (c *VCPU) SetTaskDomain(domain uint32) {
+	a := c.attr
+	a.Domain = domain
+	c.setAttr(a)
+}
 
-// setPhase relabels this vCPU's attribution phase; the World applies it to
-// every vCPU (see World.SetPhase).
-func (c *VCPU) setPhase(phase string) { c.attr.Phase = phase }
+// setAttr switches this vCPU's attribution context and, with metrics on,
+// looks up the row its charges land in.
+func (c *VCPU) setAttr(a obs.Attr) {
+	if m := c.w.Metrics; m != nil && a != c.attr {
+		c.row = m.Row(a)
+	}
+	c.attr = a
+}
 
 // Attr returns this vCPU's current attribution context.
 func (c *VCPU) Attr() obs.Attr { return c.attr }

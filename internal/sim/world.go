@@ -113,14 +113,17 @@ func (w *World) VCPUs() []*VCPU { return w.vcpus }
 func (w *World) NumVCPUs() int { return len(w.vcpus) }
 
 // EnableMetrics turns on attributed cycle accounting. Passing a non-nil
-// store shares it between worlds (the harness aggregates native and cloaked
-// runs into one profile); passing nil allocates a fresh one. Returns the
-// active store.
+// store (built over CounterTable) shares it between worlds (the harness
+// aggregates native and cloaked runs into one profile); passing nil
+// allocates a fresh one. Returns the active store.
 func (w *World) EnableMetrics(shared *obs.Metrics) *obs.Metrics {
 	if shared == nil {
-		shared = obs.NewMetrics()
+		shared = obs.NewMetrics(counterTable)
 	}
 	w.Metrics = shared
+	for _, c := range w.vcpus {
+		c.row = shared.Row(c.attr)
+	}
 	return shared
 }
 
@@ -132,7 +135,9 @@ func (w *World) Now() Cycles { return w.Clock.Now() }
 func (w *World) SetPhase(phase string) {
 	w.phase = phase
 	for _, c := range w.vcpus {
-		c.setPhase(phase)
+		a := c.attr
+		a.Phase = phase
+		c.setAttr(a)
 	}
 	if w.prof != nil {
 		w.profSetPhase(phase)

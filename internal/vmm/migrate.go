@@ -138,12 +138,22 @@ func (v *VMM) AdoptMigratedDomain(d cloak.DomainID, identity [32]byte, pages []A
 		// domains' anti-rollback ordering. Refused, typed.
 		return fmt.Errorf("vmm: adopt of domain %d refused: ID already allocated on this machine", d)
 	}
-	v.nextDomain = d + 1
+	v.ReserveDomain(d)
 	v.identities[d] = identity
 	for _, p := range pages {
 		v.metas.Put(p.ID, p.Meta)
 	}
 	return nil
+}
+
+// ReserveDomain marks domain ID d as handed out, so no domain this machine
+// creates later gets it. Every VMM derives domain keys from one master
+// secret and draws IVs from the seed's stream, so a second holder of d
+// would encrypt under d's key with IVs d's first holder already used.
+func (v *VMM) ReserveDomain(d cloak.DomainID) {
+	if d >= v.nextDomain {
+		v.nextDomain = d + 1
+	}
 }
 
 // RefuseStaleRestore records (and contains) a migration-rollback attempt: a
