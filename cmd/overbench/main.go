@@ -1,9 +1,9 @@
 // Command overbench runs the Overshadow reproduction experiments (E1–E17
 // in DESIGN.md) and prints their tables.
 //
-// Everything overbench writes (tables, JSON, traces, metrics, profiles) is
-// simulated and so a pure function of its flags: it never reads the host
-// clock. Experiments run on a bounded worker pool: every independent
+// Everything overbench writes (tables, JSON, traces, reports) is simulated
+// and so a pure function of its flags: it never reads the host clock.
+// Experiments run on a bounded worker pool: every independent
 // benchmark world is one job, and results are collected in declaration
 // order, so the output is byte-identical for any -shards value. Host cost
 // is measured elsewhere: per experiment by the root BenchmarkExperiment,
@@ -20,8 +20,7 @@
 //	overbench -list                # list experiments
 //	overbench -json                # emit tables as JSON
 //	overbench -e E2 -trace t.json  # also write a Perfetto-loadable trace
-//	overbench -metrics m.json      # also write attributed cycle metrics
-//	overbench -profile p.json      # also write a sim-time profile (see overprof)
+//	overbench -report r.json       # also write the run report (see overprof)
 package main
 
 import (
@@ -45,8 +44,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of formatted tables")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON (load in Perfetto) to `file`")
-	metricsOut := flag.String("metrics", "", "write attributed cycle metrics JSON to `file`")
-	profileOut := flag.String("profile", "", "write a sim-time profile artifact (folded stacks + latency histograms) to `file`")
+	reportOut := flag.String("report", "", "write the run report (cycles by task, phase and call chain, plus latency histograms) to `file`")
 	flag.Parse()
 
 	if *list {
@@ -61,12 +59,11 @@ func main() {
 		os.Exit(2)
 	}
 	opts := harness.Options{Quick: !*full, Seed: *seed, VCPUs: *vcpus}
-	if *traceOut != "" || *metricsOut != "" || *profileOut != "" {
+	if *traceOut != "" || *reportOut != "" {
 		opts.Observe = &harness.Observer{}
 		if *traceOut != "" {
 			opts.Observe.TraceCap = 1 << 18
 		}
-		opts.Observe.Profile = *profileOut != ""
 	}
 	selected := harness.Registry()
 	if *only != "" {
@@ -102,28 +99,24 @@ func main() {
 	}
 
 	if opts.Observe != nil {
-		writeObservations(opts.Observe, *traceOut, *metricsOut, *profileOut)
+		writeObservations(opts.Observe, *traceOut, *reportOut)
 	}
 }
 
-// writeObservations exports the collected spans, metrics, and profile to
-// the requested files.
-func writeObservations(ob *harness.Observer, tracePath, metricsPath, profilePath string) {
+// writeObservations exports the collected spans and the run report to the
+// requested files.
+func writeObservations(ob *harness.Observer, tracePath, reportPath string) {
 	if tracePath != "" {
 		spans, ring := ob.Trace()
 		writeFile(tracePath, func(w io.Writer) error { return obs.WriteChromeTrace(w, spans, ring) })
 		fmt.Fprintf(os.Stderr, "overbench: wrote %d spans to %s (%d emitted, %d dropped)\n",
 			len(spans), tracePath, ring.Total, ring.Dropped)
 	}
-	if metricsPath != "" {
-		writeFile(metricsPath, func(w io.Writer) error { return obs.WriteMetricsJSON(w, ob.MergedMetrics()) })
-		fmt.Fprintf(os.Stderr, "overbench: wrote attributed metrics to %s\n", metricsPath)
-	}
-	if profilePath != "" {
-		doc := obs.BuildProfileJSON(ob.MergedProfile())
-		writeFile(profilePath, func(w io.Writer) error { return obs.WriteProfileJSON(w, doc) })
-		fmt.Fprintf(os.Stderr, "overbench: wrote profile (%d stacks, %d histograms) to %s\n",
-			len(doc.Folded), len(doc.Histograms), profilePath)
+	if reportPath != "" {
+		r := ob.Report()
+		writeFile(reportPath, func(w io.Writer) error { return obs.WriteReport(w, r) })
+		fmt.Fprintf(os.Stderr, "overbench: wrote report (%d buckets, %d stacks, %d histograms) to %s\n",
+			len(r.Buckets), len(r.Folded), len(r.Histograms), reportPath)
 	}
 }
 

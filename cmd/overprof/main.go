@@ -1,5 +1,5 @@
-// Command overprof renders a sim-time profile artifact produced by
-// overbench -profile (schema overshadow-profile/v1): a top-N self/total
+// Command overprof renders the sim-time profile in a run report produced by
+// overbench -report (schema overshadow-report/v1): a top-N self/total
 // cycles table, per-(kind, domain) latency percentile tables, and — with
 // -folded — the raw folded stacks, directly consumable by standard
 // flame-graph tooling (e.g. flamegraph.pl or speedscope).
@@ -10,9 +10,9 @@
 //
 // Usage:
 //
-//	overprof profile.json            # top table + latency percentiles
-//	overprof -top 30 profile.json    # widen the top table
-//	overprof -folded profile.json    # folded stacks for flame-graph tools
+//	overprof report.json             # top table + latency percentiles
+//	overprof -top 30 report.json     # widen the top table
+//	overprof -folded report.json     # folded stacks for flame-graph tools
 package main
 
 import (
@@ -28,14 +28,14 @@ func main() {
 	folded := flag.Bool("folded", false, "print folded stacks (flame-graph collapsed format) and exit")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: overprof [-top N] [-folded] profile.json")
+		fmt.Fprintln(os.Stderr, "usage: overprof [-top N] [-folded] report.json")
 		os.Exit(2)
 	}
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	doc, err := obs.ParseProfileJSON(data)
+	doc, err := obs.ParseReport(data)
 	if err != nil {
 		fatal(err)
 	}

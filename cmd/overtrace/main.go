@@ -3,9 +3,9 @@
 // span counts and cycles per span kind, per-track activity, and the longest
 // individual spans. The raw file loads directly into Perfetto or
 // chrome://tracing; overtrace is the terminal-side view of the same data.
-// Latency percentiles come from the profile artifact (overbench -profile,
-// rendered by overprof), whose histograms cover every span, not just the
-// ones the ring retained.
+// Latency percentiles come from the run report (overbench -report, rendered
+// by overprof), whose histograms cover every span, not just the ones the
+// ring retained.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -13,7 +14,7 @@ import (
 )
 
 // The observability pipeline must be a pure function of the seed: the same
-// workload on the same seed yields byte-identical trace and metrics exports,
+// workload on the same seed yields byte-identical trace and report exports,
 // and different seeds yield their own stable goldens. Regenerate with
 //
 //	go test ./internal/core -run Golden -update
@@ -23,8 +24,8 @@ var updateObs = flag.Bool("update", false, "rewrite observability golden files")
 // observedRun executes a small cloaked workload with full instrumentation
 // and returns the world's spans, ring state, attributed metrics, and
 // stack-attributed profile. Profiling rides along on the same run the trace
-// and metrics goldens pin, which doubles as proof that enabling it does
-// not perturb the simulation.
+// golden pins, which doubles as proof that enabling it does not perturb the
+// simulation.
 func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Metrics, *obs.Profile) {
 	t.Helper()
 	sys := core.NewSystem(core.Config{MemoryPages: 1024, Seed: seed})
@@ -80,8 +81,14 @@ func observedRun(t *testing.T, seed uint64) ([]obs.Span, obs.RingStats, *obs.Met
 	}
 	sys.Run()
 	spans, ring := sys.World.TraceSpans()
-	p.AddDropped(sys.World.Tracer.Dropped())
 	return spans, ring, m, p
+}
+
+// observedReport is the run report of observedRun's world.
+func observedReport(t *testing.T, seed uint64) *obs.Report {
+	t.Helper()
+	_, ring, m, p := observedRun(t, seed)
+	return obs.BuildReport(m, p, ring.Dropped)
 }
 
 func checkObsGolden(t *testing.T, name string, got []byte) {
@@ -116,17 +123,73 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
-// TestMetricsGolden pins the attributed-metrics JSON export per seed: the
-// per-task, per-phase and per-component cycle split that overbench -metrics
+// TestReportGolden pins the run report per seed: the per-task, per-phase
+// and per-counter cycle buckets, the folded stacks, the per-(kind, domain)
+// duration histograms and the dropped-span count that overbench -report
 // ships.
-func TestMetricsGolden(t *testing.T) {
+func TestReportGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
-		_, _, m, _ := observedRun(t, seed)
 		var buf bytes.Buffer
-		if err := obs.WriteMetricsJSON(&buf, m); err != nil {
+		if err := obs.WriteReport(&buf, observedReport(t, seed)); err != nil {
 			t.Fatal(err)
 		}
-		checkObsGolden(t, goldenName("metrics", seed), buf.Bytes())
+		checkObsGolden(t, goldenName("report", seed), buf.Bytes())
+	}
+}
+
+// TestMetricsGolden pins the report's attribution section per seed: the
+// per-task, per-phase and per-counter cycle buckets and the total they sum
+// to, the split overbench -metrics shipped on its own before the report.
+// TestReportGolden pins the same bytes; this names the first bucket that
+// drifted.
+func TestMetricsGolden(t *testing.T) {
+	if *updateObs {
+		return // TestReportGolden rewrites the golden this reads
+	}
+	for _, seed := range []uint64{1, 2} {
+		got, want := observedReport(t, seed), goldenReport(t, seed)
+		if got.TotalCycles != want.TotalCycles {
+			t.Errorf("seed %d: report total %d cycles, golden %d", seed, got.TotalCycles, want.TotalCycles)
+		}
+		checkSection(t, seed, "buckets", got.Buckets, want.Buckets)
+	}
+}
+
+// goldenReport decodes the report golden of seed.
+func goldenReport(t *testing.T, seed uint64) *obs.Report {
+	t.Helper()
+	path := filepath.Join("testdata", goldenName("report", seed))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s (regenerate with -update): %v", path, err)
+	}
+	r, err := obs.ParseReport(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return r
+}
+
+// checkSection compares one list of a fresh report with the golden's, one
+// element at a time in its JSON form, and names the first that drifted.
+func checkSection[T any](t *testing.T, seed uint64, section string, got, want []T) {
+	t.Helper()
+	enc := func(l []T, i int) []byte {
+		if i >= len(l) {
+			return nil
+		}
+		b, err := json.Marshal(l[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for i := 0; i < max(len(got), len(want)); i++ {
+		if g, w := enc(got, i), enc(want, i); !bytes.Equal(g, w) {
+			t.Errorf("seed %d: report %s[%d] drifted from golden (%d vs %d entries):\n got  %s\n want %s",
+				seed, section, i, len(got), len(want), g, w)
+			return
+		}
 	}
 }
 
@@ -138,7 +201,7 @@ func goldenName(kind string, seed uint64) string {
 }
 
 func ext(kind string) string {
-	if kind == "trace" || kind == "profile" || kind == "metrics" {
+	if kind == "trace" || kind == "report" {
 		return "json"
 	}
 	return "txt"
@@ -166,25 +229,15 @@ func TestObservabilityDeterministic(t *testing.T) {
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatalf("chrome trace export differs across same-seed runs")
 	}
-	var mj1, mj2 bytes.Buffer
-	if err := obs.WriteMetricsJSON(&mj1, m1); err != nil {
+	var r1, r2 bytes.Buffer
+	if err := obs.WriteReport(&r1, obs.BuildReport(m1, p1, ring1.Dropped)); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteMetricsJSON(&mj2, m2); err != nil {
+	if err := obs.WriteReport(&r2, obs.BuildReport(m2, p2, ring2.Dropped)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(mj1.Bytes(), mj2.Bytes()) {
-		t.Fatalf("metrics JSON export differs across same-seed runs")
-	}
-	var pj1, pj2 bytes.Buffer
-	if err := obs.WriteProfileJSON(&pj1, obs.BuildProfileJSON(p1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteProfileJSON(&pj2, obs.BuildProfileJSON(p2)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pj1.Bytes(), pj2.Bytes()) {
-		t.Fatalf("profile artifact differs across same-seed runs")
+	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
+		t.Fatalf("report export differs across same-seed runs")
 	}
 }
 

@@ -7,33 +7,37 @@ import (
 	"overshadow/internal/obs"
 )
 
-// The profiler exports must be pure functions of the seed, exactly like the
-// trace and metrics exports they ride alongside: folded stacks, the top-N
-// frame table, and the histogram-bearing profile artifact each get a golden
-// per seed. Regenerate with
+// The profiler's renderings must be pure functions of the seed, exactly like
+// the trace and report they ride alongside: the report's profile section,
+// folded stacks and the top-N frame table are each pinned per seed.
+// Regenerate with
 //
 //	go test ./internal/core -run Golden -update
 
-// TestProfileArtifactGolden pins the full profile JSON artifact — folded
-// stacks plus the per-(kind, domain) duration histograms and the dropped-span
-// count — to byte-identical output per seed.
+// TestProfileArtifactGolden pins the report's profile section per seed: the
+// folded stacks, the per-(kind, domain) duration histograms and the
+// dropped-span count, what overbench -profile shipped on its own before the
+// report. TestReportGolden pins the same bytes; this names the first stack
+// or histogram that drifted.
 func TestProfileArtifactGolden(t *testing.T) {
+	if *updateObs {
+		return // TestReportGolden rewrites the golden this reads
+	}
 	for _, seed := range []uint64{1, 2} {
-		_, _, _, p := observedRun(t, seed)
-		var buf bytes.Buffer
-		if err := obs.WriteProfileJSON(&buf, obs.BuildProfileJSON(p)); err != nil {
-			t.Fatal(err)
+		got, want := observedReport(t, seed), goldenReport(t, seed)
+		if got.DroppedSpans != want.DroppedSpans {
+			t.Errorf("seed %d: report drops %d spans, golden %d", seed, got.DroppedSpans, want.DroppedSpans)
 		}
-		checkObsGolden(t, goldenName("profile", seed), buf.Bytes())
+		checkSection(t, seed, "folded", got.Folded, want.Folded)
+		checkSection(t, seed, "histograms", got.Histograms, want.Histograms)
 	}
 }
 
 // TestFoldedGolden pins the flame-graph collapsed-stack rendering per seed.
 func TestFoldedGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
-		_, _, _, p := observedRun(t, seed)
 		var buf bytes.Buffer
-		if err := obs.WriteFolded(&buf, obs.BuildProfileJSON(p)); err != nil {
+		if err := obs.WriteFolded(&buf, observedReport(t, seed)); err != nil {
 			t.Fatal(err)
 		}
 		checkObsGolden(t, goldenName("folded", seed), buf.Bytes())
@@ -43,9 +47,8 @@ func TestFoldedGolden(t *testing.T) {
 // TestTopFramesGolden pins the top-N self/total frame table per seed.
 func TestTopFramesGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
-		_, _, _, p := observedRun(t, seed)
 		var buf bytes.Buffer
-		if err := obs.WriteTopN(&buf, obs.BuildProfileJSON(p), 10); err != nil {
+		if err := obs.WriteTopN(&buf, observedReport(t, seed), 10); err != nil {
 			t.Fatal(err)
 		}
 		checkObsGolden(t, goldenName("topn", seed), buf.Bytes())

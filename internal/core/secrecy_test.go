@@ -19,8 +19,8 @@ const sinkMarker = "cloaked-plaintext-sink-marker/7f3a9c"
 // working set exceeds RAM stamps a marker into each page, so pages are
 // encrypted and swapped out, and reads every page back through its own
 // view. With trace, metrics, and profile all on, the marker must be absent
-// from the Chrome-trace, metrics, and profile exports and from every
-// swap-disk block.
+// from the Chrome-trace export and the run report and from every swap-disk
+// block.
 func TestPlaintextNeverReachesSinks(t *testing.T) {
 	const memPages, pages = 128, 220
 	sys := core.NewSystem(core.Config{MemoryPages: memPages, Seed: 5})
@@ -59,15 +59,11 @@ func TestPlaintextNeverReachesSinks(t *testing.T) {
 	}
 
 	spans, ring := sys.World.TraceSpans()
-	p.AddDropped(sys.World.Tracer.Dropped())
-	var trace, metrics, profile bytes.Buffer
+	var trace, report bytes.Buffer
 	if err := obs.WriteChromeTrace(&trace, spans, ring); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteMetricsJSON(&metrics, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.WriteProfileJSON(&profile, obs.BuildProfileJSON(p)); err != nil {
+	if err := obs.WriteReport(&report, obs.BuildReport(m, p, ring.Dropped)); err != nil {
 		t.Fatal(err)
 	}
 	marker := []byte(sinkMarker)
@@ -76,8 +72,7 @@ func TestPlaintextNeverReachesSinks(t *testing.T) {
 		data []byte
 	}{
 		{"Chrome-trace export", trace.Bytes()},
-		{"metrics JSON export", metrics.Bytes()},
-		{"profile JSON export", profile.Bytes()},
+		{"run report", report.Bytes()},
 	} {
 		if len(export.data) == 0 {
 			t.Errorf("%s is empty", export.name)

@@ -145,7 +145,7 @@ func runCrashPoint(o Options, pt crashPoint, pages, rounds int) crashOutcome {
 		panic(err) // deterministic config with a journal: cannot fail
 	}
 	// Attached post-replay: the recovery already happened, so this world
-	// contributes its cycles to the experiment tally (replay time is real
+	// contributes its cycles to the experiment's total (replay time is real
 	// simulated work) without per-phase metric attribution.
 	o.observe(sys2.World, "recover/"+pt.name)
 

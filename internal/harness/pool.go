@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sort"
 	"sync"
 
 	"overshadow/internal/sim"
@@ -10,8 +11,8 @@ import (
 // into independent world-building jobs (each sim.World owns its clock, RNG,
 // tracer, and metrics store, so per-world determinism is free); jobs run on
 // a bounded worker pool, and results are collected in declaration order.
-// Simulated cycles — and therefore every table, trace, and metrics export —
-// are byte-identical for any shard count, including -shards 1. Sharding
+// Simulated cycles — and therefore every table, trace, and report — are
+// byte-identical for any shard count, including -shards 1. Sharding
 // changes host wall time only.
 
 // pool bounds how many benchmark jobs run concurrently.
@@ -32,7 +33,7 @@ type future[T any] chan T
 func (f future[T]) wait() T { return <-f }
 
 // submit schedules one world-building job. Jobs are numbered in submission
-// order on the experiment goroutine, so observer slots sort back into
+// order on the experiment goroutine, so the run's world list sorts back into
 // declaration order no matter which worker finishes first. With no pool
 // (direct RunEn calls, as the shape tests do) the job runs inline and the
 // key stays zero — the old serial semantics exactly.
@@ -56,8 +57,8 @@ func submit[T any](o Options, fn func(Options) T) future[T] {
 }
 
 // sweep is how experiments run their worlds: one run per point, all
-// submitted in point order on the experiment goroutine (so observer keys
-// and the world tally match the order rows are declared), then collected in
+// submitted in point order on the experiment goroutine (so world-list keys
+// match the order rows are declared), then collected in
 // the same order. Results line up with points whatever order the jobs
 // finish in.
 func sweep[P, T any](opts Options, points []P, run func(Options, P) T) []T {
@@ -72,29 +73,23 @@ func sweep[P, T any](opts Options, points []P, run func(Options, P) T) []T {
 	return out
 }
 
-// tally records every world an experiment builds so RunAll can report its
-// simulated-cycle total without the experiments threading sums around.
-type tally struct {
+// worldList is one RunAll call's list of every world its experiments
+// build, each under the key of the job that built it. Jobs add to it
+// concurrently; RunAll reads it once every job has joined.
+type worldList struct {
 	mu     sync.Mutex
-	worlds []*sim.World
+	worlds []keyedWorld
 }
 
-func (t *tally) add(w *sim.World) {
-	t.mu.Lock()
-	t.worlds = append(t.worlds, w)
-	t.mu.Unlock()
+type keyedWorld struct {
+	key   uint64
+	world *sim.World
 }
 
-// sum totals the final clocks. Call only after the experiment's Run has
-// returned (every job joined), so the clocks are quiescent.
-func (t *tally) sum() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total uint64
-	for _, w := range t.worlds {
-		total += uint64(w.Now())
-	}
-	return total
+func (l *worldList) add(key uint64, w *sim.World) {
+	l.mu.Lock()
+	l.worlds = append(l.worlds, keyedWorld{key, w})
+	l.mu.Unlock()
 }
 
 // Result is one experiment's outcome under RunAll: the rendered table plus
@@ -109,9 +104,13 @@ type Result struct {
 // width and returns results in declaration order. Each experiment gets a
 // goroutine that only composes tables from job futures; the actual world
 // construction runs as pool jobs, so total concurrency is bounded by shards
-// regardless of how many experiments are in flight.
+// regardless of how many experiments are in flight. Once every job has
+// joined, the run's worlds are put in key order (stable, so one job's
+// worlds keep their build order): each experiment's SimCycles sums its
+// worlds' final clocks, and opts.Observe, if set, exports from that list.
 func RunAll(opts Options, exps []Experiment, shards int) []Result {
 	p := newPool(shards)
+	run := &worldList{}
 	out := make([]Result, len(exps))
 	var wg sync.WaitGroup
 	for i, e := range exps {
@@ -119,14 +118,22 @@ func RunAll(opts Options, exps []Experiment, shards int) []Result {
 		o.pool = p
 		o.obsBase = (uint64(i) + 1) << 32
 		o.obsSeq = new(uint64)
-		o.tally = &tally{}
+		o.worlds = run
 		wg.Add(1)
 		go func(i int, e Experiment, o Options) {
 			defer wg.Done()
-			tab := e.Run(o)
-			out[i] = Result{Table: tab, SimCycles: o.tally.sum()}
+			out[i].Table = e.Run(o)
 		}(i, e, o)
 	}
 	wg.Wait()
+	sort.SliceStable(run.worlds, func(i, j int) bool { return run.worlds[i].key < run.worlds[j].key })
+	ordered := make([]*sim.World, len(run.worlds))
+	for i, kw := range run.worlds {
+		out[kw.key>>32-1].SimCycles += uint64(kw.world.Now())
+		ordered[i] = kw.world
+	}
+	if opts.Observe != nil {
+		opts.Observe.worlds = ordered
+	}
 	return out
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // renderAll runs the full registry under RunAll and renders every export
-// surface: table JSON, merged metrics JSON, the concatenated Chrome trace,
-// and the per-experiment simulated-cycle totals.
-func renderAll(t *testing.T, seed uint64, shards int) (tables, metrics, trace string, cycles []uint64) {
+// surface: table JSON, the run report, the concatenated Chrome trace, and
+// the per-experiment simulated-cycle totals.
+func renderAll(t *testing.T, seed uint64, shards int) (tables, report, trace string, cycles []uint64) {
 	t.Helper()
 	ob := &Observer{TraceCap: 1 << 14}
 	opts := Options{Quick: true, Seed: seed, Observe: ob}
@@ -23,8 +23,8 @@ func renderAll(t *testing.T, seed uint64, shards int) (tables, metrics, trace st
 		tabs.WriteByte('\n')
 		cycles = append(cycles, r.SimCycles)
 	}
-	var met bytes.Buffer
-	if err := obs.WriteMetricsJSON(&met, ob.MergedMetrics()); err != nil {
+	var rep bytes.Buffer
+	if err := obs.WriteReport(&rep, ob.Report()); err != nil {
 		t.Fatal(err)
 	}
 	var tr bytes.Buffer
@@ -32,7 +32,7 @@ func renderAll(t *testing.T, seed uint64, shards int) (tables, metrics, trace st
 	if err := obs.WriteChromeTrace(&tr, spans, ring); err != nil {
 		t.Fatal(err)
 	}
-	return tabs.String(), met.String(), tr.String(), cycles
+	return tabs.String(), rep.String(), tr.String(), cycles
 }
 
 // TestShardDeterminism is the harness's core guarantee: for any shard count,
@@ -43,13 +43,13 @@ func TestShardDeterminism(t *testing.T) {
 		t.Skip("full-registry determinism sweep is slow")
 	}
 	for _, seed := range []uint64{1, 42} {
-		tab1, met1, tr1, cyc1 := renderAll(t, seed, 1)
-		tab8, met8, tr8, cyc8 := renderAll(t, seed, 8)
+		tab1, rep1, tr1, cyc1 := renderAll(t, seed, 1)
+		tab8, rep8, tr8, cyc8 := renderAll(t, seed, 8)
 		if tab1 != tab8 {
 			t.Errorf("seed %d: table JSON differs between -shards 1 and -shards 8", seed)
 		}
-		if met1 != met8 {
-			t.Errorf("seed %d: metrics JSON differs between -shards 1 and -shards 8", seed)
+		if rep1 != rep8 {
+			t.Errorf("seed %d: report differs between -shards 1 and -shards 8", seed)
 		}
 		if tr1 != tr8 {
 			t.Errorf("seed %d: trace export differs between -shards 1 and -shards 8", seed)
@@ -63,6 +63,38 @@ func TestShardDeterminism(t *testing.T) {
 		if len(tr1) == 0 || !strings.Contains(tr1, "traceEvents") {
 			t.Fatalf("seed %d: trace export empty or malformed", seed)
 		}
+	}
+}
+
+// TestReportAccountsEveryCycle runs the quick suite observed and checks that
+// the report's two views of the same charges agree: every bucket's counters
+// sum to the bucket, and the buckets and the folded stacks each sum to
+// total_cycles.
+func TestReportAccountsEveryCycle(t *testing.T) {
+	ob := &Observer{}
+	RunAll(Options{Quick: true, Seed: 1, Observe: ob}, Registry(), 2)
+	r := ob.Report()
+	if r.TotalCycles == 0 || len(r.Buckets) == 0 || len(r.Folded) == 0 || len(r.Histograms) == 0 {
+		t.Fatalf("report of an observed run is empty: %d cycles, %d buckets, %d stacks, %d histograms",
+			r.TotalCycles, len(r.Buckets), len(r.Folded), len(r.Histograms))
+	}
+	var buckets, folded uint64
+	for _, b := range r.Buckets {
+		var counters uint64
+		for _, c := range b.Counters {
+			counters += c.Cycles
+		}
+		if counters != b.Cycles {
+			t.Errorf("bucket %v: counters sum to %d cycles, bucket holds %d", b.Attr, counters, b.Cycles)
+		}
+		buckets += b.Cycles
+	}
+	for _, l := range r.Folded {
+		folded += l.Cycles
+	}
+	if buckets != r.TotalCycles || folded != r.TotalCycles {
+		t.Fatalf("buckets sum to %d cycles and folded stacks to %d, total_cycles is %d",
+			buckets, folded, r.TotalCycles)
 	}
 }
 
@@ -85,7 +117,7 @@ func TestRunAllSerialMatchesDirect(t *testing.T) {
 }
 
 // TestSweepOrder pins sweep's contract directly: whatever order the jobs
-// finish in, results come back in point order, and observer keys follow
+// finish in, results come back in point order, and world-list keys follow
 // submission order — continuing across back-to-back sweeps, as a probe
 // sweep followed by a point sweep does.
 func TestSweepOrder(t *testing.T) {
@@ -123,7 +155,7 @@ func TestSweepOrder(t *testing.T) {
 				t.Errorf("width %d: result %d is point %d, want %d", width, i, r.point, want)
 			}
 			if want := uint64(1<<32 | i); r.key != want {
-				t.Errorf("width %d: result %d has observer key %#x, want %#x", width, i, r.key, want)
+				t.Errorf("width %d: result %d has world-list key %#x, want %#x", width, i, r.key, want)
 			}
 		}
 	}

@@ -136,17 +136,17 @@ type Options struct {
 	// VCPUs sizes every machine the experiments boot (0 = 1). The
 	// single-vCPU output is byte-identical to builds before SMP existed.
 	VCPUs int
-	// Observe, when non-nil, collects attributed metrics (and spans, if
-	// Observe.TraceCap > 0) from every world the experiments build.
+	// Observe, when non-nil, collects attributed metrics and a profile (and
+	// spans, if Observe.TraceCap > 0) from every world a RunAll call builds.
 	Observe *Observer
 
 	// Sharding state, populated by RunAll. Zero values give the serial
 	// inline path (direct RunEn calls keep working unchanged).
-	pool    *pool   // bounded worker pool; nil runs jobs inline
-	obsBase uint64  // experiment index << 32, namespaces observer keys
-	obsSeq  *uint64 // next job sequence number; bumped on the experiment goroutine
-	obsKey  uint64  // this job's key: obsBase | sequence
-	tally   *tally  // per-experiment world registry for SimCycles accounting
+	pool    *pool      // bounded worker pool; nil runs jobs inline
+	obsBase uint64     // experiment index + 1 << 32, namespaces world keys
+	obsSeq  *uint64    // next job sequence number; bumped on the experiment goroutine
+	obsKey  uint64     // this job's key: obsBase | sequence
+	worlds  *worldList // the run's world list; nil outside RunAll
 }
 
 func (o Options) seed() uint64 {

@@ -48,7 +48,7 @@ var deterministicPkgs = map[string]bool{
 	// must never consult host state.
 	"overshadow/internal/fault": true,
 	// obs timestamps spans and buckets cycles: a host-clock read there
-	// would silently break the bit-identical trace/metrics exports.
+	// would silently break the bit-identical trace and report exports.
 	"overshadow/internal/obs": true,
 	// persist serializes VMM metadata onto the simulated disk; its bytes
 	// must be a pure function of the simulation history (see the map-range
@@ -67,8 +67,8 @@ var deterministicPkgs = map[string]bool{
 // deletion, collect-then-sort) carry reviewed //overlint:allow comments.
 var serializingPkgs = map[string]bool{
 	"overshadow/internal/persist": true,
-	// obs serializes every observability export (metrics JSON, Chrome
-	// traces, profile artifacts, histogram tables); a map range that reaches
+	// obs serializes every observability export (Chrome traces, the run
+	// report, histogram tables); a map range that reaches
 	// serialized bytes without an intervening sort would break the
 	// byte-identical-at-any-shard-count contract.
 	"overshadow/internal/obs": true,

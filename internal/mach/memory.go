@@ -28,9 +28,6 @@ type MPN uint64
 // GPPN is a guest-physical page number.
 type GPPN uint64
 
-// VPN is a guest-virtual page number.
-type VPN uint64
-
 // Addr is a byte address; context determines which space it is in.
 type Addr uint64
 

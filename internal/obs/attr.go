@@ -1,8 +1,9 @@
 // Package obs is the observability layer of the simulated machine:
 // attribution keys, attributed cycle metrics, structured spans, the
 // stack-attributed profile, and one exporter per artifact: Chrome
-// trace_event JSON for Perfetto (read back by cmd/overtrace), metrics JSON,
-// and the profile JSON (read back by cmd/overprof, the one source of
+// trace_event JSON for Perfetto (read back by cmd/overtrace) and the run
+// report, which joins the metrics buckets, the profile's folded stacks and
+// its duration histograms (read back by cmd/overprof, the one source of
 // latency-percentile tables).
 //
 // The package sits below internal/sim — sim timestamps and attributes every

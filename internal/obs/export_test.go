@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -42,6 +43,25 @@ func fixtureMetrics() *Metrics {
 	return m
 }
 
+// fixtureReport joins fixtureMetrics with a profile of the same charges
+// under hand-picked call chains, a few span durations, and two dropped
+// spans.
+func fixtureReport() *Report {
+	p := NewProfile(testCtrs)
+	app := p.Root("E2/cloaked")
+	app.Child(KindSyscall, "write").Child(KindCloak, "encrypt").AddLeaf(slotOf("cloak.encrypt"), 43240)
+	app.Child(KindWorldSwitch, "enter").AddLeaf(slotOf("vmm.worldswitch"), 1600)
+	app.Child(KindCTC, "save").AddLeaf(slotOf("vmm.ctc.save"), 300)
+	app.AddLeaf(slotOf("mem.access"), 256)
+	p.Root("E2/native").AddLeaf(slotOf("mem.access"), 128)
+	p.Root("").AddLeaf(slotOf("cpu.idle"), 5000)
+	p.Observe(KindSyscall, 2, 4100)
+	p.Observe(KindWorldSwitch, 2, 800)
+	p.Observe(KindWorldSwitch, 2, 800)
+	p.Observe(KindCtxSwitch, 0, 1200)
+	return BuildReport(fixtureMetrics(), p, 2)
+}
+
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
@@ -69,34 +89,44 @@ func TestChromeTraceGolden(t *testing.T) {
 	checkGolden(t, "chrome_fixture.json", buf.Bytes())
 }
 
-func TestMetricsJSONGolden(t *testing.T) {
+func TestReportJSONGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMetricsJSON(&buf, fixtureMetrics()); err != nil {
+	if err := WriteReport(&buf, fixtureReport()); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "metrics_fixture.json", buf.Bytes())
+	checkGolden(t, "report_fixture.json", buf.Bytes())
+	r, err := ParseReport(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r, fixtureReport()) {
+		t.Fatalf("report did not survive a write/parse round trip:\n%+v", r)
+	}
+	if _, err := ParseReport(bytes.Replace(buf.Bytes(), []byte(ReportSchema), []byte("overshadow-report/v0"), 1)); err == nil {
+		t.Fatal("ParseReport accepted a foreign schema")
+	}
 }
 
 func TestExportsAreByteStable(t *testing.T) {
 	// Same inputs twice => identical bytes, regardless of map iteration.
 	render := func() (string, string) {
 		spans, ring := fixtureSpans()
-		var c, m bytes.Buffer
+		var c, r bytes.Buffer
 		if err := WriteChromeTrace(&c, spans, ring); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteMetricsJSON(&m, fixtureMetrics()); err != nil {
+		if err := WriteReport(&r, fixtureReport()); err != nil {
 			t.Fatal(err)
 		}
-		return c.String(), m.String()
+		return c.String(), r.String()
 	}
-	c1, m1 := render()
-	c2, m2 := render()
+	c1, r1 := render()
+	c2, r2 := render()
 	if c1 != c2 {
 		t.Error("chrome export not byte-stable")
 	}
-	if m1 != m2 {
-		t.Error("metrics export not byte-stable")
+	if r1 != r2 {
+		t.Error("report export not byte-stable")
 	}
 }
 

@@ -158,7 +158,7 @@ type HistBucketJSON struct {
 }
 
 // HistogramJSON is the machine-readable form of one histogram, used by the
-// profile artifact and the E13 table attachment. Buckets appear in
+// run report and the E13 table attachment. Buckets appear in
 // ascending value order; percentiles follow the Histogram contract.
 type HistogramJSON struct {
 	Count   uint64           `json:"count"`

@@ -73,12 +73,6 @@ type Profile struct {
 	// their phase labels; forest itself is never charged.
 	forest ProfNode
 	hists  []HistEntry // sorted by (kind, domain)
-	// droppedSpans carries the trace ring's RingStats.Dropped so every
-	// histogram export can state whether the companion trace was truncated.
-	// The histograms themselves are fed at span completion, not from the
-	// ring, so they are complete even when the ring wrapped — but a consumer
-	// correlating them with a trace needs to know the trace is not.
-	droppedSpans uint64
 }
 
 // NewProfile returns an empty profile over ctrs.
@@ -95,13 +89,6 @@ func (p *Profile) Root(phase string) *ProfNode {
 	}
 	return p.forest.Child(KindNone, phase)
 }
-
-// AddDropped accumulates the companion trace ring's dropped-span count.
-func (p *Profile) AddDropped(n uint64) { p.droppedSpans += n }
-
-// Dropped reports the accumulated dropped-span count of the companion
-// trace rings (0 when no ring wrapped or no tracing ran).
-func (p *Profile) Dropped() uint64 { return p.droppedSpans }
 
 // hist returns the histogram for k, creating it on first use.
 func (p *Profile) hist(k HistKey) *Histogram {
@@ -149,7 +136,6 @@ func (p *Profile) Merge(other *Profile) {
 	for _, e := range other.hists {
 		p.hist(e.Key).Merge(e.Hist)
 	}
-	p.droppedSpans += other.droppedSpans
 }
 
 func mergeNode(dst, src *ProfNode) {

@@ -55,9 +55,6 @@ type Span struct {
 	Attr    Attr
 }
 
-// End reports the simulated cycle at which the span closed.
-func (s Span) End() uint64 { return s.Start + s.Dur }
-
 // String renders the span for human-readable dumps.
 func (s Span) String() string {
 	if s.Instant {

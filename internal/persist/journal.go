@@ -44,11 +44,6 @@ const (
 	MinBlocks = superSlots + 2 + 1
 )
 
-// ErrJournalFull is returned (and counted) when the persisted state no
-// longer fits the reserved range; the journal wedges — an availability
-// loss, never an integrity one.
-var ErrJournalFull = fmt.Errorf("persist: journal wedged: reserved range full")
-
 // Journal is the writer half: the VMM appends a sealed record for every
 // metadata mutation and periodically checkpoints the full table. All I/O
 // goes through the (fault-injectable) disk, so torn and failed journal

@@ -42,9 +42,6 @@ func (c *VCPU) ID() int { return c.id }
 // World returns the machine this vCPU belongs to.
 func (c *VCPU) World() *World { return c.w }
 
-// Now is shorthand for the global clock reading.
-func (c *VCPU) Now() Cycles { return c.w.Clock.Now() }
-
 // Cycles reports the simulated time this vCPU has charged so far. Summed
 // over all vCPUs it equals the clock exactly, including across a crash.
 func (c *VCPU) Cycles() Cycles { return c.cycles }

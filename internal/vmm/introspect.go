@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements the hypervisor-side introspection monitor: VMI-style
-// kernel-object watching from outside the guest (PAPERS.md: KASR's
-// attack-surface measurement, low-overhead kernel object monitoring). The
+// kernel-object watching from outside the guest (PAPERS.md: low-overhead
+// kernel object monitoring). The
 // monitor periodically asks the guest kernel to enumerate its scheduler and
 // memory-map objects ("claims"), then cross-checks every claim against the
 // VMM's own ground truth — live domains, registered cloaked regions,
@@ -75,54 +75,8 @@ type Introspector struct {
 	every    int
 	switches int
 
-	scans   uint64
-	counts  map[string]uint64       // divergence class -> occurrences
-	seen    map[string]bool         // class|domain -> already audited
-	doms    map[cloak.DomainID]bool // domains that ever diverged
-	surface IntrospectSurface       // last scan's attack-surface measure
-}
-
-// IntrospectSurface is the KASR-style attack-surface measurement taken at
-// scan time: how much cloaked state the kernel currently holds in trust.
-type IntrospectSurface struct {
-	LiveDomains      int // unquarantined domains with address spaces
-	CloakedRegions   int // registered cloaked regions across those domains
-	UncloakedRegions int // registered uncloaked (scratch) regions
-	CloakedPages     int // guest-physical pages holding cloaked material
-	ClaimedTasks     int // tasks the kernel admitted to at the last scan
-}
-
-// IntrospectReport summarizes the monitor's lifetime observations.
-type IntrospectReport struct {
-	Scans       uint64
-	Divergences map[string]uint64
-	Domains     []cloak.DomainID // sorted domains that ever diverged
-	Surface     IntrospectSurface
-}
-
-// Total sums all divergence occurrences.
-func (r IntrospectReport) Total() uint64 {
-	var n uint64
-	for _, c := range r.Divergences {
-		n += c
-	}
-	return n
-}
-
-// String renders the report deterministically (sorted classes).
-func (r IntrospectReport) String() string {
-	classes := make([]string, 0, len(r.Divergences))
-	for c := range r.Divergences {
-		classes = append(classes, c)
-	}
-	sort.Strings(classes)
-	s := fmt.Sprintf("vmi: %d scans, %d divergences", r.Scans, r.Total())
-	for _, c := range classes {
-		s += fmt.Sprintf(", %s=%d", c, r.Divergences[c])
-	}
-	s += fmt.Sprintf(" | surface: %d domains, %d cloaked regions, %d cloaked pages",
-		r.Surface.LiveDomains, r.Surface.CloakedRegions, r.Surface.CloakedPages)
-	return s
+	scans uint64
+	seen  map[string]bool // class|domain -> already audited
 }
 
 // AttachIntrospector arms the monitor: scan src every `every` shadow context
@@ -132,12 +86,7 @@ func (v *VMM) AttachIntrospector(src IntrospectSource, every int) *Introspector 
 	if every < 1 {
 		every = 1
 	}
-	in := &Introspector{
-		v: v, src: src, every: every,
-		counts: make(map[string]uint64),
-		seen:   make(map[string]bool),
-		doms:   make(map[cloak.DomainID]bool),
-	}
+	in := &Introspector{v: v, src: src, every: every, seen: make(map[string]bool)}
 	v.introspector = in
 	return in
 }
@@ -152,9 +101,9 @@ func (in *Introspector) tick() {
 	}
 }
 
-// Scan performs one introspection pass: pull the kernel's claims, measure
-// the attack surface, classify divergence against ground truth. Runs on the
-// executing vCPU under the baton, like every VMM entry path.
+// Scan performs one introspection pass: pull the kernel's claims and
+// classify divergence against ground truth. Runs on the executing vCPU under
+// the baton, like every VMM entry path.
 func (in *Introspector) Scan() {
 	v := in.v
 	c := v.cpu()
@@ -209,16 +158,12 @@ func (in *Introspector) Scan() {
 	// 3. Unclaimed cloaked region: a registered cloaked region with no
 	// intersecting VMA claim for its address space. Zero-length VMA claims
 	// (an empty heap) still anchor their base page.
-	surface := IntrospectSurface{ClaimedTasks: len(claims.Tasks), CloakedPages: len(v.pages)}
 	for _, d := range domains {
-		surface.LiveDomains++
 		for _, as := range v.domainSpaces[d] {
 			for _, r := range as.regions {
 				if !r.Cloaked {
-					surface.UncloakedRegions++
 					continue
 				}
-				surface.CloakedRegions++
 				covered := false
 				for _, cl := range claims.Regions {
 					if cl.AS != as.id {
@@ -240,7 +185,6 @@ func (in *Introspector) Scan() {
 			}
 		}
 	}
-	in.surface = surface
 }
 
 // diverge records one divergence occurrence; the first occurrence per
@@ -248,8 +192,6 @@ func (in *Introspector) Scan() {
 // flood the event log on every scan.
 func (in *Introspector) diverge(class string, d cloak.DomainID, detail string) {
 	v := in.v
-	in.counts[class]++
-	in.doms[d] = true
 	v.cpu().ChargeAdd(0, sim.CtrIntrospectDiverge, 1)
 	key := fmt.Sprintf("%s|%d", class, d)
 	if in.seen[key] {
@@ -258,22 +200,4 @@ func (in *Introspector) diverge(class string, d cloak.DomainID, detail string) {
 	in.seen[key] = true
 	msg := class + ": " + detail
 	v.logEvent(Event{Kind: EventIntrospectDiverge, Domain: d, Detail: msg})
-}
-
-// Report snapshots the monitor's lifetime observations.
-func (in *Introspector) Report() IntrospectReport {
-	counts := make(map[string]uint64, len(in.counts))
-	for k, c := range in.counts {
-		counts[k] = c
-	}
-	doms := make([]cloak.DomainID, 0, len(in.doms))
-	// Keys are sorted below; iteration order cannot reach the report.
-	//overlint:allow determinism -- keys collected then sorted
-	for d := range in.doms {
-		doms = append(doms, d)
-	}
-	sort.Slice(doms, func(i, j int) bool { return doms[i] < doms[j] })
-	return IntrospectReport{
-		Scans: in.scans, Divergences: counts, Domains: doms, Surface: in.surface,
-	}
 }

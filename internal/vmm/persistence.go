@@ -18,9 +18,6 @@ import (
 // called before the machine runs.
 func (v *VMM) AttachJournal(j *persist.Journal) { v.journal = j }
 
-// Journal returns the attached metadata journal (nil if none).
-func (v *VMM) Journal() *persist.Journal { return v.journal }
-
 func (v *VMM) jPut(id cloak.PageID, m cloak.Meta) {
 	if v.journal == nil {
 		return

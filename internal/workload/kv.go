@@ -54,18 +54,6 @@ func KVProgram(cfg KVConfig) guestos.Program {
 	}
 }
 
-func kvReadFull(e guestos.Env, fd int, va mach.Addr, n int) bool {
-	got := 0
-	for got < n {
-		m, err := e.Read(fd, va+mach.Addr(got), n-got)
-		if err != nil || m == 0 {
-			return false
-		}
-		got += m
-	}
-	return true
-}
-
 func kvWriteFull(e guestos.Env, fd int, va mach.Addr, n int) bool {
 	off := 0
 	for off < n {
@@ -90,7 +78,7 @@ func kvServe(e guestos.Env, cfg KVConfig, reqR, repW int) {
 	}
 	hdr := make([]byte, 5)
 	for {
-		if !kvReadFull(e, reqR, io, 1) {
+		if !readFull(e, reqR, io, 1) {
 			e.Exit(1)
 		}
 		e.ReadMem(io, hdr[:1])
@@ -98,7 +86,7 @@ func kvServe(e guestos.Env, cfg KVConfig, reqR, repW int) {
 		if op == 'Q' {
 			break
 		}
-		if !kvReadFull(e, reqR, io, 2) {
+		if !readFull(e, reqR, io, 2) {
 			e.Exit(1)
 		}
 		e.ReadMem(io, hdr[:2])
@@ -106,12 +94,12 @@ func kvServe(e guestos.Env, cfg KVConfig, reqR, repW int) {
 		slot := table + mach.Addr(key*kvSlot)
 		switch op {
 		case 'P':
-			if !kvReadFull(e, reqR, io, 2) {
+			if !readFull(e, reqR, io, 2) {
 				e.Exit(1)
 			}
 			e.ReadMem(io, hdr[:2])
 			vlen := int(hdr[0]) | int(hdr[1])<<8
-			if !kvReadFull(e, reqR, io, vlen) {
+			if !readFull(e, reqR, io, vlen) {
 				e.Exit(1)
 			}
 			val := make([]byte, vlen)
@@ -177,7 +165,7 @@ func kvClient(e guestos.Env, cfg KVConfig, reqW, repR int) {
 			if !kvWriteFull(e, reqW, io, len(msg)) {
 				e.Exit(1)
 			}
-			if !kvReadFull(e, repR, io, 2) {
+			if !readFull(e, repR, io, 2) {
 				e.Exit(1)
 			}
 			written[key] = true
@@ -187,7 +175,7 @@ func kvClient(e guestos.Env, cfg KVConfig, reqW, repR int) {
 			if !kvWriteFull(e, reqW, io, len(msg)) {
 				e.Exit(1)
 			}
-			if !kvReadFull(e, repR, io, 2) {
+			if !readFull(e, repR, io, 2) {
 				e.Exit(1)
 			}
 			hdr := make([]byte, 2)
@@ -196,7 +184,7 @@ func kvClient(e guestos.Env, cfg KVConfig, reqW, repR int) {
 			if vlen != cfg.ValueBytes {
 				e.Exit(3) // wrong answer from the store
 			}
-			if !kvReadFull(e, repR, io, vlen) {
+			if !readFull(e, repR, io, vlen) {
 				e.Exit(1)
 			}
 			got := make([]byte, vlen)

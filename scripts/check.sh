@@ -32,10 +32,11 @@
 #              4 vCPUs — the only check that the baton orders every access
 #              to machine state (sim and vmm hold no locks)
 #   determinism  serial vs 4-way sharded runs byte-identical, the VCPUs=1
-#              goldens, the VCPUs=4 two-run check, and the full-scale text
-#              golden (scripts/goldens/full-seed1.txt)
-#   readers    overprof renders the profile artifact and overtrace the
-#              Chrome trace, each from a built overbench's output
+#              goldens, the VCPUs=4 two-run check, the full-scale text
+#              golden (scripts/goldens/full-seed1.txt), and the run report
+#              byte-identical across shard counts
+#   readers    overprof renders the run report and overtrace the Chrome
+#              trace, each from a built overbench's output
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,11 +62,12 @@ go run ./cmd/overlint ./...
 # runtime (state outside any World, which the scheduler baton does not
 # serialize); none exists, so its pin is zero. determinism's allows each
 # exempt a map range (or the baton-scheduled goroutine); its pin is the
-# inventory left once the journal kept its table in PageID order and the
+# inventory left once the journal kept its table in PageID order, the
 # metrics and profile stores kept dense counter rows and ordered slices,
-# where iterating an ordered structure needs no allow. overlint does not
+# where iterating an ordered structure needs no allow, and the
+# introspector's unread report (a sorted map range) went. overlint does not
 # analyze _test.go files, so their directives do not count.
-for pin in smpready:0 determinism:8; do
+for pin in smpready:0 determinism:7; do
     analyzer=${pin%%:*}
     want=${pin#*:}
     got=$(grep -rn "overlint:allow $analyzer" --include="*.go" --exclude="*_test.go" internal | grep -cv testdata || true)
@@ -149,17 +151,17 @@ tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/overbench" ./cmd/overbench
 
-# shard_cmp LABEL SEEDS [-profile] OVERBENCH-ARGS...
+# shard_cmp LABEL SEEDS [-report] OVERBENCH-ARGS...
 # Sharding may change wall time only: for each seed, the JSON of a serial run
-# must be byte-identical to a 4-way sharded run (and with -profile, so must
-# the profile artifact). The serial output stays at
+# must be byte-identical to a 4-way sharded run (and with -report, so must
+# the run report). The serial output stays at
 # $tmpdir/LABEL-serial-SEED.json for the gates that follow.
 shard_cmp() {
     label=$1 seeds=$2
     shift 2
-    profile=
-    if [ "${1:-}" = -profile ]; then
-        profile=1
+    report=
+    if [ "${1:-}" = -report ]; then
+        report=1
         shift
     fi
     for s in $seeds; do
@@ -167,14 +169,14 @@ shard_cmp() {
             shards=1
             [ "$mode" = serial ] || shards=4
             out="$tmpdir/$label-$mode-$s"
-            if [ -n "$profile" ]; then
+            if [ -n "$report" ]; then
                 "$tmpdir/overbench" "$@" -seed "$s" -shards "$shards" -json \
-                    -profile "$out.profile.json" > "$out.json" 2>/dev/null
+                    -report "$out.report.json" > "$out.json" 2>/dev/null
             else
                 "$tmpdir/overbench" "$@" -seed "$s" -shards "$shards" -json > "$out.json"
             fi
         done
-        for ext in json profile.json; do
+        for ext in json report.json; do
             a="$tmpdir/$label-serial-$s.$ext" b="$tmpdir/$label-sharded-$s.$ext"
             [ -e "$a" ] || continue
             if ! cmp -s "$a" "$b"; then
@@ -236,16 +238,17 @@ echo "== fault-sweep smoke"
 # schedule is part of the deterministic machine.
 shard_cmp fault "3 11" -e E13
 
-echo "== profile determinism"
-# The profiler leaf-attributes every charged cycle and histograms every span
-# duration. Merging per-world profiles is additive and every export sorts, so
-# the profile artifact and the profiled table JSON are shard-independent.
-shard_cmp profile "3 11" -profile -e E2
+echo "== report determinism"
+# The run report buckets every charged cycle by attribution key and by call
+# chain and histograms every span duration. Merging per-world metrics and
+# profiles is additive and every export sorts, so the report and the observed
+# table JSON are shard-independent.
+shard_cmp report "3 11" -report -e E2
 for s in 3 11; do
-    # The artifact must parse and render through the summarizer.
-    go run ./cmd/overprof "$tmpdir/profile-serial-$s.profile.json" > /dev/null
+    # The report must parse and render through the summarizer.
+    go run ./cmd/overprof "$tmpdir/report-serial-$s.report.json" > /dev/null
 done
-echo "profile artifact: verified shard-independent (seeds 3, 11)"
+echo "run report: verified shard-independent (seeds 3, 11)"
 
 echo "== trace reader"
 # The Chrome trace is the other run artifact with a reader of its own: it
