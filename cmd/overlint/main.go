@@ -26,8 +26,8 @@
 // 1 when findings are reported, and 2 when loading or analysis fails.
 // Findings can be suppressed, with a recorded justification, by
 // "//overlint:allow <analyzer> -- <reason>" on or directly above the
-// offending line; a directive without a reason, or naming no analyzer of
-// the set above, is itself a finding.
+// offending line; a directive without a reason, naming no analyzer of the
+// set above, or suppressing nothing, is itself a finding.
 package main
 
 import (

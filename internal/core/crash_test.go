@@ -215,10 +215,10 @@ func TestRebootReservesRecoveredDomains(t *testing.T) {
 		_, sys2, rep := crashAndReboot(t, cfg, pages)
 		recovered := make(map[cloak.PageID]cloak.Meta)
 		used := make(map[domainIV]bool)
-		for _, id := range rep.Replay.PageIDs() {
-			if e := rep.Replay.Table[id]; e.HasMeta {
-				recovered[id] = e.Meta
-				used[domainIV{id.Domain, e.Meta.IV}] = true
+		for _, te := range rep.Replay.Table {
+			if te.Entry.HasMeta {
+				recovered[te.ID] = te.Entry.Meta
+				used[domainIV{te.ID.Domain, te.Entry.Meta.IV}] = true
 			}
 		}
 		if len(recovered) == 0 {

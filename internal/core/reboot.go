@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
@@ -184,28 +185,28 @@ func Reboot(prev *System) (*System, *RecoveryReport, error) {
 		Replay:     rep,
 	}
 	buf := make([]byte, mach.BlockSize)
-	for _, id := range rep.PageIDs() {
+	for _, te := range rep.Table {
 		// The new machine must not hand a recovered domain's ID to a new
 		// workload: it would reuse the crashed machine's (domain, IV)
 		// pairs on the disk that holds the surviving ciphertext, and its
 		// writes would overwrite the recovered entries.
-		hv.ReserveDomain(id.Domain)
-		e := rep.Table[id]
-		blk, st := Locate(e)
+		hv.ReserveDomain(te.ID.Domain)
+		blk, st := Locate(te.Entry)
 		var rerr error
 		if st == 0 {
 			if rerr = disk.ReadRetry(blk, buf); rerr != nil {
 				st = ReadError
 			}
 		}
-		report.Verify(hv, id, e.Meta, buf, st, rerr)
+		report.Verify(hv, te.ID, te.Entry.Meta, buf, st, rerr)
 	}
 	report.ReplayCycles = world.Now()
 
 	// Re-seal: the surviving table is committed under a strictly fresher
 	// epoch, so a second crash recovers from here — and a rollback to the
-	// pre-crash superblock is detectably stale.
-	j, jerr := persist.Resume(world, disk, base, blocks, key, *cfg.Persist, rep)
+	// pre-crash superblock is detectably stale. The journal adopts a copy:
+	// the report keeps the replayed table as it was.
+	j, jerr := persist.Resume(world, disk, base, blocks, key, *cfg.Persist, rep.Epoch, slices.Clone(rep.Table))
 	if jerr != nil {
 		return nil, nil, jerr
 	}

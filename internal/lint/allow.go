@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -15,32 +16,34 @@ import (
 // either at the end of the offending line or on its own line just above. The
 // "-- reason" part is mandatory: an exception without a recorded
 // justification is itself a finding. So is a name outside Analyzers(): a
-// directive for a deleted or misspelled analyzer would suppress nothing.
+// directive for a deleted or misspelled analyzer would suppress nothing. So
+// is a name that suppressed nothing in a run of its analyzer over the
+// directive's package: the exemption it records no longer has a subject.
 
 const allowPrefix = "//overlint:allow"
 
 // allowDirective is one parsed //overlint:allow comment.
 type allowDirective struct {
+	Pkg       string // import path of the package holding the directive
 	File      string
-	Line      int
+	Line, Col int
 	Analyzers []string
 	Reason    string
+	used      []bool // used[i]: Analyzers[i] suppressed a finding
 }
 
-// allowSet indexes directives for suppression lookups.
-type allowSet struct {
-	byLine map[string]map[int][]allowDirective
-}
+// allowSet holds the parsed directives in source order.
+type allowSet []*allowDirective
 
 // parseAllows scans every comment in the loaded packages, returning the
 // directive set plus findings for malformed directives (missing reason or
 // unknown analyzer).
-func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
+func parseAllows(fset *token.FileSet, pkgs []*Package) (allowSet, []Finding) {
 	known := make(map[string]bool)
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	set := &allowSet{byLine: make(map[string]map[int][]allowDirective)}
+	var set allowSet
 	var bad []Finding
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -59,13 +62,9 @@ func parseAllows(fset *token.FileSet, pkgs []*Package) (*allowSet, []Finding) {
 						})
 						continue
 					}
-					d.File, d.Line = pos.Filename, pos.Line
-					m := set.byLine[d.File]
-					if m == nil {
-						m = make(map[int][]allowDirective)
-						set.byLine[d.File] = m
-					}
-					m[d.Line] = append(m[d.Line], d)
+					d.Pkg, d.File, d.Line, d.Col = pkg.Path, pos.Filename, pos.Line, pos.Column
+					d.used = make([]bool, len(d.Analyzers))
+					set = append(set, &d)
 				}
 			}
 		}
@@ -113,20 +112,38 @@ func parseAllowText(text string) (allowDirective, bool) {
 	return d, true
 }
 
-// allows reports whether a finding by analyzer at file:line is suppressed.
-func (s *allowSet) allows(analyzer, file string, line int) bool {
-	m := s.byLine[file]
-	if m == nil {
-		return false
-	}
-	for _, l := range [2]int{line, line - 1} {
-		for _, d := range m[l] {
-			for _, name := range d.Analyzers {
-				if name == analyzer {
-					return true
-				}
-			}
+// allows reports whether a finding by analyzer at file:line is suppressed,
+// and marks the directive name that suppresses it as used.
+func (s allowSet) allows(analyzer, file string, line int) bool {
+	for _, d := range s {
+		if d.File != file || d.Line != line && d.Line != line-1 {
+			continue
+		}
+		if i := slices.Index(d.Analyzers, analyzer); i >= 0 {
+			d.used[i] = true
+			return true
 		}
 	}
 	return false
+}
+
+// unused reports each directive name that suppressed nothing, counting only
+// directives in packages the run analyzed and names of analyzers that ran.
+func (s allowSet) unused(analyzed func(pkgPath string) bool, ran []*Analyzer) []Finding {
+	var out []Finding
+	for _, d := range s {
+		if !analyzed(d.Pkg) {
+			continue
+		}
+		for i, name := range d.Analyzers {
+			if !d.used[i] && slices.ContainsFunc(ran, func(a *Analyzer) bool { return a.Name == name }) {
+				out = append(out, Finding{
+					File: d.File, Line: d.Line, Col: d.Col,
+					Analyzer: "overlint",
+					Message:  "unused directive: allow " + name + " suppresses nothing",
+				})
+			}
+		}
+	}
+	return out
 }

@@ -63,8 +63,8 @@ var deterministicPkgs = map[string]bool{
 // serializingPkgs write bytes to simulated stable storage. Inside them a
 // range over a map is a finding: Go randomizes map iteration order, so any
 // serialization (or cycle charge) reached from the loop body would differ
-// run to run. Loops whose bodies are provably order-independent (commutative
-// deletion, collect-then-sort) carry reviewed //overlint:allow comments.
+// run to run. Loops whose bodies are provably order-independent (say,
+// collect-then-sort) carry reviewed //overlint:allow comments.
 var serializingPkgs = map[string]bool{
 	"overshadow/internal/persist": true,
 	// obs serializes every observability export (Chrome traces, the run

@@ -48,16 +48,18 @@ func Run(w io.Writer, dir string, patterns []string) ([]Finding, error) {
 
 // Analyze runs the analyzers (production set if nil) over every package
 // matching patterns and returns allow-filtered, sorted findings. Malformed
-// allow directives are themselves reported. The module call graph is built
-// once here and shared by every analyzer.
+// allow directives, and those that suppressed nothing, are themselves
+// reported. The module call graph is built once here and shared by every
+// analyzer.
 func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []string) []Finding {
 	if analyzers == nil {
 		analyzers = Analyzers()
 	}
 	allows, findings := parseAllows(loader.Fset, pkgs)
 	graph := buildModuleGraph(pkgs)
+	analyzed := func(pkgPath string) bool { return matchAny(patterns, loader.ModulePath, pkgPath) }
 	for _, pkg := range pkgs {
-		if !matchAny(patterns, loader.ModulePath, pkg.Path) {
+		if !analyzed(pkg.Path) {
 			continue
 		}
 		for _, a := range analyzers {
@@ -77,6 +79,7 @@ func Analyze(loader *Loader, pkgs []*Package, analyzers []*Analyzer, patterns []
 			kept = append(kept, f)
 		}
 	}
+	kept = append(kept, allows.unused(analyzed, analyzers)...)
 	sort.Slice(kept, func(i, j int) bool {
 		a, b := kept[i], kept[j]
 		if a.File != b.File {

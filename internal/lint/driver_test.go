@@ -2,6 +2,7 @@ package lint
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -117,12 +118,47 @@ func TestMalformedAllowIsAFinding(t *testing.T) {
 	}
 }
 
+// TestUnusedAllowIsAFinding loads a serializing-package-shaped testdata
+// package with three determinism directives: one suppresses a map range,
+// one sits above a slice range, and one names cyclecharge as well. Each name
+// that suppressed nothing is reported under analyzer "overlint", but only
+// for analyzers that ran and only in packages the run analyzed.
+func TestUnusedAllowIsAFinding(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "overshadow/internal/persist"
+	loader.Overrides = map[string]string{path: "testdata/src/unusedallow"}
+	if _, err := loader.Load(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		analyzers []*Analyzer
+		patterns  []string
+		want      []string // "line: name" of each unused directive name
+	}{
+		{[]*Analyzer{DeterminismAnalyzer}, []string{path}, []string{"19: determinism"}},
+		{[]*Analyzer{DeterminismAnalyzer, CycleChargeAnalyzer}, []string{path}, []string{"19: determinism", "29: cyclecharge"}},
+		{[]*Analyzer{DeterminismAnalyzer}, []string{"overshadow/internal/mach"}, nil},
+	} {
+		var got []string
+		for _, f := range Analyze(loader, loader.order, c.analyzers, c.patterns) {
+			if f.Analyzer != "overlint" || !strings.HasPrefix(f.Message, "unused directive: allow ") {
+				t.Errorf("%d analyzers over %v: unexpected finding %s", len(c.analyzers), c.patterns, f)
+				continue
+			}
+			name := strings.TrimSuffix(strings.TrimPrefix(f.Message, "unused directive: allow "), " suppresses nothing")
+			got = append(got, fmt.Sprintf("%d: %s", f.Line, name))
+		}
+		if strings.Join(got, ", ") != strings.Join(c.want, ", ") {
+			t.Errorf("%d analyzers over %v: unused directives %v, want %v", len(c.analyzers), c.patterns, got, c.want)
+		}
+	}
+}
+
 func TestAllowSuppression(t *testing.T) {
-	set := &allowSet{byLine: map[string]map[int][]allowDirective{
-		"k.go": {
-			10: {{Analyzers: []string{"determinism"}}},
-		},
-	}}
+	set := allowSet{{File: "k.go", Line: 10, Analyzers: []string{"determinism"}, used: make([]bool, 1)}}
 	for _, c := range []struct {
 		analyzer string
 		file     string

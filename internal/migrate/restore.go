@@ -111,16 +111,12 @@ func Restore(dst *core.System, blob []byte) (*Report, error) {
 	// table and commits at ckpt.Epoch+1 — strictly fresher than both sides,
 	// which is what makes the replay of this same checkpoint refusable.
 	base, blocks := dst.Journal.Range()
-	table := make(map[cloak.PageID]persist.Entry)
-	for _, te := range dst.Journal.Entries() {
-		table[te.ID] = te.Entry
-	}
+	table := dst.Journal.Entries()
 	for _, p := range ckpt.Pages {
-		table[p.ID] = persist.Entry{Meta: p.Meta, HasMeta: true}
+		table.Set(p.ID, persist.Entry{Meta: p.Meta, HasMeta: true})
 	}
-	opts := dst.PersistOptions()
 	j, jerr := persist.Resume(dst.World, dst.Kernel.SwapDisk(), base, blocks,
-		persist.SealKey(dst.Seed()), *opts, &persist.Result{Anchored: true, Epoch: ckpt.Epoch, Table: table})
+		persist.SealKey(dst.Seed()), *dst.PersistOptions(), ckpt.Epoch, table)
 	if jerr != nil {
 		return nil, jerr
 	}

@@ -61,10 +61,8 @@ type Journal struct {
 	logBlocks  uint64
 
 	// table is the writer's in-memory truth: what a fully successful replay
-	// of the on-disk journal should reconstruct. It is kept in PageID order,
-	// so a checkpoint serializes it as it stands and a domain's entries are
-	// one contiguous run.
-	table []TableEntry
+	// of the on-disk journal should reconstruct.
+	table Table
 
 	epoch     uint32               // current committed epoch
 	seq       uint64               // next log record sequence number within epoch
@@ -76,8 +74,8 @@ type Journal struct {
 	wedged    bool
 	writeErrs int
 
-	// Per-domain quota state (allocated only when the quota is set).
-	domainCount  map[cloak.DomainID]int
+	// Domains that overflowed the per-domain quota (allocated only when the
+	// quota is set). A domain's live count is its run in the table.
 	domainWedged map[cloak.DomainID]bool
 
 	// Marks: the simulated cycle at which each append / checkpoint began.
@@ -114,7 +112,6 @@ func newJournal(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]
 		logBlocks:  blocks - superSlots - 2*ckpt,
 	}
 	if opts.PerDomainEntries > 0 {
-		j.domainCount = make(map[cloak.DomainID]int)
 		j.domainWedged = make(map[cloak.DomainID]bool)
 	}
 	return j, nil
@@ -134,30 +131,21 @@ func NewJournal(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]
 	return j, nil
 }
 
-// Resume reopens a journal over a replayed table: it adopts the recovered
-// state and immediately re-seals it under a strictly fresher epoch, so the
-// next replay anchors on the recovered state rather than the crashed tail —
-// and a rollback to the pre-crash superblock is detectably stale.
-func Resume(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte, opts Options, rep *Result) (*Journal, error) {
+// Resume reopens a journal over a replayed table: it adopts table, without
+// copying it, as the state committed at epoch and immediately re-seals it
+// under a strictly fresher epoch, so the next replay anchors on the
+// recovered state rather than the crashed tail — and a rollback to the
+// pre-crash superblock is detectably stale.
+func Resume(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte, opts Options, epoch uint32, table Table) (*Journal, error) {
 	j, err := newJournal(world, disk, base, blocks, key, opts)
 	if err != nil {
 		return nil, err
 	}
-	j.epoch = rep.Epoch // next checkpoint commits rep.Epoch+1
-	ids := rep.PageIDs()
-	j.table = make([]TableEntry, 0, len(ids))
-	for _, id := range ids {
-		j.table = append(j.table, TableEntry{ID: id, Entry: rep.Table[id]})
-		if j.domainCount != nil {
-			j.domainCount[id.Domain]++
-		}
-	}
+	j.epoch = epoch // next checkpoint commits epoch+1
+	j.table = table
 	j.checkpoint()
 	return j, nil
 }
-
-// Len reports the number of live page entries.
-func (j *Journal) Len() int { return len(j.table) }
 
 // Wedged reports whether the journal stopped persisting (range overflow).
 func (j *Journal) Wedged() bool { return j.wedged }
@@ -166,67 +154,25 @@ func (j *Journal) Wedged() bool { return j.wedged }
 // lost journaling (its sealed state is gone; siblings are unaffected).
 func (j *Journal) DomainWedged(d cloak.DomainID) bool { return j.domainWedged[d] }
 
-// find returns the index of id's entry in the ordered table and true, or
-// the index where id's entry belongs and false.
-func (j *Journal) find(id cloak.PageID) (int, bool) {
-	lo, hi := 0, len(j.table)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if j.table[mid].ID.Less(id) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(j.table) && j.table[lo].ID == id
-}
-
-// mutable returns id's entry for a mutation, inserting an empty one in
-// PageID order if the table has none, or nil if the domain's quota refuses
-// the mutation.
-func (j *Journal) mutable(id cloak.PageID) *Entry {
-	i, live := j.find(id)
-	if !j.admit(id, live) {
-		return nil
-	}
-	if !live {
-		j.table = slices.Insert(j.table, i, TableEntry{ID: id})
-	}
-	return &j.table[i].Entry
-}
-
-// dropDomainRun removes domain d's entries, one contiguous run of the
-// ordered table, and reports whether there were any.
-func (j *Journal) dropDomainRun(d cloak.DomainID) bool {
-	lo, _ := j.find(cloak.PageID{Domain: d})
-	hi := lo
-	for hi < len(j.table) && j.table[hi].ID.Domain == d {
-		hi++
-	}
-	j.table = slices.Delete(j.table, lo, hi)
-	return hi > lo
-}
-
-// admit applies the per-domain quota to a mutation of id's entry (live
-// reports whether the table holds one), reporting whether it may proceed.
-// Growth beyond the quota wedges the offending domain only: its state is
-// dropped and further mutations are ignored.
-func (j *Journal) admit(id cloak.PageID, live bool) bool {
+// admit applies the per-domain quota to a Put or Locate of id, reporting
+// whether it may proceed. Updating a live entry adds no growth; a new entry
+// is refused once the domain's run in the table reaches the quota, and that
+// growth wedges the offending domain only: its state is dropped and further
+// mutations are ignored.
+func (j *Journal) admit(id cloak.PageID) bool {
 	if j.opts.PerDomainEntries <= 0 {
 		return true
 	}
-	d := id.Domain
-	if j.domainWedged[d] {
+	if j.domainWedged[id.Domain] {
 		return false
 	}
-	if live {
-		return true // updating a live entry adds no growth
+	if _, live := j.table.find(id); live {
+		return true
 	}
-	if j.domainCount[d] >= j.opts.PerDomainEntries {
-		j.wedgeDomain(d)
+	if lo, hi := j.table.domainRun(id.Domain); hi-lo >= j.opts.PerDomainEntries {
+		j.wedgeDomain(id.Domain)
 		return false
 	}
-	j.domainCount[d]++
 	return true
 }
 
@@ -236,11 +182,8 @@ func (j *Journal) admit(id cloak.PageID, live bool) bool {
 // sibling domain — keeps running.
 func (j *Journal) wedgeDomain(d cloak.DomainID) {
 	j.domainWedged[d] = true
-	j.domainCount[d] = 0
 	j.world.CPU().ChargeCount(0, sim.CtrJournalDomainWedged)
-	if j.dropDomainRun(d) {
-		j.append(Record{Kind: KindDomainGone, ID: cloak.PageID{Domain: d}})
-	}
+	j.mutate(Record{Kind: KindDomainGone, ID: cloak.PageID{Domain: d}})
 }
 
 // WriteErrs reports how many journal block writes failed (injected faults).
@@ -258,26 +201,12 @@ func (j *Journal) Marks() (appends, checkpoints []sim.Cycles) {
 	return j.appendMarks, j.ckptMarks
 }
 
-// TableEntry pairs a page identity with its live journal entry: one element
-// of the writer's ordered table, which live-migration capture walks to
-// enumerate a domain's sealed pages.
-type TableEntry struct {
-	ID    cloak.PageID
-	Entry Entry
-}
-
-// Entries returns a copy of the live table in PageID order.
-func (j *Journal) Entries() []TableEntry { return slices.Clone(j.table) }
+// Entries returns a copy of the live table.
+func (j *Journal) Entries() Table { return slices.Clone(j.table) }
 
 // Put journals a page's new metadata record.
 func (j *Journal) Put(id cloak.PageID, m cloak.Meta) {
-	e := j.mutable(id)
-	if e == nil {
-		return
-	}
-	e.Meta = m
-	e.HasMeta = true
-	j.append(Record{Kind: KindPut, ID: id, Version: m.Version, IV: m.IV, Hash: m.Hash})
+	j.mutate(Record{Kind: KindPut, ID: id, Version: m.Version, IV: m.IV, Hash: m.Hash})
 }
 
 // Locate journals where the ciphertext of a page version landed on stable
@@ -285,44 +214,33 @@ func (j *Journal) Put(id cloak.PageID, m cloak.Meta) {
 // re-verifies the payload against the sealed hash, so a wrong location can
 // only cost availability.
 func (j *Journal) Locate(id cloak.PageID, dev uint8, block, version uint64) {
-	e := j.mutable(id)
-	if e == nil {
-		return
-	}
-	e.Dev = dev
-	e.Block = block
-	e.LocVersion = version
-	e.HasLoc = true
-	j.append(Record{Kind: KindLocate, ID: id, Version: version, Dev: dev, Block: block})
+	j.mutate(Record{Kind: KindLocate, ID: id, Version: version, Dev: dev, Block: block})
 }
 
 // Delete journals the discard of a page's metadata (resource release). The
 // ciphertext becomes permanently undecryptable — cryptographic erasure.
 func (j *Journal) Delete(id cloak.PageID) {
-	i, live := j.find(id)
-	if !live {
-		return
-	}
-	j.table = slices.Delete(j.table, i, i+1)
-	if j.domainCount != nil {
-		j.domainCount[id.Domain]--
-	}
-	j.append(Record{Kind: KindDelete, ID: id})
+	j.mutate(Record{Kind: KindDelete, ID: id})
 }
 
 // DropDomain journals the teardown of an entire domain (exit, quarantine).
+// Teardown also clears the domain's wedge marker: a recycled domain ID
+// starts with a clean budget.
 func (j *Journal) DropDomain(d cloak.DomainID) {
-	found := j.dropDomainRun(d)
-	if j.domainCount != nil {
-		// Teardown releases the domain's quota slots (and any wedge marker):
-		// a recycled domain ID starts with a clean budget.
-		delete(j.domainCount, d)
-		delete(j.domainWedged, d)
-	}
-	if !found {
+	delete(j.domainWedged, d)
+	j.mutate(Record{Kind: KindDomainGone, ID: cloak.PageID{Domain: d}})
+}
+
+// mutate applies r to the table through the same step replay uses and
+// appends it only if it changed something. A Put or Locate passes the
+// per-domain quota first.
+func (j *Journal) mutate(r Record) {
+	if (r.Kind == KindPut || r.Kind == KindLocate) && !j.admit(r.ID) {
 		return
 	}
-	j.append(Record{Kind: KindDomainGone, ID: cloak.PageID{Domain: d}})
+	if j.table.apply(r) {
+		j.append(r)
+	}
 }
 
 // Checkpoint forces a checkpoint (used at clean shutdown to quiesce).

@@ -108,17 +108,17 @@ func TestJournalReplayRoundtrip(t *testing.T) {
 	if len(rep.Table) != 2 {
 		t.Fatalf("table size = %d, want 2", len(rep.Table))
 	}
-	e := rep.Table[pid(1, 1, 0)]
+	e, _ := rep.Table.Get(pid(1, 1, 0))
 	if !e.HasMeta || e.Meta != meta(2) {
 		t.Fatalf("page (1,1,0) meta = %+v, want version 2", e)
 	}
 	if !e.HasLoc || e.Block != 40 || e.LocVersion != 1 {
 		t.Fatalf("page (1,1,0) location = %+v, want block 40 @v1", e)
 	}
-	if _, ok := rep.Table[pid(1, 1, 1)]; ok {
+	if _, ok := rep.Table.Get(pid(1, 1, 1)); ok {
 		t.Fatal("deleted page survived replay")
 	}
-	if e := rep.Table[pid(2, 5, 9)]; !e.HasMeta || e.Meta.Version != 3 {
+	if e, _ := rep.Table.Get(pid(2, 5, 9)); !e.HasMeta || e.Meta.Version != 3 {
 		t.Fatalf("page (2,5,9) = %+v, want version 3", e)
 	}
 }
@@ -149,7 +149,7 @@ func TestJournalCheckpointRollover(t *testing.T) {
 		t.Fatalf("table size = %d, want 10", len(rep.Table))
 	}
 	for i := uint64(0); i < 10; i++ {
-		if e := rep.Table[pid(1, 2, i)]; e.Meta.Version != 5 {
+		if e, _ := rep.Table.Get(pid(1, 2, i)); e.Meta.Version != 5 {
 			t.Fatalf("page %d version = %d, want 5", i, e.Meta.Version)
 		}
 	}
@@ -173,7 +173,7 @@ func TestJournalDropDomain(t *testing.T) {
 	if len(rep.Table) != 1 {
 		t.Fatalf("table size = %d, want 1", len(rep.Table))
 	}
-	if _, ok := rep.Table[pid(1, 1, 0)]; !ok {
+	if _, ok := rep.Table.Get(pid(1, 1, 0)); !ok {
 		t.Fatal("surviving domain's page missing")
 	}
 }
@@ -239,7 +239,7 @@ func TestReplayRejectsRollback(t *testing.T) {
 	if rep.RejectedBy(RejectRollback) != 1 {
 		t.Fatalf("rejections = %v, want one rollback", rep.Rejections)
 	}
-	if e := rep.Table[pid(1, 1, 0)]; e.Meta.Version != 3 {
+	if e, _ := rep.Table.Get(pid(1, 1, 0)); e.Meta.Version != 3 {
 		t.Fatalf("version = %d after rollback attempt, want 3 (fresh)", e.Meta.Version)
 	}
 }
@@ -302,7 +302,7 @@ func TestResumeCommitsFresherEpoch(t *testing.T) {
 
 	rep := Replay(testWorld(16), disk, 128, testBlocks, key)
 	w2 := testWorld(17)
-	j2, err := Resume(w2, disk, 128, testBlocks, key, Options{}, rep)
+	j2, err := Resume(w2, disk, 128, testBlocks, key, Options{}, rep.Epoch, rep.Table)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -313,7 +313,7 @@ func TestResumeCommitsFresherEpoch(t *testing.T) {
 	if rep2.Epoch != j2.Epoch() || len(rep2.Table) != 1 {
 		t.Fatalf("post-resume replay: epoch=%d table=%d", rep2.Epoch, len(rep2.Table))
 	}
-	if e := rep2.Table[pid(1, 1, 0)]; e.Meta.Version != 4 {
+	if e, _ := rep2.Table.Get(pid(1, 1, 0)); e.Meta.Version != 4 {
 		t.Fatalf("post-resume version = %d, want 4", e.Meta.Version)
 	}
 }
@@ -471,13 +471,13 @@ func TestJournalPerDomainQuota(t *testing.T) {
 		t.Fatal("replay lost its anchor")
 	}
 	for i := uint64(0); i < 4; i++ {
-		if _, ok := rep.Table[pid(1, 1, i)]; !ok {
+		if _, ok := rep.Table.Get(pid(1, 1, i)); !ok {
 			t.Fatalf("sibling page %d missing after flood", i)
 		}
 	}
-	for id := range rep.Table {
-		if id.Domain == 2 {
-			t.Fatalf("wedged domain's page %v survived replay", id)
+	for _, te := range rep.Table {
+		if te.ID.Domain == 2 {
+			t.Fatalf("wedged domain's page %v survived replay", te.ID)
 		}
 	}
 
@@ -488,8 +488,39 @@ func TestJournalPerDomainQuota(t *testing.T) {
 		t.Fatal("DropDomain did not clear the wedge")
 	}
 	rep2 := Replay(testWorld(11), disk, 128, testBlocks, key)
-	if _, ok := rep2.Table[pid(2, 2, 0)]; !ok {
+	if _, ok := rep2.Table.Get(pid(2, 2, 0)); !ok {
 		t.Fatal("recycled domain's page missing: budget not restored")
+	}
+}
+
+// TestResumeCountsAdoptedEntries: the quota count is the domain's run in
+// the table, so a journal resumed over a domain one entry under its quota
+// admits one more entry and wedges on the next, and leaves its neighbours'
+// runs alone.
+func TestResumeCountsAdoptedEntries(t *testing.T) {
+	opts := Options{PerDomainEntries: 4}
+	j, disk, key := newTestJournal(t, testWorld(19), opts)
+	j.Put(pid(1, 1, 0), meta(1))
+	for i := uint64(0); i < 3; i++ {
+		j.Put(pid(2, 1, i), meta(1))
+	}
+	j.Put(pid(3, 1, 0), meta(1))
+	rep := Replay(testWorld(20), disk, 128, testBlocks, key)
+	j2, err := Resume(testWorld(21), disk, 128, testBlocks, key, opts, rep.Epoch, rep.Table)
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	j2.Put(pid(2, 1, 3), meta(1))
+	if j2.DomainWedged(2) {
+		t.Fatal("the entry that fills the quota was refused")
+	}
+	j2.Put(pid(2, 1, 4), meta(1))
+	if !j2.DomainWedged(2) {
+		t.Fatal("an entry past the quota was admitted")
+	}
+	got := j2.Entries()
+	if len(got) != 2 || got[0].ID != pid(1, 1, 0) || got[1].ID != pid(3, 1, 0) {
+		t.Fatalf("after the wedge the table holds %v, want the neighbours' pages alone", got)
 	}
 }
 
@@ -560,7 +591,8 @@ func FuzzReplay(f *testing.F) {
 			}
 			return false
 		}
-		for id, e := range rep.Table {
+		for _, te := range rep.Table {
+			id, e := te.ID, te.Entry
 			if !e.HasMeta && !e.HasLoc {
 				t.Fatalf("entry %v carries neither metadata nor a location", id)
 			}
@@ -584,44 +616,106 @@ func FuzzReplay(f *testing.F) {
 // puts, locates, deletes and domain drops over a small page space (so
 // updates, reinsertions and whole-domain runs all recur) and checks after
 // every step that Entries is exactly a map-backed model's table in PageID
-// order.
+// order. The quota variant's model mirrors the per-domain quota: a new entry
+// past it wedges the domain and drops its entries, a wedged domain's
+// mutations are ignored, and teardown restores a clean budget. Its page
+// space is small enough that domains sit at the quota often, so deletes and
+// re-inserts at the boundary recur. After each checkpoint, replaying the
+// disk must rebuild exactly the model's entries that carry metadata, each
+// with its location only where that location holds the current version.
 func TestJournalTableMatchesModel(t *testing.T) {
+	for _, c := range []struct {
+		quota              int
+		resources, indices uint64
+	}{
+		{0, 3, 8},
+		{6, 2, 4},
+	} {
+		t.Run(fmt.Sprintf("quota%d", c.quota), func(t *testing.T) {
+			testJournalTableMatchesModel(t, c.quota, c.resources, c.indices)
+		})
+	}
+}
+
+func testJournalTableMatchesModel(t *testing.T, quota int, resources, indices uint64) {
 	world := testWorld(3)
 	disk := mach.NewDisk(world, 1024)
-	j, err := NewJournal(world, disk, 0, 1024, SealKey(3), Options{CheckpointEvery: 16})
+	key := SealKey(3)
+	j, err := NewJournal(world, disk, 0, 1024, key, Options{CheckpointEvery: 16, PerDomainEntries: quota})
 	if err != nil {
 		t.Fatal(err)
 	}
 	model := map[cloak.PageID]Entry{}
+	wedged := map[cloak.DomainID]bool{}
+	drop := func(d cloak.DomainID) {
+		for id := range model {
+			if id.Domain == d {
+				delete(model, id)
+			}
+		}
+	}
+	count := func(d cloak.DomainID) int {
+		n := 0
+		for id := range model {
+			if id.Domain == d {
+				n++
+			}
+		}
+		return n
+	}
+	var wedges, boundaryDeletes, boundaryInserts, checkpoints int
+	admit := func(id cloak.PageID) bool {
+		_, live := model[id]
+		switch n := count(id.Domain); {
+		case quota == 0 || live:
+			return true
+		case wedged[id.Domain]:
+			return false
+		case n >= quota:
+			wedged[id.Domain] = true
+			drop(id.Domain)
+			wedges++
+			return false
+		case n == quota-1:
+			boundaryInserts++
+		}
+		return true
+	}
 	rng := rand.New(rand.NewPCG(3, 3))
 	for step := 0; step < 4000; step++ {
-		id := pid(1+rng.Uint64N(4), rng.Uint64N(3), rng.Uint64N(8))
+		id := pid(1+rng.Uint64N(4), rng.Uint64N(resources), rng.Uint64N(indices))
 		v := 1 + rng.Uint64N(50)
+		_, ckpts := j.Marks()
+		ckptsBefore := len(ckpts)
 		switch op := rng.IntN(20); {
 		case op < 9:
 			j.Put(id, meta(v))
-			e := model[id]
-			e.Meta, e.HasMeta = meta(v), true
-			model[id] = e
+			if admit(id) {
+				e := model[id]
+				e.Meta, e.HasMeta = meta(v), true
+				model[id] = e
+			}
 		case op < 15:
 			j.Locate(id, DevSwap, v, v)
-			e := model[id]
-			e.Dev, e.Block, e.LocVersion, e.HasLoc = DevSwap, v, v, true
-			model[id] = e
+			if admit(id) {
+				e := model[id]
+				e.Dev, e.Block, e.LocVersion, e.HasLoc = DevSwap, v, v, true
+				model[id] = e
+			}
 		case op < 19:
 			j.Delete(id)
+			if _, live := model[id]; live && count(id.Domain) == quota {
+				boundaryDeletes++
+			}
 			delete(model, id)
 		default:
 			j.DropDomain(id.Domain)
-			for mid := range model {
-				if mid.Domain == id.Domain {
-					delete(model, mid)
-				}
-			}
+			drop(id.Domain)
+			delete(wedged, id.Domain)
 		}
 		got := j.Entries()
-		if len(got) != len(model) || j.Len() != len(model) {
-			t.Fatalf("step %d: journal holds %d entries (Len %d), model %d", step, len(got), j.Len(), len(model))
+		if len(got) != len(model) {
+			t.Fatalf("step %d: journal holds %d entries, model %d", step, len(got), len(model))
 		}
 		for i, te := range got {
 			if i > 0 && !got[i-1].ID.Less(te.ID) {
@@ -631,9 +725,45 @@ func TestJournalTableMatchesModel(t *testing.T) {
 				t.Fatalf("step %d: entry %v = %+v, model has %+v (present %v)", step, te.ID, te.Entry, e, ok)
 			}
 		}
+		for d := cloak.DomainID(1); d <= 4; d++ {
+			if j.DomainWedged(d) != wedged[d] {
+				t.Fatalf("step %d: domain %d wedged %v, model %v", step, d, j.DomainWedged(d), wedged[d])
+			}
+		}
+		if _, ckpts := j.Marks(); len(ckpts) > ckptsBefore {
+			checkpoints++
+			var want Table
+			for _, te := range got {
+				e := te.Entry
+				if !e.HasMeta {
+					continue
+				}
+				if e.LocVersion != e.Meta.Version {
+					e.Dev, e.Block, e.LocVersion, e.HasLoc = 0, 0, 0, false
+				}
+				want = append(want, TableEntry{ID: te.ID, Entry: e})
+			}
+			rep := Replay(testWorld(4), disk, 0, 1024, key)
+			if len(rep.Table) != len(want) {
+				t.Fatalf("step %d: checkpoint replays to %d entries, want %d", step, len(rep.Table), len(want))
+			}
+			for i, te := range rep.Table {
+				if te != want[i] {
+					t.Fatalf("step %d: checkpoint replays entry %d as %v %+v, want %v %+v",
+						step, i, te.ID, te.Entry, want[i].ID, want[i].Entry)
+				}
+			}
+		}
 	}
 	if j.Wedged() {
 		t.Fatal("journal wedged: the range is too small for the model's table")
+	}
+	if checkpoints == 0 {
+		t.Fatal("the run took no checkpoint")
+	}
+	if quota > 0 && (wedges == 0 || boundaryDeletes == 0 || boundaryInserts == 0) {
+		t.Fatalf("quota boundary not covered: %d wedges, %d deletes and %d inserts at the boundary",
+			wedges, boundaryDeletes, boundaryInserts)
 	}
 }
 
@@ -736,7 +866,7 @@ func TestCheckpointCommitOrder(t *testing.T) {
 		t.Helper()
 		rep := Replay(world, disk, 128, testBlocks, key)
 		for id, want := range sealed {
-			if got := rep.Table[id]; !got.HasMeta || got.Meta != want {
+			if got, _ := rep.Table.Get(id); !got.HasMeta || got.Meta != want {
 				t.Fatalf("%s: entry %v sealed at version %d came back at version %d (metadata present %v)",
 					when, id, want.Version, got.Meta.Version, got.HasMeta)
 			}

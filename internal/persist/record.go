@@ -252,8 +252,8 @@ func SealKey(seed uint64) [32]byte {
 
 // Entry is the recovery-relevant state of one cloaked page: its current
 // metadata record plus the last reported stable ciphertext location. The
-// journal writer maintains this table as it appends; Replay rebuilds the
-// same table from disk.
+// journal writer keeps a Table of them as it appends; Replay rebuilds the
+// same Table from disk.
 type Entry struct {
 	Meta    cloak.Meta
 	HasMeta bool

@@ -2,9 +2,7 @@ package persist
 
 import (
 	"fmt"
-	"sort"
 
-	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
 	"overshadow/internal/obs"
 	"overshadow/internal/sim"
@@ -101,26 +99,12 @@ type Result struct {
 	LogRecords        int
 	// Rejections lists every refused record in replay order.
 	Rejections
-	// Table is the reconstructed page state.
-	Table map[cloak.PageID]Entry
+	// Table is the reconstructed page state, in PageID order.
+	Table Table
 }
 
 // Accepted reports the total number of accepted records.
 func (r *Result) Accepted() int { return r.CheckpointRecords + r.LogRecords }
-
-// PageIDs returns the table's keys in deterministic (domain, resource,
-// index) order; all recovery iteration goes through this.
-func (r *Result) PageIDs() []cloak.PageID {
-	ids := make([]cloak.PageID, 0, len(r.Table))
-	// Sorted immediately below; no downstream bytes or iteration depend on
-	// map order.
-	//overlint:allow determinism -- keys are collected then sorted before use
-	for id := range r.Table {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a].Less(ids[b]) })
-	return ids
-}
 
 // Replay walks the reserved range [base, base+blocks) of disk and
 // reconstructs the metadata table committed there. It is the read half of
@@ -128,7 +112,7 @@ func (r *Result) PageIDs() []cloak.PageID {
 // typed Rejections, never a panic) every record that fails its MAC, carries
 // a stale epoch, breaks sequence contiguity, or rolls a version backwards.
 func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte) *Result {
-	res := &Result{Table: make(map[cloak.PageID]Entry)}
+	res := &Result{}
 	start := world.Now()
 	defer func() {
 		world.CPU().EmitSpan(obs.KindPersist, "replay", uint64(res.Accepted()), world.Now()-start)
@@ -210,14 +194,7 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 			res.reject(world, Rejection{Phase: "checkpoint", Block: blk, Slot: i, Reason: RejectSeqGap})
 			continue
 		}
-		e := Entry{Meta: cloak.Meta{IV: r.IV, Hash: r.Hash, Version: r.Version}, HasMeta: true}
-		if r.Dev != DevNone {
-			e.Dev = r.Dev
-			e.Block = r.Block
-			e.LocVersion = r.Version
-			e.HasLoc = true
-		}
-		res.Table[r.ID] = e
+		res.Table.apply(r)
 		res.CheckpointRecords++
 		world.CPU().ChargeCount(0, sim.CtrReplayAccepted)
 	}
@@ -251,38 +228,20 @@ func Replay(world *sim.World, disk *mach.Disk, base, blocks uint64, key [32]byte
 			res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectSeqGap})
 			return res
 		}
+		// A log record is one writer mutation: the freshness rule gates a
+		// Put, and any other kind than the writer's four is refused.
 		switch r.Kind {
 		case KindPut:
-			if e, ok := res.Table[r.ID]; ok && e.HasMeta && r.Version <= e.Meta.Version {
+			if e, _ := res.Table.Get(r.ID); e.HasMeta && r.Version <= e.Meta.Version {
 				res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectRollback})
 				return res
 			}
-			e := res.Table[r.ID]
-			e.Meta = cloak.Meta{IV: r.IV, Hash: r.Hash, Version: r.Version}
-			e.HasMeta = true
-			res.Table[r.ID] = e
-		case KindLocate:
-			e := res.Table[r.ID]
-			e.Dev = r.Dev
-			e.Block = r.Block
-			e.LocVersion = r.Version
-			e.HasLoc = true
-			res.Table[r.ID] = e
-		case KindDelete:
-			delete(res.Table, r.ID)
-		case KindDomainGone:
-			// Deletion is commutative; iteration order cannot change the
-			// resulting table.
-			//overlint:allow determinism -- domain-wide deletion is commutative
-			for id := range res.Table {
-				if id.Domain == r.ID.Domain {
-					delete(res.Table, id)
-				}
-			}
+		case KindLocate, KindDelete, KindDomainGone:
 		default:
 			res.reject(world, Rejection{Phase: "log", Block: blk, Slot: i, Reason: RejectBadKind})
 			return res
 		}
+		res.Table.apply(r)
 		res.LogRecords++
 		world.CPU().ChargeCount(0, sim.CtrReplayAccepted)
 	}

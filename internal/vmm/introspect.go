@@ -117,8 +117,6 @@ func (in *Introspector) Scan() {
 	// The scan runs every Nth context switch, not per-switch: its transient
 	// allocations are amortized far below the shadow-translation hot path.
 	domains := make([]cloak.DomainID, 0, len(v.domainSpaces))
-	// Keys are sorted before use; iteration order cannot escape.
-	//overlint:allow determinism -- keys collected then sorted
 	for d := range v.domainSpaces {
 		if !v.quarantined[d] {
 			domains = append(domains, d)

@@ -32,7 +32,6 @@ type ThreadState struct {
 // where no thread is mid-crossing.
 func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 	out := make([]ThreadState, 0, len(v.threads))
-	//overlint:allow determinism -- threads are collected then sorted by ID before use
 	for _, t := range v.threads {
 		if t.Domain != d {
 			continue
@@ -74,7 +73,6 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 		cp   *cloakPage
 	}
 	regs := make([]resident, 0, len(v.byDomain[d]))
-	//overlint:allow determinism -- registrations are collected then sorted before use
 	for gppn, cp := range v.byDomain[d] {
 		if cp.state == stateEncrypted {
 			regs = append(regs, resident{gppn, cp})
@@ -115,8 +113,9 @@ type AdoptedPage struct {
 // locally spawned domain can collide with it — a collision would let a fresh
 // local domain's version counters alias the migrated pages, poisoning the
 // anti-rollback ordering. The journal is NOT written here: the restore path
-// re-seals the adopted table through persist.Resume before calling this, so
-// the journal and the metastore adopt the same state exactly once each.
+// calls this first and re-seals the adopted table through persist.Resume
+// once every page is verified, so the journal and the metastore adopt the
+// same state exactly once each.
 func (v *VMM) AdoptMigratedDomain(d cloak.DomainID, identity [32]byte, pages []AdoptedPage) error {
 	if d == 0 {
 		return fmt.Errorf("vmm: adopt of domain 0 (uncloaked)")
