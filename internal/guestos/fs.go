@@ -1,10 +1,10 @@
 package guestos
 
 import (
-	"sort"
 	"strings"
 
 	"overshadow/internal/mach"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -251,12 +251,7 @@ func (fs *FS) ReadDir(path string) ([]string, Errno) {
 	if ino.typ != TypeDir {
 		return nil, ENOTDIR
 	}
-	names := make([]string, 0, len(ino.children))
-	for n := range ino.children {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, OK
+	return ordered.Keys(ino.children), OK
 }
 
 // --- Data operations ----------------------------------------------------------

@@ -6,6 +6,7 @@ import (
 	"overshadow/internal/mach"
 	"overshadow/internal/mmu"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
@@ -328,8 +329,8 @@ func (k *Kernel) finishProcessExit(sh *procShared) {
 	sh.done = true
 
 	// Orphan our children onto pid 0.
-	for _, c := range sh.children {
-		c.ppid = 0
+	for _, pid := range ordered.Keys(sh.children) {
+		sh.children[pid].ppid = 0
 	}
 	// Notify a waiting parent.
 	for _, w := range leader.waiters {
@@ -351,8 +352,11 @@ func (k *Kernel) releaseAddressSpace(p *Proc) {
 		return true
 	})
 	sh.gpt.Clear()
-	for _, blk := range sh.swapped {
-		k.swap.free(blk)
+	// Free the swap slots in page order: the free list hands out the most
+	// recently freed slot first, so this order picks the next page-outs'
+	// slots.
+	for _, vpn := range ordered.Keys(sh.swapped) {
+		k.swap.free(sh.swapped[vpn])
 	}
 	sh.swapped = make(map[uint64]uint64)
 	k.vmm.DestroyAddressSpace(sh.as)
@@ -458,32 +462,26 @@ func (k *Kernel) copyAddressSpace(p, child *Proc) Errno {
 		if failed != OK {
 			return failed
 		}
-		// Swapped-out pages: duplicate the swap slots.
-		for vpn, blk := range p.swapped {
-			nblk, ok := k.swap.dup(blk)
-			if !ok {
-				return ENOSPC
+	} else {
+		// Native: COW. Share frames read-only; copy on first write fault.
+		p.gpt.Range(func(vpn uint64, pte mmu.PTE) bool {
+			gppn := mach.GPPN(pte.PN)
+			k.mem.share(gppn)
+			if pte.Flags.Has(mmu.FlagWritable) {
+				p.gpt.ClearFlags(vpn, mmu.FlagWritable)
+				k.vmm.InvalidateGuestMapping(p.as, vpn)
 			}
-			child.swapped[vpn] = nblk
-		}
-		return OK
+			child.gpt.Map(vpn, mmu.PTE{PN: pte.PN,
+				Flags: pte.Flags &^ mmu.FlagWritable})
+			child.procShared.residentPages++
+			k.noteResident(child, vpn)
+			return true
+		})
 	}
-	// Native: COW. Share frames read-only; copy on first write fault.
-	p.gpt.Range(func(vpn uint64, pte mmu.PTE) bool {
-		gppn := mach.GPPN(pte.PN)
-		k.mem.share(gppn)
-		if pte.Flags.Has(mmu.FlagWritable) {
-			p.gpt.ClearFlags(vpn, mmu.FlagWritable)
-			k.vmm.InvalidateGuestMapping(p.as, vpn)
-		}
-		child.gpt.Map(vpn, mmu.PTE{PN: pte.PN,
-			Flags: pte.Flags &^ mmu.FlagWritable})
-		child.procShared.residentPages++
-		k.noteResident(child, vpn)
-		return true
-	})
-	for vpn, blk := range p.swapped {
-		nblk, ok := k.swap.dup(blk)
+	// Swapped-out pages: duplicate the swap slots, in page order so the
+	// child's slots are a function of the parent's.
+	for _, vpn := range ordered.Keys(p.swapped) {
+		nblk, ok := k.swap.dup(p.swapped[vpn])
 		if !ok {
 			return ENOSPC
 		}
@@ -525,46 +523,29 @@ func (k *Kernel) execProc(p *Proc, name string, args []string) Errno {
 // waitPid implements waitpid semantics. pid < 0 means "any child".
 func (k *Kernel) waitPid(p *Proc, pid Pid) (Pid, int, Errno) {
 	for {
-		if len(p.children) == 0 {
-			return 0, 0, ECHILD
-		}
-		var zombie *Proc
+		// The children waited for, lowest pid first.
+		var pids []Pid
 		if pid > 0 {
-			c, ok := p.children[pid]
-			if !ok {
-				return 0, 0, ECHILD
-			}
-			if c.procShared.done {
-				zombie = c
+			if _, ok := p.children[pid]; ok {
+				pids = []Pid{pid}
 			}
 		} else {
-			// Deterministic order: lowest pid first.
-			var best Pid
-			for cpid, c := range p.children {
-				if c.procShared.done && (best == 0 || cpid < best) {
-					best = cpid
-				}
-			}
-			if best != 0 {
-				zombie = p.children[best]
-			}
+			pids = ordered.Keys(p.children)
 		}
-		if zombie != nil {
-			delete(p.children, zombie.pid)
-			delete(k.procs, zombie.pid)
-			return zombie.pid, zombie.procShared.exitStatus, OK
-		}
-		// Block until a child exits.
-		found := false
-		for cpid := range p.children {
-			if pid <= 0 || cpid == pid {
-				c := p.children[cpid]
-				c.waiters = append(c.waiters, p)
-				found = true
-			}
-		}
-		if !found {
+		if len(pids) == 0 {
 			return 0, 0, ECHILD
+		}
+		for _, cpid := range pids {
+			if c := p.children[cpid]; c.procShared.done {
+				delete(p.children, cpid)
+				delete(k.procs, cpid)
+				return cpid, c.procShared.exitStatus, OK
+			}
+		}
+		// Block until one of them exits.
+		for _, cpid := range pids {
+			c := p.children[cpid]
+			c.waiters = append(c.waiters, p)
 		}
 		k.block(p, "waitpid")
 	}

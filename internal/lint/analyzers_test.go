@@ -31,12 +31,22 @@ func TestDeterminismAnalyzerCoversPersist(t *testing.T) {
 		"overshadow/internal/persist", "testdata/src/persistenc")
 }
 
-// TestDeterminismInjectorSeedRule loads a core-shaped package (NOT in the
-// gated set): host-randomness expressions feeding fault.NewInjector's seed
-// must be findings even where general host-time use is allowed.
+// TestDeterminismAnalyzerCoversShim loads a teardown-shaped package under the
+// internal/shim import path: every machine package is gated, not only the
+// ones that serialize, so a map range there is a finding, and a walk over
+// ordered.Keys is not.
+func TestDeterminismAnalyzerCoversShim(t *testing.T) {
+	runWantTest(t, DeterminismAnalyzer,
+		"overshadow/internal/shim", "testdata/src/shimteardown")
+}
+
+// TestDeterminismInjectorSeedRule loads a package under the host-side
+// internal/harness path (not a machine package): host-randomness
+// expressions feeding fault.NewInjector's seed must be findings even where
+// general host-time use is allowed.
 func TestDeterminismInjectorSeedRule(t *testing.T) {
 	runWantTest(t, DeterminismAnalyzer,
-		"overshadow/internal/core", "testdata/src/faultseed")
+		"overshadow/internal/harness", "testdata/src/faultseed")
 }
 
 func TestCloakBoundaryAnalyzer(t *testing.T) {

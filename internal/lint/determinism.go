@@ -8,7 +8,7 @@ import (
 
 // DeterminismAnalyzer guards the simulation's bit-exact reproducibility
 // (DESIGN.md "Determinism note", internal/core/determinism_test.go). Inside
-// the simulated-machine packages every source of nondeterminism is banned:
+// the simulated machine every source of nondeterminism is banned:
 //
 //   - host wall-clock reads (time.Now, time.Since, ...) and host sleeps —
 //     simulated time comes only from sim.Clock;
@@ -16,13 +16,15 @@ import (
 //   - select over multiple channels — the runtime picks a ready case
 //     pseudo-randomly (a single case plus default stays deterministic);
 //   - bare go statements — concurrency must be routed through the guest
-//     kernel's baton scheduler, which admits exactly one runnable goroutine.
+//     kernel's baton scheduler, which admits exactly one runnable goroutine;
+//   - ranging over a map — Go randomizes iteration order, so a cycle charge,
+//     trace span or serialized byte reached from the loop body would differ
+//     run to run. The machine walks a map through ordered.Keys, whose one
+//     range is the reviewed exemption.
 //
-// Packages that serialize bytes onto simulated stable storage
-// (internal/persist) carry one extra rule: no ranging over maps — Go
-// randomizes iteration order, and serialized journal bytes must be a pure
-// function of the simulation history. Order-independent loops are
-// whitelisted with reviewed //overlint:allow comments.
+// The machine is every package under internal/ except the host-side harness
+// (which runs worlds on a goroutine pool) and the linter, so a new machine
+// package is gated by default.
 //
 // One rule is ungated and applies to every package: the seed argument of
 // fault.NewInjector must be a pure function of the simulation seed. A fault
@@ -31,50 +33,16 @@ import (
 // layer exists to provide (see internal/fault and experiment E13).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid host time, math/rand, multi-channel select, and unscheduled goroutines in simulated-machine packages",
+	Doc:  "forbid host time, math/rand, multi-channel select, unscheduled goroutines and map ranges in simulated-machine packages",
 	Run:  runDeterminism,
 }
 
-// deterministicPkgs are the packages forming the simulated machine; only
-// they are subject to the determinism rules.
-var deterministicPkgs = map[string]bool{
-	"overshadow/internal/sim":     true,
-	"overshadow/internal/mach":    true,
-	"overshadow/internal/mmu":     true,
-	"overshadow/internal/vmm":     true,
-	"overshadow/internal/guestos": true,
-	"overshadow/internal/cloak":   true,
-	// fault schedules are part of the reproducible machine: the injector
-	// must never consult host state.
-	"overshadow/internal/fault": true,
-	// obs timestamps spans and buckets cycles: a host-clock read there
-	// would silently break the bit-identical trace and report exports.
-	"overshadow/internal/obs": true,
-	// persist serializes VMM metadata onto the simulated disk; its bytes
-	// must be a pure function of the simulation history (see the map-range
-	// rule below).
-	"overshadow/internal/persist": true,
-	// migrate serializes sealed checkpoints onto the (fault-injected)
-	// transfer channel; the blob must be a pure function of the source
-	// machine's history for migrations to be replayable per seed.
-	"overshadow/internal/migrate": true,
-}
-
-// serializingPkgs write bytes to simulated stable storage. Inside them a
-// range over a map is a finding: Go randomizes map iteration order, so any
-// serialization (or cycle charge) reached from the loop body would differ
-// run to run. Loops whose bodies are provably order-independent (say,
-// collect-then-sort) carry reviewed //overlint:allow comments.
-var serializingPkgs = map[string]bool{
-	"overshadow/internal/persist": true,
-	// obs serializes every observability export (Chrome traces, the run
-	// report, histogram tables); a map range that reaches
-	// serialized bytes without an intervening sort would break the
-	// byte-identical-at-any-shard-count contract.
-	"overshadow/internal/obs": true,
-	// migrate encodes checkpoint blobs byte-for-byte; map iteration must
-	// never reach the encoder.
-	"overshadow/internal/migrate": true,
+// machinePkg reports whether the package at path is part of the simulated
+// machine, and so subject to the determinism rules.
+func machinePkg(path string) bool {
+	const internal = "overshadow/internal/"
+	return strings.HasPrefix(path, internal) &&
+		path != internal+"harness" && path != internal+"lint"
 }
 
 // faultPkgPath is the fault-injection package whose injector seeding is
@@ -98,7 +66,7 @@ var forbiddenTimeFuncs = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	gated := deterministicPkgs[pass.Pkg.Path]
+	gated := machinePkg(pass.Pkg.Path)
 	info := pass.Pkg.Info
 	inspect(pass.Pkg, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
@@ -138,12 +106,9 @@ func runDeterminism(pass *Pass) {
 		case *ast.GoStmt:
 			pass.Report(n.Pos(), "bare go statement: goroutines must be baton-scheduled by the guest kernel")
 		case *ast.RangeStmt:
-			if !serializingPkgs[pass.Pkg.Path] {
-				return true
-			}
 			if tv := info.TypeOf(n.X); tv != nil {
 				if _, isMap := tv.Underlying().(*types.Map); isMap {
-					pass.Report(n.Pos(), "map iteration order is nondeterministic: sort keys before serializing")
+					pass.Report(n.Pos(), "map iteration order is nondeterministic: walk ordered.Keys(m) instead")
 				}
 			}
 		}

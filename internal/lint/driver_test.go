@@ -118,7 +118,7 @@ func TestMalformedAllowIsAFinding(t *testing.T) {
 	}
 }
 
-// TestUnusedAllowIsAFinding loads a serializing-package-shaped testdata
+// TestUnusedAllowIsAFinding loads a machine-package-shaped testdata
 // package with three determinism directives: one suppresses a map range,
 // one sits above a slice range, and one names cyclecharge as well. Each name
 // that suppressed nothing is reported under analyzer "overlint", but only

@@ -1,8 +1,9 @@
-// Package core is determinism-analyzer testdata for the injector-seed rule,
-// loaded under the production import path overshadow/internal/core. The rule
-// is ungated — core is NOT in deterministicPkgs, so plain time/math-rand use
-// passes here, but feeding either into fault.NewInjector's seed is a finding.
-package core
+// Package harness is determinism-analyzer testdata for the injector-seed
+// rule, loaded under the production import path overshadow/internal/harness.
+// The rule is ungated — the host-side harness is not a machine package, so
+// plain time/math-rand use passes here, but feeding either into
+// fault.NewInjector's seed is a finding.
+package harness
 
 import (
 	"math/rand"
@@ -34,8 +35,8 @@ func okDerivedSeed(seed uint64, plan fault.Plan) *fault.Injector {
 }
 
 func okHostTimeElsewhere(plan fault.Plan) *fault.Injector {
-	// Outside the seed argument (and outside deterministicPkgs) host time is
-	// not this rule's business.
+	// Outside the seed argument (and outside the machine packages) host
+	// time is not this rule's business.
 	_ = time.Now()
 	return fault.NewInjector(42, plan)
 }

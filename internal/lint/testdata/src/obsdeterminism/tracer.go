@@ -24,12 +24,12 @@ func age(s *span) time.Duration {
 // fromCycles is fine: pure value manipulation of a simulated timestamp.
 func fromCycles(c uint64) uint64 { return c * 2 }
 
-// flatten exercises the serializing-package map-range rule: obs renders
-// every observability export, so an unsorted map walk that could reach
-// serialized bytes is a finding.
+// flatten exercises the map-range rule: obs renders every observability
+// export, so an unsorted map walk that could reach serialized bytes is a
+// finding.
 func flatten(counters map[string]uint64) []uint64 {
 	var out []uint64
-	for _, v := range counters { // want `map iteration order is nondeterministic: sort keys before serializing`
+	for _, v := range counters { // want `map iteration order is nondeterministic: walk ordered\.Keys\(m\) instead`
 		out = append(out, v)
 	}
 	return out

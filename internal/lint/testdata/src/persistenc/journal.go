@@ -17,7 +17,7 @@ type journal struct {
 // checkpointBroken serializes straight out of map order: the exact bug the
 // rule exists to catch — two runs of the same history write different disks.
 func (j *journal) checkpointBroken() {
-	for id, v := range j.table { // want `map iteration order is nondeterministic: sort keys before serializing`
+	for id, v := range j.table { // want `map iteration order is nondeterministic: walk ordered\.Keys\(m\) instead`
 		j.out = append(j.out, byte(id.domain), byte(id.index), byte(v))
 	}
 }
@@ -26,15 +26,16 @@ func (j *journal) checkpointBroken() {
 // package-wide on purpose: order-independence is a reviewed claim, recorded
 // in an allow comment, never assumed.
 func (j *journal) dropBroken(domain uint64) {
-	for id := range j.table { // want `map iteration order is nondeterministic: sort keys before serializing`
+	for id := range j.table { // want `map iteration order is nondeterministic: walk ordered\.Keys\(m\) instead`
 		if id.domain == domain {
 			delete(j.table, id)
 		}
 	}
 }
 
-// checkpointSorted is the sanctioned shape: collect under a reviewed allow,
-// sort, then serialize from the slice.
+// checkpointSorted walks a key that is not cmp.Ordered, so ordered.Keys
+// cannot sort it: collect under a reviewed allow, sort, then serialize from
+// the slice.
 func (j *journal) checkpointSorted() {
 	ids := make([]pageID, 0, len(j.table))
 	//overlint:allow determinism -- keys are collected then sorted before serialization

@@ -1,5 +1,5 @@
 // Package persist is allow-directive testdata, loaded under the import path
-// of a serializing package, where a map range is a determinism finding: an
+// of a machine package, where a map range is a determinism finding: an
 // allow directive name that suppresses nothing must itself be reported.
 package persist
 

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+
+	"overshadow/internal/ordered"
 )
 
 // The Chrome trace_event exporter renders spans in the JSON Object Format
@@ -87,12 +88,7 @@ func BuildChromeTrace(spans []Span, ring RingStats) *ChromeTrace {
 			taskNames[tid] = fmt.Sprintf("%s (pid %d)", name, s.Attr.PID)
 		}
 	}
-	tids := make([]int, 0, len(taskNames))
-	//overlint:allow determinism -- keys are collected then sorted before serialization
-	for tid := range taskNames {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
+	tids := ordered.Keys(taskNames)
 
 	events := make([]ChromeEvent, 0, len(spans)+len(tids)+2)
 	events = append(events,

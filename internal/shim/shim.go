@@ -24,10 +24,12 @@ package shim
 
 import (
 	"crypto/sha256"
+	"maps"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/guestos"
 	"overshadow/internal/mach"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 	"overshadow/internal/vmm"
 )
@@ -174,9 +176,10 @@ func (s *Ctx) mustRegister(r vmm.Region) {
 
 // onExit tears down the shim's cloaking state when the process dies. It
 // runs before the kernel reclaims any resource, on the process's own
-// goroutine.
+// goroutine. Files flush in descriptor order and regions release in page
+// order: each step charges cycles and may write the disk or the journal.
 func (s *Ctx) onExit() {
-	for fd := range s.cfiles {
+	for _, fd := range ordered.Keys(s.cfiles) {
 		// Best-effort flush of cloaked files (ignore errors on exit).
 		//overlint:allow errnodiscipline -- exit path: the process is gone, a flush failure has no one left to report to
 		s.flushCloaked(fd)
@@ -191,7 +194,8 @@ func (s *Ctx) onExit() {
 		s.conn.ReleaseResource(s.heapRes, guestos.LayoutHeapMax-guestos.LayoutHeapBase)
 		//overlint:allow errnodiscipline -- exit path: resources are known-registered, release cannot meaningfully fail here
 		s.conn.ReleaseResource(s.stackRes, guestos.LayoutStackMax)
-		for _, ar := range s.anonRegions {
+		for _, vpn := range ordered.Keys(s.anonRegions) {
+			ar := s.anonRegions[vpn]
 			//overlint:allow errnodiscipline -- exit path: resources are known-registered, release cannot meaningfully fail here
 			s.conn.ReleaseResource(ar.res, ar.pages)
 		}
@@ -350,18 +354,12 @@ func (s *Ctx) Fork(child func(guestos.Env)) (guestos.Pid, error) {
 	}, func(pas, cas *vmm.AddressSpace) error {
 		// Fork time: freeze the shim's view alongside the address-space copy.
 		snap = forkSnapshot{
-			anon: make(map[uint64]anonRegion, len(s.anonRegions)),
-			shm:  make(map[uint64]shmRegion, len(s.shmRegions)),
+			anon: maps.Clone(s.anonRegions),
+			shm:  maps.Clone(s.shmRegions),
 			cf:   make(map[int]*cloakedFile, len(s.cfiles)),
 		}
-		for vpn, ar := range s.anonRegions {
-			snap.anon[vpn] = ar
-		}
-		for vpn, sr := range s.shmRegions {
-			snap.shm[vpn] = sr
-		}
-		for fd, cf := range s.cfiles {
-			dup := *cf
+		for _, fd := range ordered.Keys(s.cfiles) {
+			dup := *s.cfiles[fd]
 			snap.cf[fd] = &dup
 		}
 		m, cc, err := s.conn.CloneInto(cas)
@@ -397,7 +395,8 @@ func attachForked(cuc *guestos.UserCtx, parent *Ctx, conn *vmm.DomainConn, rmap 
 	}
 	cs.heapRes = remap(parent.heapRes)
 	cs.stackRes = remap(parent.stackRes)
-	for vpn, ar := range snap.anon {
+	for _, vpn := range ordered.Keys(snap.anon) {
+		ar := snap.anon[vpn]
 		cs.anonRegions[vpn] = anonRegion{res: remap(ar.res), pages: ar.pages}
 	}
 	cuc.Proc().AddExitHook(cs.onExit)
@@ -426,7 +425,7 @@ func (s *Ctx) ExitThread() { s.uc.ExitThread() }
 // Exec implements Env: the domain dies with the old image; the new image's
 // shim re-attaches via the kernel's cloak runtime.
 func (s *Ctx) Exec(name string, args []string) error {
-	for fd := range s.cfiles {
+	for _, fd := range ordered.Keys(s.cfiles) {
 		if err := s.flushCloaked(fd); err != nil {
 			return err
 		}

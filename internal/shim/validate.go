@@ -6,6 +6,7 @@ import (
 
 	"overshadow/internal/guestos"
 	"overshadow/internal/mach"
+	"overshadow/internal/ordered"
 )
 
 // This file is the shim's Iago defense: every kernel-controlled syscall
@@ -38,18 +39,18 @@ func (s *Ctx) trackedOverlap(vpn, pages uint64) bool {
 	overlaps := func(base, n uint64) bool {
 		return base < vpn+pages && vpn < base+n
 	}
-	for base, ar := range s.anonRegions {
-		if overlaps(base, ar.pages) {
+	for _, base := range ordered.Keys(s.anonRegions) {
+		if overlaps(base, s.anonRegions[base].pages) {
 			return true
 		}
 	}
-	for base, sr := range s.shmRegions {
-		if overlaps(base, sr.pages) {
+	for _, base := range ordered.Keys(s.shmRegions) {
+		if overlaps(base, s.shmRegions[base].pages) {
 			return true
 		}
 	}
-	for _, cf := range s.cfiles {
-		if cf.winBase != 0 && overlaps(mach.PageOf(cf.winBase), cf.winPages) {
+	for _, fd := range ordered.Keys(s.cfiles) {
+		if cf := s.cfiles[fd]; cf.winBase != 0 && overlaps(mach.PageOf(cf.winBase), cf.winPages) {
 			return true
 		}
 	}

@@ -189,7 +189,11 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 	child.domain = parent.domain
 	v.domainSpaces[parent.domain] = append(v.domainSpaces[parent.domain], child)
 
+	// resourceMap takes each parent resource to its fresh child resource,
+	// and parentOf takes it back: the re-cloak loop below looks up the
+	// parent resource per region.
 	resourceMap := make(map[cloak.ResourceID]cloak.ResourceID)
+	parentOf := make(map[cloak.ResourceID]cloak.ResourceID)
 	for _, r := range parent.regions {
 		nr := r
 		if r.Cloaked && r.Domain == 0 {
@@ -198,6 +202,7 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 			if !ok {
 				newRes = v.allocResource()
 				resourceMap[r.Resource] = newRes
+				parentOf[newRes] = r.Resource
 			}
 			nr.Resource = newRes
 		}
@@ -205,14 +210,6 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 		if err := child.addRegion(nr); err != nil {
 			return nil, err
 		}
-	}
-
-	// Invert the resource map once: the re-cloak loop below looks up the
-	// parent resource per region, and scanning resourceMap there again would
-	// be O(regions²).
-	parentOf := make(map[cloak.ResourceID]cloak.ResourceID, len(resourceMap))
-	for pr, cr := range resourceMap {
-		parentOf[cr] = pr
 	}
 
 	// Re-cloak every resident page of the child's domain-private cloaked
@@ -230,7 +227,7 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 			}
 			gppn := mach.GPPN(gpte.PN)
 			if _, inRange := v.machineOf(gppn); !inRange {
-				v.unwindClone(child, resourceMap)
+				v.unwindClone(child, parentOf)
 				return nil, v.badGPPN("clone_domain", gppn)
 			}
 			idx := r.IndexOff + (vpn - r.BaseVPN)
@@ -253,7 +250,7 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 					Page: parentID, GPPN: gppn,
 					Detail: "fork copy failed verification: " + err.Error()}
 				v.logEvent(ev)
-				v.unwindClone(child, resourceMap)
+				v.unwindClone(child, parentOf)
 				return nil, &SecViolation{Event: ev}
 			}
 			newMeta := v.engine.EncryptPage(childID, 0, frame)
@@ -269,16 +266,16 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 // pages already re-cloaked under the child's fresh resources are unregistered
 // and their metadata dropped, and the child address space is detached from
 // the domain. The child's frames themselves belong to the guest kernel,
-// which tears the aborted fork down. The unwind charges nothing, but on a
-// journaled machine each metadata delete appends a sealed record, so the
-// pages are unwound in ascending GPPN order.
-func (v *VMM) unwindClone(child *AddressSpace, resourceMap map[cloak.ResourceID]cloak.ResourceID) {
+// which tears the aborted fork down. parentOf holds the child's fresh
+// resources as its keys. The unwind charges nothing, but on a journaled
+// machine each metadata delete appends a sealed record, so the pages are
+// unwound in ascending GPPN order.
+func (v *VMM) unwindClone(child *AddressSpace, parentOf map[cloak.ResourceID]cloak.ResourceID) {
 	d := child.domain
-	childRes := make(map[cloak.ResourceID]bool, len(resourceMap))
-	for _, cr := range resourceMap {
-		childRes[cr] = true
-	}
-	victims := v.domainPages(d, func(cp *cloakPage) bool { return childRes[cp.id.Resource] })
+	victims := v.domainPages(d, func(cp *cloakPage) bool {
+		_, fresh := parentOf[cp.id.Resource]
+		return fresh
+	})
 	for _, gppn := range victims {
 		cp := v.pages[gppn]
 		id := cp.id

@@ -2,10 +2,11 @@ package vmm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -113,16 +114,11 @@ func (in *Introspector) Scan() {
 
 	claims := in.src.IntrospectClaims()
 
-	// Ground truth: live (unquarantined) domains, sorted for determinism.
+	// Ground truth: live (unquarantined) domains, in ID order.
 	// The scan runs every Nth context switch, not per-switch: its transient
 	// allocations are amortized far below the shadow-translation hot path.
-	domains := make([]cloak.DomainID, 0, len(v.domainSpaces))
-	for d := range v.domainSpaces {
-		if !v.quarantined[d] {
-			domains = append(domains, d)
-		}
-	}
-	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
+	domains := slices.DeleteFunc(ordered.Keys(v.domainSpaces),
+		func(d cloak.DomainID) bool { return v.quarantined[d] })
 
 	claimedDomains := make(map[cloak.DomainID]int)
 	for _, t := range claims.Tasks {

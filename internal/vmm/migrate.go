@@ -6,6 +6,7 @@ import (
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
+	"overshadow/internal/ordered"
 )
 
 // Live-migration support: the accessors the migration layer (internal/migrate)
@@ -31,8 +32,9 @@ type ThreadState struct {
 // ID. Intended to run at a scheduler dispatch boundary (the migration hook),
 // where no thread is mid-crossing.
 func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
-	out := make([]ThreadState, 0, len(v.threads))
-	for _, t := range v.threads {
+	var out []ThreadState
+	for _, id := range ordered.Keys(v.threads) {
+		t := v.threads[id]
 		if t.Domain != d {
 			continue
 		}
@@ -44,7 +46,6 @@ func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -68,22 +69,12 @@ type ResidentPage struct {
 // copies each frame into its wire blob). The copy's cost is charged here, to
 // the executing vCPU, like any other bulk memory move.
 func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
-	type resident struct {
-		gppn mach.GPPN
-		cp   *cloakPage
-	}
-	regs := make([]resident, 0, len(v.byDomain[d]))
-	for gppn, cp := range v.byDomain[d] {
-		if cp.state == stateEncrypted {
-			regs = append(regs, resident{gppn, cp})
-		}
-	}
-	sort.Slice(regs, func(i, j int) bool {
-		return regs[i].cp.id.Less(regs[j].cp.id)
-	})
-	out := make([]ResidentPage, 0, len(regs))
-	for _, r := range regs {
-		id := r.cp.id
+	pages := v.byDomain[d]
+	gppns := v.domainPages(d, func(cp *cloakPage) bool { return cp.state == stateEncrypted })
+	sort.Slice(gppns, func(i, j int) bool { return pages[gppns[i]].id.Less(pages[gppns[j]].id) })
+	out := make([]ResidentPage, 0, len(gppns))
+	for _, gppn := range gppns {
+		id := pages[gppn].id
 		meta, ok := v.metas.Get(id)
 		if !ok {
 			// A registered encrypted page with no metadata record cannot be
@@ -91,7 +82,7 @@ func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
 			// reports it as a typed unavailability.
 			continue
 		}
-		frame := v.frame(r.gppn)
+		frame := v.frame(gppn)
 		if frame == nil {
 			continue
 		}

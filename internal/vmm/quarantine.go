@@ -1,10 +1,9 @@
 package vmm
 
 import (
-	"sort"
-
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -35,8 +34,8 @@ func (v *VMM) Quarantined(d cloak.DomainID) bool { return v.quarantined[d] }
 func (v *VMM) QuarantineResidue(d cloak.DomainID) (pages, metaRecords, liveCTCs int) {
 	pages = len(v.byDomain[d])
 	metaRecords = v.metas.DomainRecords(d)
-	for _, t := range v.threads {
-		if t.Domain == d && t.pending {
+	for _, id := range ordered.Keys(v.threads) {
+		if t := v.threads[id]; t.Domain == d && t.pending {
 			liveCTCs++
 		}
 	}
@@ -59,17 +58,12 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	v.scrubDomain(d)
 
 	// Revoke saved thread contexts: a quarantined thread must never resume
-	// with its genuine registers. Sorted by thread ID for the same
+	// with its genuine registers. In thread ID order for the same
 	// determinism reason as the frame sweep.
-	tids := make([]ThreadID, 0, len(v.threads))
-	for id, t := range v.threads {
-		if t.Domain == d {
-			tids = append(tids, id)
+	for _, id := range ordered.Keys(v.threads) {
+		if t := v.threads[id]; t.Domain == d {
+			t.revoke()
 		}
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, id := range tids {
-		v.threads[id].revoke()
 	}
 
 	// Reclaim metadata and the measured identity. Unlike Destroy, the

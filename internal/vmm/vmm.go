@@ -2,13 +2,14 @@ package vmm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
 	"overshadow/internal/mach"
 	"overshadow/internal/mmu"
 	"overshadow/internal/obs"
+	"overshadow/internal/ordered"
 	"overshadow/internal/persist"
 	"overshadow/internal/sim"
 )
@@ -510,13 +511,10 @@ func (v *VMM) unregisterPage(gppn mach.GPPN, cp *cloakPage) {
 // the counters a crash deadline leaves behind.
 func (v *VMM) domainPages(d cloak.DomainID, keep func(*cloakPage) bool) []mach.GPPN {
 	pages := v.byDomain[d]
-	gppns := make([]mach.GPPN, 0, len(pages))
-	for gppn, cp := range pages {
-		if keep == nil || keep(cp) {
-			gppns = append(gppns, gppn)
-		}
+	gppns := ordered.Keys(pages)
+	if keep != nil {
+		gppns = slices.DeleteFunc(gppns, func(g mach.GPPN) bool { return !keep(pages[g]) })
 	}
-	sort.Slice(gppns, func(i, j int) bool { return gppns[i] < gppns[j] })
 	return gppns
 }
 

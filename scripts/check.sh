@@ -8,7 +8,8 @@
 #              errnodiscipline, iagoflow, cyclecharge, smpready) — see
 #              DESIGN.md; an allow directive that suppresses nothing is a
 #              finding; also pins the smpready and determinism allow
-#              counts at their exact inventories
+#              counts at their exact inventories (determinism's four: the
+#              baton goroutine, ordered.Keys, and two cloak metastore loops)
 #   build      everything compiles
 #   host clock no non-test package of the main module imports time: every
 #              overbench output is a pure function of its flags (bench/ and
@@ -61,15 +62,15 @@ go run ./cmd/overlint ./...
 # so adding one or removing one both take a deliberate, reviewed change of
 # the pin. smpready flags package-level vars in mach/sim/vmm written at
 # runtime (state outside any World, which the scheduler baton does not
-# serialize); none exists, so its pin is zero. determinism's pin is two:
-# the baton-scheduled goroutine in guestos/proc.go and the collect-then-sort
-# map range in obs/chrome.go. The journal writer and replay share one
-# PageID-ordered table, and the metrics and profile stores keep dense rows,
-# so iterating them needs no allow; and since overlint reports an allow
-# that suppresses nothing, the vmm directives over map ranges (a rule that
-# does not cover vmm) went too. overlint does not analyze _test.go files,
-# so their directives do not count.
-for pin in smpready:0 determinism:2; do
+# serialize); none exists, so its pin is zero. determinism bans map ranges
+# in every machine package, and its pin is four: the baton-scheduled
+# goroutine in guestos/proc.go, the collect-then-sort range inside
+# ordered.Keys (the machine's one way to walk a map), and the two
+# cloak.MetaStore loops that delete or count every record of a domain
+# (PageID keys are not cmp.Ordered, and each step is order-blind).
+# overlint does not analyze _test.go files, so their directives do not
+# count.
+for pin in smpready:0 determinism:4; do
     analyzer=${pin%%:*}
     want=${pin#*:}
     got=$(grep -rn "overlint:allow $analyzer" --include="*.go" --exclude="*_test.go" internal | grep -cv testdata || true)
