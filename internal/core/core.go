@@ -84,8 +84,6 @@ type Config struct {
 	Cost *sim.CostModel
 	// VMM carries the ablation knobs of experiment E10.
 	VMM vmm.Options
-	// Shim configures cloaked-file policy and window size.
-	Shim shim.Options
 	// Fault activates deterministic fault injection (nil = no faults). The
 	// injector is seeded from Seed, so a (Seed, Plan) pair names one exact
 	// fault schedule; see internal/fault and experiment E13.
@@ -195,7 +193,7 @@ func boot(cfg Config, world *sim.World, hv *vmm.VMM, swapDisk *mach.Disk, journa
 		FSDiskPages: cfg.FSDiskPages,
 		SwapDisk:    swapDisk,
 	})
-	k.SetCloakRuntime(shim.Runtime(cfg.Shim))
+	k.SetCloakRuntime(shim.Runtime())
 	return &System{World: world, VMM: hv, Kernel: k, Journal: journal, cfg: cfg}
 }
 

@@ -84,8 +84,8 @@ func TestE3CPUOverheadSmall(t *testing.T) {
 		if overhead < -1 {
 			t.Errorf("%s: cloaked faster than native (%.1f%%)", r.Name, overhead)
 		}
-		if overhead > 25 {
-			t.Errorf("%s: CPU-bound overhead %.1f%% too large — cloaking should be nearly free here", r.Name, overhead)
+		if overhead >= 10 {
+			t.Errorf("%s: CPU-bound overhead %.1f%% not single digits — cloaking should be nearly free here", r.Name, overhead)
 		}
 	}
 }

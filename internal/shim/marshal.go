@@ -23,7 +23,7 @@ func (s *Ctx) marshalStats(n int) {
 // cloaked file would route this descriptor's plaintext I/O through the
 // cloaked window.
 func (s *Ctx) Open(path string, flags int) (int, error) {
-	if s.opts.cloaks(path) {
+	if cloaks(path) {
 		return s.openCloaked(path, flags)
 	}
 	fd, err := s.uc.Open(path, flags)
@@ -195,7 +195,7 @@ func (s *Ctx) Fstat(fd int) (guestos.StatInfo, error) {
 
 // Unlink implements Env: deleting a cloaked file also drops its vault.
 func (s *Ctx) Unlink(path string) error {
-	if s.opts.cloaks(path) {
+	if cloaks(path) {
 		if st, err := s.uc.Stat(path); err == nil {
 			s.hv.HCDropFileResource(uint64(st.Ino))
 		}
@@ -208,7 +208,7 @@ func (s *Ctx) Mkdir(path string) error { return s.uc.Mkdir(path) }
 
 // Truncate implements Env.
 func (s *Ctx) Truncate(path string, size uint64) error {
-	if s.opts.cloaks(path) && size == 0 {
+	if cloaks(path) && size == 0 {
 		if st, err := s.uc.Stat(path); err == nil {
 			s.hv.HCDropFileResource(uint64(st.Ino))
 		}

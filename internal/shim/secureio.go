@@ -63,29 +63,28 @@ func (s *Ctx) openCloaked(path string, flags int) (int, error) {
 // ensureWindow maps the window containing file page idx, flushing and
 // remapping as needed.
 func (s *Ctx) ensureWindow(cf *cloakedFile, idx uint64) error {
-	wp := s.opts.windowPages()
 	if cf.winBase != 0 && idx >= cf.winOff && idx < cf.winOff+cf.winPages {
 		return nil
 	}
 	if err := s.dropWindow(cf); err != nil {
 		return err
 	}
-	off := (idx / wp) * wp // window-aligned
-	va, err := s.uc.MmapFile(cf.fd, off, wp, true)
+	off := (idx / windowPages) * windowPages // window-aligned
+	va, err := s.uc.MmapFile(cf.fd, off, windowPages, true)
 	if err != nil {
 		return s.validateErrno("mmap_file", err)
 	}
-	if verr := s.validateMappedBase("mmap_file", va, wp); verr != nil {
+	if verr := s.validateMappedBase("mmap_file", va, windowPages); verr != nil {
 		return verr
 	}
 	s.mustRegister(vmm.Region{
-		BaseVPN: mach.PageOf(va), Pages: wp,
+		BaseVPN: mach.PageOf(va), Pages: windowPages,
 		Resource: cf.res, Cloaked: true,
 		IndexOff: off, Domain: cf.vault,
 	})
 	cf.winBase = va
 	cf.winOff = off
-	cf.winPages = wp
+	cf.winPages = windowPages
 	return nil
 }
 

@@ -25,6 +25,7 @@ package shim
 import (
 	"crypto/sha256"
 	"maps"
+	"strings"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/guestos"
@@ -34,34 +35,18 @@ import (
 	"overshadow/internal/vmm"
 )
 
-// Options configures shim behavior.
-type Options struct {
-	// CloakPath decides which files get the cloaked (mmap-emulated) I/O
-	// path. Nil means paths under "/secret/".
-	CloakPath func(path string) bool
-	// WindowPages is the size of a cloaked file window (default 64 pages).
-	WindowPages uint64
-}
+// windowPages is the size of a cloaked file window.
+const windowPages = 64
 
-func (o Options) cloaks(path string) bool {
-	if o.CloakPath != nil {
-		return o.CloakPath(path)
-	}
-	return len(path) >= 8 && path[:8] == "/secret/"
-}
-
-func (o Options) windowPages() uint64 {
-	if o.WindowPages == 0 {
-		return 64
-	}
-	return o.WindowPages
-}
+// cloaks reports whether path gets the cloaked (mmap-emulated) file I/O
+// path: every file under /secret/ does.
+func cloaks(path string) bool { return strings.HasPrefix(path, "/secret/") }
 
 // Runtime returns the cloak runtime hook the guest kernel invokes to run a
 // cloaked program body under the shim.
-func Runtime(opts Options) guestos.CloakRuntime {
+func Runtime() guestos.CloakRuntime {
 	return func(uc *guestos.UserCtx, body guestos.Program) {
-		s := attach(uc, opts)
+		s := attach(uc)
 		body(s)
 	}
 }
@@ -72,7 +57,6 @@ type Ctx struct {
 	hv   *vmm.VMM
 	as   *vmm.AddressSpace
 	conn *vmm.DomainConn // typed hypercall handle for the process's domain
-	opts Options
 
 	domain   cloak.DomainID
 	heapRes  cloak.ResourceID
@@ -103,13 +87,12 @@ var _ guestos.Env = (*Ctx)(nil)
 // attach performs cloaked-process startup: domain creation, thread binding,
 // and region registration. It must run before any application data touches
 // memory.
-func attach(uc *guestos.UserCtx, opts Options) *Ctx {
+func attach(uc *guestos.UserCtx) *Ctx {
 	k := uc.Kernel()
 	s := &Ctx{
 		uc:           uc,
 		hv:           k.VMM(),
 		as:           uc.Proc().AddressSpace(),
-		opts:         opts,
 		scratchVA:    mach.Addr(guestos.LayoutScratch * mach.PageSize),
 		scratchBytes: int(guestos.LayoutScratchLen) * mach.PageSize,
 		anonRegions:  make(map[uint64]anonRegion),
@@ -377,7 +360,6 @@ func attachForked(cuc *guestos.UserCtx, parent *Ctx, conn *vmm.DomainConn, rmap 
 		hv:           parent.hv,
 		as:           cuc.Proc().AddressSpace(),
 		conn:         conn,
-		opts:         parent.opts,
 		domain:       conn.Domain(),
 		scratchVA:    parent.scratchVA,
 		scratchBytes: parent.scratchBytes,

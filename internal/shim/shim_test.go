@@ -1,28 +1,28 @@
 package shim_test
 
 // The shim is exercised through full systems (it cannot run without the
-// kernel and VMM underneath), so these tests build core systems configured
-// to stress shim-specific mechanisms: tiny mmap windows, custom cloaking
-// policies, descriptor duplication, and lifecycle interactions.
+// kernel and VMM underneath), so these tests build core systems that stress
+// shim-specific mechanisms: files spanning several 64-page mmap windows,
+// descriptor duplication, and lifecycle interactions.
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"overshadow/internal/core"
-	"overshadow/internal/shim"
 	"overshadow/internal/sim"
 )
 
-func newSys(t *testing.T, shimOpts shim.Options, memPages int) *core.System {
+func newSys(t *testing.T, memPages int) *core.System {
 	t.Helper()
 	return core.NewSystem(core.Config{
 		MemoryPages: memPages,
 		Seed:        3,
-		Shim:        shimOpts,
 	})
 }
+
+// window is the shim's cloaked-file window in bytes: 64 pages.
+const window = 64 * core.PageSize
 
 // run spawns one cloaked program and runs the system.
 func run(t *testing.T, sys *core.System, body core.Program) {
@@ -35,11 +35,11 @@ func run(t *testing.T, sys *core.System, body core.Program) {
 }
 
 func TestTinyWindowForcesRemaps(t *testing.T) {
-	// WindowPages=2: sequential I/O over a 32-page file must remap the
-	// window repeatedly, flushing dirty pages each time — the stress case
-	// for the mmap-emulation bookkeeping.
-	sys := newSys(t, shim.Options{WindowPages: 2}, 2048)
-	const total = 32 * core.PageSize
+	// Sequential I/O over a 160-page file must remap the 64-page window
+	// twice, flushing dirty pages each time — the stress case for the
+	// mmap-emulation bookkeeping.
+	sys := newSys(t, 2048)
+	const total = 160 * core.PageSize
 	var got []byte
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -60,8 +60,8 @@ func TestTinyWindowForcesRemaps(t *testing.T) {
 				e.Exit(1)
 			}
 		}
-		// Random-position reads crossing window boundaries.
-		if _, err := e.Lseek(fd, 3*core.PageSize-100, core.SeekSet); err != nil {
+		// A read crossing the second window boundary.
+		if _, err := e.Lseek(fd, 2*window-100, core.SeekSet); err != nil {
 			t.Errorf("lseek: %v", err)
 		}
 		out := make([]byte, 200)
@@ -74,10 +74,10 @@ func TestTinyWindowForcesRemaps(t *testing.T) {
 		e.Close(fd)
 		e.Exit(0)
 	})
-	// Expected bytes straddle pages 2 and 3.
+	// Expected bytes straddle pages 127 and 128.
 	want := make([]byte, 200)
 	for i := range want {
-		off := 3*core.PageSize - 100 + i
+		off := 2*window - 100 + i
 		want[i] = byte(off/core.PageSize + off%core.PageSize)
 	}
 	if !bytes.Equal(got, want) {
@@ -85,33 +85,8 @@ func TestTinyWindowForcesRemaps(t *testing.T) {
 	}
 }
 
-func TestCustomCloakPolicy(t *testing.T) {
-	sys := newSys(t, shim.Options{
-		CloakPath: func(p string) bool { return strings.HasSuffix(p, ".key") },
-	}, 1024)
-	run(t, sys, func(e core.Env) {
-		buf, _ := e.Alloc(1)
-		e.WriteMem(buf, []byte("RSA PRIVATE KEY MATERIAL"))
-		fd, _ := e.Open("/server.key", core.OCreate|core.OWrOnly)
-		e.Write(fd, buf, 24)
-		e.Close(fd)
-		fd2, _ := e.Open("/server.log", core.OCreate|core.OWrOnly)
-		e.Write(fd2, buf, 24)
-		e.Close(fd2)
-		e.Exit(0)
-	})
-	key, _ := sys.ReadGuestFile("/server.key")
-	logf, _ := sys.ReadGuestFile("/server.log")
-	if bytes.Contains(key, []byte("RSA PRIVATE")) {
-		t.Fatal(".key file stored plaintext")
-	}
-	if !bytes.Contains(logf, []byte("RSA PRIVATE")) {
-		t.Fatal(".log file should be plain")
-	}
-}
-
 func TestCloakedAppendMode(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	var size uint64
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -139,18 +114,20 @@ func TestCloakedAppendMode(t *testing.T) {
 }
 
 func TestCloakedPreadPwrite(t *testing.T) {
-	sys := newSys(t, shim.Options{WindowPages: 2}, 1024)
+	// The write lands in the file's third window.
+	const at = 2*window + 10000
+	sys := newSys(t, 1024)
 	var got []byte
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
 		buf, _ := e.Alloc(1)
 		e.WriteMem(buf, []byte("ABCDEFGH"))
 		fd, _ := e.Open("/secret/f", core.OCreate|core.ORdWr)
-		if _, err := e.Pwrite(fd, buf, 8, 10000); err != nil {
+		if _, err := e.Pwrite(fd, buf, 8, at); err != nil {
 			t.Errorf("pwrite: %v", err)
 		}
 		out, _ := e.Alloc(1)
-		n, err := e.Pread(fd, out, 4, 10002)
+		n, err := e.Pread(fd, out, 4, at+2)
 		if err != nil || n != 4 {
 			t.Errorf("pread = %d,%v", n, err)
 		}
@@ -169,7 +146,7 @@ func TestCloakedPreadPwrite(t *testing.T) {
 }
 
 func TestCloakedTruncateReopen(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	var second []byte
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -197,7 +174,7 @@ func TestCloakedTruncateReopen(t *testing.T) {
 }
 
 func TestCloakedUnlinkDropsVault(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	var reread []byte
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -228,7 +205,10 @@ func TestCloakedUnlinkDropsVault(t *testing.T) {
 }
 
 func TestCloakedDupSharesFileIndependentWindow(t *testing.T) {
-	sys := newSys(t, shim.Options{WindowPages: 2}, 1024)
+	// The file's first and third windows hold the same bytes; the original
+	// descriptor reads the first, its duplicate the third.
+	const far = 2 * window
+	sys := newSys(t, 1024)
 	var a, b []byte
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -236,6 +216,7 @@ func TestCloakedDupSharesFileIndependentWindow(t *testing.T) {
 		e.WriteMem(buf, []byte("0123456789abcdef"))
 		fd, _ := e.Open("/secret/f", core.OCreate|core.ORdWr)
 		e.Write(fd, buf, 16)
+		e.Pwrite(fd, buf, 16, far)
 		fd2, err := e.Dup(fd)
 		if err != nil {
 			t.Errorf("dup: %v", err)
@@ -245,7 +226,7 @@ func TestCloakedDupSharesFileIndependentWindow(t *testing.T) {
 		n, _ := e.Read(fd, out, 4)
 		a = make([]byte, n)
 		e.ReadMem(out, a)
-		e.Lseek(fd2, 8, core.SeekSet)
+		e.Lseek(fd2, far+8, core.SeekSet)
 		n, _ = e.Read(fd2, out, 4)
 		b = make([]byte, n)
 		e.ReadMem(out, b)
@@ -259,7 +240,7 @@ func TestCloakedDupSharesFileIndependentWindow(t *testing.T) {
 }
 
 func TestForkWithOpenCloakedFile(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 2048)
+	sys := newSys(t, 2048)
 	var childRead []byte
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -292,7 +273,7 @@ func TestForkWithOpenCloakedFile(t *testing.T) {
 }
 
 func TestAllocFreeCycleRegions(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	run(t, sys, func(e core.Env) {
 		for i := 0; i < 20; i++ {
 			base, err := e.Alloc(4)
@@ -316,7 +297,7 @@ func TestAllocFreeCycleRegions(t *testing.T) {
 }
 
 func TestExecFromCloakedDestroysDomainState(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	secondRan := false
 	sys.Register("second", func(e core.Env) {
 		base, _ := e.Alloc(1)
@@ -353,7 +334,7 @@ func TestExecFromCloakedDestroysDomainState(t *testing.T) {
 }
 
 func TestMarshallingCountsBytes(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	const n = 10 * 1024
 	run(t, sys, func(e core.Env) {
 		buf, _ := e.Alloc(4)
@@ -371,7 +352,7 @@ func TestScratchRegionIsUncloaked(t *testing.T) {
 	// The kernel must be able to read the scratch region in plaintext —
 	// that is its purpose. Verify via the write path: data written to a
 	// plain file arrives intact (it crossed scratch).
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	payload := []byte("plainly visible, by design")
 	run(t, sys, func(e core.Env) {
 		buf, _ := e.Alloc(1)
@@ -391,7 +372,7 @@ func TestMarshalledPlainFileSurface(t *testing.T) {
 	// Exercises the full marshalled (plain-file) surface of the shim in
 	// one pass: read/pread/pwrite/lseek/truncate/fsync/readdir/pipe and
 	// the trivial pass-throughs.
-	sys := newSys(t, shim.Options{}, 2048)
+	sys := newSys(t, 2048)
 	run(t, sys, func(e core.Env) {
 		if !e.Cloaked() {
 			t.Error("Cloaked() false under shim")
@@ -501,7 +482,7 @@ func TestMarshalledPlainFileSurface(t *testing.T) {
 }
 
 func TestShimSignalKillSurface(t *testing.T) {
-	sys := newSys(t, shim.Options{}, 1024)
+	sys := newSys(t, 1024)
 	delivered := 0
 	run(t, sys, func(e core.Env) {
 		e.Signal(core.SIGUSR1, func(he core.Env, s core.Signal) {
@@ -522,8 +503,8 @@ func TestConcurrentCloakedReaders(t *testing.T) {
 	// Two cloaked processes read the same cloaked file simultaneously.
 	// Each maps its own window; both verify against the shared vault
 	// metadata. Interleaving is forced with yields.
-	sys := newSys(t, shim.Options{WindowPages: 2}, 2048)
-	payload := make([]byte, 3*core.PageSize)
+	sys := newSys(t, 2048)
+	payload := make([]byte, 2*window+3*core.PageSize)
 	for i := range payload {
 		payload[i] = byte(i * 11)
 	}
@@ -564,10 +545,12 @@ func TestConcurrentCloakedReaders(t *testing.T) {
 	}
 	sys.Register("seeder", func(e core.Env) {
 		e.Mkdir("/secret")
-		buf, _ := e.Alloc(4)
-		e.WriteMem(buf, payload)
+		buf, _ := e.Alloc(1)
 		fd, _ := e.Open("/secret/shared-read", core.OCreate|core.OWrOnly)
-		e.Write(fd, buf, len(payload))
+		for off := 0; off < len(payload); off += core.PageSize {
+			e.WriteMem(buf, payload[off:off+core.PageSize])
+			e.Write(fd, buf, core.PageSize)
+		}
 		e.Close(fd)
 		done, _ := e.Open("/seeded", core.OCreate|core.OWrOnly)
 		e.Close(done)
@@ -590,10 +573,11 @@ func TestConcurrentCloakedReaders(t *testing.T) {
 }
 
 func TestCloakedFileSurvivesMemoryPressure(t *testing.T) {
-	// Small RAM + a cloaked file bigger than RAM: window pages get paged
-	// out mid-stream; contents must survive and stay ciphertext on disk.
-	sys := newSys(t, shim.Options{WindowPages: 8}, 96)
-	const filePages = 64
+	// A cloaked file twice the size of its window and of RAM, which is no
+	// larger than the window: window pages get paged out mid-stream, and
+	// contents must survive.
+	sys := newSys(t, 64)
+	const filePages = 128
 	okRun := false
 	run(t, sys, func(e core.Env) {
 		e.Mkdir("/secret")
@@ -631,5 +615,8 @@ func TestCloakedFileSurvivesMemoryPressure(t *testing.T) {
 	})
 	if !okRun {
 		t.Fatal("workload failed")
+	}
+	if sys.Stats().Get(sim.CtrPageOut) == 0 {
+		t.Fatal("no paging happened; test ineffective")
 	}
 }

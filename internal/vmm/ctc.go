@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"fmt"
+	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
@@ -80,12 +81,14 @@ type Thread struct {
 func (v *VMM) CreateThread(domain cloak.DomainID) *Thread {
 	v.nextThread++
 	t := &Thread{ID: v.nextThread, Domain: domain, vmm: v}
-	v.threads[t.ID] = t
+	v.threads = append(v.threads, t) // IDs only grow: the list stays sorted
 	return t
 }
 
 // DestroyThread forgets a thread context.
-func (v *VMM) DestroyThread(t *Thread) { delete(v.threads, t.ID) }
+func (v *VMM) DestroyThread(t *Thread) {
+	v.threads = slices.DeleteFunc(v.threads, func(u *Thread) bool { return u == t })
+}
 
 // Cloaked reports whether the thread belongs to a protection domain.
 func (t *Thread) Cloaked() bool { return t.Domain != 0 }

@@ -1,6 +1,8 @@
 package vmm
 
 import (
+	"slices"
+
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
 	"overshadow/internal/mach"
@@ -50,7 +52,7 @@ func (v *VMM) HCCreateDomain(as *AddressSpace) (*DomainConn, error) {
 	if as.domain != 0 {
 		return nil, ErrDomainBound
 	}
-	if q := v.opts.Quota.MaxDomains; q > 0 && len(v.domainSpaces) >= q {
+	if q := v.opts.Quota.MaxDomains; q > 0 && len(v.boundDomains()) >= q {
 		// Domain-spawn storm containment: the storm gets a typed failure;
 		// existing domains keep their resources.
 		v.cpu().ChargeAdd(0, sim.CtrQuotaDenied, 1)
@@ -62,8 +64,20 @@ func (v *VMM) HCCreateDomain(as *AddressSpace) (*DomainConn, error) {
 	d := v.nextDomain
 	v.nextDomain++
 	as.domain = d
-	v.domainSpaces[d] = append(v.domainSpaces[d], as)
 	return &DomainConn{v: v, as: as, domain: d}, nil
+}
+
+// boundDomains returns the domains bound to a live address space, in
+// ascending ID order.
+func (v *VMM) boundDomains() []cloak.DomainID {
+	var ds []cloak.DomainID
+	for _, as := range v.spaces {
+		if as.domain != 0 {
+			ds = append(ds, as.domain)
+		}
+	}
+	slices.Sort(ds)
+	return slices.Compact(ds)
 }
 
 // allocResource hands out a fresh resource identifier.
@@ -91,8 +105,10 @@ func (v *VMM) registerRegion(as *AddressSpace, r Region) error {
 		// records behind them) are bounded per domain; the bomber gets a
 		// typed failure while sibling domains register freely.
 		n := 0
-		for _, sp := range v.domainSpaces[as.domain] {
-			n += len(sp.regions)
+		for _, sp := range v.spaces {
+			if sp.domain == as.domain {
+				n += len(sp.regions)
+			}
 		}
 		if n >= q {
 			v.cpu().ChargeAdd(0, sim.CtrQuotaDenied, 1)
@@ -138,11 +154,12 @@ func (v *VMM) destroyDomain(d cloak.DomainID) {
 	delete(v.identities, d)
 	v.metas.DeleteDomain(d)
 	v.jDropDomain(d)
-	for _, as := range v.domainSpaces[d] {
-		as.domain = 0
-		as.regions = nil
+	for _, as := range v.spaces {
+		if as.domain == d {
+			as.domain = 0
+			as.regions = nil
+		}
 	}
-	delete(v.domainSpaces, d)
 }
 
 // HCFileResource binds a stable (vault domain, resource) pair to a file
@@ -187,7 +204,6 @@ func (v *VMM) HCDropFileResource(uid uint64) {
 // regions are duplicated accordingly.
 func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID]cloak.ResourceID, error) {
 	child.domain = parent.domain
-	v.domainSpaces[parent.domain] = append(v.domainSpaces[parent.domain], child)
 
 	// resourceMap takes each parent resource to its fresh child resource,
 	// and parentOf takes it back: the re-cloak loop below looks up the
@@ -271,24 +287,15 @@ func (v *VMM) cloneDomainInto(parent, child *AddressSpace) (map[cloak.ResourceID
 // machine each metadata delete appends a sealed record, so the pages are
 // unwound in ascending GPPN order.
 func (v *VMM) unwindClone(child *AddressSpace, parentOf map[cloak.ResourceID]cloak.ResourceID) {
-	d := child.domain
-	victims := v.domainPages(d, func(cp *cloakPage) bool {
+	victims := v.domainPages(child.domain, func(cp *cloakPage) bool {
 		_, fresh := parentOf[cp.id.Resource]
 		return fresh
 	})
 	for _, gppn := range victims {
-		cp := v.pages[gppn]
-		id := cp.id
+		id := v.pages[gppn].id
 		v.metas.Delete(id)
 		v.jDelete(id)
-		v.unregisterPage(gppn, cp)
-	}
-	list := v.domainSpaces[d]
-	for i, q := range list {
-		if q == child {
-			v.domainSpaces[d] = append(list[:i], list[i+1:]...)
-			break
-		}
+		v.unregisterPage(gppn)
 	}
 	child.domain = 0
 	child.regions = nil

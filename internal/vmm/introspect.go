@@ -6,7 +6,6 @@ import (
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
-	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -117,7 +116,7 @@ func (in *Introspector) Scan() {
 	// Ground truth: live (unquarantined) domains, in ID order.
 	// The scan runs every Nth context switch, not per-switch: its transient
 	// allocations are amortized far below the shadow-translation hot path.
-	domains := slices.DeleteFunc(ordered.Keys(v.domainSpaces),
+	domains := slices.DeleteFunc(v.boundDomains(),
 		func(d cloak.DomainID) bool { return v.quarantined[d] })
 
 	claimedDomains := make(map[cloak.DomainID]int)
@@ -143,7 +142,7 @@ func (in *Introspector) Scan() {
 		if v.quarantined[t.Domain] {
 			detail := fmt.Sprintf("kernel claims pid %d in quarantined domain %d", t.Pid, t.Domain)
 			in.diverge(DivergePhantomTask, t.Domain, detail)
-		} else if _, ok := v.domainSpaces[t.Domain]; !ok {
+		} else if _, ok := slices.BinarySearch(domains, t.Domain); !ok {
 			detail := fmt.Sprintf("kernel claims pid %d in destroyed domain %d", t.Pid, t.Domain)
 			in.diverge(DivergePhantomTask, t.Domain, detail)
 		}
@@ -153,7 +152,10 @@ func (in *Introspector) Scan() {
 	// intersecting VMA claim for its address space. Zero-length VMA claims
 	// (an empty heap) still anchor their base page.
 	for _, d := range domains {
-		for _, as := range v.domainSpaces[d] {
+		for _, as := range v.spaces {
+			if as.domain != d {
+				continue
+			}
 			for _, r := range as.regions {
 				if !r.Cloaked {
 					continue

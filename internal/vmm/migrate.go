@@ -6,7 +6,6 @@ import (
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/mach"
-	"overshadow/internal/ordered"
 )
 
 // Live-migration support: the accessors the migration layer (internal/migrate)
@@ -33,8 +32,7 @@ type ThreadState struct {
 // where no thread is mid-crossing.
 func (v *VMM) DomainThreadStates(d cloak.DomainID) []ThreadState {
 	var out []ThreadState
-	for _, id := range ordered.Keys(v.threads) {
-		t := v.threads[id]
+	for _, t := range v.threads {
 		if t.Domain != d {
 			continue
 		}
@@ -69,12 +67,11 @@ type ResidentPage struct {
 // copies each frame into its wire blob). The copy's cost is charged here, to
 // the executing vCPU, like any other bulk memory move.
 func (v *VMM) ResidentCiphertexts(d cloak.DomainID) []ResidentPage {
-	pages := v.byDomain[d]
 	gppns := v.domainPages(d, func(cp *cloakPage) bool { return cp.state == stateEncrypted })
-	sort.Slice(gppns, func(i, j int) bool { return pages[gppns[i]].id.Less(pages[gppns[j]].id) })
+	sort.Slice(gppns, func(i, j int) bool { return v.pages[gppns[i]].id.Less(v.pages[gppns[j]].id) })
 	out := make([]ResidentPage, 0, len(gppns))
 	for _, gppn := range gppns {
-		id := pages[gppn].id
+		id := v.pages[gppn].id
 		meta, ok := v.metas.Get(id)
 		if !ok {
 			// A registered encrypted page with no metadata record cannot be
@@ -117,7 +114,7 @@ func (v *VMM) AdoptMigratedDomain(d cloak.DomainID, identity [32]byte, pages []A
 	if _, dup := v.identities[d]; dup {
 		return fmt.Errorf("vmm: adopt of domain %d refused: identity already present", d)
 	}
-	if len(v.byDomain[d]) != 0 {
+	if len(v.domainPages(d, nil)) != 0 {
 		return fmt.Errorf("vmm: adopt of domain %d refused: domain has live pages", d)
 	}
 	if d < v.nextDomain {

@@ -59,8 +59,8 @@ func (v *VMM) NoteSwapSlot(gppn mach.GPPN, blk uint64) {
 	if v.journal == nil {
 		return
 	}
-	cp, ok := v.pages[gppn]
-	if !ok || cp.state != stateEncrypted {
+	cp := v.registered(gppn)
+	if cp == nil || cp.state != stateEncrypted {
 		return
 	}
 	id := cp.id

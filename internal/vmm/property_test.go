@@ -28,7 +28,7 @@ func frameInUse(r *testRig, g mach.GPPN) bool {
 func findFreeFrame(r *testRig, pages int) (mach.GPPN, bool) {
 	for i := 0; i < pages; i++ {
 		g := mach.GPPN(7 + i)
-		if r.v.pages[g] == nil && !frameInUse(r, g) {
+		if r.v.registered(g) == nil && !frameInUse(r, g) {
 			return g, true
 		}
 	}

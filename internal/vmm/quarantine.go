@@ -3,7 +3,6 @@ package vmm
 import (
 	"overshadow/internal/cloak"
 	"overshadow/internal/obs"
-	"overshadow/internal/ordered"
 	"overshadow/internal/sim"
 )
 
@@ -32,10 +31,10 @@ func (v *VMM) Quarantined(d cloak.DomainID) bool { return v.quarantined[d] }
 // quarantine all three must be zero — the property test for resource
 // reclamation asserts exactly this.
 func (v *VMM) QuarantineResidue(d cloak.DomainID) (pages, metaRecords, liveCTCs int) {
-	pages = len(v.byDomain[d])
+	pages = len(v.domainPages(d, nil))
 	metaRecords = v.metas.DomainRecords(d)
-	for _, id := range ordered.Keys(v.threads) {
-		if t := v.threads[id]; t.Domain == d && t.pending {
+	for _, t := range v.threads {
+		if t.Domain == d && t.pending {
 			liveCTCs++
 		}
 	}
@@ -60,8 +59,8 @@ func (v *VMM) quarantine(d cloak.DomainID, cause Event) {
 	// Revoke saved thread contexts: a quarantined thread must never resume
 	// with its genuine registers. In thread ID order for the same
 	// determinism reason as the frame sweep.
-	for _, id := range ordered.Keys(v.threads) {
-		if t := v.threads[id]; t.Domain == d {
+	for _, t := range v.threads {
+		if t.Domain == d {
 			t.revoke()
 		}
 	}

@@ -44,10 +44,9 @@ func (v *VMM) SwitchContext(as *AddressSpace, view View) {
 // encrypted state. Used by the E10a ablation and by domain checkpointing.
 // The sweep runs in ascending GPPN order (see domainPages).
 func (v *VMM) EncryptAllPlaintext(d cloak.DomainID) int {
-	pages := v.byDomain[d]
 	gppns := v.domainPages(d, func(cp *cloakPage) bool { return cp.state == statePlain })
 	for _, gppn := range gppns {
-		v.encryptPage(gppn, pages[gppn])
+		v.encryptPage(gppn, &v.pages[gppn])
 	}
 	return len(gppns)
 }
@@ -134,7 +133,7 @@ func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access
 		if err := v.resolveCloaked(as, view, vpn, gppn, id); err != nil {
 			return 0, err
 		}
-	} else if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
+	} else if cp := v.registered(gppn); cp != nil && cp.state == statePlain {
 		// The OS mapped a frame holding cloaked *plaintext* somewhere
 		// outside the owning domain's app view (another process, or an
 		// unregistered range). Multi-shadowing demands this context see
@@ -175,7 +174,8 @@ func (v *VMM) resolveShadowFault(as *AddressSpace, view View, vpn uint64, access
 // simply re-drives the state machine, and the audit log records that the
 // page moved across CPUs.
 func (v *VMM) resolveCloaked(as *AddressSpace, view View, vpn uint64, gppn mach.GPPN, id cloak.PageID) error {
-	cp, registered := v.pages[gppn]
+	cp := v.registered(gppn)
+	registered := cp != nil
 
 	switch view {
 	case ViewApp:
@@ -291,7 +291,7 @@ func (v *VMM) PhysRead(gppn mach.GPPN, off int, buf []byte) error {
 	if err := v.physCheck(gppn, off, len(buf)); err != nil {
 		return err
 	}
-	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
+	if cp := v.registered(gppn); cp != nil && cp.state == statePlain {
 		v.encryptPage(gppn, cp)
 	}
 	copy(buf, v.frame(gppn)[off:off+len(buf)])
@@ -307,7 +307,7 @@ func (v *VMM) PhysWrite(gppn mach.GPPN, off int, buf []byte) error {
 	if err := v.physCheck(gppn, off, len(buf)); err != nil {
 		return err
 	}
-	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
+	if cp := v.registered(gppn); cp != nil && cp.state == statePlain {
 		v.encryptPage(gppn, cp)
 	}
 	copy(v.frame(gppn)[off:off+len(buf)], buf)
@@ -332,7 +332,7 @@ func (v *VMM) PhysZero(gppn mach.GPPN) error {
 	if err := v.physCheck(gppn, 0, 0); err != nil {
 		return err
 	}
-	if cp, ok := v.pages[gppn]; ok && cp.state == statePlain {
+	if cp := v.registered(gppn); cp != nil && cp.state == statePlain {
 		v.encryptPage(gppn, cp)
 	}
 	v.zeroPage(gppn)

@@ -2,14 +2,12 @@ package vmm
 
 import (
 	"fmt"
-	"slices"
 
 	"overshadow/internal/cloak"
 	"overshadow/internal/fault"
 	"overshadow/internal/mach"
 	"overshadow/internal/mmu"
 	"overshadow/internal/obs"
-	"overshadow/internal/ordered"
 	"overshadow/internal/persist"
 	"overshadow/internal/sim"
 )
@@ -27,7 +25,8 @@ const (
 )
 
 // cloakPage is the VMM's registration for a guest-physical page that
-// currently holds cloaked material.
+// currently holds cloaked material. The zero value, whose id names domain 0,
+// marks a page that holds none.
 type cloakPage struct {
 	state pageState
 	id    cloak.PageID
@@ -114,20 +113,20 @@ type VMM struct {
 	nextCtxID uint32
 
 	// pages registers every guest-physical page currently holding cloaked
-	// material (plaintext or ciphertext).
-	pages map[mach.GPPN]*cloakPage
-	// byDomain indexes registrations for teardown and eager encryption.
-	byDomain map[cloak.DomainID]map[mach.GPPN]*cloakPage
-	// spare holds the records of dropped registrations for reuse.
-	spare []*cloakPage
+	// material (plaintext or ciphertext), indexed by GPPN. A zero domain
+	// marks an unregistered page (domain 0 is never cloaked). The table
+	// grows only when a page past its end is registered, so it spans the
+	// highest GPPN ever registered, not guest memory.
+	pages []cloakPage
 
 	nextDomain   cloak.DomainID
 	nextResource cloak.ResourceID
-	domainSpaces map[cloak.DomainID][]*AddressSpace
 	fileVaults   map[uint64]fileVault
 	identities   map[cloak.DomainID][32]byte
 
-	threads    map[ThreadID]*Thread
+	// threads lists the live thread contexts in ascending ID order (IDs
+	// only grow), the order every walk over them visits them.
+	threads    []*Thread
 	nextThread ThreadID
 
 	// quarantined marks domains whose security violation has been contained:
@@ -193,12 +192,8 @@ func New(world *sim.World, cfg Config) (*VMM, error) {
 		engine:       cloak.NewEngine(world, cloak.NewMasterKeyer([]byte(masterSecret))),
 		metas:        cloak.NewMetaStore(world, metaCap),
 		guestPages:   cfg.GuestPages,
-		pages:        make(map[mach.GPPN]*cloakPage),
-		byDomain:     make(map[cloak.DomainID]map[mach.GPPN]*cloakPage),
-		domainSpaces: make(map[cloak.DomainID][]*AddressSpace),
 		fileVaults:   make(map[uint64]fileVault),
 		identities:   make(map[cloak.DomainID][32]byte),
-		threads:      make(map[ThreadID]*Thread),
 		nextDomain:   1,
 		nextResource: 1,
 	}
@@ -222,13 +217,17 @@ func (v *VMM) Events() []Event {
 // MetadataBytes reports current cloaking metadata space (experiment E7).
 func (v *VMM) MetadataBytes() int { return v.metas.SpaceOverheadBytes() }
 
-// CloakedPages reports how many guest-physical pages are currently
-// registered as holding cloaked material.
-func (v *VMM) CloakedPages() int { return len(v.pages) }
-
 // DomainSpaceCount reports how many address spaces are currently bound to a
 // domain. The shim destroys the domain when the last one exits.
-func (v *VMM) DomainSpaceCount(d cloak.DomainID) int { return len(v.domainSpaces[d]) }
+func (v *VMM) DomainSpaceCount(d cloak.DomainID) int {
+	n := 0
+	for _, as := range v.spaces {
+		if as.domain == d {
+			n++
+		}
+	}
+	return n
+}
 
 // cpu returns the currently executing vCPU — the context every VMM charge,
 // span, and fault consultation belongs to (the VMM runs on whichever vCPU
@@ -324,20 +323,6 @@ func (v *VMM) DestroyAddressSpace(as *AddressSpace) {
 	}
 	for i := range as.ctxIDs {
 		v.tlbInvalidateContext(as.ctxIDs[i])
-	}
-	if as.domain != 0 {
-		list := v.domainSpaces[as.domain]
-		for i, q := range list {
-			if q == as {
-				v.domainSpaces[as.domain] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		if len(v.domainSpaces[as.domain]) == 0 {
-			// Drop the empty key: a quarantined domain's last space leaving
-			// must not leave a residue entry behind.
-			delete(v.domainSpaces, as.domain)
-		}
 	}
 	for i, q := range v.spaces {
 		if q == as {
@@ -464,56 +449,51 @@ func (v *VMM) InvalidateGuestMapping(as *AddressSpace, vpn uint64) {
 // store, so discarding a dirty cloaked page without writing it out is still
 // detected when the application next faults on that data.
 func (v *VMM) NotifyFrameRecycled(gppn mach.GPPN) {
-	if cp, ok := v.pages[gppn]; ok {
+	if cp := v.registered(gppn); cp != nil {
 		if cp.state == statePlain {
 			// Never let cloaked plaintext linger in a recycled frame.
 			v.zeroPage(gppn)
 		}
-		v.unregisterPage(gppn, cp)
+		v.unregisterPage(gppn)
 		v.dropAllShadowsOfGPPN(gppn)
 	}
 }
 
-// registerPage records page as gppn's registration, in a record that
-// unregisterPage released when there is one: a cloaked page-in then
-// allocates no registration of its own.
-func (v *VMM) registerPage(gppn mach.GPPN, page cloakPage) {
-	var cp *cloakPage
-	if n := len(v.spare); n > 0 {
-		cp, v.spare = v.spare[n-1], v.spare[:n-1]
-	} else {
-		cp = new(cloakPage)
+// registered returns gppn's registration, or nil when the page holds no
+// cloaked material. The pointer is valid until the next registerPage.
+func (v *VMM) registered(gppn mach.GPPN) *cloakPage {
+	if gppn < mach.GPPN(len(v.pages)) && v.pages[gppn].id.Domain != 0 {
+		return &v.pages[gppn]
 	}
-	*cp = page
-	v.pages[gppn] = cp
-	m := v.byDomain[cp.id.Domain]
-	if m == nil {
-		m = make(map[mach.GPPN]*cloakPage)
-		v.byDomain[cp.id.Domain] = m
-	}
-	m[gppn] = cp
+	return nil
 }
 
-// unregisterPage drops gppn's registration cp and keeps the record for
-// registerPage; the caller must not use cp afterwards.
-func (v *VMM) unregisterPage(gppn mach.GPPN, cp *cloakPage) {
-	delete(v.pages, gppn)
-	if m := v.byDomain[cp.id.Domain]; m != nil {
-		delete(m, gppn)
+// registerPage records page as gppn's registration, growing the table to
+// reach gppn when it lies past the end.
+func (v *VMM) registerPage(gppn mach.GPPN, page cloakPage) {
+	if n := int(gppn) + 1; n > len(v.pages) {
+		v.pages = append(v.pages, make([]cloakPage, n-len(v.pages))...)
 	}
-	v.spare = append(v.spare, cp)
+	v.pages[gppn] = page
 }
+
+// unregisterPage drops gppn's registration.
+func (v *VMM) unregisterPage(gppn mach.GPPN) { v.pages[gppn] = cloakPage{} }
 
 // domainPages returns the GPPNs registered to domain d whose page satisfies
-// keep (nil keeps all), in ascending order. Every walk over a domain's pages
-// that charges, traces or journals runs in this order: map iteration order
-// would leak host nondeterminism into spans, IV assignment, the journal, and
-// the counters a crash deadline leaves behind.
+// keep (nil keeps all), in ascending order; domain 0 has none. Every walk
+// over a domain's pages that charges, traces or journals runs in this order,
+// so spans, IV assignment, the journal, and the counters a crash deadline
+// leaves behind come out the same on every host.
 func (v *VMM) domainPages(d cloak.DomainID, keep func(*cloakPage) bool) []mach.GPPN {
-	pages := v.byDomain[d]
-	gppns := ordered.Keys(pages)
-	if keep != nil {
-		gppns = slices.DeleteFunc(gppns, func(g mach.GPPN) bool { return !keep(pages[g]) })
+	if d == 0 {
+		return nil
+	}
+	var gppns []mach.GPPN
+	for g := range v.pages {
+		if cp := &v.pages[g]; cp.id.Domain == d && (keep == nil || keep(cp)) {
+			gppns = append(gppns, mach.GPPN(g))
+		}
 	}
 	return gppns
 }
@@ -522,15 +502,13 @@ func (v *VMM) domainPages(d cloak.DomainID, keep func(*cloakPage) bool) []mach.G
 // shadow mappings of its registered pages and unregisters them (domain
 // teardown and quarantine).
 func (v *VMM) scrubDomain(d cloak.DomainID) {
-	pages := v.byDomain[d]
 	for _, gppn := range v.domainPages(d, nil) {
-		if pages[gppn].state == statePlain {
+		if v.pages[gppn].state == statePlain {
 			v.zeroPage(gppn)
 		}
 		v.dropAllShadowsOfGPPN(gppn)
-		delete(v.pages, gppn)
+		v.unregisterPage(gppn)
 	}
-	delete(v.byDomain, d)
 }
 
 // encryptPage transitions a plaintext cloaked page to the encrypted state.

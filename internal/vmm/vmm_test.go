@@ -188,8 +188,8 @@ func TestCloakFirstTouchZeroFill(t *testing.T) {
 			t.Fatal("first touch of cloaked page not zero-filled by VMM")
 		}
 	}
-	if r.v.CloakedPages() != 1 {
-		t.Fatalf("CloakedPages = %d, want 1", r.v.CloakedPages())
+	if n := len(r.v.domainPages(r.conn.Domain(), nil)); n != 1 {
+		t.Fatalf("%d registered pages, want 1", n)
 	}
 }
 
@@ -463,8 +463,63 @@ func TestHCDestroyDomainZeroesPlaintext(t *testing.T) {
 			t.Fatal("plaintext survived domain teardown")
 		}
 	}
-	if r.v.CloakedPages() != 0 {
+	if len(r.v.domainPages(r.conn.Domain(), nil)) != 0 {
 		t.Fatal("registrations survived domain teardown")
+	}
+}
+
+// TestHCDestroyScrubsFrameTakenFromAnotherDomain: a kernel that never
+// recycles domain A's encrypted frame copies domain B's ciphertext into it
+// and maps it for B, which decrypts it there. The frame now holds B's
+// plaintext, so B's teardown must zero it even though A registered it first.
+func TestHCDestroyScrubsFrameTakenFromAnotherDomain(t *testing.T) {
+	r := newRig(t, Options{})
+	r.cloakSetup(20, 4)
+	r.mapGuest(r.as, 20, 7)
+	if err := r.appWrite(20, []byte("domain A data")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.sysRead(20, 1); err != nil { // frame 7: A's ciphertext
+		t.Fatal(err)
+	}
+
+	bas := r.v.CreateAddressSpace(mmu.NewPageTable())
+	b, err := r.v.HCCreateDomain(bas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := b.AllocResource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.RegisterRegion(Region{BaseVPN: 40, Pages: 1, Resource: res, Cloaked: true}); err != nil {
+		t.Fatal(err)
+	}
+	secret := []byte("domain B secret")
+	r.mapGuest(bas, 40, 8)
+	if err := r.v.WriteVirt(bas, ViewApp, mach.Addr(40*mach.PageSize), secret, true); err != nil {
+		t.Fatal(err)
+	}
+	ct := make([]byte, mach.PageSize)
+	if err := r.v.PhysRead(8, 0, ct); err != nil { // frame 8: B's ciphertext
+		t.Fatal(err)
+	}
+	if err := r.v.PhysWrite(7, 0, ct); err != nil {
+		t.Fatal(err)
+	}
+	r.mapGuest(bas, 40, 7)
+	r.v.InvalidateGuestMapping(bas, 40)
+	got := make([]byte, len(secret))
+	if err := r.v.ReadVirt(bas, ViewApp, mach.Addr(40*mach.PageSize), got, true); err != nil || !bytes.Equal(got, secret) {
+		t.Fatalf("B read %q, %v from its own ciphertext in A's frame", got, err)
+	}
+
+	b.Destroy()
+	if bytes.Contains(r.v.frame(7), secret) {
+		t.Fatal("B's plaintext survived B's teardown in a frame A registered first")
+	}
+	if pages, _, _ := r.v.QuarantineResidue(b.Domain()); pages != 0 {
+		t.Fatalf("B holds %d registered pages after teardown", pages)
 	}
 }
 
@@ -705,7 +760,7 @@ func TestDestroyAddressSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.v.DestroyAddressSpace(r.as)
-	if len(r.v.domainSpaces[1]) != 0 {
+	if r.v.DomainSpaceCount(1) != 0 {
 		t.Fatal("space still listed under domain")
 	}
 }

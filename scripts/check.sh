@@ -26,9 +26,13 @@
 #              untrusted input: FuzzDecode (the migration checkpoint
 #              decoder; its 400-input seed corpus, then mutated inputs),
 #              FuzzReplay (journal replay over a hostile disk image; the
-#              journal tests' images, then mutated inputs) and FuzzValidate
+#              journal tests' images, then mutated inputs), FuzzValidate
 #              (the shim's checks of kernel syscall returns; its pool of
-#              layout boundaries and wild values, then mutated inputs)
+#              layout boundaries and wild values, then mutated inputs) and
+#              FuzzHypercalls (hypercall sequences: overlapping and
+#              out-of-range regions, clones, stale handles, app writes,
+#              kernel reads and corrupted frames, each followed by typed-
+#              error and dead-domain residue checks)
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -121,8 +125,9 @@ echo "== bench module"
 
 echo "== fuzz"
 # The checkpoint decoder takes untrusted bytes off the migration channel,
-# journal replay reads a disk the guest controls, and the shim's validators
-# read whatever the kernel returns from a syscall. A crasher is a bug:
+# journal replay reads a disk the guest controls, the shim's validators read
+# whatever the kernel returns from a syscall, and the hypercall surface takes
+# any sequence of calls the guest drives through it. A crasher is a bug:
 # go test saves it under the package's testdata/fuzz/, where it becomes the
 # fix's regression seed. The execution count includes the seed-corpus
 # baseline, so it must stay well above the 400 FuzzDecode seeds for any
@@ -130,6 +135,7 @@ echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 1000x ./internal/migrate
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 1000x ./internal/persist
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 1000x ./internal/shim
+go test -run '^$' -fuzz '^FuzzHypercalls$' -fuzztime 1000x ./internal/vmm
 
 echo "== race pass"
 # The channel handoff of the scheduler baton is the happens-before edge that
