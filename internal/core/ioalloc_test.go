@@ -154,3 +154,102 @@ func TestGuestIOAllocatesWhatItMoves(t *testing.T) {
 		}
 	}
 }
+
+// TestGuestIOSteadyState pins the syscall path's host allocations once it is
+// warm, native and cloaked, after one 64 KiB file transfer: a pipe round
+// trip of at most a page and a /secret/ file write and read of at most a
+// page allocate nothing, because each task keeps one page of kernel I/O
+// buffer and each shim context one page of bounce buffer. A pipe round trip
+// one byte over a page allocates again, so the task kept no more than a
+// page of the 64 KiB; cloaked, it allocates at least two more times than
+// native (the shim's two bounces), so the context kept no more either.
+func TestGuestIOSteadyState(t *testing.T) {
+	const big = 64 << 10
+	over := map[bool]float64{} // allocations of a round trip one byte over a page
+	for _, cloaked := range []bool{false, true} {
+		sys := NewSystem(Config{MemoryPages: 512})
+		sys.Register("io", func(e Env) {
+			buf, err := e.Alloc(big / PageSize)
+			if err != nil {
+				t.Errorf("alloc: %v", err)
+				e.Exit(1)
+			}
+			if err := e.Mkdir("/secret"); err != nil {
+				t.Errorf("mkdir: %v", err)
+				e.Exit(1)
+			}
+			fd, err := e.Open("/secret/io", OCreate|ORdWr)
+			if err != nil {
+				t.Errorf("open: %v", err)
+				e.Exit(1)
+			}
+			for _, path := range []string{"/plain", "/secret/big"} {
+				big1, err := e.Open(path, OCreate|ORdWr)
+				if err != nil {
+					t.Errorf("open %s: %v", path, err)
+					e.Exit(1)
+				}
+				if n, err := e.Pwrite(big1, buf, big, 0); n != big || err != nil {
+					t.Errorf("%s: 64 KiB pwrite: %d, %v", path, n, err)
+				}
+				if n, err := e.Pread(big1, buf, big, 0); n != big || err != nil {
+					t.Errorf("%s: 64 KiB pread: %d, %v", path, n, err)
+				}
+				if err := e.Close(big1); err != nil {
+					t.Error(err)
+				}
+			}
+			r, w, err := e.Pipe()
+			if err != nil {
+				t.Errorf("pipe: %v", err)
+				e.Exit(1)
+			}
+			pipeTrip := func(n int) func() {
+				return func() {
+					if got, err := e.Write(w, buf, n); got != n || err != nil {
+						t.Errorf("pipe write of %d: %d, %v", n, got, err)
+					}
+					if got, err := e.Read(r, buf, n); got != n || err != nil {
+						t.Errorf("pipe read of %d: %d, %v", n, got, err)
+					}
+				}
+			}
+			fileTrip := func(n int) func() {
+				return func() {
+					if got, err := e.Pwrite(fd, buf, n, 0); got != n || err != nil {
+						t.Errorf("file write of %d: %d, %v", n, got, err)
+					}
+					if got, err := e.Pread(fd, buf, n, 0); got != n || err != nil {
+						t.Errorf("file read of %d: %d, %v", n, got, err)
+					}
+				}
+			}
+			for _, n := range []int{1, 100, PageSize} {
+				if a := testing.AllocsPerRun(20, pipeTrip(n)); a != 0 {
+					t.Errorf("cloaked %v: a %d-byte pipe round trip allocates %v times", cloaked, n, a)
+				}
+				if a := testing.AllocsPerRun(20, fileTrip(n)); a != 0 {
+					t.Errorf("cloaked %v: a %d-byte /secret/ file round trip allocates %v times", cloaked, n, a)
+				}
+			}
+			over[cloaked] = testing.AllocsPerRun(20, pipeTrip(PageSize+1))
+			e.Exit(0)
+		})
+		var opts []SpawnOpt
+		if cloaked {
+			opts = append(opts, Cloaked())
+		}
+		if _, err := sys.Spawn("io", opts...); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+	}
+	t.Logf("one byte over a page, a pipe round trip allocates %v times native and %v cloaked", over[false], over[true])
+	if over[false] == 0 {
+		t.Error("a pipe round trip one byte over a page allocates nothing: the task kept more than a page")
+	}
+	if over[true] < over[false]+2 {
+		t.Errorf("one byte over a page, a cloaked pipe round trip allocates %v times and a native one %v: the shim context kept more than a page",
+			over[true], over[false])
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"overshadow/internal/guestos"
@@ -176,5 +177,92 @@ func TestCloakedWorkerPoolPipeline(t *testing.T) {
 	}
 	if final != want {
 		t.Fatalf("pool result = %d, want %d", final, want)
+	}
+}
+
+// TestCloakedThreadsMarshalIndependently runs two threads of one cloaked
+// process that each push their own payloads through their own pipe and
+// read them back, at sizes below, at and above a page. The scheduler
+// preempts a thread at syscall exits, so a sibling runs between one
+// thread's kernel read into its scratch window and the bounce out of it.
+// Each thread marshals through a scratch window and a bounce buffer of its
+// own, so every byte read back must be the thread's own. The test also
+// checks that the threads did interleave inside round trips.
+func TestCloakedThreadsMarshalIndependently(t *testing.T) {
+	for _, vcpus := range []int{1, 4} {
+		t.Run(fmt.Sprintf("vcpus%d", vcpus), func(t *testing.T) {
+			sys := NewSystem(Config{MemoryPages: 1024, VCPUs: vcpus})
+			const rounds = 400
+			sizes := []int{3000, PageSize, 2*PageSize + 100}
+			var done [2]int // round trips finished, per thread
+			interleaved, bad := 0, 0
+			sys.Register("app", func(e Env) {
+				var tids []Pid
+				for w := 0; w < 2; w++ {
+					tid, err := e.SpawnThread(func(te Env) {
+						r, wr, err := te.Pipe()
+						if err != nil {
+							t.Errorf("thread %d: pipe: %v", w, err)
+							return
+						}
+						src, _ := te.Alloc(3)
+						dst, _ := te.Alloc(3)
+						for i := 0; i < rounds; i++ {
+							n := sizes[i%len(sizes)]
+							want := make([]byte, n)
+							for j := range want {
+								want[j] = byte(w*128 + (i+j)%127)
+							}
+							te.WriteMem(src, want)
+							sibling := done[1-w]
+							if got, err := te.Write(wr, src, n); got != n || err != nil {
+								t.Errorf("thread %d round %d: write %d, %v", w, i, got, err)
+								return
+							}
+							for got := 0; got < n; {
+								k, err := te.Read(r, dst+Addr(got), n-got)
+								if k == 0 || err != nil {
+									t.Errorf("thread %d round %d: read %d, %v", w, i, k, err)
+									return
+								}
+								got += k
+							}
+							if done[1-w] != sibling {
+								interleaved++
+							}
+							back := make([]byte, n)
+							te.ReadMem(dst, back)
+							if !bytes.Equal(back, want) {
+								bad++
+							}
+							done[w]++
+						}
+					})
+					if err != nil {
+						t.Errorf("spawn: %v", err)
+						e.Exit(1)
+					}
+					tids = append(tids, tid)
+				}
+				for _, tid := range tids {
+					e.JoinThread(tid)
+				}
+				e.Exit(0)
+			})
+			if _, err := sys.Spawn("app", Cloaked()); err != nil {
+				t.Fatal(err)
+			}
+			sys.Run()
+			t.Logf("%d of %d round trips interleaved, %d corrupted", interleaved, 2*rounds, bad)
+			if done != [2]int{rounds, rounds} {
+				t.Fatalf("round trips finished: %v, want %d each", done, rounds)
+			}
+			if interleaved == 0 {
+				t.Fatal("no sibling ran inside a round trip; the test exercises nothing")
+			}
+			if bad != 0 {
+				t.Fatalf("%d of %d round trips read back a sibling's bytes", bad, 2*rounds)
+			}
+		})
 	}
 }

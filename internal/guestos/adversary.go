@@ -16,7 +16,9 @@ type Adversary struct {
 	OnSyscall func(k *Kernel, p *Proc, no Sysno, kregs *vmm.Regs)
 	// OnWriteData sees every buffer the kernel receives from write(2)
 	// after copyin — ciphertext for properly marshalled cloaked I/O is
-	// *not* what flows here; this observes what the kernel can see.
+	// *not* what flows here; this observes what the kernel can see. data
+	// is the task's reused kernel I/O buffer, valid only during the call:
+	// a hook that keeps the bytes must copy them.
 	OnWriteData func(k *Kernel, p *Proc, fd int, data []byte)
 	// OnPageOut sees (and may mutate) the page image about to hit swap.
 	OnPageOut func(k *Kernel, p *Proc, vpn uint64, frame []byte)

@@ -44,6 +44,7 @@ func BenchmarkStore64(b *testing.B) {
 }
 
 func BenchmarkPipePingPong(b *testing.B) {
+	b.ReportAllocs()
 	benchRun(b, func(e Env) {
 		r1, w1, _ := e.Pipe()
 		r2, w2, _ := e.Pipe()

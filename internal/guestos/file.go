@@ -11,9 +11,13 @@ type FileDesc struct {
 	writeEnd bool // for pipe descriptors
 }
 
-// Pipe is a classic bounded byte pipe.
+// Pipe is a classic bounded byte pipe. buf[head:] holds the bytes in
+// flight: reads consume them by advancing head, and push reclaims the
+// consumed prefix in place, so the backing array grows only to the bytes in
+// flight and a drained pipe is refilled without a host allocation.
 type Pipe struct {
 	buf       []byte
+	head      int
 	capacity  int
 	readers   int
 	writers   int
@@ -22,6 +26,29 @@ type Pipe struct {
 }
 
 const pipeCapacity = 16 * 1024
+
+// pending is the number of bytes in flight.
+func (pp *Pipe) pending() int { return len(pp.buf) - pp.head }
+
+// push appends b to the bytes in flight. When b does not fit the backing
+// array and the consumed prefix is at least as long as the bytes in flight,
+// those bytes move to the front first, so each move is paid for by a byte
+// consumed since the last one; otherwise append grows the array.
+func (pp *Pipe) push(b []byte) {
+	if len(pp.buf)+len(b) > cap(pp.buf) && pp.head >= pp.pending() {
+		pp.buf = pp.buf[:copy(pp.buf, pp.buf[pp.head:])]
+		pp.head = 0
+	}
+	pp.buf = append(pp.buf, b...)
+}
+
+// pop moves the first len(dst) bytes in flight into dst.
+func (pp *Pipe) pop(dst []byte) {
+	pp.head += copy(dst, pp.buf[pp.head:])
+	if pp.head == len(pp.buf) {
+		pp.buf, pp.head = pp.buf[:0], 0
+	}
+}
 
 func (pp *Pipe) addRef(writeEnd bool) {
 	if writeEnd {
@@ -91,18 +118,12 @@ func (k *Kernel) closeFD(p *Proc, fd int) Errno {
 		if f.writeEnd {
 			pp.writers--
 			if pp.writers == 0 {
-				for _, w := range pp.waitRead {
-					k.wake(w)
-				}
-				pp.waitRead = nil
+				pp.waitRead = k.wakeAll(pp.waitRead)
 			}
 		} else {
 			pp.readers--
 			if pp.readers == 0 {
-				for _, w := range pp.waitWrite {
-					k.wake(w)
-				}
-				pp.waitWrite = nil
+				pp.waitWrite = k.wakeAll(pp.waitWrite)
 			}
 		}
 	}
@@ -160,7 +181,7 @@ func (k *Kernel) readFD(p *Proc, fd int, n uint64) ([]byte, Errno) {
 	if f.flags&(OWrOnly) != 0 {
 		return nil, EBADF
 	}
-	buf, e := k.fs.readN(f.ino, f.pos, n)
+	buf, e := k.fs.readN(p, f.ino, f.pos, n)
 	if e != OK {
 		return nil, e
 	}
@@ -207,7 +228,7 @@ func (k *Kernel) preadFD(p *Proc, fd int, off, n uint64) ([]byte, Errno) {
 	if f.pipe != nil {
 		return nil, ESPIPE
 	}
-	return k.fs.readN(f.ino, off, n)
+	return k.fs.readN(p, f.ino, off, n)
 }
 
 func (k *Kernel) pwriteFD(p *Proc, fd int, off uint64, buf []byte) (int, Errno) {
@@ -254,20 +275,27 @@ func (k *Kernel) lseekFD(p *Proc, fd int, off int64, whence int) (uint64, Errno)
 
 // --- Pipe data path ----------------------------------------------------------
 
+// wakeAll wakes every task on a pipe's wait list and returns the list
+// emptied, keeping its backing array for the next waiter.
+func (k *Kernel) wakeAll(waiters []*Proc) []*Proc {
+	for _, w := range waiters {
+		k.wake(w)
+	}
+	clear(waiters)
+	return waiters[:0]
+}
+
 func (k *Kernel) pipeRead(p *Proc, pp *Pipe, n uint64) ([]byte, Errno) {
-	for len(pp.buf) == 0 {
+	for pp.pending() == 0 {
 		if pp.writers == 0 {
 			return nil, OK // EOF
 		}
 		pp.waitRead = append(pp.waitRead, p)
 		k.block(p, "pipe-read")
 	}
-	buf := make([]byte, min(n, uint64(len(pp.buf))))
-	pp.buf = pp.buf[copy(buf, pp.buf):]
-	for _, w := range pp.waitWrite {
-		k.wake(w)
-	}
-	pp.waitWrite = nil
+	buf := p.ioBuf(min(n, uint64(pp.pending())))
+	pp.pop(buf)
+	pp.waitWrite = k.wakeAll(pp.waitWrite)
 	return buf, OK
 }
 
@@ -280,7 +308,7 @@ func (k *Kernel) pipeWrite(p *Proc, pp *Pipe, buf []byte) (int, Errno) {
 			}
 			return 0, EPIPE
 		}
-		space := pp.capacity - len(pp.buf)
+		space := pp.capacity - pp.pending()
 		if space == 0 {
 			pp.waitWrite = append(pp.waitWrite, p)
 			k.block(p, "pipe-write")
@@ -290,12 +318,9 @@ func (k *Kernel) pipeWrite(p *Proc, pp *Pipe, buf []byte) (int, Errno) {
 		if n > len(buf)-written {
 			n = len(buf) - written
 		}
-		pp.buf = append(pp.buf, buf[written:written+n]...)
+		pp.push(buf[written : written+n])
 		written += n
-		for _, w := range pp.waitRead {
-			k.wake(w)
-		}
-		pp.waitRead = nil
+		pp.waitRead = k.wakeAll(pp.waitRead)
 	}
 	return written, OK
 }

@@ -384,14 +384,14 @@ func (fs *FS) ReadAt(i Ino, off uint64, dst []byte) (int, Errno) {
 	return n, OK
 }
 
-// readN reads up to n bytes of inode i at off into a new buffer sized by
-// what the file holds there, never by n alone.
-func (fs *FS) readN(i Ino, off, n uint64) ([]byte, Errno) {
+// readN reads up to n bytes of inode i at off into p's kernel I/O buffer,
+// sized by what the file holds there, never by n alone.
+func (fs *FS) readN(p *Proc, i Ino, off, n uint64) ([]byte, Errno) {
 	var size uint64
 	if ino, ok := fs.inodes[i]; ok && ino.typ != TypeDir && off < ino.size {
 		size = min(n, ino.size-off)
 	}
-	buf := make([]byte, size)
+	buf := p.ioBuf(size)
 	got, e := fs.ReadAt(i, off, buf)
 	return buf[:got], e
 }

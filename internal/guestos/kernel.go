@@ -258,10 +258,15 @@ func (k *Kernel) runnable() int {
 	return n
 }
 
+// dequeueFrom pops the head of CPU ci's run queue. The queue shifts down
+// in place (it holds a few tasks), so it keeps its backing array and a
+// block/wake cycle allocates nothing.
 func (k *Kernel) dequeueFrom(ci int) *Proc {
 	kc := k.cpus[ci]
 	p := kc.runq[0]
-	kc.runq = kc.runq[1:]
+	n := copy(kc.runq, kc.runq[1:])
+	kc.runq[n] = nil
+	kc.runq = kc.runq[:n]
 	return p
 }
 

@@ -107,6 +107,25 @@ type Proc struct {
 
 	// Set when exec replaces the program image.
 	execNext func(*UserCtx)
+
+	// iobuf is the task's kernel I/O buffer (see ioBuf). It is per task,
+	// not per kernel: a write can block in pipeWrite with its copied-in
+	// bytes still pending while other tasks run their own syscalls.
+	iobuf []byte
+}
+
+// ioBuf returns an n-byte kernel buffer for one syscall's transfer. A
+// transfer of at most a page reuses the task's one-page buffer, so
+// steady-state I/O allocates no host memory; a larger one gets a buffer of
+// its own for the call. The bytes are valid until the task's next syscall.
+func (p *Proc) ioBuf(n uint64) []byte {
+	if n > mach.PageSize {
+		return make([]byte, n)
+	}
+	if p.iobuf == nil {
+		p.iobuf = make([]byte, mach.PageSize)
+	}
+	return p.iobuf[:n]
 }
 
 // AddExitHook registers fn to run when the process exits. Used by the shim.
@@ -284,6 +303,7 @@ func (k *Kernel) exitThread(p *Proc) {
 	k.world.CPU().Emit(obs.KindProc, "exit", uint64(p.pid))
 	k.vmm.DestroyThread(p.thread)
 	p.state = stateZombie
+	p.iobuf = nil
 	delete(k.procs, p.pid)
 	k.liveProcs--
 	sh := p.procShared

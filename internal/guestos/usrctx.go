@@ -212,16 +212,17 @@ func (c *UserCtx) call(no Sysno, args [5]uint64, handler func(kregs *vmm.Regs) u
 
 // --- Kernel-side user buffer helpers -----------------------------------------
 
-// copyIn copies the n bytes of user memory at va (system view) into a new
-// kernel buffer, servicing demand faults. For cloaked pages this reads
+// copyIn copies the n bytes of user memory at va (system view) into p's
+// kernel I/O buffer, servicing demand faults. For cloaked pages this reads
 // ciphertext — which is exactly why unmarshalled syscalls on cloaked buffers
 // return garbage and the shim must interpose. The buffer starts at what p's
 // mappings cover from va and grows only by pages the copy has read, so a
-// length register sizes no host allocation beyond what the guest mapped.
+// length register sizes no host allocation beyond what the guest mapped; a
+// copy of at most a page fills the task's own buffer (Proc.ioBuf).
 // The copy moves one page per ReadVirt, exactly as one ReadVirt of the whole
 // range does, and a serviced fault restarts it from va, as copyOut does.
 func (k *Kernel) copyIn(p *Proc, va mach.Addr, n uint64) ([]byte, Errno) {
-	buf := make([]byte, p.mapped(va, n))
+	buf := p.ioBuf(p.mapped(va, n))
 	for off := uint64(0); off < n; {
 		chunk := min(mach.PageSize-mach.PageOffset(va+mach.Addr(off)), n-off)
 		var err error
@@ -229,7 +230,8 @@ func (k *Kernel) copyIn(p *Proc, va mach.Addr, n uint64) ([]byte, Errno) {
 			err = k.vmm.ReadVirt(p.as, vmm.ViewSystem, va+mach.Addr(off), buf[off:off+chunk], false)
 		} else {
 			// Past the mapped prefix a page joins buf only once read, so
-			// the fault that usually ends the copy there allocates nothing.
+			// the fault that usually ends the copy there allocates nothing
+			// (and a copy of at most a page stays in the task's buffer).
 			var page [mach.PageSize]byte
 			if err = k.vmm.ReadVirt(p.as, vmm.ViewSystem, va+mach.Addr(off), page[:chunk], false); err == nil {
 				buf = append(buf, page[:chunk]...)

@@ -82,8 +82,13 @@ func TestMemoryZeroLeavesUntouchedFrameUnbacked(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { m.Zero(1) }); allocs != 0 {
 		t.Fatalf("Zero of a never-touched frame allocated %v times per run", allocs)
 	}
-	if m.frames[1] != nil {
-		t.Fatal("Zero backed a never-touched frame")
+	if m.chunks[0] != nil {
+		t.Fatal("Zero backed a never-touched frame's chunk")
+	}
+	m.Page(2)
+	m.Zero(1)
+	if c := m.chunks[0]; c == nil || c[1] != nil || c[2] == nil {
+		t.Fatal("Zero backed a never-touched frame in a backed chunk")
 	}
 }
 

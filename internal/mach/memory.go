@@ -42,17 +42,26 @@ func PageBase(a Addr) Addr { return a &^ Addr(PageMask) }
 
 // Memory is the machine's physical RAM, addressed by MPN. A frame is backed
 // by host memory on its first Page call; until then it reads as zeros, so a
-// machine costs the host only the frames its guest touches.
+// machine costs the host only the frames its guest touches. The frame table
+// is a directory of chunkFrames-frame chunks, each allocated when one of its
+// frames is first backed, so the table too grows with the frames touched
+// rather than with the machine's size.
 type Memory struct {
-	frames []*[PageSize]byte
+	chunks []*frameChunk
+	frames int
 }
+
+// chunkFrames is how many frames one directory entry covers.
+const chunkFrames = 64
+
+type frameChunk [chunkFrames]*[PageSize]byte
 
 // NewMemory builds RAM with the given number of frames, none of them backed.
 func NewMemory(frames int) *Memory {
 	if frames <= 0 {
 		panic("mach: memory must have at least one frame")
 	}
-	return &Memory{frames: make([]*[PageSize]byte, frames)}
+	return &Memory{chunks: make([]*frameChunk, (frames+chunkFrames-1)/chunkFrames), frames: frames}
 }
 
 // Page returns the backing bytes of frame mpn, backing it first if it was
@@ -60,24 +69,42 @@ func NewMemory(frames int) *Memory {
 // are real writes. Only trusted components (the VMM and the simulated
 // hardware) hold Memory directly.
 func (m *Memory) Page(mpn MPN) []byte {
-	m.check(mpn)
-	if m.frames[mpn] == nil {
-		m.frames[mpn] = new([PageSize]byte)
+	if i := mpn / chunkFrames; i < MPN(len(m.chunks)) {
+		if c := m.chunks[i]; c != nil {
+			if f := c[mpn%chunkFrames]; f != nil {
+				return f[:]
+			}
+		}
 	}
-	return m.frames[mpn][:]
+	return m.back(mpn)
+}
+
+// back backs frame mpn, and its chunk if need be, on the frame's first
+// touch, so Page's path for a backed frame is two loads and no range check
+// beyond the directory's length.
+func (m *Memory) back(mpn MPN) []byte {
+	m.check(mpn)
+	c := m.chunks[mpn/chunkFrames]
+	if c == nil {
+		c = new(frameChunk)
+		m.chunks[mpn/chunkFrames] = c
+	}
+	f := new([PageSize]byte)
+	c[mpn%chunkFrames] = f
+	return f[:]
 }
 
 // Zero clears frame mpn. A frame that was never backed already reads as
 // zeros and stays unbacked.
 func (m *Memory) Zero(mpn MPN) {
 	m.check(mpn)
-	if f := m.frames[mpn]; f != nil {
-		*f = [PageSize]byte{}
+	if c := m.chunks[mpn/chunkFrames]; c != nil && c[mpn%chunkFrames] != nil {
+		*c[mpn%chunkFrames] = [PageSize]byte{}
 	}
 }
 
 func (m *Memory) check(mpn MPN) {
-	if int(mpn) >= len(m.frames) {
-		panic(fmt.Sprintf("mach: MPN %d out of range (%d frames)", mpn, len(m.frames)))
+	if mpn >= MPN(m.frames) {
+		panic(fmt.Sprintf("mach: MPN %d out of range (%d frames)", mpn, m.frames))
 	}
 }

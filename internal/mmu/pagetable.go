@@ -13,9 +13,11 @@ const (
 )
 
 // PageTable is a two-level page table. Guest kernels allocate one per
-// address space; the VMM allocates one per shadow context.
+// address space; the VMM allocates one per shadow context. The directory is
+// allocated by the first Map and dropped by Clear, so a table that maps
+// nothing (an unused shadow view, a torn-down space) holds no host memory.
 type PageTable struct {
-	dirs  [1 << dirBits]*[tableSize]PTE
+	dirs  *[1 << dirBits]*[tableSize]PTE
 	count int // number of present entries
 }
 
@@ -29,7 +31,7 @@ func splitVPN(vpn uint64) (di, ti uint64) {
 // Lookup returns the PTE for vpn. Entries never installed read as zero
 // (not present).
 func (t *PageTable) Lookup(vpn uint64) PTE {
-	if vpn > MaxVPN {
+	if vpn > MaxVPN || t.dirs == nil {
 		return PTE{}
 	}
 	di, ti := splitVPN(vpn)
@@ -44,6 +46,9 @@ func (t *PageTable) Lookup(vpn uint64) PTE {
 func (t *PageTable) Map(vpn uint64, pte PTE) {
 	if vpn > MaxVPN {
 		panic("mmu: VPN out of range")
+	}
+	if t.dirs == nil {
+		t.dirs = new([1 << dirBits]*[tableSize]PTE)
 	}
 	di, ti := splitVPN(vpn)
 	d := t.dirs[di]
@@ -63,7 +68,7 @@ func (t *PageTable) Map(vpn uint64, pte PTE) {
 
 // Unmap clears the entry for vpn; it is a no-op if nothing was mapped.
 func (t *PageTable) Unmap(vpn uint64) {
-	if vpn > MaxVPN {
+	if vpn > MaxVPN || t.dirs == nil {
 		return
 	}
 	di, ti := splitVPN(vpn)
@@ -80,6 +85,9 @@ func (t *PageTable) Unmap(vpn uint64) {
 // SetFlags ORs extra flags into an existing present entry (used by the MMU
 // for accessed/dirty bits). Returns false if vpn is not mapped.
 func (t *PageTable) SetFlags(vpn uint64, extra Flags) bool {
+	if t.dirs == nil {
+		return false
+	}
 	di, ti := splitVPN(vpn)
 	d := t.dirs[di]
 	if d == nil || !d[ti].Present() {
@@ -92,6 +100,9 @@ func (t *PageTable) SetFlags(vpn uint64, extra Flags) bool {
 // ClearFlags removes flags from an existing present entry (e.g. write
 // protection for COW). Returns false if vpn is not mapped.
 func (t *PageTable) ClearFlags(vpn uint64, drop Flags) bool {
+	if t.dirs == nil {
+		return false
+	}
 	di, ti := splitVPN(vpn)
 	d := t.dirs[di]
 	if d == nil || !d[ti].Present() {
@@ -120,7 +131,7 @@ func (t *PageTable) Range(fn func(vpn uint64, pte PTE) bool) {
 // directory), and the walk still visits every other entry exactly once.
 func (t *PageTable) RangeIn(base, end uint64, fn func(vpn uint64, pte PTE) bool) {
 	end = min(end, MaxVPN+1)
-	for vpn := base; vpn < end; {
+	for vpn := base; vpn < end && t.dirs != nil; {
 		di, ti := splitVPN(vpn)
 		last := min(end-vpn, tableSize-ti) + ti // exclusive, within directory di
 		if d := t.dirs[di]; d != nil {
@@ -144,10 +155,8 @@ func (t *PageTable) PresentVPNs() []uint64 {
 	return out
 }
 
-// Clear removes every entry.
+// Clear removes every entry and drops the directory.
 func (t *PageTable) Clear() {
-	for i := range t.dirs {
-		t.dirs[i] = nil
-	}
+	t.dirs = nil
 	t.count = 0
 }

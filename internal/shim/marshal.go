@@ -4,6 +4,7 @@ import (
 	"overshadow/internal/guestos"
 	"overshadow/internal/mach"
 	"overshadow/internal/sim"
+	"overshadow/internal/vmm"
 )
 
 // This file implements the marshalled syscall class: operations whose
@@ -65,10 +66,14 @@ func (s *Ctx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
 	if cf, ok := s.cfiles[fd]; ok {
 		return s.cloakedIO(cf, va, n, off, false)
 	}
+	scratch, err := s.scratch()
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for total < n {
 		chunk := min(n-total, s.scratchBytes)
-		got, err := s.uc.Pread(fd, s.scratchVA, chunk, off+uint64(total))
+		got, err := s.uc.Pread(fd, scratch, chunk, off+uint64(total))
 		if err != nil {
 			return total, s.validateErrno("pread", err)
 		}
@@ -78,7 +83,7 @@ func (s *Ctx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
 		if got == 0 {
 			break
 		}
-		s.bounce(s.scratchVA, va+mach.Addr(total), got)
+		s.bounce(scratch, va+mach.Addr(total), got)
 		total += got
 		if got < chunk {
 			break
@@ -92,11 +97,15 @@ func (s *Ctx) Pwrite(fd int, va mach.Addr, n int, off uint64) (int, error) {
 	if cf, ok := s.cfiles[fd]; ok {
 		return s.cloakedIO(cf, va, n, off, true)
 	}
+	scratch, err := s.scratch()
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for total < n {
 		chunk := min(n-total, s.scratchBytes)
-		s.bounce(va+mach.Addr(total), s.scratchVA, chunk)
-		got, err := s.uc.Pwrite(fd, s.scratchVA, chunk, off+uint64(total))
+		s.bounce(va+mach.Addr(total), scratch, chunk)
+		got, err := s.uc.Pwrite(fd, scratch, chunk, off+uint64(total))
 		if err != nil {
 			return total, s.validateErrno("pwrite", err)
 		}
@@ -115,10 +124,14 @@ func (s *Ctx) Pwrite(fd int, va mach.Addr, n int, off uint64) (int, error) {
 // kernel fills scratch (plaintext, uncloaked), the app copies scratch into
 // its cloaked destination.
 func (s *Ctx) marshalledRead(fd int, va mach.Addr, n int) (int, error) {
+	scratch, err := s.scratch()
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for total < n {
 		chunk := min(n-total, s.scratchBytes)
-		got, err := s.uc.Read(fd, s.scratchVA, chunk)
+		got, err := s.uc.Read(fd, scratch, chunk)
 		if err != nil {
 			return total, s.validateErrno("read", err)
 		}
@@ -128,7 +141,7 @@ func (s *Ctx) marshalledRead(fd int, va mach.Addr, n int) (int, error) {
 		if got == 0 {
 			break
 		}
-		s.bounce(s.scratchVA, va+mach.Addr(total), got)
+		s.bounce(scratch, va+mach.Addr(total), got)
 		total += got
 		if got < chunk {
 			break // short read (EOF or pipe chunk)
@@ -140,11 +153,15 @@ func (s *Ctx) marshalledRead(fd int, va mach.Addr, n int) (int, error) {
 // marshalledWrite copies cloaked data into scratch (decrypt-on-app-read,
 // plain write into the uncloaked window), then lets the kernel consume it.
 func (s *Ctx) marshalledWrite(fd int, va mach.Addr, n int) (int, error) {
+	scratch, err := s.scratch()
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for total < n {
 		chunk := min(n-total, s.scratchBytes)
-		s.bounce(va+mach.Addr(total), s.scratchVA, chunk)
-		got, err := s.uc.Write(fd, s.scratchVA, chunk)
+		s.bounce(va+mach.Addr(total), scratch, chunk)
+		got, err := s.uc.Write(fd, scratch, chunk)
 		if err != nil {
 			return total, s.validateErrno("write", err)
 		}
@@ -161,10 +178,47 @@ func (s *Ctx) marshalledWrite(fd int, va mach.Addr, n int) (int, error) {
 
 // bounce copies n bytes between two user VAs through the application view.
 func (s *Ctx) bounce(src, dst mach.Addr, n int) {
-	buf := make([]byte, n)
+	buf := s.bounceBytes(n)
 	s.uc.ReadMem(src, buf)
 	s.uc.WriteMem(dst, buf)
 	s.marshalStats(n)
+}
+
+// bounceBytes returns n bytes of the context's bounce buffer for one copy
+// between user VAs. A copy of at most a page reuses the one page the
+// context keeps, so steady-state marshalling allocates no host memory; a
+// larger one gets a buffer of its own for the call.
+func (s *Ctx) bounceBytes(n int) []byte {
+	if n > mach.PageSize {
+		return make([]byte, n)
+	}
+	if s.bounceBuf == nil {
+		s.bounceBuf = make([]byte, mach.PageSize)
+	}
+	return s.bounceBuf[:n]
+}
+
+// scratch returns the uncloaked marshalling window of this context's
+// thread. A process's first thread owns the layout's scratch region; a
+// spawned thread maps a window of the same size on its first marshalled
+// call and keeps it until the process exits. The kernel's mapping base is
+// validated like any other before the shim registers the window uncloaked.
+func (s *Ctx) scratch() (mach.Addr, error) {
+	if s.scratchVA != 0 {
+		return s.scratchVA, nil
+	}
+	pages := uint64(s.scratchBytes / mach.PageSize)
+	base, err := s.uc.Alloc(int(pages))
+	if err != nil {
+		return 0, s.validateErrno("alloc", err)
+	}
+	if verr := s.validateMappedBase("alloc", base, pages); verr != nil {
+		return 0, verr
+	}
+	s.mustRegister(vmm.Region{BaseVPN: mach.PageOf(base), Pages: pages})
+	s.threadScratch[mach.PageOf(base)] = pages
+	s.scratchVA = base
+	return base, nil
 }
 
 // --- Remaining marshalled/pass-through file ops -------------------------------

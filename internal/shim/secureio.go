@@ -134,7 +134,7 @@ func (s *Ctx) cloakedIO(cf *cloakedFile, va mach.Addr, n int, off uint64, write 
 			chunk = n - done
 		}
 		winVA := cf.winBase + mach.Addr(cur-cf.winOff*mach.PageSize)
-		buf := make([]byte, chunk)
+		buf := s.bounceBytes(chunk)
 		if write {
 			s.uc.ReadMem(va+mach.Addr(done), buf)
 			s.uc.WriteMem(winVA, buf)

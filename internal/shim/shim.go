@@ -62,11 +62,18 @@ type Ctx struct {
 	heapRes  cloak.ResourceID
 	stackRes cloak.ResourceID
 
+	// scratchVA is the uncloaked marshalling window of this context's
+	// thread (0 until a spawned thread maps its own; see scratch).
 	scratchVA    mach.Addr
 	scratchBytes int
+	// bounceBuf is this context's bounce buffer (see bounceBytes). Each
+	// thread has its own, like its scratch window.
+	bounceBuf []byte
 
 	// anonRegions tracks shim-allocated cloaked mappings by base VPN.
 	anonRegions map[uint64]anonRegion
+	// threadScratch tracks spawned threads' scratch windows by base VPN.
+	threadScratch map[uint64]uint64
 	// shmRegions tracks protected shared-memory attachments by base VPN.
 	shmRegions map[uint64]shmRegion
 	// cfiles tracks cloaked-file state by fd.
@@ -90,14 +97,15 @@ var _ guestos.Env = (*Ctx)(nil)
 func attach(uc *guestos.UserCtx) *Ctx {
 	k := uc.Kernel()
 	s := &Ctx{
-		uc:           uc,
-		hv:           k.VMM(),
-		as:           uc.Proc().AddressSpace(),
-		scratchVA:    mach.Addr(guestos.LayoutScratch * mach.PageSize),
-		scratchBytes: int(guestos.LayoutScratchLen) * mach.PageSize,
-		anonRegions:  make(map[uint64]anonRegion),
-		shmRegions:   make(map[uint64]shmRegion),
-		cfiles:       make(map[int]*cloakedFile),
+		uc:            uc,
+		hv:            k.VMM(),
+		as:            uc.Proc().AddressSpace(),
+		scratchVA:     mach.Addr(guestos.LayoutScratch * mach.PageSize),
+		scratchBytes:  int(guestos.LayoutScratchLen) * mach.PageSize,
+		anonRegions:   make(map[uint64]anonRegion),
+		threadScratch: make(map[uint64]uint64),
+		shmRegions:    make(map[uint64]shmRegion),
+		cfiles:        make(map[int]*cloakedFile),
 	}
 	var err error
 	s.conn, err = s.hv.HCCreateDomain(s.as)
@@ -319,9 +327,10 @@ func (s *Ctx) ShmAttach(name string, pages int) (mach.Addr, error) {
 // (inheriting them live would make the validation layer see phantom
 // aliases in the child).
 type forkSnapshot struct {
-	anon map[uint64]anonRegion
-	shm  map[uint64]shmRegion
-	cf   map[int]*cloakedFile
+	anon    map[uint64]anonRegion
+	scratch map[uint64]uint64
+	shm     map[uint64]shmRegion
+	cf      map[int]*cloakedFile
 }
 
 // Fork implements Env: the kernel copies the address space (as ciphertext),
@@ -337,9 +346,10 @@ func (s *Ctx) Fork(child func(guestos.Env)) (guestos.Pid, error) {
 	}, func(pas, cas *vmm.AddressSpace) error {
 		// Fork time: freeze the shim's view alongside the address-space copy.
 		snap = forkSnapshot{
-			anon: maps.Clone(s.anonRegions),
-			shm:  maps.Clone(s.shmRegions),
-			cf:   make(map[int]*cloakedFile, len(s.cfiles)),
+			anon:    maps.Clone(s.anonRegions),
+			scratch: maps.Clone(s.threadScratch),
+			shm:     maps.Clone(s.shmRegions),
+			cf:      make(map[int]*cloakedFile, len(s.cfiles)),
 		}
 		for _, fd := range ordered.Keys(s.cfiles) {
 			dup := *s.cfiles[fd]
@@ -353,19 +363,22 @@ func (s *Ctx) Fork(child func(guestos.Env)) (guestos.Pid, error) {
 }
 
 // attachForked builds the child's shim context after a fork: same domain,
-// remapped private resources, fork-time cloaked-file table.
+// remapped private resources, fork-time cloaked-file table. The child is a
+// process's first thread, so it marshals through the layout's scratch
+// region even when a spawned thread forked it.
 func attachForked(cuc *guestos.UserCtx, parent *Ctx, conn *vmm.DomainConn, rmap map[cloak.ResourceID]cloak.ResourceID, snap forkSnapshot) *Ctx {
 	cs := &Ctx{
-		uc:           cuc,
-		hv:           parent.hv,
-		as:           cuc.Proc().AddressSpace(),
-		conn:         conn,
-		domain:       conn.Domain(),
-		scratchVA:    parent.scratchVA,
-		scratchBytes: parent.scratchBytes,
-		anonRegions:  make(map[uint64]anonRegion),
-		shmRegions:   snap.shm,
-		cfiles:       snap.cf,
+		uc:            cuc,
+		hv:            parent.hv,
+		as:            cuc.Proc().AddressSpace(),
+		conn:          conn,
+		domain:        conn.Domain(),
+		scratchVA:     mach.Addr(guestos.LayoutScratch * mach.PageSize),
+		scratchBytes:  parent.scratchBytes,
+		anonRegions:   make(map[uint64]anonRegion),
+		threadScratch: snap.scratch,
+		shmRegions:    snap.shm,
+		cfiles:        snap.cf,
 	}
 	cuc.Thread().Domain = cs.domain
 	cs.world().CPU().SetTaskDomain(uint32(cs.domain))
@@ -388,10 +401,15 @@ func attachForked(cuc *guestos.UserCtx, parent *Ctx, conn *vmm.DomainConn, rmap 
 // SpawnThread implements Env: the new thread shares this process's domain
 // and shim state; its fresh hardware context is bound to the domain before
 // the body runs, so its registers are CTC-protected from the first trap.
+// The thread marshals through a scratch window and a bounce buffer of its
+// own: the kernel may preempt it at any syscall exit, between filling the
+// scratch window and copying out of it.
 func (s *Ctx) SpawnThread(body func(guestos.Env)) (guestos.Pid, error) {
 	return s.uc.SpawnThreadWith(func(tuc *guestos.UserCtx) {
 		ts := *s // share maps (cfiles, anonRegions) and identities
 		ts.uc = tuc
+		ts.scratchVA = 0
+		ts.bounceBuf = nil
 		tuc.Thread().Domain = s.domain
 		ts.world().CPU().SetTaskDomain(uint32(s.domain))
 		body(&ts)

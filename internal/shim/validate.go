@@ -32,15 +32,20 @@ func (s *Ctx) rejectIago(call, detail string, errno guestos.Errno) error {
 }
 
 // trackedOverlap reports whether [vpn, vpn+pages) intersects any mapping the
-// shim already tracks: anonymous cloaked regions, shared-memory attachments,
-// or cloaked-file windows. A kernel returning an already-used base would
-// alias two cloaked mappings onto one range.
+// shim already tracks: anonymous cloaked regions, threads' scratch windows,
+// shared-memory attachments, or cloaked-file windows. A kernel returning an
+// already-used base would alias two mappings onto one range.
 func (s *Ctx) trackedOverlap(vpn, pages uint64) bool {
 	overlaps := func(base, n uint64) bool {
 		return base < vpn+pages && vpn < base+n
 	}
 	for _, base := range ordered.Keys(s.anonRegions) {
 		if overlaps(base, s.anonRegions[base].pages) {
+			return true
+		}
+	}
+	for _, base := range ordered.Keys(s.threadScratch) {
+		if overlaps(base, s.threadScratch[base]) {
 			return true
 		}
 	}

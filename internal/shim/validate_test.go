@@ -20,7 +20,7 @@ import (
 )
 
 // newValidatorCtx builds the minimal shim context the validators touch: a
-// live domain handle (so rejections land real audit events) plus the three
+// live domain handle (so rejections land real audit events) plus the four
 // tracking maps, pre-seeded with one mapping each so alias checks have
 // something to collide with.
 func newValidatorCtx(t *testing.T) (*Ctx, *vmm.VMM, *sim.World) {
@@ -36,9 +36,10 @@ func newValidatorCtx(t *testing.T) (*Ctx, *vmm.VMM, *sim.World) {
 		t.Fatal(err)
 	}
 	s := &Ctx{
-		conn:        conn,
-		anonRegions: map[uint64]anonRegion{guestos.LayoutMmapBase + 100: {pages: 4}},
-		shmRegions:  map[uint64]shmRegion{guestos.LayoutMmapBase + 200: {pages: 2}},
+		conn:          conn,
+		anonRegions:   map[uint64]anonRegion{guestos.LayoutMmapBase + 100: {pages: 4}},
+		threadScratch: map[uint64]uint64{guestos.LayoutMmapBase + 400: guestos.LayoutScratchLen},
+		shmRegions:    map[uint64]shmRegion{guestos.LayoutMmapBase + 200: {pages: 2}},
 		cfiles: map[int]*cloakedFile{7: {
 			fd:       7,
 			winBase:  mach.Addr((guestos.LayoutMmapBase + 300) * mach.PageSize),
@@ -93,6 +94,9 @@ func TestValidateRejectionPaths(t *testing.T) {
 		}, guestos.EFAULT, "aliases a tracked cloaked mapping"},
 		{"mmap-alias-file-window", func(s *Ctx) error {
 			return s.validateMappedBase("mmap_file", page(guestos.LayoutMmapBase+307), 1)
+		}, guestos.EFAULT, "aliases a tracked cloaked mapping"},
+		{"mmap-alias-thread-scratch", func(s *Ctx) error {
+			return s.validateMappedBase("alloc", page(guestos.LayoutMmapBase+463), 1)
 		}, guestos.EFAULT, "aliases a tracked cloaked mapping"},
 		{"mmap-honest", func(s *Ctx) error {
 			return s.validateMappedBase("alloc", page(guestos.LayoutMmapBase+1000), 4)

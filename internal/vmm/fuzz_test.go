@@ -13,18 +13,19 @@ import (
 // hcNumOps). Each reads its arguments from the bytes after it; a short
 // input reads zeros.
 const (
-	hcCreate     = iota // bind a new or existing space to a fresh domain, park a thread in it
-	hcRegister          // register a region: overlapping, empty or past mmu.MaxVPN
-	hcUnregister        // unregister the region at a base VPN
-	hcAlloc             // allocate a resource
-	hcRelease           // release a resource's metadata
-	hcClone             // copy a space the way fork does, then CloneInto the fresh copy
-	hcDestroy           // destroy a handle's domain
-	hcStale             // call a handle method, stale or not
-	hcAppWrite          // map a page and write it from the app view
-	hcKernelRead        // read a mapped page from the system view
-	hcCorrupt           // flip a byte of a mapped frame, then read it from the app view
-	hcRecycle           // unmap a page and recycle its frame
+	hcCreate       = iota // bind a new or existing space to a fresh domain, park a thread in it
+	hcRegister            // register a region: overlapping, empty or past mmu.MaxVPN
+	hcUnregister          // unregister the region at a base VPN
+	hcAlloc               // allocate a resource
+	hcRelease             // release a resource's metadata
+	hcClone               // copy a space the way fork does, then CloneInto the fresh copy
+	hcDestroy             // destroy a handle's domain
+	hcStale               // call a handle method, stale or not
+	hcAppWrite            // map a page and write it from the app view
+	hcKernelRead          // read a mapped page from the system view
+	hcCorrupt             // flip a byte of a mapped frame, then read it from the app view
+	hcRecycle             // unmap a page and recycle its frame
+	hcDestroySpace        // destroy a space the way process exit does, keeping its handles
 	hcNumOps
 )
 
@@ -241,6 +242,8 @@ func (h *hcRig) step(in *hcInput) error {
 			return err
 		}
 		return v.ReadVirt(as, ViewApp, mach.Addr(vpn*mach.PageSize), b, true)
+	case hcDestroySpace:
+		v.DestroyAddressSpace(h.space(in))
 	case hcRecycle:
 		as := h.space(in)
 		vpn := uint64(in.byte() % hcVPNs)
@@ -328,6 +331,24 @@ func FuzzHypercalls(f *testing.F) {
 			[]byte{hcAppWrite, 1, 10, 6, 2, 2, 2, 2},
 			[]byte{hcRecycle, 0, 10},
 			[]byte{hcAppWrite, 0, 10, 6, 3, 3, 3, 3}),
+		// The kernel destroys the only space before the domain, then the
+		// stale handle measures again and the dead space takes a write.
+		seq(0, []byte{hcCreate, 0}, []byte{hcAlloc, 0},
+			[]byte{hcRegister, 0, 10, 2, 4, 2, 1, 1, 0},
+			[]byte{hcAppWrite, 0, 10, 3, 1, 2, 3, 4},
+			[]byte{hcStale, 0, 1, 1},
+			[]byte{hcDestroySpace, 0}, []byte{hcDestroy, 0},
+			[]byte{hcStale, 0, 1, 2},
+			[]byte{hcAppWrite, 0, 11, 4, 5, 6, 7, 8}),
+		// A forked child's space goes first; the parent's handle destroys
+		// the domain, then the child's handle and space are used.
+		seq(0, []byte{hcCreate, 0}, []byte{hcAlloc, 0},
+			[]byte{hcRegister, 0, 10, 2, 4, 2, 1, 1, 0},
+			[]byte{hcAppWrite, 0, 10, 3, 1, 2, 3, 4},
+			[]byte{hcClone, 0, 20},
+			[]byte{hcDestroySpace, 1}, []byte{hcDestroy, 0},
+			[]byte{hcStale, 1, 0},
+			[]byte{hcAppWrite, 1, 10, 21, 9, 9, 9, 9}),
 	}
 	for _, s := range seeds {
 		f.Add(s)

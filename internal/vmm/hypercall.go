@@ -154,12 +154,18 @@ func (v *VMM) destroyDomain(d cloak.DomainID) {
 	delete(v.identities, d)
 	v.metas.DeleteDomain(d)
 	v.jDropDomain(d)
-	for _, as := range v.spaces {
-		if as.domain == d {
-			as.domain = 0
-			as.regions = nil
+	unbind := func(as *AddressSpace) bool {
+		if as.domain != d {
+			return false
 		}
+		as.domain = 0
+		as.regions = nil
+		return true
 	}
+	for _, as := range v.spaces {
+		unbind(as)
+	}
+	v.detached = slices.DeleteFunc(v.detached, unbind)
 }
 
 // HCFileResource binds a stable (vault domain, resource) pair to a file

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"overshadow/internal/mach"
 	"overshadow/internal/mmu"
 )
 
@@ -278,4 +279,64 @@ func TestRegisterRegionRange(t *testing.T) {
 	if got := r.as.regionAt(mmu.MaxVPN); got == nil || *got != top {
 		t.Fatalf("region ending at MaxVPN not registered: %+v", r.as.regions)
 	}
+}
+
+// TestDestroyAfterSpaceTeardown destroys a domain through handles whose
+// spaces the kernel tore down first: the domain's only space, and a forked
+// sibling's. Destroy must unbind every such space, so each handle goes
+// stale and neither a second identity measurement nor an app write through
+// a dead space leaves the domain a page or a metadata record.
+func TestDestroyAfterSpaceTeardown(t *testing.T) {
+	t.Run("only space", func(t *testing.T) {
+		r := newRig(t, Options{})
+		r.cloakSetup(20, 4)
+		if err := r.conn.RecordIdentity([32]byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		r.mapGuest(r.as, 20, 5)
+		if err := r.appWrite(20, []byte("secret")); err != nil {
+			t.Fatal(err)
+		}
+		d := r.conn.Domain()
+		r.v.DestroyAddressSpace(r.as)
+		r.conn.Destroy()
+		if r.as.Domain() != 0 {
+			t.Fatalf("destroyed space still bound to domain %d", r.as.Domain())
+		}
+		if err := r.conn.RecordIdentity([32]byte{2}); !errors.Is(err, ErrNoDomain) {
+			t.Fatalf("RecordIdentity after Destroy: err = %v, want ErrNoDomain", err)
+		}
+		r.mapGuest(r.as, 21, 6)
+		if err := r.appWrite(21, []byte("late")); err != nil {
+			t.Fatal(err)
+		}
+		if pages, metas, ctcs := r.v.QuarantineResidue(d); pages != 0 || metas != 0 || ctcs != 0 {
+			t.Fatalf("destroyed domain holds %d pages, %d metadata records, %d live CTCs", pages, metas, ctcs)
+		}
+	})
+	t.Run("forked sibling", func(t *testing.T) {
+		r := newRig(t, Options{})
+		r.cloakSetup(20, 4)
+		child := r.v.CreateAddressSpace(mmu.NewPageTable())
+		_, cc, err := r.conn.CloneInto(child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := r.conn.Domain()
+		r.v.DestroyAddressSpace(child) // the child exits first
+		r.conn.Destroy()
+		if child.Domain() != 0 {
+			t.Fatalf("destroyed sibling still bound to domain %d", child.Domain())
+		}
+		if _, err := cc.AllocResource(); !errors.Is(err, ErrNoDomain) {
+			t.Fatalf("sibling AllocResource after Destroy: err = %v, want ErrNoDomain", err)
+		}
+		r.mapGuest(child, 20, 7)
+		if err := r.v.WriteVirt(child, ViewApp, mach.Addr(20*mach.PageSize), []byte("late"), true); err != nil {
+			t.Fatal(err)
+		}
+		if pages, metas, _ := r.v.QuarantineResidue(d); pages != 0 || metas != 0 {
+			t.Fatalf("destroyed domain holds %d pages, %d metadata records", pages, metas)
+		}
+	})
 }

@@ -108,7 +108,12 @@ type VMM struct {
 
 	// spaces lists the live address spaces in ascending ASID order, the
 	// order every walk over all spaces visits them.
-	spaces    []*AddressSpace
+	spaces []*AddressSpace
+	// detached lists destroyed spaces still bound to a domain: a forked
+	// sibling that exited first, or a space the kernel tore down before its
+	// domain was destroyed. destroyDomain unbinds them with the live ones,
+	// so no handle outlives its domain whatever the teardown order.
+	detached  []*AddressSpace
 	nextASID  ASID
 	nextCtxID uint32
 
@@ -329,6 +334,9 @@ func (v *VMM) DestroyAddressSpace(as *AddressSpace) {
 			v.spaces = append(v.spaces[:i], v.spaces[i+1:]...)
 			break
 		}
+	}
+	if as.domain != 0 {
+		v.detached = append(v.detached, as)
 	}
 }
 

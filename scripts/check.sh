@@ -115,7 +115,7 @@ echo "== tests"
 go test ./...
 
 echo "== benchmarks"
-go test -run '^$' -bench . -benchtime 1x . ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core \
+go test -run '^$' -bench . -benchtime 1x -benchmem . ./internal/sim ./internal/mmu ./internal/vmm ./internal/cloak ./internal/guestos ./internal/core \
     ./internal/persist ./internal/migrate
 
 echo "== bench module"
