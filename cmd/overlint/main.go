@@ -3,9 +3,7 @@
 //	determinism     — no host time, math/rand, multi-channel select, or
 //	                  unscheduled goroutines inside the simulated machine
 //	cloakboundary   — untrusted guestos code never touches machine memory,
-//	                  cloaking secrets, or the vmm.DomainConn handle; outside
-//	                  internal/vmm, domain hypercalls go through the typed
-//	                  DomainConn handle, never the raw VMM.HC* forwarders
+//	                  cloaking secrets, or the vmm.DomainConn handle
 //	errnodiscipline — no raw errno literals, no discarded error/Errno results
 //	iagoflow        — every kernel-returned value in the shim passes its
 //	                  validator before any other use

@@ -166,80 +166,75 @@ func (k *Kernel) makePipe(p *Proc) (int, int, Errno) {
 }
 
 // readFD reads up to n bytes into a kernel buffer sized by what the file or
-// pipe delivers.
-func (k *Kernel) readFD(p *Proc, fd int, n uint64) ([]byte, Errno) {
+// pipe delivers. pos, when not nil, is pread's file position, which the read
+// advances in place of the descriptor's; a pipe has none (ESPIPE).
+func (k *Kernel) readFD(p *Proc, fd int, n uint64, pos *uint64) ([]byte, Errno) {
 	f, err := p.fd(fd)
 	if err != OK {
 		return nil, err
 	}
 	if f.pipe != nil {
+		if pos != nil {
+			return nil, ESPIPE
+		}
 		if f.writeEnd {
 			return nil, EBADF
 		}
 		return k.pipeRead(p, f.pipe, n)
 	}
-	if f.flags&(OWrOnly) != 0 {
+	if !AccessAllowed(f.flags, false) {
 		return nil, EBADF
 	}
-	buf, e := k.fs.readN(p, f.ino, f.pos, n)
+	if pos == nil {
+		pos = &f.pos
+	}
+	buf, e := k.fs.readN(p, f.ino, *pos, n)
 	if e != OK {
 		return nil, e
 	}
-	f.pos += uint64(len(buf))
+	*pos += uint64(len(buf))
 	return buf, OK
 }
 
-// writeFD writes the kernel buffer buf.
-func (k *Kernel) writeFD(p *Proc, fd int, buf []byte) (int, Errno) {
+// writeFD writes the kernel buffer buf. pos, when not nil, is pwrite's file
+// position, which the write advances in place of the descriptor's (O_APPEND
+// moves only the descriptor's writes to the end); a pipe has none (ESPIPE).
+func (k *Kernel) writeFD(p *Proc, fd int, buf []byte, pos *uint64) (int, Errno) {
 	f, err := p.fd(fd)
 	if err != OK {
 		return 0, err
 	}
 	if f.pipe != nil {
+		if pos != nil {
+			return 0, ESPIPE
+		}
 		if !f.writeEnd {
 			return 0, EBADF
 		}
 		return k.pipeWrite(p, f.pipe, buf)
 	}
-	if f.flags&(OWrOnly|ORdWr) == 0 {
+	if !AccessAllowed(f.flags, true) {
 		return 0, EBADF
 	}
-	pos := f.pos
-	if f.flags&OAppend != 0 {
+	at := f.pos
+	if pos != nil {
+		at = *pos
+	} else if f.flags&OAppend != 0 {
 		st, e := k.fs.StatIno(f.ino)
 		if e != OK {
 			return 0, e
 		}
-		pos = st.Size
+		at = st.Size
 	}
-	n, e := k.fs.WriteAt(f.ino, pos, buf)
+	n, e := k.fs.WriteAt(f.ino, at, buf)
 	if e != OK {
 		return n, e
 	}
-	f.pos = pos + uint64(n)
+	if pos == nil {
+		pos = &f.pos
+	}
+	*pos = at + uint64(n)
 	return n, OK
-}
-
-func (k *Kernel) preadFD(p *Proc, fd int, off, n uint64) ([]byte, Errno) {
-	f, err := p.fd(fd)
-	if err != OK {
-		return nil, err
-	}
-	if f.pipe != nil {
-		return nil, ESPIPE
-	}
-	return k.fs.readN(p, f.ino, off, n)
-}
-
-func (k *Kernel) pwriteFD(p *Proc, fd int, off uint64, buf []byte) (int, Errno) {
-	f, err := p.fd(fd)
-	if err != OK {
-		return 0, err
-	}
-	if f.pipe != nil {
-		return 0, ESPIPE
-	}
-	return k.fs.WriteAt(f.ino, off, buf)
 }
 
 func (k *Kernel) lseekFD(p *Proc, fd int, off int64, whence int) (uint64, Errno) {

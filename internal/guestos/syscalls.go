@@ -20,12 +20,12 @@ func (k *Kernel) chargePathCopy(path string) {
 const cachelineBytes = 64
 
 // userRange reports whether [va, va+n) lies inside the user address space,
-// VPNs 0 through mmu.MaxVPN, without wrapping. Read, Write, Pread and Pwrite
-// take their length from a register the guest (or a hostile kernel hook)
-// controls, so each checks the range first: a length past the user address
-// space is EFAULT before any work. Within it, a read's kernel buffer is
-// sized by what the file or pipe delivers and a write's by what copyIn
-// reads, never by the register.
+// VPNs 0 through mmu.MaxVPN, without wrapping. Transfer takes its length
+// from a register the guest (or a hostile kernel hook) controls, so it
+// checks the range first: a length past the user address space is EFAULT
+// before any work. Within it, a read's kernel buffer is sized by what the
+// file or pipe delivers and a write's by what copyIn reads, never by the
+// register.
 func userRange(va, n uint64) bool {
 	const top = (mmu.MaxVPN + 1) * mach.PageSize
 	return va <= top && n <= top-va
@@ -146,74 +146,63 @@ func (c *UserCtx) Close(fd int) error {
 
 // Read implements Env: read from fd into user memory at va.
 func (c *UserCtx) Read(fd int, va mach.Addr, n int) (int, error) {
-	v, e := c.call(SysRead, [5]uint64{uint64(fd), uint64(va), uint64(n)}, func(kregs *vmm.Regs) uint64 {
-		k, p := c.k, c.p
-		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
-			return encodeRet(0, EFAULT)
-		}
-		buf, errno := k.readFD(p, int(kregs.GPR[1]), kregs.GPR[3])
-		if errno != OK {
-			return encodeRet(0, errno)
-		}
-		if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
-			return encodeRet(0, errno)
-		}
-		return encodeRet(uint64(len(buf)), OK)
-	})
-	return int(v), errOrNil(e)
+	return c.Transfer(SysRead, fd, va, n, 0)
 }
 
 // Write implements Env: write user memory at va to fd.
 func (c *UserCtx) Write(fd int, va mach.Addr, n int) (int, error) {
-	v, e := c.call(SysWrite, [5]uint64{uint64(fd), uint64(va), uint64(n)}, func(kregs *vmm.Regs) uint64 {
-		k, p := c.k, c.p
-		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
-			return encodeRet(0, EFAULT)
-		}
-		buf, errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), kregs.GPR[3])
-		if errno != OK {
-			return encodeRet(0, errno)
-		}
-		if k.Adversary.OnWriteData != nil {
-			k.Adversary.OnWriteData(k, p, int(kregs.GPR[1]), buf)
-		}
-		got, errno := k.writeFD(p, int(kregs.GPR[1]), buf)
-		return encodeRet(uint64(got), errno)
-	})
-	return int(v), errOrNil(e)
+	return c.Transfer(SysWrite, fd, va, n, 0)
 }
 
 // Pread implements Env.
 func (c *UserCtx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
-	v, e := c.call(SysPread, [5]uint64{uint64(fd), uint64(va), uint64(n), off}, func(kregs *vmm.Regs) uint64 {
-		k, p := c.k, c.p
-		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
-			return encodeRet(0, EFAULT)
-		}
-		buf, errno := k.preadFD(p, int(kregs.GPR[1]), kregs.GPR[4], kregs.GPR[3])
-		if errno != OK {
-			return encodeRet(0, errno)
-		}
-		if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
-			return encodeRet(0, errno)
-		}
-		return encodeRet(uint64(len(buf)), OK)
-	})
-	return int(v), errOrNil(e)
+	return c.Transfer(SysPread, fd, va, n, off)
 }
 
 // Pwrite implements Env.
 func (c *UserCtx) Pwrite(fd int, va mach.Addr, n int, off uint64) (int, error) {
-	v, e := c.call(SysPwrite, [5]uint64{uint64(fd), uint64(va), uint64(n), off}, func(kregs *vmm.Regs) uint64 {
+	return c.Transfer(SysPwrite, fd, va, n, off)
+}
+
+// Transfer is the one kernel entry of read, write, pread and pwrite, which
+// no names (it must be one of the four): it moves n bytes between user
+// memory at va and fd, at file position off for pread and pwrite (read and
+// write pass 0). A write copies the user bytes in, servicing faults, before
+// it resolves the descriptor; a read copies out what the descriptor
+// delivered. Only write(2) shows its data to the Adversary.OnWriteData hook.
+func (c *UserCtx) Transfer(no Sysno, fd int, va mach.Addr, n int, off uint64) (int, error) {
+	write := no == SysWrite || no == SysPwrite
+	positioned := no == SysPread || no == SysPwrite
+	v, e := c.call(no, [5]uint64{uint64(fd), uint64(va), uint64(n), off}, func(kregs *vmm.Regs) uint64 {
 		k, p := c.k, c.p
 		if !userRange(kregs.GPR[2], kregs.GPR[3]) {
 			return encodeRet(0, EFAULT)
+		}
+		// The position is a copy: the file operation advances it, and the
+		// register stays what the caller passed.
+		var pos *uint64
+		if positioned {
+			at := kregs.GPR[4]
+			pos = &at
+		}
+		if !write {
+			buf, errno := k.readFD(p, int(kregs.GPR[1]), kregs.GPR[3], pos)
+			if errno != OK {
+				return encodeRet(0, errno)
+			}
+			if errno := k.copyOut(p, mach.Addr(kregs.GPR[2]), buf); errno != OK {
+				return encodeRet(0, errno)
+			}
+			return encodeRet(uint64(len(buf)), OK)
 		}
 		buf, errno := k.copyIn(p, mach.Addr(kregs.GPR[2]), kregs.GPR[3])
 		if errno != OK {
 			return encodeRet(0, errno)
 		}
-		got, errno := k.pwriteFD(p, int(kregs.GPR[1]), kregs.GPR[4], buf)
+		if no == SysWrite && k.Adversary.OnWriteData != nil {
+			k.Adversary.OnWriteData(k, p, int(kregs.GPR[1]), buf)
+		}
+		got, errno := k.writeFD(p, int(kregs.GPR[1]), buf, pos)
 		return encodeRet(uint64(got), errno)
 	})
 	return int(v), errOrNil(e)

@@ -50,7 +50,7 @@ const (
 	SysNull // does nothing; the lmbench "null syscall"
 )
 
-var sysnoNames = map[Sysno]string{
+var sysnoNames = [...]string{
 	SysExit: "exit", SysGetPid: "getpid", SysGetPPid: "getppid",
 	SysYield: "yield", SysNanoSleep: "nanosleep", SysTime: "time",
 	SysFork: "fork", SysExec: "exec", SysWaitPid: "waitpid",
@@ -68,8 +68,8 @@ var sysnoNames = map[Sysno]string{
 
 // String implements fmt.Stringer.
 func (s Sysno) String() string {
-	if n, ok := sysnoNames[s]; ok {
-		return n
+	if s < Sysno(len(sysnoNames)) && sysnoNames[s] != "" {
+		return sysnoNames[s]
 	}
 	return "sys?"
 }
@@ -83,6 +83,16 @@ const (
 	OTrunc  = 0x200
 	OAppend = 0x400
 )
+
+// AccessAllowed reports whether a descriptor opened with flags may be
+// written (write) or read: O_WRONLY forbids reads, and only O_WRONLY or
+// O_RDWR allow writes.
+func AccessAllowed(flags int, write bool) bool {
+	if write {
+		return flags&(OWrOnly|ORdWr) != 0
+	}
+	return flags&OWrOnly == 0
+}
 
 // Lseek whence values.
 const (

@@ -54,15 +54,6 @@ func TestCloakBoundaryAnalyzer(t *testing.T) {
 		"overshadow/internal/guestos", "testdata/src/cloakboundary")
 }
 
-// TestCloakBoundaryConnRule loads a shim-shaped package exercising the
-// sanctioned hypercall surface: the typed DomainConn handle, ConnOf,
-// HCCreateDomain, and the vault calls must all pass with zero findings.
-// (The raw HC* forwarders were removed, so the rule is a backstop.)
-func TestCloakBoundaryConnRule(t *testing.T) {
-	runWantTest(t, CloakBoundaryAnalyzer,
-		"overshadow/internal/shim", "testdata/src/conncall")
-}
-
 func TestErrnoDisciplineAnalyzer(t *testing.T) {
 	runWantTest(t, ErrnoDisciplineAnalyzer,
 		"overshadow/internal/guestos", "testdata/src/errnodiscipline")

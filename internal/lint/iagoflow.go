@@ -37,6 +37,7 @@ var iagoUntrusted = map[string]string{
 	"Write":     "validateXferCount",
 	"Pread":     "validateXferCount",
 	"Pwrite":    "validateXferCount",
+	"Transfer":  "validateXferCount",
 	"Open":      "validateNewFD",
 	"Dup":       "validateNewFD",
 	"Pipe":      "validateNewFD",

@@ -10,6 +10,10 @@ type Errno int
 
 func (e Errno) Error() string { return "errno" }
 
+type Sysno uint64
+
+func (no Sysno) String() string { return "read" }
+
 // UserCtx stands in for the guestos kernel entry surface: every return
 // value is kernel-controlled.
 type UserCtx struct{}
@@ -17,6 +21,9 @@ type UserCtx struct{}
 func (u *UserCtx) Sbrk(delta int64) (Addr, error)           { return 0, nil }
 func (u *UserCtx) Alloc(pages int) (Addr, error)            { return 0, nil }
 func (u *UserCtx) Read(fd int, va Addr, n int) (int, error) { return 0, nil }
+func (u *UserCtx) Transfer(no Sysno, fd int, va Addr, n int, off uint64) (int, error) {
+	return 0, nil
+}
 func (u *UserCtx) Open(path string, flags int) (int, error) { return 0, nil }
 func (u *UserCtx) Pipe() (int, int, error)                  { return 0, 0, nil }
 func (u *UserCtx) Close(fd int) error                       { return nil }
@@ -147,3 +154,53 @@ func (s *Ctx) goodLoop(fd int, va Addr, n int) (int, error) {
 
 // untracked entry points are not the analyzer's business.
 func (s *Ctx) goodClose(fd int) error { return s.uc.Close(fd) }
+
+// goodTransfer mirrors the shim's one transfer loop over the single kernel
+// entry: the errno is validated on the failure path and the count before any
+// use, whichever call no names.
+func (s *Ctx) goodTransfer(no Sysno, fd int, va Addr, n int, off uint64) (int, error) {
+	total := 0
+	for total < n {
+		chunk := n - total
+		got, err := s.uc.Transfer(no, fd, va, chunk, off+uint64(total))
+		if err != nil {
+			return total, s.validateErrno(no.String(), err)
+		}
+		if verr := s.validateXferCount(no.String(), got, chunk); verr != nil {
+			return total, verr
+		}
+		s.bounce(va, va+Addr(total), got)
+		total += got
+		if got < chunk {
+			break
+		}
+	}
+	return total, nil
+}
+
+// badTransferUseBeforeValidate bounces the kernel count before the bound
+// check: a lying count would run the copy off the scratch window.
+func (s *Ctx) badTransferUseBeforeValidate(no Sysno, fd int, va Addr, chunk int) (int, error) {
+	got, err := s.uc.Transfer(no, fd, va, chunk, 0)
+	if err != nil {
+		return 0, s.validateErrno(no.String(), err)
+	}
+	s.bounce(va, va, got) // want `kernel-returned value got from uc\.Transfer used before validateXferCount validates it`
+	if verr := s.validateXferCount(no.String(), got, chunk); verr != nil {
+		return 0, verr
+	}
+	return got, nil
+}
+
+// badTransferErrno returns the kernel errno as it came: a forged errno
+// reaches the application.
+func (s *Ctx) badTransferErrno(no Sysno, fd int, va Addr, chunk int) (int, error) {
+	got, err := s.uc.Transfer(no, fd, va, chunk, 0) // want `kernel errno err from uc\.Transfer propagates without validateErrno`
+	if err != nil {
+		return 0, err
+	}
+	if verr := s.validateXferCount(no.String(), got, chunk); verr != nil {
+		return 0, verr
+	}
+	return got, nil
+}

@@ -47,130 +47,87 @@ func (s *Ctx) Close(fd int) error {
 
 // Read implements Env.
 func (s *Ctx) Read(fd int, va mach.Addr, n int) (int, error) {
-	if _, ok := s.cfiles[fd]; ok {
-		return s.readCloaked(fd, va, n)
-	}
-	return s.marshalledRead(fd, va, n)
+	return s.transfer(guestos.SysRead, fd, va, n, 0)
 }
 
 // Write implements Env.
 func (s *Ctx) Write(fd int, va mach.Addr, n int) (int, error) {
-	if _, ok := s.cfiles[fd]; ok {
-		return s.writeCloaked(fd, va, n)
-	}
-	return s.marshalledWrite(fd, va, n)
+	return s.transfer(guestos.SysWrite, fd, va, n, 0)
 }
 
 // Pread implements Env.
 func (s *Ctx) Pread(fd int, va mach.Addr, n int, off uint64) (int, error) {
-	if cf, ok := s.cfiles[fd]; ok {
-		return s.cloakedIO(cf, va, n, off, false)
-	}
-	scratch, err := s.scratch()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for total < n {
-		chunk := min(n-total, s.scratchBytes)
-		got, err := s.uc.Pread(fd, scratch, chunk, off+uint64(total))
-		if err != nil {
-			return total, s.validateErrno("pread", err)
-		}
-		if verr := s.validateXferCount("pread", got, chunk); verr != nil {
-			return total, verr
-		}
-		if got == 0 {
-			break
-		}
-		s.bounce(scratch, va+mach.Addr(total), got)
-		total += got
-		if got < chunk {
-			break
-		}
-	}
-	return total, nil
+	return s.transfer(guestos.SysPread, fd, va, n, off)
 }
 
 // Pwrite implements Env.
 func (s *Ctx) Pwrite(fd int, va mach.Addr, n int, off uint64) (int, error) {
-	if cf, ok := s.cfiles[fd]; ok {
-		return s.cloakedIO(cf, va, n, off, true)
-	}
-	scratch, err := s.scratch()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for total < n {
-		chunk := min(n-total, s.scratchBytes)
-		s.bounce(va+mach.Addr(total), scratch, chunk)
-		got, err := s.uc.Pwrite(fd, scratch, chunk, off+uint64(total))
-		if err != nil {
-			return total, s.validateErrno("pwrite", err)
-		}
-		if verr := s.validateXferCount("pwrite", got, chunk); verr != nil {
-			return total, verr
-		}
-		total += got
-		if got < chunk {
-			break
-		}
-	}
-	return total, nil
+	return s.transfer(guestos.SysPwrite, fd, va, n, off)
 }
 
-// marshalledRead bounces kernel-visible data through the scratch region:
-// kernel fills scratch (plaintext, uncloaked), the app copies scratch into
+// transfer moves n bytes between the application's memory at va and fd for
+// the call no names (read, write, pread or pwrite); off is the file position
+// of pread and pwrite.
+//
+// A cloaked file moves through its window, with no kernel data path: at off,
+// or else at the descriptor's position, which the call advances (a write
+// under O_APPEND starts at the end of the file). A call the open mode
+// forbids is EBADF, as the kernel answers it for a plain file.
+//
+// Any other descriptor bounces through the thread's uncloaked scratch window
+// a chunk at a time: a write copies each chunk of cloaked data into scratch
+// (decrypt-on-app-read, plain write into the uncloaked window) before the
+// kernel consumes it, and a read copies what the kernel left in scratch into
 // its cloaked destination.
-func (s *Ctx) marshalledRead(fd int, va mach.Addr, n int) (int, error) {
+func (s *Ctx) transfer(no guestos.Sysno, fd int, va mach.Addr, n int, off uint64) (int, error) {
+	write := no == guestos.SysWrite || no == guestos.SysPwrite
+	positioned := no == guestos.SysPread || no == guestos.SysPwrite
+	if cf, ok := s.cfiles[fd]; ok {
+		if !guestos.AccessAllowed(cf.flags, write) {
+			return 0, guestos.EBADF
+		}
+		if positioned {
+			return s.cloakedIO(cf, va, n, off, write)
+		}
+		pos := cf.pos
+		if write && cf.flags&guestos.OAppend != 0 {
+			pos = cf.size
+		}
+		got, err := s.cloakedIO(cf, va, n, pos, write)
+		cf.pos = pos + uint64(got)
+		return got, err
+	}
 	scratch, err := s.scratch()
 	if err != nil {
 		return 0, err
 	}
+	call := no.String()
 	total := 0
 	for total < n {
-		chunk := min(n-total, s.scratchBytes)
-		got, err := s.uc.Read(fd, scratch, chunk)
-		if err != nil {
-			return total, s.validateErrno("read", err)
+		chunk := min(n-total, scratchBytes)
+		if write {
+			s.bounce(va+mach.Addr(total), scratch, chunk)
 		}
-		if verr := s.validateXferCount("read", got, chunk); verr != nil {
+		var pos uint64 // read and write carry no position
+		if positioned {
+			pos = off + uint64(total)
+		}
+		got, err := s.uc.Transfer(no, fd, scratch, chunk, pos)
+		if err != nil {
+			return total, s.validateErrno(call, err)
+		}
+		if verr := s.validateXferCount(call, got, chunk); verr != nil {
 			return total, verr
 		}
-		if got == 0 {
-			break
-		}
-		s.bounce(scratch, va+mach.Addr(total), got)
-		total += got
-		if got < chunk {
-			break // short read (EOF or pipe chunk)
-		}
-	}
-	return total, nil
-}
-
-// marshalledWrite copies cloaked data into scratch (decrypt-on-app-read,
-// plain write into the uncloaked window), then lets the kernel consume it.
-func (s *Ctx) marshalledWrite(fd int, va mach.Addr, n int) (int, error) {
-	scratch, err := s.scratch()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for total < n {
-		chunk := min(n-total, s.scratchBytes)
-		s.bounce(va+mach.Addr(total), scratch, chunk)
-		got, err := s.uc.Write(fd, scratch, chunk)
-		if err != nil {
-			return total, s.validateErrno("write", err)
-		}
-		if verr := s.validateXferCount("write", got, chunk); verr != nil {
-			return total, verr
+		if !write {
+			if got == 0 {
+				break
+			}
+			s.bounce(scratch, va+mach.Addr(total), got)
 		}
 		total += got
 		if got < chunk {
-			break
+			break // short transfer (EOF, a pipe chunk, a full device)
 		}
 	}
 	return total, nil
@@ -207,7 +164,7 @@ func (s *Ctx) scratch() (mach.Addr, error) {
 	if s.scratchVA != 0 {
 		return s.scratchVA, nil
 	}
-	pages := uint64(s.scratchBytes / mach.PageSize)
+	pages := guestos.LayoutScratchLen
 	base, err := s.uc.Alloc(int(pages))
 	if err != nil {
 		return 0, s.validateErrno("alloc", err)
@@ -216,7 +173,7 @@ func (s *Ctx) scratch() (mach.Addr, error) {
 		return 0, verr
 	}
 	s.mustRegister(vmm.Region{BaseVPN: mach.PageOf(base), Pages: pages})
-	s.threadScratch[mach.PageOf(base)] = pages
+	s.maps.add(mapping{base: mach.PageOf(base), pages: pages, kind: mapScratch})
 	s.scratchVA = base
 	return base, nil
 }

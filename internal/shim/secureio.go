@@ -17,14 +17,14 @@ import (
 
 // cloakedFile is the shim's per-descriptor state for a cloaked file.
 type cloakedFile struct {
-	fd     int
-	path   string
-	ino    guestos.Ino
-	vault  cloak.DomainID
-	res    cloak.ResourceID
-	pos    uint64
-	size   uint64 // logical size (the FS only knows page-rounded extents)
-	append bool
+	fd    int
+	path  string
+	ino   guestos.Ino
+	vault cloak.DomainID
+	res   cloak.ResourceID
+	pos   uint64
+	size  uint64 // logical size (the FS only knows page-rounded extents)
+	flags int    // open flags: the access mode and O_APPEND
 
 	winBase  mach.Addr // 0 = no window mapped
 	winOff   uint64    // first file page the window covers
@@ -54,8 +54,8 @@ func (s *Ctx) openCloaked(path string, flags int) (int, error) {
 	s.cfiles[fd] = &cloakedFile{
 		fd: fd, path: path, ino: st.Ino,
 		vault: vault, res: res,
-		size:   st.Size,
-		append: flags&guestos.OAppend != 0,
+		size:  st.Size,
+		flags: flags,
 	}
 	return fd, nil
 }
@@ -82,6 +82,7 @@ func (s *Ctx) ensureWindow(cf *cloakedFile, idx uint64) error {
 		Resource: cf.res, Cloaked: true,
 		IndexOff: off, Domain: cf.vault,
 	})
+	s.maps.add(mapping{base: mach.PageOf(va), pages: windowPages, kind: mapWindow})
 	cf.winBase = va
 	cf.winOff = off
 	cf.winPages = windowPages
@@ -104,6 +105,7 @@ func (s *Ctx) dropWindow(cf *cloakedFile) error {
 	if err := s.uc.Free(cf.winBase); err != nil {
 		return err
 	}
+	s.maps.remove(mach.PageOf(cf.winBase))
 	cf.winBase = 0
 	cf.winPages = 0
 	return nil
@@ -151,24 +153,6 @@ func (s *Ctx) cloakedIO(cf *cloakedFile, va mach.Addr, n int, off uint64, write 
 	}
 	w.CPU().ChargeAdd(0, sim.CtrShimSyscall, 1)
 	return done, nil
-}
-
-func (s *Ctx) readCloaked(fd int, va mach.Addr, n int) (int, error) {
-	cf := s.cfiles[fd]
-	got, err := s.cloakedIO(cf, va, n, cf.pos, false)
-	cf.pos += uint64(got)
-	return got, err
-}
-
-func (s *Ctx) writeCloaked(fd int, va mach.Addr, n int) (int, error) {
-	cf := s.cfiles[fd]
-	pos := cf.pos
-	if cf.append {
-		pos = cf.size
-	}
-	got, err := s.cloakedIO(cf, va, n, pos, true)
-	cf.pos = pos + uint64(got)
-	return got, err
 }
 
 func (s *Ctx) lseekCloaked(cf *cloakedFile, off int64, whence int) (uint64, error) {

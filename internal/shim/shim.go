@@ -24,7 +24,7 @@ package shim
 
 import (
 	"crypto/sha256"
-	"maps"
+	"slices"
 	"strings"
 
 	"overshadow/internal/cloak"
@@ -51,9 +51,10 @@ func Runtime() guestos.CloakRuntime {
 	}
 }
 
-// Ctx is the shim's implementation of guestos.Env for a cloaked process.
-type Ctx struct {
-	uc   *guestos.UserCtx
+// process is the shim state of one cloaked process, which all its threads
+// share: the domain and its resources, the table of the shim's mappings, and
+// the cloaked files. attach and attachForked each build one.
+type process struct {
 	hv   *vmm.VMM
 	as   *vmm.AddressSpace
 	conn *vmm.DomainConn // typed hypercall handle for the process's domain
@@ -62,32 +63,29 @@ type Ctx struct {
 	heapRes  cloak.ResourceID
 	stackRes cloak.ResourceID
 
-	// scratchVA is the uncloaked marshalling window of this context's
-	// thread (0 until a spawned thread maps its own; see scratch).
-	scratchVA    mach.Addr
-	scratchBytes int
-	// bounceBuf is this context's bounce buffer (see bounceBytes). Each
-	// thread has its own, like its scratch window.
-	bounceBuf []byte
-
-	// anonRegions tracks shim-allocated cloaked mappings by base VPN.
-	anonRegions map[uint64]anonRegion
-	// threadScratch tracks spawned threads' scratch windows by base VPN.
-	threadScratch map[uint64]uint64
-	// shmRegions tracks protected shared-memory attachments by base VPN.
-	shmRegions map[uint64]shmRegion
+	// maps holds every mapping the shim made in the mmap window.
+	maps mappings
 	// cfiles tracks cloaked-file state by fd.
 	cfiles map[int]*cloakedFile
 }
 
-type anonRegion struct {
-	res   cloak.ResourceID
-	pages uint64
+// Ctx is the shim's implementation of guestos.Env for one thread of a
+// cloaked process. It holds what belongs to the thread alone and points at
+// the process state its siblings share.
+type Ctx struct {
+	*process
+	uc *guestos.UserCtx
+
+	// scratchVA is the uncloaked marshalling window of this context's
+	// thread (0 until a spawned thread maps its own; see scratch).
+	scratchVA mach.Addr
+	// bounceBuf is this context's bounce buffer (see bounceBytes). Each
+	// thread has its own, like its scratch window.
+	bounceBuf []byte
 }
 
-type shmRegion struct {
-	pages uint64
-}
+// scratchBytes is the size of a thread's scratch window.
+const scratchBytes = int(guestos.LayoutScratchLen) * mach.PageSize
 
 var _ guestos.Env = (*Ctx)(nil)
 
@@ -97,15 +95,13 @@ var _ guestos.Env = (*Ctx)(nil)
 func attach(uc *guestos.UserCtx) *Ctx {
 	k := uc.Kernel()
 	s := &Ctx{
-		uc:            uc,
-		hv:            k.VMM(),
-		as:            uc.Proc().AddressSpace(),
-		scratchVA:     mach.Addr(guestos.LayoutScratch * mach.PageSize),
-		scratchBytes:  int(guestos.LayoutScratchLen) * mach.PageSize,
-		anonRegions:   make(map[uint64]anonRegion),
-		threadScratch: make(map[uint64]uint64),
-		shmRegions:    make(map[uint64]shmRegion),
-		cfiles:        make(map[int]*cloakedFile),
+		process: &process{
+			hv:     k.VMM(),
+			as:     uc.Proc().AddressSpace(),
+			cfiles: make(map[int]*cloakedFile),
+		},
+		uc:        uc,
+		scratchVA: mach.Addr(guestos.LayoutScratch * mach.PageSize),
 	}
 	var err error
 	s.conn, err = s.hv.HCCreateDomain(s.as)
@@ -168,7 +164,8 @@ func (s *Ctx) mustRegister(r vmm.Region) {
 // onExit tears down the shim's cloaking state when the process dies. It
 // runs before the kernel reclaims any resource, on the process's own
 // goroutine. Files flush in descriptor order and regions release in page
-// order: each step charges cycles and may write the disk or the journal.
+// order (the table's): each step charges cycles and may write the disk or
+// the journal.
 func (s *Ctx) onExit() {
 	for _, fd := range ordered.Keys(s.cfiles) {
 		// Best-effort flush of cloaked files (ignore errors on exit).
@@ -185,10 +182,11 @@ func (s *Ctx) onExit() {
 		s.conn.ReleaseResource(s.heapRes, guestos.LayoutHeapMax-guestos.LayoutHeapBase)
 		//overlint:allow errnodiscipline -- exit path: resources are known-registered, release cannot meaningfully fail here
 		s.conn.ReleaseResource(s.stackRes, guestos.LayoutStackMax)
-		for _, vpn := range ordered.Keys(s.anonRegions) {
-			ar := s.anonRegions[vpn]
-			//overlint:allow errnodiscipline -- exit path: resources are known-registered, release cannot meaningfully fail here
-			s.conn.ReleaseResource(ar.res, ar.pages)
+		for _, m := range s.maps {
+			if m.kind == mapAnon {
+				//overlint:allow errnodiscipline -- exit path: resources are known-registered, release cannot meaningfully fail here
+				s.conn.ReleaseResource(m.res, m.pages)
+			}
 		}
 	}
 }
@@ -268,33 +266,30 @@ func (s *Ctx) Alloc(pages int) (mach.Addr, error) {
 		BaseVPN: mach.PageOf(base), Pages: uint64(pages),
 		Resource: res, Cloaked: true,
 	})
-	s.anonRegions[mach.PageOf(base)] = anonRegion{res: res, pages: uint64(pages)}
+	s.maps.add(mapping{base: mach.PageOf(base), pages: uint64(pages), kind: mapAnon, res: res})
 	return base, nil
 }
 
-// Free implements Env.
+// Free implements Env: it unmaps an anonymous region or detaches a
+// shared-memory object. Any other base, a thread's scratch window or a
+// cloaked file's window included, is EINVAL.
 func (s *Ctx) Free(base mach.Addr) error {
 	vpn := mach.PageOf(base)
-	if _, ok := s.shmRegions[vpn]; ok {
-		// Shared-memory detach: unregister our view; the vault (and the
-		// object's pages) outlive us for the other attachments.
-		if err := s.retryTransient(func() error { return s.conn.UnregisterRegion(vpn) }); err != nil {
-			return err
-		}
-		delete(s.shmRegions, vpn)
-		return s.uc.Free(base)
-	}
-	ar, ok := s.anonRegions[vpn]
-	if !ok {
+	m, ok := s.maps.at(vpn)
+	if !ok || m.kind != mapAnon && m.kind != mapShm {
 		return guestos.EINVAL
 	}
 	if err := s.retryTransient(func() error { return s.conn.UnregisterRegion(vpn) }); err != nil {
 		return err
 	}
-	if err := s.retryTransient(func() error { return s.conn.ReleaseResource(ar.res, ar.pages) }); err != nil {
-		return err
+	// A shared-memory detach unregisters only our view: the vault (and the
+	// object's pages) outlive us for the other attachments.
+	if m.kind == mapAnon {
+		if err := s.retryTransient(func() error { return s.conn.ReleaseResource(m.res, m.pages) }); err != nil {
+			return err
+		}
 	}
-	delete(s.anonRegions, vpn)
+	s.maps.remove(vpn)
 	return s.uc.Free(base)
 }
 
@@ -314,23 +309,21 @@ func (s *Ctx) ShmAttach(name string, pages int) (mach.Addr, error) {
 		BaseVPN: mach.PageOf(base), Pages: uint64(pages),
 		Resource: res, Cloaked: true, Domain: vault,
 	})
-	s.shmRegions[mach.PageOf(base)] = shmRegion{pages: uint64(pages)}
+	s.maps.add(mapping{base: mach.PageOf(base), pages: uint64(pages), kind: mapShm})
 	return base, nil
 }
 
 // --- Process control ------------------------------------------------------------
 
 // forkSnapshot is the parent shim state frozen at fork time. The child's
-// context is built from this snapshot, not the parent's live maps: the
+// process state is built from this snapshot, not the parent's live one: the
 // parent may mutate its mappings before the child first runs, and those
 // post-fork mappings do not exist in the child's copied address space
 // (inheriting them live would make the validation layer see phantom
 // aliases in the child).
 type forkSnapshot struct {
-	anon    map[uint64]anonRegion
-	scratch map[uint64]uint64
-	shm     map[uint64]shmRegion
-	cf      map[int]*cloakedFile
+	maps mappings
+	cf   map[int]*cloakedFile
 }
 
 // Fork implements Env: the kernel copies the address space (as ciphertext),
@@ -346,10 +339,8 @@ func (s *Ctx) Fork(child func(guestos.Env)) (guestos.Pid, error) {
 	}, func(pas, cas *vmm.AddressSpace) error {
 		// Fork time: freeze the shim's view alongside the address-space copy.
 		snap = forkSnapshot{
-			anon:    maps.Clone(s.anonRegions),
-			scratch: maps.Clone(s.threadScratch),
-			shm:     maps.Clone(s.shmRegions),
-			cf:      make(map[int]*cloakedFile, len(s.cfiles)),
+			maps: slices.Clone(s.maps),
+			cf:   make(map[int]*cloakedFile, len(s.cfiles)),
 		}
 		for _, fd := range ordered.Keys(s.cfiles) {
 			dup := *s.cfiles[fd]
@@ -362,38 +353,38 @@ func (s *Ctx) Fork(child func(guestos.Env)) (guestos.Pid, error) {
 	return pid, err
 }
 
-// attachForked builds the child's shim context after a fork: same domain,
-// remapped private resources, fork-time cloaked-file table. The child is a
-// process's first thread, so it marshals through the layout's scratch
-// region even when a spawned thread forked it.
+// attachForked builds the child's shim state after a fork: same domain,
+// remapped private resources, fork-time mapping and cloaked-file tables.
+// The child is a process's first thread, so it marshals through the
+// layout's scratch region even when a spawned thread forked it.
 func attachForked(cuc *guestos.UserCtx, parent *Ctx, conn *vmm.DomainConn, rmap map[cloak.ResourceID]cloak.ResourceID, snap forkSnapshot) *Ctx {
-	cs := &Ctx{
-		uc:            cuc,
-		hv:            parent.hv,
-		as:            cuc.Proc().AddressSpace(),
-		conn:          conn,
-		domain:        conn.Domain(),
-		scratchVA:     mach.Addr(guestos.LayoutScratch * mach.PageSize),
-		scratchBytes:  parent.scratchBytes,
-		anonRegions:   make(map[uint64]anonRegion),
-		threadScratch: snap.scratch,
-		shmRegions:    snap.shm,
-		cfiles:        snap.cf,
-	}
-	cuc.Thread().Domain = cs.domain
-	cs.world().CPU().SetTaskDomain(uint32(cs.domain))
 	remap := func(r cloak.ResourceID) cloak.ResourceID {
 		if nr, ok := rmap[r]; ok {
 			return nr
 		}
 		return r
 	}
-	cs.heapRes = remap(parent.heapRes)
-	cs.stackRes = remap(parent.stackRes)
-	for _, vpn := range ordered.Keys(snap.anon) {
-		ar := snap.anon[vpn]
-		cs.anonRegions[vpn] = anonRegion{res: remap(ar.res), pages: ar.pages}
+	for i := range snap.maps {
+		if snap.maps[i].kind == mapAnon {
+			snap.maps[i].res = remap(snap.maps[i].res)
+		}
 	}
+	cs := &Ctx{
+		process: &process{
+			hv:       parent.hv,
+			as:       cuc.Proc().AddressSpace(),
+			conn:     conn,
+			domain:   conn.Domain(),
+			heapRes:  remap(parent.heapRes),
+			stackRes: remap(parent.stackRes),
+			maps:     snap.maps,
+			cfiles:   snap.cf,
+		},
+		uc:        cuc,
+		scratchVA: mach.Addr(guestos.LayoutScratch * mach.PageSize),
+	}
+	cuc.Thread().Domain = cs.domain
+	cs.world().CPU().SetTaskDomain(uint32(cs.domain))
 	cuc.Proc().AddExitHook(cs.onExit)
 	return cs
 }
@@ -406,13 +397,10 @@ func attachForked(cuc *guestos.UserCtx, parent *Ctx, conn *vmm.DomainConn, rmap 
 // scratch window and copying out of it.
 func (s *Ctx) SpawnThread(body func(guestos.Env)) (guestos.Pid, error) {
 	return s.uc.SpawnThreadWith(func(tuc *guestos.UserCtx) {
-		ts := *s // share maps (cfiles, anonRegions) and identities
-		ts.uc = tuc
-		ts.scratchVA = 0
-		ts.bounceBuf = nil
+		ts := &Ctx{process: s.process, uc: tuc}
 		tuc.Thread().Domain = s.domain
 		ts.world().CPU().SetTaskDomain(uint32(s.domain))
-		body(&ts)
+		body(ts)
 	})
 }
 

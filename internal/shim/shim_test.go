@@ -7,10 +7,14 @@ package shim_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"overshadow/internal/core"
+	"overshadow/internal/guestos"
 	"overshadow/internal/sim"
+	"overshadow/internal/vmm"
 )
 
 func newSys(t *testing.T, memPages int) *core.System {
@@ -269,6 +273,126 @@ func TestForkWithOpenCloakedFile(t *testing.T) {
 	})
 	if string(childRead) != "shared across fork" {
 		t.Fatalf("child read %q", childRead)
+	}
+}
+
+// iagoRejections counts the audit log's rejected kernel returns.
+func iagoRejections(sys *core.System) int {
+	n := 0
+	for _, ev := range sys.SecurityEvents() {
+		if ev.Kind == vmm.EventIagoRejected {
+			n++
+		}
+	}
+	return n
+}
+
+// TestThreadsShareOneMappingTable: a region one thread maps is in the table
+// every sibling validates against. Thread B starts running before the first
+// thread maps its region, so a table copied when B starts would not hold it;
+// the kernel then answers B's next mmap with that region's base, and B's
+// shim must reject the alias.
+func TestThreadsShareOneMappingTable(t *testing.T) {
+	for _, vcpus := range []int{1, 4} {
+		t.Run(fmt.Sprintf("vcpus%d", vcpus), func(t *testing.T) {
+			sys := core.NewSystem(core.Config{MemoryPages: 1024, Seed: 3, VCPUs: vcpus})
+			var aBase core.Addr
+			forge, forged := false, 0
+			sys.Adversary().OnSysRet = func(_ *guestos.Kernel, _ *guestos.Proc, no guestos.Sysno, kregs *vmm.Regs) {
+				if forge && no == guestos.SysMmap {
+					kregs.GPR[0] = uint64(aBase)
+					forge = false
+					forged++
+				}
+			}
+			var bErr error
+			bStarted, bRan := false, false
+			run(t, sys, func(e core.Env) {
+				tid, err := e.SpawnThread(func(te core.Env) {
+					bStarted = true
+					for aBase == 0 {
+						te.Yield()
+					}
+					forge = true
+					_, bErr = te.Alloc(4)
+					bRan = true
+				})
+				if err != nil {
+					t.Errorf("spawn: %v", err)
+					e.Exit(1)
+				}
+				for !bStarted {
+					e.Yield()
+				}
+				base, err := e.Alloc(4)
+				if err != nil {
+					t.Errorf("alloc: %v", err)
+					e.Exit(1)
+				}
+				aBase = base
+				if err := e.JoinThread(tid); err != nil {
+					t.Errorf("join: %v", err)
+				}
+				e.Exit(0)
+			})
+			if !bRan || forged != 1 {
+				t.Fatalf("thread B ran %v, %d mmap returns forged; want one", bRan, forged)
+			}
+			if !errors.Is(bErr, guestos.EFAULT) {
+				t.Fatalf("aliased mmap return: err %v, want EFAULT", bErr)
+			}
+			if n := iagoRejections(sys); n != 1 {
+				t.Fatalf("%d Iago rejections logged, want 1", n)
+			}
+		})
+	}
+}
+
+// TestForkedChildValidatesAgainstForkTimeTable: the parent maps a region
+// after the fork while the child blocks on a pipe, and the child's next
+// mapping then gets the same base from the honest kernel (its address space
+// is the fork-time copy). The child's shim must accept it: the region is
+// not mapped in the child, so seeing the parent's live table would reject
+// an honest return as an alias.
+func TestForkedChildValidatesAgainstForkTimeTable(t *testing.T) {
+	sys := newSys(t, 2048)
+	var parentBase, childBase core.Addr
+	var childErr error
+	run(t, sys, func(e core.Env) {
+		r, w, err := e.Pipe()
+		if err != nil {
+			t.Errorf("pipe: %v", err)
+			e.Exit(1)
+		}
+		buf, _ := e.Alloc(1) // mapped before the fork: in both tables
+		pid, err := e.Fork(func(c core.Env) {
+			if n, err := c.Read(r, buf, 1); n != 1 || err != nil {
+				t.Errorf("child read = %d, %v", n, err)
+				c.Exit(1)
+			}
+			childBase, childErr = c.Alloc(4)
+			c.Exit(0)
+		})
+		if err != nil {
+			t.Errorf("fork: %v", err)
+			e.Exit(1)
+		}
+		parentBase, err = e.Alloc(4)
+		if err != nil {
+			t.Errorf("parent alloc: %v", err)
+		}
+		e.Write(w, buf, 1)
+		e.WaitPid(pid)
+		e.Exit(0)
+	})
+	if childErr != nil {
+		t.Fatalf("child alloc: %v", childErr)
+	}
+	if childBase != parentBase {
+		t.Fatalf("child mapped %#x, parent %#x: the kernel gave different bases, so the test exercises nothing", childBase, parentBase)
+	}
+	if n := iagoRejections(sys); n != 0 {
+		t.Fatalf("%d Iago rejections under an honest kernel", n)
 	}
 }
 

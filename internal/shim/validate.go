@@ -6,7 +6,6 @@ import (
 
 	"overshadow/internal/guestos"
 	"overshadow/internal/mach"
-	"overshadow/internal/ordered"
 )
 
 // This file is the shim's Iago defense: every kernel-controlled syscall
@@ -31,42 +30,14 @@ func (s *Ctx) rejectIago(call, detail string, errno guestos.Errno) error {
 	return errno
 }
 
-// trackedOverlap reports whether [vpn, vpn+pages) intersects any mapping the
-// shim already tracks: anonymous cloaked regions, threads' scratch windows,
-// shared-memory attachments, or cloaked-file windows. A kernel returning an
-// already-used base would alias two mappings onto one range.
-func (s *Ctx) trackedOverlap(vpn, pages uint64) bool {
-	overlaps := func(base, n uint64) bool {
-		return base < vpn+pages && vpn < base+n
-	}
-	for _, base := range ordered.Keys(s.anonRegions) {
-		if overlaps(base, s.anonRegions[base].pages) {
-			return true
-		}
-	}
-	for _, base := range ordered.Keys(s.threadScratch) {
-		if overlaps(base, s.threadScratch[base]) {
-			return true
-		}
-	}
-	for _, base := range ordered.Keys(s.shmRegions) {
-		if overlaps(base, s.shmRegions[base].pages) {
-			return true
-		}
-	}
-	for _, fd := range ordered.Keys(s.cfiles) {
-		if cf := s.cfiles[fd]; cf.winBase != 0 && overlaps(mach.PageOf(cf.winBase), cf.winPages) {
-			return true
-		}
-	}
-	return false
-}
-
 // validateMappedBase checks a kernel-returned mapping address (mmap-class
 // syscalls: Alloc, ShmAttach, MmapFile) against the shim's view: page
 // aligned, wholly inside the mmap window of the standard layout — which by
 // construction excludes the heap, the stack, and the uncloaked scratch
-// region — and not aliasing any mapping the shim already tracks.
+// region — and not aliasing any mapping in the process's table (anonymous
+// regions, shared-memory attachments, threads' scratch windows and
+// cloaked-file windows): a kernel returning an already-used base would
+// alias two mappings onto one range.
 func (s *Ctx) validateMappedBase(call string, base mach.Addr, pages uint64) error {
 	if base%mach.PageSize != 0 {
 		return s.rejectIago(call,
@@ -79,7 +50,7 @@ func (s *Ctx) validateMappedBase(call string, base mach.Addr, pages uint64) erro
 			fmt.Sprintf("mapping vpn=%d+%d outside the mmap window", vpn, pages),
 			guestos.EFAULT)
 	}
-	if s.trackedOverlap(vpn, pages) {
+	if s.maps.overlaps(vpn, pages) {
 		return s.rejectIago(call,
 			fmt.Sprintf("mapping vpn=%d+%d aliases a tracked cloaked mapping", vpn, pages),
 			guestos.EFAULT)
