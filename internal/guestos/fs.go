@@ -50,10 +50,7 @@ type FS struct {
 	cacheCap  int
 	cacheKeys []uint64
 	// scratch is the page-sized staging buffer for byte-granular ReadAt/
-	// WriteAt; every loop iteration fully refills it (ReadFilePage reads a
-	// whole block or zero-fills past EOF, and the full-page write path
-	// overwrites all of it), and the baton scheduler admits one goroutine,
-	// so reuse cannot leak stale bytes between calls.
+	// WriteAt, allocated by the first of them (see scratchPage).
 	scratch []byte
 }
 
@@ -67,12 +64,24 @@ func NewFS(world *sim.World, diskPages uint64) *FS {
 		freeBlk:  freeList{hi: diskPages},
 		cache:    make(map[uint64][]byte),
 		cacheCap: 128,
-		scratch:  make([]byte, mach.PageSize),
 	}
 	root := &inode{ino: 1, typ: TypeDir, children: make(map[string]Ino), nlink: 1}
 	fs.inodes[1] = root
 	fs.nextIno = 2
 	return fs
+}
+
+// scratchPage returns the staging buffer, allocating it on first use, so a
+// machine that never reads or writes a file holds none. Every loop
+// iteration of ReadAt and WriteAt fully refills it (ReadFilePage reads a
+// whole block or zero-fills past EOF, and the full-page write path
+// overwrites all of it), and the baton scheduler admits one goroutine, so
+// reuse cannot leak stale bytes between calls.
+func (fs *FS) scratchPage() []byte {
+	if fs.scratch == nil {
+		fs.scratch = make([]byte, mach.PageSize)
+	}
+	return fs.scratch
 }
 
 // Disk exposes the filesystem's block device (read-only use: adversarial
@@ -367,7 +376,7 @@ func (fs *FS) ReadAt(i Ino, off uint64, dst []byte) (int, Errno) {
 		n = int(rem)
 	}
 	done := 0
-	page := fs.scratch
+	page := fs.scratchPage()
 	for done < n {
 		idx := (off + uint64(done)) / mach.PageSize
 		pgOff := int((off + uint64(done)) % mach.PageSize)
@@ -407,7 +416,7 @@ func (fs *FS) WriteAt(i Ino, off uint64, src []byte) (int, Errno) {
 		return 0, EISDIR
 	}
 	done := 0
-	page := fs.scratch
+	page := fs.scratchPage()
 	for done < len(src) {
 		idx := (off + uint64(done)) / mach.PageSize
 		pgOff := int((off + uint64(done)) % mach.PageSize)

@@ -104,7 +104,6 @@ func NewKernel(world *sim.World, hv *vmm.VMM, cfg Config) *Kernel {
 		world:    world,
 		vmm:      hv,
 		cfg:      cfg,
-		pageBuf:  make([]byte, mach.PageSize),
 		procs:    make(map[Pid]*Proc),
 		shm:      make(map[string]*ShmObj),
 		programs: make(map[string]Program),

@@ -235,16 +235,23 @@ func (k *Kernel) noteResident(p *Proc, vpn uint64) {
 	k.resident.push(residentPage{p: p, vpn: vpn})
 }
 
-// scratchPage returns the kernel's page-sized scratch buffer, holding
-// whatever its last user left there: every caller overwrites all of it
-// before reading any (PhysRead and Disk.Read copy or zero-fill the whole
-// page, ReadFilePage zero-fills past end of file) and stops using it when
-// that fill fails. Reuse is safe because the baton scheduler admits exactly
-// one runnable goroutine, and every user (page-out, page-in, COW break,
-// msync) is done with the buffer before any path that could re-enter page
-// allocation: allocUserPage's eviction (the only nested user) completes
-// before its caller touches the buffer it acquired.
-func (k *Kernel) scratchPage() []byte { return k.pageBuf }
+// scratchPage returns the kernel's page-sized scratch buffer, allocated by
+// its first user, so a machine that never swaps, copies on write or maps a
+// file holds none. It holds whatever its last user left there: every caller
+// overwrites all of it before reading any (PhysRead and Disk.Read copy or
+// zero-fill the whole page, ReadFilePage zero-fills past end of file) and
+// stops using it when that fill fails. Reuse is safe because the baton
+// scheduler admits exactly one runnable goroutine, and every user
+// (page-out, page-in, COW break, msync) is done with the buffer before any
+// path that could re-enter page allocation: allocUserPage's eviction (the
+// only nested user) completes before its caller touches the buffer it
+// acquired.
+func (k *Kernel) scratchPage() []byte {
+	if k.pageBuf == nil {
+		k.pageBuf = make([]byte, mach.PageSize)
+	}
+	return k.pageBuf
+}
 
 // --- Page allocation with replacement --------------------------------------
 

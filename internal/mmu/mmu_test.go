@@ -2,7 +2,6 @@ package mmu
 
 import (
 	"testing"
-	"testing/quick"
 
 	"overshadow/internal/sim"
 )
@@ -108,6 +107,16 @@ func TestFaultError(t *testing.T) {
 	}
 }
 
+// presentVPNs returns the VPNs Range visits, in its order.
+func presentVPNs(pt *PageTable) []uint64 {
+	var out []uint64
+	pt.Range(func(vpn uint64, _ PTE) bool {
+		out = append(out, vpn)
+		return true
+	})
+	return out
+}
+
 func TestPageTableMapLookupUnmap(t *testing.T) {
 	pt := NewPageTable()
 	pte := PTE{PN: 42, Flags: FlagPresent | FlagUser}
@@ -115,15 +124,15 @@ func TestPageTableMapLookupUnmap(t *testing.T) {
 	if got := pt.Lookup(123); got != pte {
 		t.Fatalf("Lookup = %v, want %v", got, pte)
 	}
-	if pt.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", pt.Count())
+	if got := presentVPNs(pt); len(got) != 1 || got[0] != 123 {
+		t.Fatalf("Range visits %v, want [123]", got)
 	}
 	pt.Unmap(123)
 	if pt.Lookup(123).Present() {
 		t.Fatal("entry still present after Unmap")
 	}
-	if pt.Count() != 0 {
-		t.Fatalf("Count = %d after unmap, want 0", pt.Count())
+	if got := presentVPNs(pt); len(got) != 0 {
+		t.Fatalf("Range visits %v after unmap, want none", got)
 	}
 }
 
@@ -131,8 +140,8 @@ func TestPageTableReplaceKeepsCount(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(5, PTE{PN: 1, Flags: FlagPresent})
 	pt.Map(5, PTE{PN: 2, Flags: FlagPresent | FlagWritable})
-	if pt.Count() != 1 {
-		t.Fatalf("Count = %d after replace, want 1", pt.Count())
+	if got := presentVPNs(pt); len(got) != 1 {
+		t.Fatalf("Range visits %v after replace, want one entry", got)
 	}
 	if pt.Lookup(5).PN != 2 {
 		t.Fatal("replace did not take effect")
@@ -184,9 +193,9 @@ func TestPageTableRangeOrderedAndCancelable(t *testing.T) {
 	for _, v := range vpns {
 		pt.Map(v, PTE{PN: v * 2, Flags: FlagPresent})
 	}
-	got := pt.PresentVPNs()
+	got := presentVPNs(pt)
 	if len(got) != len(vpns) {
-		t.Fatalf("PresentVPNs len = %d, want %d", len(got), len(vpns))
+		t.Fatalf("Range visited %d entries, want %d", len(got), len(vpns))
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
@@ -203,39 +212,46 @@ func TestPageTableRangeOrderedAndCancelable(t *testing.T) {
 	}
 }
 
-// TestPageTableRangeInMatchesLookup: on random sparse tables — most
-// directories never populated, some populated but holding no present entry
-// — RangeIn over random [base, end) ranges that cross directories or run
-// past MaxVPN visits exactly the present VPNs a per-VPN Lookup loop finds,
-// ascending and each once, while its callback unmaps every entry it visits.
+// TestPageTableRangeInMatchesLookup: on random sparse tables — most middle
+// nodes never allocated, some leaves allocated but holding no present entry
+// — RangeIn over random [base, end) ranges that cross leaves and middle
+// nodes or run past MaxVPN visits exactly the present VPNs a per-VPN Lookup
+// loop finds, ascending and each once, while its callback unmaps every
+// entry it visits.
 func TestPageTableRangeInMatchesLookup(t *testing.T) {
 	rng := sim.NewRNG(31)
-	const lastDir = MaxVPN >> tableBits
+	const (
+		midSpan = 1 << midShift // VPNs under one middle node
+		lastMid = MaxVPN >> midShift
+	)
 	for trial := 0; trial < 300; trial++ {
 		pt := NewPageTable()
-		// Directories 0..7 and the last one, so ranges reach both the
-		// middle of the table and its top edge.
-		for n := 1 + rng.Intn(6); n > 0; n-- {
-			di := uint64(rng.Intn(8))
+		// Leaves under middle nodes 0..3 and the last one, so ranges reach
+		// both the middle of the table and its top edge.
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			mi := uint64(rng.Intn(4))
 			if rng.Intn(4) == 0 {
-				di = lastDir
+				mi = lastMid
 			}
+			leafBase := mi<<midShift | uint64(rng.Intn(midSpan))&^(leafSize-1)
 			switch entries := rng.Intn(40); {
 			case entries < 8:
-				// Populated directory with no present entry.
-				pt.Map(di<<tableBits|uint64(rng.Intn(tableSize)), PTE{})
+				// An allocated leaf with no present entry.
+				vpn := leafBase | uint64(rng.Intn(leafSize))
+				pt.Map(vpn, PTE{PN: vpn, Flags: FlagPresent})
+				pt.Unmap(vpn)
 			default:
 				for ; entries > 0; entries-- {
-					vpn := di<<tableBits | uint64(rng.Intn(tableSize))
+					vpn := leafBase | uint64(rng.Intn(leafSize))
 					pt.Map(vpn, PTE{PN: vpn, Flags: FlagPresent})
 				}
 			}
 		}
-		base := uint64(rng.Intn(8 * tableSize))
-		end := base + uint64(rng.Intn(3*tableSize))
+		base := uint64(rng.Intn(4 * midSpan))
+		end := base + uint64(rng.Intn(2*midSpan))
 		if rng.Intn(3) == 0 {
-			base = lastDir<<tableBits + uint64(rng.Intn(tableSize))
-			end = MaxVPN + 1 + uint64(rng.Intn(2*tableSize))
+			base = lastMid<<midShift + uint64(rng.Intn(midSpan))
+			end = MaxVPN + 1 + uint64(rng.Intn(2*leafSize))
 		}
 
 		var want []uint64
@@ -271,31 +287,13 @@ func TestPageTableClear(t *testing.T) {
 		pt.Map(i*37, PTE{PN: i, Flags: FlagPresent})
 	}
 	pt.Clear()
-	if pt.Count() != 0 || len(pt.PresentVPNs()) != 0 {
-		t.Fatal("Clear left entries behind")
+	if got := presentVPNs(pt); len(got) != 0 {
+		t.Fatalf("Clear left entries behind: %v", got)
 	}
-}
-
-func TestPageTableCountProperty(t *testing.T) {
-	// Property: after an arbitrary map/unmap sequence, Count equals the
-	// number of distinct present VPNs.
-	f := func(ops []uint16) bool {
-		pt := NewPageTable()
-		ref := map[uint64]bool{}
-		for i, op := range ops {
-			vpn := uint64(op % 512)
-			if i%3 == 2 {
-				pt.Unmap(vpn)
-				delete(ref, vpn)
-			} else {
-				pt.Map(vpn, PTE{PN: uint64(i), Flags: FlagPresent})
-				ref[vpn] = true
-			}
+	for i := uint64(0); i < 100; i++ {
+		if got := pt.Lookup(i * 37); got != (PTE{}) {
+			t.Fatalf("Lookup(%d) = %v after Clear", i*37, got)
 		}
-		return pt.Count() == len(ref)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package mmu implements the paging hardware of the simulated machine:
-// page-table entries, two-level software page tables, and per-CPU TLBs with
-// explicit invalidation. Two kinds of page table are built from these pieces:
+// page-table entries, three-level radix page tables that store each entry
+// packed into 8 bytes, and per-CPU TLBs with explicit invalidation. Two
+// kinds of page table are built from these pieces:
 //
 //   - guest page tables, written by the guest kernel, mapping VPN -> GPPN;
 //   - shadow page tables, written only by the VMM, mapping VPN -> MPN.

@@ -139,6 +139,43 @@ func TestWriteToReadOnlyGuestPTEFaults(t *testing.T) {
 	}
 }
 
+// TestWildGuestPNIsResourceFault: a guest PTE whose PN is past what a page
+// table entry holds, written through GuestPT as a hostile kernel could,
+// reads back as a PN no frame has, never as a truncated one (1<<56|3 would
+// truncate to frame 3, 1<<60 to frame 0). So every access through it is a
+// typed *ResourceFault, and no shadow table maps a frame for it.
+func TestWildGuestPNIsResourceFault(t *testing.T) {
+	const vpn = 9
+	for _, pn := range []uint64{1 << 60, 1<<56 | 3} {
+		r := newRig(t, Options{})
+		r.as.GuestPT().Map(vpn, mmu.PTE{PN: pn, Flags: mmu.FlagPresent | mmu.FlagWritable | mmu.FlagUser})
+		if got := mach.GPPN(r.as.GuestPT().Lookup(vpn).PN); got < mach.GPPN(r.v.GuestPages()) {
+			t.Fatalf("PN %#x reads back as guest frame %d", pn, got)
+		}
+		accesses := []func() error{
+			func() error { _, err := r.appRead(vpn, 8); return err },
+			func() error { return r.appWrite(vpn, []byte("x")) },
+			func() error { _, err := r.sysRead(vpn, 8); return err },
+		}
+		for i, access := range accesses {
+			var rf *ResourceFault
+			if err := access(); !errors.As(err, &rf) {
+				t.Fatalf("PN %#x access %d: err = %v, want *ResourceFault", pn, i, err)
+			}
+		}
+		if n := r.eventCount(EventResourceFault); n != len(accesses) {
+			t.Fatalf("PN %#x: %d resource-fault events, want %d", pn, n, len(accesses))
+		}
+		for cpu := range r.as.shadows {
+			for view := View(0); view < numViews; view++ {
+				if pte := r.as.shadow(cpu, view).Lookup(vpn); pte != (mmu.PTE{}) {
+					t.Fatalf("PN %#x: shadow (cpu %d, view %d) maps %v", pn, cpu, view, pte)
+				}
+			}
+		}
+	}
+}
+
 func TestGuestADBitsMirrored(t *testing.T) {
 	r := newRig(t, Options{})
 	r.mapGuest(r.as, 5, 3)

@@ -204,10 +204,13 @@ func pointerChaseProgram(cfg CPUConfig) guestos.Program {
 		if err != nil {
 			e.Exit(1)
 		}
-		// Sattolo's algorithm for a single cycle, using a local PRNG.
-		idx := make([]int, n)
+		// Sattolo's algorithm for a single cycle, using a local PRNG. The
+		// permutation is host memory only until it is stored, so it takes 4
+		// bytes an index: n counts the 8-byte words of a working set that
+		// Alloc fitted in the 4 GiB user space, so every index fits.
+		idx := make([]int32, n)
 		for i := range idx {
-			idx[i] = i
+			idx[i] = int32(i)
 		}
 		x := uint64(2463534242)
 		for i := n - 1; i > 0; i-- {

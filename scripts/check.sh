@@ -33,7 +33,10 @@
 #              FuzzHypercalls (hypercall sequences: overlapping and
 #              out-of-range regions, clones, stale handles, app writes,
 #              kernel reads and corrupted frames, each followed by typed-
-#              error and dead-domain residue checks)
+#              error and dead-domain residue checks) and FuzzPageTable
+#              (page-table operation sequences over the guest layout's
+#              regions and the MaxVPN edge, wild PNs included, checked
+#              against a map model)
 #   race       race detector over the packages whose goroutines hand off
 #              the scheduler baton, including the SMP interleaving tests at
 #              4 vCPUs — the only check that the baton orders every access
@@ -130,8 +133,9 @@ echo "== bench module"
 echo "== fuzz"
 # The checkpoint decoder takes untrusted bytes off the migration channel,
 # journal replay reads a disk the guest controls, the shim's validators read
-# whatever the kernel returns from a syscall, and the hypercall surface takes
-# any sequence of calls the guest drives through it. A crasher is a bug:
+# whatever the kernel returns from a syscall, the hypercall surface takes
+# any sequence of calls the guest drives through it, and the guest kernel
+# writes the page tables the VMM reads. A crasher is a bug:
 # go test saves it under the package's testdata/fuzz/, where it becomes the
 # fix's regression seed. The execution count includes the seed-corpus
 # baseline, so it must stay well above the 400 FuzzDecode seeds for any
@@ -140,6 +144,7 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 1000x ./internal/migrate
 go test -run '^$' -fuzz '^FuzzReplay$' -fuzztime 1000x ./internal/persist
 go test -run '^$' -fuzz '^FuzzValidate$' -fuzztime 1000x ./internal/shim
 go test -run '^$' -fuzz '^FuzzHypercalls$' -fuzztime 1000x ./internal/vmm
+go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 1000x ./internal/mmu
 
 echo "== race pass"
 # The channel handoff of the scheduler baton is the happens-before edge that
